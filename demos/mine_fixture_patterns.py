@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from capaminer.ingestion import load_metrics_csv
-from capaminer.mining import MiningConfig, RepoCoverage, locate_occurrences, mine_patterns
+from capaminer.mining import MiningConfig, RepoCoverage, mine_patterns
 from capaminer.timeutil import to_rfc3339
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -33,8 +33,7 @@ for metric in ("lines_added", "lines_deleted", "lines_changed"):
         print(f"  pattern {p.pattern_id} from {p.source_repo} "
               f"offset {p.source_offset}, radius {p.radius:.3f}")
         print(f"    values {shape}")
-        occs = locate_occurrences([p], subset, tau)
-        for o in occs:
+        for o in p.occurrences:
             print(f"    match in {o.repo_id} "
                   f"[{to_rfc3339(o.start_time)[:10]} .. "
                   f"{to_rfc3339(o.end_time)[:10]}] "

@@ -34,7 +34,6 @@ from .mining import (  # noqa: F401
     RepoCoverage,
     consensus_candidate,
     count_matches,
-    locate_occurrences,
     mine_patterns,
 )
 from .stats import chi2_independence, two_sample_t_test  # noqa: F401

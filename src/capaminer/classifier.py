@@ -441,13 +441,3 @@ def report_to_json(rows) -> dict:
         ]
     }
 
-
-def report_to_text(rows, title: str) -> str:
-    lines = [title,
-             f"{'label':>6} {'TP':>6} {'TN':>6} {'FP':>6} {'FN':>6} "
-             f"{'PRE':>5} {'REC':>5} {'F1':>5}"]
-    for r in rows:
-        pre, rec, f1 = r.rounded()
-        lines.append(f"{r.label!s:>6} {r.tp:>6} {r.tn:>6} {r.fp:>6} {r.fn:>6} "
-                     f"{pre:>5.2f} {rec:>5.2f} {f1:>5.2f}")
-    return "\n".join(lines) + "\n"

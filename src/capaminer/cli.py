@@ -63,14 +63,13 @@ class PipelineConfig:
     train_ratio: float = 0.8
     reference_instant: float | None = None  # None: min creation date
 
-    def mining_config(self, m_lo=None, m_hi=None) -> MiningConfig:
-        m = self.min_len if m_lo is None else m_lo
+    def mining_config(self) -> MiningConfig:
         tau = self.match_threshold
         if tau is None:
-            tau = 0.25 * 2.0 * math.sqrt(m)
+            tau = 0.25 * 2.0 * math.sqrt(self.min_len)
         return MiningConfig(
-            min_len=m,
-            max_len=self.max_len if m_hi is None else m_hi,
+            min_len=self.min_len,
+            max_len=self.max_len,
             match_threshold=tau,
             min_matches_per_series=self.min_matches_per_series,
             max_matches_per_series=self.max_matches_per_series,
@@ -114,14 +113,26 @@ def _meta(cfg):
     return {"seed": cfg.seed}
 
 
+def _write_text(path: Path, text: str):
+    """Write an artifact through a temp file in the same directory and
+    os.replace, so a failure partway leaves the previous file intact under
+    its final name."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_json(path: Path, doc: dict, cfg):
     doc = {"meta": _meta(cfg), **doc}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _write_jsonl(path: Path, lines, cfg):
     head = json.dumps({"meta": _meta(cfg)}, sort_keys=True)
-    path.write_text("\n".join([head, *lines]) + "\n" if lines else head + "\n")
+    _write_text(path, "\n".join([head, *lines]) + "\n")
 
 
 def _read_jsonl(path: Path):
@@ -169,21 +180,14 @@ def cmd_mine(cfg: PipelineConfig, out: Path):
     series = ingestion.load_metrics_csv(cfg.metrics_path)
     mconf = cfg.mining_config()
     all_patterns = []
-    all_occurrences = []
     for metric in cfg.metrics:
         subset = [s for s in series if s.metric_name == metric]
         if not subset:
             continue
-        # re-id across metrics so ids stay globally unique
-        patterns = [
-            mining.ConsensusPattern(len(all_patterns) + i, p.values,
-                                    p.metric_name, p.source_repo,
-                                    p.source_offset, p.radius)
-            for i, p in enumerate(mining.mine_patterns(subset, mconf))
-        ]
-        all_patterns.extend(patterns)
-        all_occurrences.extend(
-            mining.locate_occurrences(patterns, subset, mconf.match_threshold))
+        # ids continue across metrics so they stay globally unique
+        all_patterns += mining.mine_patterns(subset, mconf,
+                                             first_id=len(all_patterns))
+    all_occurrences = [o for p in all_patterns for o in p.occurrences]
     _write_json(out / "patterns.json", mining.patterns_to_json(all_patterns), cfg)
     _write_jsonl(out / "occurrences.jsonl",
                  [mining.occurrence_to_json_line(o) for o in all_occurrences], cfg)
@@ -245,7 +249,6 @@ def cmd_train(cfg: PipelineConfig, out: Path):
             X2.append(x)
             y2.append(int(g["stage2"]))
     fconf = classifier.ForestConfig(n_estimators=cfg.n_estimators, seed=cfg.seed)
-    reports = {}
     for stage, (X, y) in enumerate([(X1, y1), (X2, y2)], start=1):
         X = np.array(X)
         y = np.array(y)
@@ -257,7 +260,6 @@ def cmd_train(cfg: PipelineConfig, out: Path):
         _write_json(out / f"model_stage{stage}.json", forest.to_json(), cfg)
         _write_json(out / f"report_stage{stage}.json",
                     classifier.report_to_json(rows), cfg)
-        reports[stage] = rows
     log.info("trained stage-1 on %d rows, stage-2 on %d rows", len(X1), len(X2))
 
 
@@ -315,7 +317,7 @@ def cmd_associate(cfg: PipelineConfig, out: Path):
     joins = _load_joins(cfg, out)
     table = association.build_contingency(joins)
     text = f"# seed={cfg.seed}\n" + association.contingency_to_csv(table)
-    (out / "contingency.csv").write_text(text)
+    _write_text(out / "contingency.csv", text)
     log.info("joined %d pull requests across %d pattern types",
              len(joins), len(table.row_labels))
 
@@ -432,7 +434,7 @@ def cmd_report(cfg: PipelineConfig, out: Path):
         lines += ["## Missing artifacts", ""]
         lines += [f"- {g}" for g in gaps]
         lines.append("")
-    (out / "report.md").write_text("\n".join(lines))
+    _write_text(out / "report.md", "\n".join(lines))
 
 
 # --- argument parsing --------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,7 +63,6 @@ class MiningConfig:
     min_matches_per_series: int = 1
     max_matches_per_series: float = math.inf
     repo_coverage: RepoCoverage = field(default_factory=RepoCoverage)
-    candidate_strategy: str = "consensus"
 
     def __post_init__(self):
         if self.min_len < 2 or self.max_len < self.min_len:
@@ -72,8 +71,6 @@ class MiningConfig:
             raise ValueError("match_threshold must be >= 0")
         if not 1 <= self.min_matches_per_series <= self.max_matches_per_series:
             raise ValueError("need 1 <= min_matches <= max_matches")
-        if self.candidate_strategy not in ("consensus", "exhaustive"):
-            raise ValueError(f"unknown strategy {self.candidate_strategy!r}")
 
 
 @dataclass(frozen=True)
@@ -84,6 +81,7 @@ class ConsensusPattern:
     source_repo: str
     source_offset: int
     radius: float
+    occurrences: tuple = ()  # PatternOccurrence, filled in by mine_patterns
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -105,58 +103,41 @@ class PatternOccurrence:
     distance: float
 
 
-def _self_radius(series: MetricSeries, m: int, eps_var: float):
-    """Best-match radius per window of a single series, with a trivial-match
-    exclusion zone of ceil(m/2) offsets around each window's own origin."""
-    z, valid = znormalized_windows(series.values, m, eps_var)
-    k = len(z)
-    excl = math.ceil(m / 2)
-    sq = 2.0 * np.maximum(m - z @ z.T, 0.0)
-    d = np.sqrt(sq)
-    offs = np.arange(k)
-    mask = np.abs(offs[:, None] - offs[None, :]) < excl
-    d[mask] = np.inf
-    d[:, ~valid] = np.inf
-    best = d.min(axis=1)
-    best[~valid] = np.inf
-    return best
+def _nearest_distance(z, other, m: int, excl: int = 0):
+    """Distance from each row of z to its nearest valid window of other.
+
+    other is a (Z, valid) pair from znormalized_windows.  excl > 0 means
+    other holds z's own windows: pairs fewer than excl offsets apart are
+    trivial self-matches and are skipped.  Rows with nothing to compare
+    against get +inf.  The max dot product is taken before the one sqrt per
+    row; sqrt(2(m - dot)) falls as dot grows, so this is the min distance.
+    """
+    zo, vo = other
+    dots = z @ zo[vo].T
+    if excl:
+        offs = np.arange(len(z))
+        dots[np.abs(offs[:, None] - np.flatnonzero(vo)[None, :]) < excl] = -np.inf
+    best = dots.max(axis=1, initial=-np.inf)
+    return np.sqrt(2.0 * np.maximum(m - best, 0.0))
 
 
 def consensus_candidate(series_set, m: int, eps_var: float = EPS_VAR) -> ConsensusPattern:
     """Window minimizing the max over the other series of the min distance.
 
-    With a single series the window is scored against its own profile with
-    the trivial self-match excluded.  Ties break to the lowest
+    A single series is scored against its own windows, with trivial
+    matches within ceil(m/2) offsets excluded.  Ties break to the lowest
     (series order, offset).  pattern_id is provisional (-1).
     """
     if any(len(s) < m for s in series_set):
         raise ValueError("every series must be at least as long as m")
-    if len(series_set) == 1:
-        s = series_set[0]
-        radii = _self_radius(s, m, eps_var)
-        if not np.any(np.isfinite(radii)):
-            raise NoValidWindow("all windows constant")
-        off = int(np.argmin(radii))
-        return ConsensusPattern(-1, s.values[off : off + m], s.metric_name,
-                                s.repo_id, off, float(radii[off]))
-
     zs = [znormalized_windows(s.values, m, eps_var) for s in series_set]
+    excl = math.ceil(m / 2)
     best = None  # (radius, series_idx, offset)
-    for si, s in enumerate(series_set):
-        z, valid = zs[si]
-        if not np.any(valid):
-            continue
-        # min distance from each window of s to each other series
+    for si, (z, valid) in enumerate(zs):
         radii = np.zeros(len(z))
-        for sj in range(len(series_set)):
-            if sj == si:
-                continue
-            zo, vo = zs[sj]
-            if not np.any(vo):
-                radii[:] = np.inf
-                break
-            sq = 2.0 * np.maximum(m - z @ zo[vo].T, 0.0)
-            radii = np.maximum(radii, np.sqrt(sq).min(axis=1))
+        for sj in [j for j in range(len(zs)) if j != si] or [si]:
+            radii = np.maximum(radii, _nearest_distance(
+                z, zs[sj], m, excl if sj == si else 0))
         radii[~valid] = np.inf
         off = int(np.argmin(radii))
         if np.isfinite(radii[off]) and (best is None or radii[off] < best[0]):
@@ -212,31 +193,13 @@ def count_matches(pattern: ConsensusPattern, series: MetricSeries, tau: float,
     return len(occs), occs
 
 
-def _series_by_repo(dataset):
-    repos = {}
-    for s in dataset:
-        repos.setdefault(s.repo_id, []).append(s)
-    return repos
-
-
-def _covered_repos(pattern, dataset, config, eps_var):
-    """Number of repos with at least one series whose match count is in
-    [min_matches, max_matches]."""
-    covered = set()
-    for s in dataset:
-        if len(s) < len(pattern):
-            continue
-        n, _ = count_matches(pattern, s, config.match_threshold, eps_var)
-        if config.min_matches_per_series <= n <= config.max_matches_per_series:
-            covered.add(s.repo_id)
-    return len(covered)
-
-
-def mine_patterns(dataset, config: MiningConfig, eps_var: float = EPS_VAR):
+def mine_patterns(dataset, config: MiningConfig, eps_var: float = EPS_VAR,
+                  first_id: int = 0):
     """Mine accepted consensus patterns for every length in [min_len, max_len].
 
-    Deterministic: output ordered by ascending length, then source series
-    order, then offset; accepted patterns get sequential ids from 0.
+    Deterministic: output ordered by ascending length; accepted patterns get
+    sequential ids from first_id.  Each pattern carries its thresholded
+    occurrences in every series at least as long as it, in dataset order.
     """
     dataset = list(dataset)
     if not dataset:
@@ -244,49 +207,27 @@ def mine_patterns(dataset, config: MiningConfig, eps_var: float = EPS_VAR):
     metrics = {s.metric_name for s in dataset}
     if len(metrics) > 1:
         raise MetricMismatch(f"mixed metrics in dataset: {sorted(metrics)}")
-    n_repos = len(_series_by_repo(dataset))
-    accepted = []
+    n_repos = len({s.repo_id for s in dataset})
+    accepted = []  # (candidate, occurrences)
     for m in range(config.min_len, config.max_len + 1):
         eligible = [s for s in dataset if len(s) >= m]
-        if not eligible:
+        try:
+            cand = consensus_candidate(eligible, m, eps_var)
+        except NoValidWindow:
             continue
-        if config.candidate_strategy == "consensus":
-            try:
-                candidates = [consensus_candidate(eligible, m, eps_var)]
-            except NoValidWindow:
-                candidates = []
-        else:
-            candidates = []
-            for s in eligible:
-                z, valid = znormalized_windows(s.values, m, eps_var)
-                for off in np.flatnonzero(valid):
-                    candidates.append(ConsensusPattern(
-                        -1, s.values[off : off + m], s.metric_name,
-                        s.repo_id, int(off), 0.0))
-        for cand in candidates:
-            covered = _covered_repos(cand, dataset, config, eps_var)
-            if config.repo_coverage.accepts(covered, n_repos):
-                accepted.append(cand)
+        occurrences, covered = [], set()
+        for s in eligible:
+            n, occs = count_matches(cand, s, config.match_threshold, eps_var)
+            occurrences += occs
+            if config.min_matches_per_series <= n <= config.max_matches_per_series:
+                covered.add(s.repo_id)
+        if config.repo_coverage.accepts(len(covered), n_repos):
+            accepted.append((cand, occurrences))
     return [
-        ConsensusPattern(i, p.values, p.metric_name, p.source_repo,
-                         p.source_offset, p.radius)
-        for i, p in enumerate(accepted)
+        replace(p, pattern_id=pid,
+                occurrences=tuple(replace(o, pattern_id=pid) for o in occs))
+        for pid, (p, occs) in enumerate(accepted, start=first_id)
     ]
-
-
-def locate_occurrences(patterns, dataset, tau: float, eps_var: float = EPS_VAR):
-    """All thresholded occurrences of the patterns across the dataset."""
-    out = []
-    for p in patterns:
-        for s in dataset:
-            if s.metric_name != p.metric_name:
-                raise MetricMismatch(
-                    f"pattern metric {p.metric_name!r} vs series {s.metric_name!r}")
-            if len(s) < len(p):
-                continue
-            _, occs = count_matches(p, s, tau, eps_var)
-            out.extend(occs)
-    return out
 
 
 def patterns_to_json(patterns) -> dict:

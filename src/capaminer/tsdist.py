@@ -3,6 +3,13 @@
 All distances are Euclidean distances between mean-0 / population-std-1
 rescalings of equal-length windows, so they are invariant to positive affine
 transforms of either input and bounded by 2*sqrt(m).
+
+Precision policy: two kernels compute this distance.  distance_profile, which
+every match and occurrence distance comes from, takes the direct
+||qz - wz||, so an affine copy comes out within 1e-9 of 0.  The consensus
+search in mining ranks windows with the dot-product form sqrt(2(m - qz.wz)),
+one matrix product per pair of series; near 0 it loses precision (about
+2e-7 on affine copies), which the radii it reports carry.
 """
 
 from __future__ import annotations

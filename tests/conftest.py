@@ -92,6 +92,32 @@ def naive_greedy_matches(profile, m, tau):
     return out
 
 
+def naive_exhaustive_patterns(dataset, config):
+    """Every non-constant window of every series that passes the coverage
+    rule, as (repo, offset, length) keys: the candidates consensus mining
+    picks one from per length, each counted with the naive profile and
+    greedy selection above."""
+    n_repos = len({s.repo_id for s in dataset})
+    keys = set()
+    for m in range(config.min_len, config.max_len + 1):
+        eligible = [s for s in dataset if len(s) >= m]
+        for s in eligible:
+            for off in range(len(s) - m + 1):
+                q = s.values[off : off + m]
+                if q.std() < 1e-12:
+                    continue
+                covered = set()
+                for other in eligible:
+                    prof = naive_distance_profile(q, other.values)
+                    n = len(naive_greedy_matches(prof, m, config.match_threshold))
+                    if (config.min_matches_per_series <= n
+                            <= config.max_matches_per_series):
+                        covered.add(other.repo_id)
+                if config.repo_coverage.accepts(len(covered), n_repos):
+                    keys.add((s.repo_id, off, m))
+    return keys
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

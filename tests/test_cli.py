@@ -7,11 +7,15 @@ from capaminer.cli import (
     ARTIFACTS,
     EXIT_CONFIG_ERROR,
     EXIT_OK,
+    _write_jsonl,
     bundled_data_path,
     load_config,
     main,
 )
 from capaminer.errors import ConfigError
+from capaminer.ingestion import load_metrics_csv
+from capaminer.mining import occurrence_from_json_line, patterns_from_json
+from capaminer.tsdist import znorm_distance
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -130,6 +134,19 @@ class TestReportGaps:
         assert "chi2.json" in text
 
 
+class TestAtomicWrites:
+    def test_failed_write_keeps_previous_artifact(self, tmp_path):
+        cfg = load_config(None, {"out_dir": str(tmp_path)})
+        path = tmp_path / "golden.jsonl"
+        _write_jsonl(path, ['{"pr_id": 1}'], cfg)
+        before = path.read_bytes()
+        # a lone surrogate cannot be encoded, so the write fails partway
+        with pytest.raises(UnicodeEncodeError):
+            _write_jsonl(path, ['{"pr_id": 2}', "\ud800"], cfg)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["golden.jsonl"]
+
+
 class TestPipeline:
     def test_pipeline_equals_subcommand_composition(self, tmp_path):
         cfg_a, out_a = fixture_config(tmp_path / "a")
@@ -151,3 +168,22 @@ class TestPipeline:
         assert doc["meta"]["seed"] == 13
         head = (out / "occurrences.jsonl").read_text().splitlines()[0]
         assert json.loads(head) == {"meta": {"seed": 13}}
+
+    def test_occurrence_ids_name_patterns_of_their_metric(self, tmp_path):
+        cfg, out = fixture_config(tmp_path)
+        assert main(["--config", str(cfg), "mine"]) == EXIT_OK
+        patterns = {p.pattern_id: p for p in patterns_from_json(
+            json.loads((out / "patterns.json").read_text()))}
+        # ids run on across metrics
+        assert len({p.metric_name for p in patterns.values()}) > 1
+        series = {(s.repo_id, s.metric_name): s
+                  for s in load_metrics_csv(FIXTURES / "metrics.csv")}
+        lines = (out / "occurrences.jsonl").read_text().splitlines()[1:]
+        assert lines
+        for line in lines:
+            occ = occurrence_from_json_line(line)
+            p = patterns[occ.pattern_id]
+            window = series[(occ.repo_id, p.metric_name)].values[
+                occ.start_index : occ.end_index + 1]
+            assert znorm_distance(p.values, window) == pytest.approx(
+                occ.distance, abs=1e-9)

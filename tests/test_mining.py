@@ -12,7 +12,6 @@ from capaminer.mining import (
     consensus_candidate,
     count_matches,
     greedy_matches,
-    locate_occurrences,
     mine_patterns,
     occurrence_from_json_line,
     occurrence_to_json_line,
@@ -21,12 +20,27 @@ from capaminer.mining import (
 )
 from capaminer.tsdist import MetricSeries, distance_profile
 
-from conftest import naive_consensus, naive_greedy_matches, naive_self_consensus
+from conftest import (
+    naive_consensus,
+    naive_exhaustive_patterns,
+    naive_greedy_matches,
+    naive_self_consensus,
+)
 
 
 def make_series(rng, repo, n, metric="lines_changed"):
     ts = np.arange(n) * 86400.0
     return MetricSeries(repo, metric, ts, rng.normal(10, 3, n))
+
+
+def with_plateau(rng, series, m):
+    """Copy of series with a constant run of m + 2 points, so three of its
+    windows are constant (invalid)."""
+    vals = series.values.copy()
+    start = int(rng.integers(0, len(vals) - m - 1))
+    vals[start : start + m + 2] = vals[start]
+    return MetricSeries(series.repo_id, series.metric_name,
+                        series.timestamps, vals)
 
 
 class TestRepoCoverage:
@@ -75,6 +89,39 @@ class TestConsensusCandidate:
             radius, off = naive_self_consensus(s, m)
             assert cand.source_offset == off
             assert cand.radius == pytest.approx(radius, abs=1e-6)
+
+    def test_plateaus_match_oracles(self, rng):
+        # constant windows are skipped both as candidates and as targets;
+        # only one series gets a plateau, because the plateau's edge windows
+        # have the same shape in every series and would tie
+        for _ in range(10):
+            m = int(rng.integers(3, 7))
+            s = make_series(rng, "r0", int(rng.integers(20, 40)))
+            s = with_plateau(rng, s, m)
+            cand = consensus_candidate([s], m)
+            radius, off = naive_self_consensus(s, m)
+            assert cand.source_offset == off
+            assert cand.radius == pytest.approx(radius, abs=1e-6)
+
+            series = [make_series(rng, f"r{i}", int(rng.integers(m + 12, 30)))
+                      for i in range(int(rng.integers(2, 5)))]
+            k = int(rng.integers(len(series)))
+            series[k] = with_plateau(rng, series[k], m)
+            cand = consensus_candidate(series, m)
+            radius, si, off = naive_consensus(series, m)
+            assert cand.source_repo == series[si].repo_id
+            assert cand.source_offset == off
+            assert cand.radius == pytest.approx(radius, abs=1e-6)
+
+    def test_affine_copy_has_radius_near_zero(self, rng):
+        m = 8
+        a = make_series(rng, "r0", 40)
+        vals = rng.normal(10, 3, 50)
+        vals[21 : 21 + m] = 2.5 * a.values[7 : 7 + m] + 4.0
+        b = MetricSeries("r1", "lines_changed", np.arange(50) * 86400.0, vals)
+        cand = consensus_candidate([a, b], m)
+        assert (cand.source_repo, cand.source_offset) in {("r0", 7), ("r1", 21)}
+        assert cand.radius <= 1e-6
 
     def test_planted_shape_wins(self, rng):
         shape = 50 * np.sin(np.linspace(0, 2 * np.pi, 6))
@@ -171,7 +218,7 @@ class TestMinePatterns:
         cfg = MiningConfig(8, 8, tau, repo_coverage=RepoCoverage("min", 0.5))
         pats = mine_patterns(dataset, cfg)
         assert len(pats) == 1
-        occs = locate_occurrences(pats, dataset, tau)
+        occs = pats[0].occurrences
         # every planted repo should match once per planted interval; the
         # matched window may sit shifted but must overlap the plant
         for r in range(4):
@@ -192,16 +239,27 @@ class TestMinePatterns:
             assert pa.source_offset == pb.source_offset
             np.testing.assert_array_equal(pa.values, pb.values)
 
+    def test_occurrences_equal_count_matches(self, rng):
+        dataset = self.planted_dataset(rng)
+        # too short for lengths 8 and 9, so not every series is eligible
+        dataset.insert(2, make_series(rng, "r9", 7, metric="m"))
+        cfg = MiningConfig(6, 9, 2.0, repo_coverage=RepoCoverage("min", 0.5))
+        pats = mine_patterns(dataset, cfg, first_id=3)
+        assert pats
+        assert [p.pattern_id for p in pats] == list(range(3, 3 + len(pats)))
+        for p in pats:
+            expected = [o for s in dataset if len(s) >= len(p)
+                        for o in count_matches(p, s, cfg.match_threshold)[1]]
+            assert list(p.occurrences) == expected
+
     def test_exhaustive_superset_of_consensus(self, rng):
         dataset = self.planted_dataset(rng, n_repos=3, planted=3)
         tau = 0.25 * 2 * math.sqrt(8)
-        cov = RepoCoverage("min", 0.5)
-        con = mine_patterns(dataset, MiningConfig(8, 8, tau, repo_coverage=cov))
-        exh = mine_patterns(dataset, MiningConfig(
-            8, 8, tau, repo_coverage=cov, candidate_strategy="exhaustive"))
-        con_keys = {(p.source_repo, p.source_offset) for p in con}
-        exh_keys = {(p.source_repo, p.source_offset) for p in exh}
-        assert con_keys <= exh_keys
+        cfg = MiningConfig(8, 8, tau, repo_coverage=RepoCoverage("min", 0.5))
+        con = mine_patterns(dataset, cfg)
+        con_keys = {(p.source_repo, p.source_offset, len(p)) for p in con}
+        assert con_keys
+        assert con_keys <= naive_exhaustive_patterns(dataset, cfg)
 
     def test_coverage_rule_counts_repos_not_series(self, rng):
         # two series of the same repo both matching still cover one repo
@@ -209,12 +267,14 @@ class TestMinePatterns:
         s1 = MetricSeries("r0", "m", np.arange(8.0), vals)
         s2 = MetricSeries("r0", "m", np.arange(8.0), vals + 3)
         other = make_series(rng, "r1", 8, metric="m")
-        cfg = MiningConfig(3, 3, 0.1, repo_coverage=RepoCoverage("min", 2.0),
-                           candidate_strategy="exhaustive")
-        pats = mine_patterns([s1, s2, other], cfg)
-        spikes = [p for p in pats if p.source_offset in (0, 4)
-                  and p.source_repo == "r0"]
+        cfg = MiningConfig(3, 3, 0.1, repo_coverage=RepoCoverage("min", 2.0))
+        keys = naive_exhaustive_patterns([s1, s2, other], cfg)
+        spikes = [k for k in keys if k[:2] in (("r0", 0), ("r0", 4))]
         assert not spikes  # only r0 is covered, threshold asks for 2 repos
+        # every window of s1 matches itself and its copy s2: two series, one repo
+        assert not mine_patterns([s1, s2], cfg)
+        one = MiningConfig(3, 3, 0.1, repo_coverage=RepoCoverage("min", 1.0))
+        assert len(mine_patterns([s1, s2], one)) == 1
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
