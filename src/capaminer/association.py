@@ -50,9 +50,6 @@ class ContingencyTable:
     def grand_total(self):
         return int(self.counts.sum())
 
-    def row(self, pattern_type):
-        return self.counts[self.row_labels.index(pattern_type)]
-
 
 @dataclass(frozen=True)
 class PairwiseTestResult:
@@ -112,11 +109,11 @@ def temporal_join(occurrences, classified_prs, window_seconds: float = DEFAULT_W
     return joins
 
 
-def build_contingency(joins, pattern_types=None, capa_ids=None) -> ContingencyTable:
-    """Pattern-type by action count matrix with deterministic label order."""
-    rows = (tuple(pattern_types) if pattern_types is not None
-            else tuple(sorted({j.pattern_type for j in joins})))
-    cols = tuple(capa_ids) if capa_ids is not None else tuple(range(N_CAPAS))
+def build_contingency(joins) -> ContingencyTable:
+    """Pattern-type by action count matrix: the joined pattern types in
+    ascending order by every action id."""
+    rows = tuple(sorted({j.pattern_type for j in joins}))
+    cols = tuple(range(N_CAPAS))
     counts = np.zeros((len(rows), len(cols)), dtype=int)
     ri = {r: i for i, r in enumerate(rows)}
     ci = {c: i for i, c in enumerate(cols)}
@@ -164,7 +161,7 @@ def occurrence_fraction_samples(joins):
     return samples
 
 
-def pairwise_tests(joins, qualifying_sets, variant: str = "welch"):
+def pairwise_tests(joins, qualifying_sets):
     """Welch tests between occurrence-level fraction samples of each
     qualifying action pair of each pattern."""
     samples = occurrence_fraction_samples(joins)
@@ -176,7 +173,7 @@ def pairwise_tests(joins, qualifying_sets, variant: str = "welch"):
             raise InsufficientSamples(
                 f"pattern {pt}: need >= 2 occurrence samples per action "
                 f"({ci}: {len(a)}, {cj}: {len(b)})")
-        r = two_sample_t_test(a, b, variant)
+        r = two_sample_t_test(a, b)
         results.append(PairwiseTestResult(
             pattern_type=pt, capa_i=ci, capa_j=cj,
             mean_i=r.mean_a, mean_j=r.mean_b,

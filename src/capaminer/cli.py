@@ -15,7 +15,8 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -87,8 +88,7 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid config JSON in {path}: {exc}") from None
-        known = set(PipelineConfig.__dataclass_fields__)
-        unknown = set(doc) - known
+        unknown = set(doc) - set(PipelineConfig.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "metrics" in doc:
@@ -109,10 +109,6 @@ def _require_file(path, what):
     return path
 
 
-def _meta(cfg):
-    return {"seed": cfg.seed}
-
-
 def _write_text(path: Path, text: str):
     """Write an artifact through a temp file in the same directory and
     os.replace, so a failure partway leaves the previous file intact under
@@ -126,29 +122,24 @@ def _write_text(path: Path, text: str):
 
 
 def _write_json(path: Path, doc: dict, cfg):
-    doc = {"meta": _meta(cfg), **doc}
+    doc = {"meta": {"seed": cfg.seed}, **doc}
     _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _write_jsonl(path: Path, lines, cfg):
-    head = json.dumps({"meta": _meta(cfg)}, sort_keys=True)
+    head = json.dumps({"meta": {"seed": cfg.seed}}, sort_keys=True)
     _write_text(path, "\n".join([head, *lines]) + "\n")
 
 
 def _read_jsonl(path: Path):
-    out = []
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        if set(obj) == {"meta"}:
-            continue
-        out.append(obj)
-    return out
+    rows = [json.loads(ln) for ln in path.read_text().splitlines() if ln.strip()]
+    return [r for r in rows if set(r) != {"meta"}]
 
 
 class OutputLock:
-    """Rejects concurrent runs against the same output directory."""
+    """Rejects concurrent runs against the same output directory.  The lock
+    file holds the owner's pid, so a lock left by a crashed run is reported
+    as stale."""
 
     def __init__(self, out_dir: Path):
         self.path = out_dir / ".lock"
@@ -157,16 +148,31 @@ class OutputLock:
         try:
             fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
+            try:
+                pid = self.path.read_text().strip()
+            except OSError:  # released meanwhile
+                pid = ""
+            if pid.isdigit() and not _pid_running(int(pid)):
+                raise ConfigError(f"stale lock of pid {pid}, which is not "
+                                  f"running: remove {self.path}") from None
             raise ConfigError(
                 f"output dir is locked by another run: {self.path}") from None
+        os.write(fd, str(os.getpid()).encode())
         os.close(fd)
         return self
 
     def __exit__(self, *exc):
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            pass
+        self.path.unlink(missing_ok=True)
+
+
+def _pid_running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)  # signal 0 only checks that the pid exists
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # exists, owned by another user
+        pass
+    return True
 
 
 def bundled_data_path(name: str) -> Path:
@@ -175,7 +181,78 @@ def bundled_data_path(name: str) -> Path:
 
 # --- subcommand bodies -------------------------------------------------------
 
-def cmd_mine(cfg: PipelineConfig, out: Path):
+class Run:
+    """One invocation's inputs and stage results, built on first use.
+
+    A stage that produces a value stores it here as well as writing its
+    artifact; a value this process has not produced is loaded from its input
+    file or artifact.  So `pipeline` parses each input once, while a single
+    subcommand reads the files it needs.  golden and classified are the
+    dicts written to disk, so the join parses creation_date from the same
+    RFC 3339 text either way.
+    """
+
+    def __init__(self, cfg: PipelineConfig, out: Path):
+        self.cfg = cfg
+        self.out = out
+
+    @cached_property
+    def prs(self):
+        return ingestion.load_prs_jsonl(
+            _require_file(self.cfg.prs_path, "pull requests"))
+
+    @cached_property
+    def features(self):
+        """One feature vector per PR, all relative to one reference instant."""
+        ref = self.cfg.reference_instant
+        if ref is None:
+            ref = min(pr.created_at for pr in self.prs)
+        return [classifier.encode_features(pr, ref) for pr in self.prs]
+
+    @cached_property
+    def golden(self):
+        path = self.out / "golden.jsonl"
+        if not path.exists():
+            raise ConfigError(f"golden standard not found: {path} (run label)")
+        return _read_jsonl(path)
+
+    @cached_property
+    def models(self):
+        models = []
+        for stage in (1, 2):
+            path = self.out / f"model_stage{stage}.json"
+            if not path.exists():
+                raise ConfigError(f"model not found: {path} (run train)")
+            models.append(classifier.RandomForest.from_json(
+                json.loads(path.read_text())))
+        return models
+
+    def _artifact(self, name, hint):
+        path = self.out / name
+        if not path.exists():
+            raise ConfigError(f"artifact not found: {path} (run {hint})")
+        return _read_jsonl(path)
+
+    @cached_property
+    def occurrences(self):
+        return [mining.occurrence_from_json(o)
+                for o in self._artifact("occurrences.jsonl", "mine")]
+
+    @cached_property
+    def classified(self):
+        return self._artifact("classified.jsonl", "classify")
+
+    @cached_property
+    def joins(self):
+        return association.temporal_join(self.occurrences, [
+            (c["pr_id"], c["repo_id"], timeutil.from_rfc3339(c["creation_date"]),
+             association.capa_id_from_class(c["capa_class"]))
+            for c in self.classified if c["capa_class"] is not None],
+            self.cfg.window_days * 86400)
+
+
+def cmd_mine(run: Run):
+    cfg = run.cfg
     _require_file(cfg.metrics_path, "metrics")
     series = ingestion.load_metrics_csv(cfg.metrics_path)
     mconf = cfg.mining_config()
@@ -187,12 +264,12 @@ def cmd_mine(cfg: PipelineConfig, out: Path):
         # ids continue across metrics so they stay globally unique
         all_patterns += mining.mine_patterns(subset, mconf,
                                              first_id=len(all_patterns))
-    all_occurrences = [o for p in all_patterns for o in p.occurrences]
-    _write_json(out / "patterns.json", mining.patterns_to_json(all_patterns), cfg)
-    _write_jsonl(out / "occurrences.jsonl",
-                 [mining.occurrence_to_json_line(o) for o in all_occurrences], cfg)
+    run.occurrences = [o for p in all_patterns for o in p.occurrences]
+    _write_json(run.out / "patterns.json", mining.patterns_to_json(all_patterns), cfg)
+    _write_jsonl(run.out / "occurrences.jsonl",
+                 [mining.occurrence_to_json_line(o) for o in run.occurrences], cfg)
     log.info("mined %d patterns, %d occurrences", len(all_patterns),
-             len(all_occurrences))
+             len(run.occurrences))
 
 
 def _load_keywords(cfg):
@@ -202,46 +279,35 @@ def _load_keywords(cfg):
     return classifier.DEFAULT_KEYWORDS, classifier.DEFAULT_NON_CAPA_KEYWORDS
 
 
-def cmd_label(cfg: PipelineConfig, out: Path):
-    _require_file(cfg.prs_path, "pull requests")
-    prs = ingestion.load_prs_jsonl(cfg.prs_path)
-    kmap, non_capa = _load_keywords(cfg)
-    lines = []
+def cmd_label(run: Run):
+    prs = run.prs
+    kmap, non_capa = _load_keywords(run.cfg)
+    golden = []
     for pr in prs:
         labels = classifier.label_by_keywords(pr.text, kmap, non_capa)
         if labels is None:
             continue
         stage1, stage2 = labels
-        lines.append(json.dumps({
+        golden.append({
             "pr_id": pr.pr_id,
             "repo_id": pr.repo_id,
             "stage1": stage1.name.lower(),
             "stage2": int(stage2) if stage2 is not None else None,
-        }, sort_keys=True))
-    _write_jsonl(out / "golden.jsonl", lines, cfg)
-    log.info("labeled %d of %d pull requests", len(lines), len(prs))
+        })
+    run.golden = golden
+    _write_jsonl(run.out / "golden.jsonl",
+                 [json.dumps(g, sort_keys=True) for g in golden], run.cfg)
+    log.info("labeled %d of %d pull requests", len(golden), len(prs))
 
 
-def _reference_instant(cfg, prs):
-    if cfg.reference_instant is not None:
-        return cfg.reference_instant
-    return min(pr.created_at for pr in prs)
-
-
-def cmd_train(cfg: PipelineConfig, out: Path):
-    _require_file(cfg.prs_path, "pull requests")
-    prs = ingestion.load_prs_jsonl(cfg.prs_path)
-    golden_path = out / "golden.jsonl"
-    if not golden_path.exists():
-        raise ConfigError(f"golden standard not found: {golden_path} (run label)")
-    golden = {(g["repo_id"], g["pr_id"]): g for g in _read_jsonl(golden_path)}
-    ref = _reference_instant(cfg, prs)
+def cmd_train(run: Run):
+    cfg, prs = run.cfg, run.prs
+    golden = {(g["repo_id"], g["pr_id"]): g for g in run.golden}
     X1, y1, X2, y2 = [], [], [], []
-    for pr in prs:
+    for pr, x in zip(prs, run.features):
         g = golden.get((pr.repo_id, pr.pr_id))
         if g is None:
             continue
-        x = classifier.encode_features(pr, ref)
         stage1 = classifier.StageOneLabel[g["stage1"].upper()]
         X1.append(x)
         y1.append(int(stage1))
@@ -249,100 +315,62 @@ def cmd_train(cfg: PipelineConfig, out: Path):
             X2.append(x)
             y2.append(int(g["stage2"]))
     fconf = classifier.ForestConfig(n_estimators=cfg.n_estimators, seed=cfg.seed)
+    models = []
     for stage, (X, y) in enumerate([(X1, y1), (X2, y2)], start=1):
         X = np.array(X)
         y = np.array(y)
         tr, te = classifier.split_train_test(X, y, cfg.train_ratio, cfg.seed)
         forest = classifier.train_forest(X[tr], y[tr], fconf)
+        models.append(forest)
         pred = forest.predict_many(X[te])
         rows = classifier.compute_report(y[te].tolist(), pred,
                                          sorted(set(y.tolist())))
-        _write_json(out / f"model_stage{stage}.json", forest.to_json(), cfg)
-        _write_json(out / f"report_stage{stage}.json",
+        _write_json(run.out / f"model_stage{stage}.json", forest.to_json(), cfg)
+        _write_json(run.out / f"report_stage{stage}.json",
                     classifier.report_to_json(rows), cfg)
+    run.models = models
     log.info("trained stage-1 on %d rows, stage-2 on %d rows", len(X1), len(X2))
 
 
-def cmd_classify(cfg: PipelineConfig, out: Path):
-    _require_file(cfg.prs_path, "pull requests")
-    prs = ingestion.load_prs_jsonl(cfg.prs_path)
-    models = []
-    for stage in (1, 2):
-        path = out / f"model_stage{stage}.json"
-        if not path.exists():
-            raise ConfigError(f"model not found: {path} (run train)")
-        models.append(classifier.RandomForest.from_json(
-            json.loads(path.read_text())))
-    ref = _reference_instant(cfg, prs)
-    lines = []
-    for pr in prs:
-        x = classifier.encode_features(pr, ref)
-        result = classifier.classify_two_stage(models[0], models[1], x)
-        if result is classifier.StageOneLabel.NON_CAPA:
-            label = None
-        else:
-            label = int(result)
-        lines.append(json.dumps({
+def cmd_classify(run: Run):
+    prs, (stage1, stage2) = run.prs, run.models
+    classified = []
+    for pr, x in zip(prs, run.features):
+        result = classifier.classify_two_stage(stage1, stage2, x)
+        classified.append({
             "pr_id": pr.pr_id,
             "repo_id": pr.repo_id,
             "creation_date": timeutil.to_rfc3339(pr.created_at),
-            "capa_class": label,
-        }, sort_keys=True))
-    _write_jsonl(out / "classified.jsonl", lines, cfg)
+            "capa_class": (None if result is classifier.StageOneLabel.NON_CAPA
+                           else int(result)),
+        })
+    run.classified = classified
+    _write_jsonl(run.out / "classified.jsonl",
+                 [json.dumps(c, sort_keys=True) for c in classified], run.cfg)
     log.info("classified %d pull requests", len(prs))
 
 
-def _load_joins(cfg, out: Path):
-    occ_path = out / "occurrences.jsonl"
-    cls_path = out / "classified.jsonl"
-    for p, hint in [(occ_path, "mine"), (cls_path, "classify")]:
-        if not p.exists():
-            raise ConfigError(f"artifact not found: {p} (run {hint})")
-    occurrences = [mining.occurrence_from_json_line(json.dumps(o))
-                   for o in _read_jsonl(occ_path)]
-    classified = []
-    for obj in _read_jsonl(cls_path):
-        if obj["capa_class"] is None:
-            continue
-        classified.append((
-            obj["pr_id"], obj["repo_id"],
-            timeutil.from_rfc3339(obj["creation_date"]),
-            association.capa_id_from_class(obj["capa_class"]),
-        ))
-    return association.temporal_join(
-        occurrences, classified, cfg.window_days * 86400)
-
-
-def cmd_associate(cfg: PipelineConfig, out: Path):
-    joins = _load_joins(cfg, out)
-    table = association.build_contingency(joins)
-    text = f"# seed={cfg.seed}\n" + association.contingency_to_csv(table)
-    _write_text(out / "contingency.csv", text)
+def cmd_associate(run: Run):
+    table = association.build_contingency(run.joins)
+    text = f"# seed={run.cfg.seed}\n" + association.contingency_to_csv(table)
+    _write_text(run.out / "contingency.csv", text)
     log.info("joined %d pull requests across %d pattern types",
-             len(joins), len(table.row_labels))
+             len(run.joins), len(table.row_labels))
 
 
-def cmd_validate(cfg: PipelineConfig, out: Path, contingency_path=None,
-                 pairwise_path=None):
+def cmd_validate(run: Run, contingency_path=None, pairwise_path=None):
     """Chi-squared on the contingency table, pairwise tests, and mapping.
 
-    Falls back to precomputed pairwise rows (pairwise_path) when join
-    artifacts are absent, e.g. when validating a standalone table.
+    The pairwise rows come from pairwise_path whenever it is given (e.g.
+    when validating a standalone table), and from the joins otherwise.
     """
+    cfg, out = run.cfg, run.out
     cpath = Path(contingency_path) if contingency_path else out / "contingency.csv"
     if not cpath.exists():
         raise ConfigError(f"contingency table not found: {cpath}")
     table = association.contingency_from_csv(cpath.read_text())
     try:
-        chi2 = association.chi2_on_table(table)
-        chi2_doc = {
-            "statistic": chi2.statistic,
-            "dof": chi2.dof,
-            "p_value": chi2.p_value,
-            "dropped_rows": list(chi2.dropped_rows),
-            "dropped_cols": list(chi2.dropped_cols),
-            "low_expected_cells": chi2.low_expected_cells,
-        }
+        chi2_doc = asdict(association.chi2_on_table(table))
     except EmptyTable as exc:
         chi2_doc = {"statistic": None, "dof": None, "p_value": None,
                     "note": str(exc)}
@@ -352,13 +380,12 @@ def cmd_validate(cfg: PipelineConfig, out: Path, contingency_path=None,
         results = association.pairwise_from_json(
             json.loads(Path(pairwise_path).read_text()))
     else:
-        joins = _load_joins(cfg, out)
-        samples = association.occurrence_fraction_samples(joins)
+        samples = association.occurrence_fraction_samples(run.joins)
         testable = {
             pt: {c for c in caps if len(samples.get((pt, c), [])) >= 2}
             for pt, caps in qualifying.items()
         }
-        results = association.pairwise_tests(joins, testable)
+        results = association.pairwise_tests(run.joins, testable)
     _write_json(out / "pairwise.json", association.pairwise_to_json(results), cfg)
     mapping = association.extract_mapping(results, cfg.alpha)
     _write_json(out / "mapping.json", association.mapping_to_json(mapping), cfg)
@@ -367,17 +394,19 @@ def cmd_validate(cfg: PipelineConfig, out: Path, contingency_path=None,
 
 
 def cmd_pipeline(cfg: PipelineConfig, out: Path):
-    cmd_mine(cfg, out)
-    cmd_label(cfg, out)
-    cmd_train(cfg, out)
-    cmd_classify(cfg, out)
-    cmd_associate(cfg, out)
-    cmd_validate(cfg, out)
-    cmd_report(cfg, out)
+    run = Run(cfg, out)
+    cmd_mine(run)
+    cmd_label(run)
+    cmd_train(run)
+    cmd_classify(run)
+    cmd_associate(run)
+    cmd_validate(run)
+    cmd_report(run)
 
 
-def cmd_report(cfg: PipelineConfig, out: Path):
+def cmd_report(run: Run):
     """Assemble a human-readable summary from whatever artifacts exist."""
+    cfg, out = run.cfg, run.out
     lines = ["<!-- seed=%d -->" % cfg.seed, "# Pipeline report", ""]
     gaps = []
 
@@ -421,11 +450,8 @@ def cmd_report(cfg: PipelineConfig, out: Path):
     if mpath.exists():
         doc = json.loads(mpath.read_text())
         lines += ["## Recommended actions (alpha = %g)" % doc["alpha"], ""]
-        if doc["tuples"]:
-            lines += [f"- Pattern {t['pattern']} -> CAPA {t['capa']}"
-                      for t in doc["tuples"]]
-        else:
-            lines.append("- none")
+        lines += [f"- Pattern {t['pattern']} -> CAPA {t['capa']}"
+                  for t in doc["tuples"]] or ["- none"]
         lines.append("")
     else:
         gaps.append("mapping.json")
@@ -446,7 +472,7 @@ def build_parser():
                     "validate pattern-action associations.")
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
     parser.add_argument("--seed", type=int, metavar="N")
-    parser.add_argument("--out", metavar="DIR")
+    parser.add_argument("--out", dest="out_dir", metavar="DIR")
     parser.add_argument("--alpha", type=float, metavar="F")
     parser.add_argument("--window-days", type=float, metavar="N")
     parser.add_argument("--min-count", type=int, metavar="N")
@@ -468,7 +494,6 @@ COMMANDS = {
     "train": cmd_train,
     "classify": cmd_classify,
     "associate": cmd_associate,
-    "pipeline": cmd_pipeline,
     "report": cmd_report,
 }
 
@@ -482,26 +507,20 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG_ERROR
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.alpha is not None:
-        overrides["alpha"] = args.alpha
-    if args.window_days is not None:
-        overrides["window_days"] = args.window_days
-    if args.min_count is not None:
-        overrides["min_count"] = args.min_count
+    overrides = {k: getattr(args, k) for k in
+                 ("seed", "out_dir", "alpha", "window_days", "min_count")
+                 if getattr(args, k) is not None}
     try:
         cfg = load_config(args.config, overrides)
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         with OutputLock(out):
-            if args.command == "validate":
-                cmd_validate(cfg, out, args.contingency, args.pairwise)
+            if args.command == "pipeline":
+                cmd_pipeline(cfg, out)
+            elif args.command == "validate":
+                cmd_validate(Run(cfg, out), args.contingency, args.pairwise)
             else:
-                COMMANDS[args.command](cfg, out)
+                COMMANDS[args.command](Run(cfg, out))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -73,5 +73,9 @@ class NotFound(CapaMinerError):
     """Remote resource does not exist."""
 
 
+class IncompleteRecord(CapaMinerError):
+    """A remote record lacks a field the collected data needs."""
+
+
 class ConfigError(CapaMinerError):
     """Invalid or incomplete pipeline configuration."""

@@ -13,6 +13,7 @@ import enum
 import json
 import logging
 import math
+import queue
 import threading
 import time
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ import numpy as np
 from . import classifier, timeutil
 from .errors import (
     AuthError,
+    IncompleteRecord,
     MalformedLine,
     MissingColumn,
     NonFiniteValue,
@@ -167,7 +169,7 @@ class SourceAdapter:
 
 
 class FixtureAdapter(SourceAdapter):
-    """Serves a pre-loaded dataset; used by tests and the batch pipeline."""
+    """Serves a pre-loaded dataset to the radar; used by tests."""
 
     name = "fixture"
 
@@ -211,30 +213,28 @@ class Radar:
         self.config = config
         self.state = RadarState.INITIALIZED
         self._lock = threading.Lock()
+        self._settled = threading.Condition(self._lock)  # a repo left work
         self._queue_status = {}
+        self._open = 0  # repos pending or in progress
         self._failures = {}
         self._results = {}
-        self._threads = []
+        self._pending = queue.Queue()  # repo ids, then one None per worker
+        self._poller = None
+        self._workers = []
         self._halt = threading.Event()
         log.info("radar initialized (adapter=%s)", config.adapter.name)
 
     def poll_new(self):
-        """Ask the adapter for newly visible repos; queue them as pending."""
+        """Ask the adapter for newly visible repos; queue each one once."""
         new = self.config.adapter.list_new_repos()
         with self._lock:
             for ref in new:
                 if ref.repo_id not in self._queue_status:
                     self._queue_status[ref.repo_id] = RepoStatus.PENDING
+                    self._open += 1
+                    self._pending.put(ref.repo_id)
                     log.info("queued %s", ref.repo_id)
         return new
-
-    def _claim(self):
-        with self._lock:
-            for repo_id, status in self._queue_status.items():
-                if status is RepoStatus.PENDING:
-                    self._queue_status[repo_id] = RepoStatus.IN_PROGRESS
-                    return repo_id
-        return None
 
     def collect(self, repo_id):
         """Fetch one repo's data; transitions pending -> in progress ->
@@ -255,44 +255,48 @@ class Radar:
             prs = self.config.adapter.fetch_pull_requests(repo_id)
         except Exception as exc:
             with self._lock:
-                self._queue_status[repo_id] = RepoStatus.FAILED
                 self._failures[repo_id] = str(exc)
+                self._settle(repo_id, RepoStatus.FAILED)
             log.warning("collect failed for %s: %s", repo_id, exc)
             return False
         with self._lock:
-            self._queue_status[repo_id] = RepoStatus.DONE
             self._results[repo_id] = (series, prs)
+            self._settle(repo_id, RepoStatus.DONE)
         log.info("collected %s", repo_id)
         return True
 
+    def _settle(self, repo_id, status):
+        # caller holds self._lock
+        self._queue_status[repo_id] = status
+        self._open -= 1
+        self._settled.notify_all()
+
     def _worker_loop(self):
-        while not self._halt.is_set():
-            repo_id = self._claim()
-            if repo_id is None:
-                if self._halt.wait(0.01):
-                    break
-                continue
+        while (repo_id := self._pending.get()) is not None:
+            if self._halt.is_set():
+                return  # stopping: finish in-flight work only
+            with self._lock:
+                if self._queue_status[repo_id] is not RepoStatus.PENDING:
+                    continue  # collect() claimed it first
+                self._queue_status[repo_id] = RepoStatus.IN_PROGRESS
             self._run_collect(repo_id)
 
     def _poll_loop(self):
-        while not self._halt.is_set():
+        while not self._halt.wait(self.config.poll_interval_seconds):
             self.poll_new()
-            if self._halt.wait(self.config.poll_interval_seconds):
-                break
 
     def start(self):
+        """Poll once, then run the poll loop and the worker pool."""
         if self.state is RadarState.STOPPED:
             raise RadarError("cannot start a stopped radar")
         if self.state is RadarState.RUNNING:
             return
+        self.poll_new()
         self.state = RadarState.RUNNING
-        self._halt.clear()
-        self._threads = [threading.Thread(target=self._poll_loop, daemon=True)]
-        self._threads += [
-            threading.Thread(target=self._worker_loop, daemon=True)
-            for _ in range(self.config.workers)
-        ]
-        for t in self._threads:
+        self._poller = threading.Thread(target=self._poll_loop, daemon=True)
+        self._workers = [threading.Thread(target=self._worker_loop, daemon=True)
+                         for _ in range(self.config.workers)]
+        for t in [self._poller, *self._workers]:
             t.start()
         log.info("radar started (%d workers)", self.config.workers)
 
@@ -302,24 +306,21 @@ class Radar:
             log.info("radar already stopped")
             return "AlreadyStopped"
         self._halt.set()
-        for t in self._threads:
+        if self._poller is not None:
+            self._poller.join(timeout=10)
+        for _ in self._workers:
+            self._pending.put(None)  # wakes a worker blocked on an empty queue
+        for t in self._workers:
             t.join(timeout=10)
-        self._threads = []
+        self._poller, self._workers = None, []
         self.state = RadarState.STOPPED
         log.info("radar stopped")
         return "Stopped"
 
     def drain(self, timeout=10.0):
         """Block until nothing is pending or in progress (running radar)."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._lock:
-                busy = any(s in (RepoStatus.PENDING, RepoStatus.IN_PROGRESS)
-                           for s in self._queue_status.values())
-            if not busy:
-                return True
-            time.sleep(0.01)
-        return False
+        with self._settled:
+            return self._settled.wait_for(lambda: self._open == 0, timeout)
 
     def status(self):
         with self._lock:
@@ -371,12 +372,20 @@ class LiveGitHubAdapter(SourceAdapter):
             if resp.status_code == 404:
                 raise NotFound(url)
             if resp.status_code in (403, 429):
+                retry_after = resp.headers.get("Retry-After")
+                reset = resp.headers.get("X-RateLimit-Reset")
+                if (resp.status_code == 403 and not retry_after
+                        and resp.headers.get("X-RateLimit-Remaining") != "0"):
+                    raise AuthError(f"permission denied for {url}")
                 if attempt == self._max_retries:
                     raise RateLimited(url)
-                reset = resp.headers.get("Retry-After") or resp.headers.get(
-                    "X-RateLimit-Reset")
-                wait = float(reset) if reset else delay
-                self._sleep(min(wait, 60.0))
+                if retry_after:
+                    wait = float(retry_after)
+                elif reset:  # epoch seconds at which the quota refills
+                    wait = float(reset) - time.time()
+                else:
+                    wait = delay
+                self._sleep(min(max(wait, 0.0), 60.0))
                 delay *= 2
                 continue
             resp.raise_for_status()
@@ -407,10 +416,14 @@ class LiveGitHubAdapter(SourceAdapter):
         commits = list(self._paginate(f"{self._base}/repos/{repo_id}/commits"))
         rows = []
         for c in commits:
-            stats = c.get("stats", {})
+            # the list endpoint omits stats; the single-commit endpoint has them
+            stats = c.get("stats") or self._get(
+                f"{self._base}/repos/{repo_id}/commits/{c['sha']}").json().get("stats")
+            if not stats or not {"additions", "deletions"} <= stats.keys():
+                raise IncompleteRecord(f"{repo_id}: commit {c['sha']} has no line stats")
             ts = timeutil.from_rfc3339(c["commit"]["author"]["date"])
-            added = float(stats.get("additions", 0))
-            deleted = float(stats.get("deletions", 0))
+            added = float(stats["additions"])
+            deleted = float(stats["deletions"])
             rows.append((ts, added, deleted))
         rows.sort(key=lambda r: r[0])
         if not rows:

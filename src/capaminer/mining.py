@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import EmptyDataset, MetricMismatch, NoValidWindow
 from .tsdist import (
-    EPS_VAR,
     DistanceProfile,
     MetricSeries,
     distance_profile,
@@ -121,7 +120,7 @@ def _nearest_distance(z, other, m: int, excl: int = 0):
     return np.sqrt(2.0 * np.maximum(m - best, 0.0))
 
 
-def consensus_candidate(series_set, m: int, eps_var: float = EPS_VAR) -> ConsensusPattern:
+def consensus_candidate(series_set, m: int) -> ConsensusPattern:
     """Window minimizing the max over the other series of the min distance.
 
     A single series is scored against its own windows, with trivial
@@ -130,7 +129,7 @@ def consensus_candidate(series_set, m: int, eps_var: float = EPS_VAR) -> Consens
     """
     if any(len(s) < m for s in series_set):
         raise ValueError("every series must be at least as long as m")
-    zs = [znormalized_windows(s.values, m, eps_var) for s in series_set]
+    zs = [znormalized_windows(s.values, m) for s in series_set]
     excl = math.ceil(m / 2)
     best = None  # (radius, series_idx, offset)
     for si, (z, valid) in enumerate(zs):
@@ -172,12 +171,11 @@ def greedy_matches(profile: DistanceProfile, tau: float):
     return out
 
 
-def count_matches(pattern: ConsensusPattern, series: MetricSeries, tau: float,
-                  eps_var: float = EPS_VAR):
+def count_matches(pattern: ConsensusPattern, series: MetricSeries, tau: float):
     """Count thresholded non-overlapping matches of pattern in series."""
     if len(series) < len(pattern):
         raise ValueError("series shorter than pattern")
-    profile = distance_profile(pattern.values, series, eps_var)
+    profile = distance_profile(pattern.values, series)
     occs = []
     for off, dist in greedy_matches(profile, tau):
         end = off + len(pattern) - 1
@@ -193,8 +191,7 @@ def count_matches(pattern: ConsensusPattern, series: MetricSeries, tau: float,
     return len(occs), occs
 
 
-def mine_patterns(dataset, config: MiningConfig, eps_var: float = EPS_VAR,
-                  first_id: int = 0):
+def mine_patterns(dataset, config: MiningConfig, first_id: int = 0):
     """Mine accepted consensus patterns for every length in [min_len, max_len].
 
     Deterministic: output ordered by ascending length; accepted patterns get
@@ -212,12 +209,12 @@ def mine_patterns(dataset, config: MiningConfig, eps_var: float = EPS_VAR,
     for m in range(config.min_len, config.max_len + 1):
         eligible = [s for s in dataset if len(s) >= m]
         try:
-            cand = consensus_candidate(eligible, m, eps_var)
+            cand = consensus_candidate(eligible, m)
         except NoValidWindow:
             continue
         occurrences, covered = [], set()
         for s in eligible:
-            n, occs = count_matches(cand, s, config.match_threshold, eps_var)
+            n, occs = count_matches(cand, s, config.match_threshold)
             occurrences += occs
             if config.min_matches_per_series <= n <= config.max_matches_per_series:
                 covered.add(s.repo_id)
@@ -274,10 +271,9 @@ def occurrence_to_json_line(occ: PatternOccurrence) -> str:
     }, sort_keys=True)
 
 
-def occurrence_from_json_line(line: str) -> PatternOccurrence:
+def occurrence_from_json(obj: dict) -> PatternOccurrence:
     from .timeutil import from_rfc3339
 
-    obj = json.loads(line)
     return PatternOccurrence(
         pattern_id=obj["pattern_id"],
         repo_id=obj["repo"],

@@ -203,8 +203,8 @@ class TTestResult:
     degenerate: bool = False
 
 
-def two_sample_t_test(a, b, variant: str = "welch") -> TTestResult:
-    """Two-sample t-test, Welch (default) or pooled-variance.
+def two_sample_t_test(a, b) -> TTestResult:
+    """Welch's unequal-variance two-sample t-test.
 
     Constant samples are degenerate: equal means give t=0, p=1; unequal
     means give p=0 with the degenerate flag set.
@@ -213,8 +213,6 @@ def two_sample_t_test(a, b, variant: str = "welch") -> TTestResult:
     b = np.asarray(b, dtype=float)
     if len(a) < 2 or len(b) < 2:
         raise ValueError("need at least two points per sample")
-    if variant not in ("welch", "pooled"):
-        raise ValueError(f"unknown variant {variant!r}")
     na, nb = len(a), len(b)
     ma, mb = float(a.mean()), float(b.mean())
     va = float(a.var(ddof=1))
@@ -224,14 +222,7 @@ def two_sample_t_test(a, b, variant: str = "welch") -> TTestResult:
             return TTestResult(0.0, float(na + nb - 2), 1.0, ma, mb, True)
         t = math.inf if ma > mb else -math.inf
         return TTestResult(t, float(na + nb - 2), 0.0, ma, mb, True)
-    if variant == "welch":
-        se2 = va / na + vb / nb
-        dof = se2 ** 2 / (
-            (va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1)
-        )
-    else:
-        sp2 = ((na - 1) * va + (nb - 1) * vb) / (na + nb - 2)
-        se2 = sp2 * (1.0 / na + 1.0 / nb)
-        dof = float(na + nb - 2)
+    se2 = va / na + vb / nb
+    dof = se2 ** 2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
     t = (ma - mb) / math.sqrt(se2)
     return TTestResult(t, float(dof), student_t_sf_two_tailed(t, dof), ma, mb)

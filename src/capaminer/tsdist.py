@@ -82,21 +82,21 @@ class DistanceProfile:
         return len(self.distances)
 
 
-def znormalize(x, eps_var: float = EPS_VAR) -> np.ndarray:
+def znormalize(x) -> np.ndarray:
     """Rescale x to mean 0 and population standard deviation 1.
 
-    Raises ZeroVariance when the population std is below eps_var.
+    Raises ZeroVariance when the population std is below EPS_VAR.
     """
     x = np.asarray(x, dtype=float)
     if len(x) < 2:
         raise ValueError("need at least two points to z-normalize")
     std = x.std()  # population (1/n) std
-    if std < eps_var:
-        raise ZeroVariance(f"window std {std:.3e} below {eps_var:.0e}")
+    if std < EPS_VAR:
+        raise ZeroVariance(f"window std {std:.3e} below {EPS_VAR:.0e}")
     return (x - x.mean()) / std
 
 
-def znorm_distance(q, w, eps_var: float = EPS_VAR) -> float:
+def znorm_distance(q, w) -> float:
     """Euclidean distance between the z-normalized forms of q and w.
 
     Equals sqrt(2*m*(1 - pearson(q, w))).  Raises ZeroVariance if either
@@ -106,7 +106,7 @@ def znorm_distance(q, w, eps_var: float = EPS_VAR) -> float:
     w = np.asarray(w, dtype=float)
     if q.shape != w.shape:
         raise ValueError("windows must have equal length")
-    diff = znormalize(q, eps_var) - znormalize(w, eps_var)
+    diff = znormalize(q) - znormalize(w)
     return float(np.sqrt(np.dot(diff, diff)))
 
 
@@ -125,30 +125,22 @@ def sliding_mean_std(t, m: int):
     return w.mean(axis=1), w.std(axis=1)
 
 
-def windows_matrix(t, m: int) -> np.ndarray:
-    """Read-only (n-m+1, m) view of all length-m windows of t."""
-    t = np.ascontiguousarray(t, dtype=float)
-    view = np.lib.stride_tricks.sliding_window_view(t, m)
-    view.setflags(write=False)
-    return view
-
-
-def znormalized_windows(t, m: int, eps_var: float = EPS_VAR):
+def znormalized_windows(t, m: int):
     """Z-normalize every length-m window of t.
 
     Returns (Z, valid): Z has constant windows zeroed out, valid marks the
     non-constant ones.
     """
-    w = windows_matrix(t, m)
     mean, std = sliding_mean_std(t, m)
-    valid = std >= eps_var
+    w = np.lib.stride_tricks.sliding_window_view(np.asarray(t, dtype=float), m)
+    valid = std >= EPS_VAR
     safe = np.where(valid, std, 1.0)
     z = (w - mean[:, None]) / safe[:, None]
     z[~valid] = 0.0
     return z, valid
 
 
-def distance_profile(q, t, eps_var: float = EPS_VAR) -> DistanceProfile:
+def distance_profile(q, t) -> DistanceProfile:
     """Distance from query q to every length-m window of t.
 
     Uses precomputed sliding mean/std and a sliding dot product, O(n*m)
@@ -160,8 +152,8 @@ def distance_profile(q, t, eps_var: float = EPS_VAR) -> DistanceProfile:
     n = len(t)
     if not 2 <= m <= n:
         raise ValueError("need 2 <= len(q) <= len(t)")
-    qz = znormalize(q, eps_var)
-    z, valid = znormalized_windows(t, m, eps_var)
+    qz = znormalize(q)
+    z, valid = znormalized_windows(t, m)
     # direct ||qz - wz|| keeps full precision near zero, unlike the
     # 2*(m - dot/sigma) shortcut
     dist = np.linalg.norm(z - qz[None, :], axis=1)

@@ -316,7 +316,7 @@ def test_9_special_functions_and_welch():
         k = int(rng.integers(1, 60))
         assert abs(chi2_sf(x, k) - gammainc_upper(k / 2.0, x / 2.0)) < 1e-12
 
-    r = two_sample_t_test([1, 2, 3], [2, 3, 4], "welch")
+    r = two_sample_t_test([1, 2, 3], [2, 3, 4])
     assert abs(r.t_stat - (-1.224745)) < 1e-6
     assert abs(r.dof - 4.0) < 1e-9
     assert abs(r.p_value - 0.288) < 1e-3

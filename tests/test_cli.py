@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from capaminer import association, classifier, ingestion
 from capaminer.cli import (
     ARTIFACTS,
     EXIT_CONFIG_ERROR,
     EXIT_OK,
+    OutputLock,
     _write_jsonl,
     bundled_data_path,
     load_config,
@@ -14,7 +19,8 @@ from capaminer.cli import (
 )
 from capaminer.errors import ConfigError
 from capaminer.ingestion import load_metrics_csv
-from capaminer.mining import occurrence_from_json_line, patterns_from_json
+from capaminer.mining import occurrence_from_json, patterns_from_json
+from capaminer.timeutil import from_rfc3339
 from capaminer.tsdist import znorm_distance
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -92,6 +98,30 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG_ERROR
         assert "lock" in capsys.readouterr().err
 
+    def test_lock_records_pid(self, tmp_path):
+        with OutputLock(tmp_path) as lock:
+            assert lock.path.read_text() == str(os.getpid())
+        assert not lock.path.exists()
+
+    def test_live_lock_is_not_stale(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / ".lock").write_text(str(os.getpid()))
+        assert main(["--out", str(out), "report"]) == EXIT_CONFIG_ERROR
+        assert "locked by another run" in capsys.readouterr().err
+
+    def test_stale_lock_names_pid_and_path(self, tmp_path, capsys):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped, so its pid no longer runs
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / ".lock").write_text(str(child.pid))
+        assert main(["--out", str(out), "report"]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert f"stale lock of pid {child.pid}" in err
+        assert str(out / ".lock") in err
+        assert (out / ".lock").exists()  # left for the user to remove
+
     def test_lock_released_after_run(self, tmp_path):
         out = tmp_path / "out"
         assert main(["--out", str(out), "report"]) == EXIT_OK
@@ -147,19 +177,67 @@ class TestAtomicWrites:
         assert [p.name for p in tmp_path.iterdir()] == ["golden.jsonl"]
 
 
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records the arguments of each call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name,
+                        staticmethod(counted) if isinstance(owner, type) else counted)
+    return calls
+
+
+def numeric_date_prs(path):
+    """The fixture PRs with creation_date as POSIX seconds 0.3 us before a
+    metric sample, so RFC 3339 (whole microseconds) rounds them onto the
+    start of any occurrence that begins that day."""
+    lines = []
+    for line in (FIXTURES / "prs.jsonl").read_text().splitlines():
+        obj = json.loads(line)
+        obj["creation_date"] = from_rfc3339(obj["creation_date"]) - 3600 - 3e-7
+        lines.append(json.dumps(obj))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestPipeline:
     def test_pipeline_equals_subcommand_composition(self, tmp_path):
-        cfg_a, out_a = fixture_config(tmp_path / "a")
-        assert main(["--config", str(cfg_a), "pipeline"]) == EXIT_OK
-        for name in ARTIFACTS:
-            assert (out_a / name).exists(), name
+        inputs = [FIXTURES / "prs.jsonl",
+                  numeric_date_prs(tmp_path / "prs_numeric.jsonl")]
+        for prs in inputs:
+            cfg_a, out_a = fixture_config(tmp_path / prs.stem / "a",
+                                          prs_path=str(prs))
+            assert main(["--config", str(cfg_a), "pipeline"]) == EXIT_OK
+            for name in ARTIFACTS:
+                assert (out_a / name).exists(), name
 
-        cfg_b, out_b = fixture_config(tmp_path / "b")
-        for step in ("mine", "label", "train", "classify", "associate",
-                     "validate", "report"):
-            assert main(["--config", str(cfg_b), step]) == EXIT_OK, step
-        for name in ARTIFACTS:
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+            cfg_b, out_b = fixture_config(tmp_path / prs.stem / "b",
+                                          prs_path=str(prs))
+            for step in ("mine", "label", "train", "classify", "associate",
+                         "validate", "report"):
+                assert main(["--config", str(cfg_b), step]) == EXIT_OK, step
+            for name in ARTIFACTS:
+                assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), \
+                    (prs.name, name)
+
+    def test_pipeline_parses_encodes_and_joins_once(self, tmp_path, monkeypatch):
+        n_prs = len((FIXTURES / "prs.jsonl").read_text().splitlines())
+        loads = count_calls(monkeypatch, ingestion, "load_prs_jsonl")
+        joins = count_calls(monkeypatch, association, "temporal_join")
+        encodes = count_calls(monkeypatch, classifier, "encode_features")
+        model_reads = count_calls(monkeypatch, classifier.RandomForest, "from_json")
+        cfg, _ = fixture_config(tmp_path)
+        assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
+        assert len(loads) == len(joins) == 1
+        assert len(encodes) == len({id(args[0]) for args in encodes}) == n_prs
+        assert model_reads == []
+        # a single stage still reads its inputs from the files
+        assert main(["--config", str(cfg), "classify"]) == EXIT_OK
+        assert len(loads) == 2 and len(model_reads) == 2
 
     def test_seed_recorded_in_artifacts(self, tmp_path):
         cfg, out = fixture_config(tmp_path, seed=13)
@@ -181,7 +259,7 @@ class TestPipeline:
         lines = (out / "occurrences.jsonl").read_text().splitlines()[1:]
         assert lines
         for line in lines:
-            occ = occurrence_from_json_line(line)
+            occ = occurrence_from_json(json.loads(line))
             p = patterns[occ.pattern_id]
             window = series[(occ.repo_id, p.metric_name)].values[
                 occ.start_index : occ.end_index + 1]

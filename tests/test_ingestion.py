@@ -1,12 +1,17 @@
 import json
+import sys
 import threading
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from capaminer.classifier import PullRequestRecord
+from capaminer import ingestion
 from capaminer.errors import (
     AuthError,
+    IncompleteRecord,
     MalformedLine,
     MissingColumn,
     NonFiniteValue,
@@ -207,6 +212,79 @@ class TestRadarLifecycle:
         assert sorted(calls) == sorted(set(calls))  # no repo fetched twice
         assert len(calls) == 20
 
+    def test_poll_enqueues_each_repo_once(self):
+        adapter = fixture_adapter(3)
+        adapter.list_new_repos = lambda: [RepoRef(f"org/r{i}") for i in range(3)]
+        radar = Radar(RadarConfig(adapter=adapter))
+        for _ in range(3):
+            radar.poll_new()  # the adapter announces every repo every time
+        assert radar._pending.qsize() == 3
+
+    def test_worker_skips_repo_collected_directly(self):
+        calls = []
+        adapter = fixture_adapter(3)
+        orig = adapter.fetch_commit_metrics
+        adapter.fetch_commit_metrics = lambda r: calls.append(r) or orig(r)
+        radar = Radar(RadarConfig(adapter=adapter, workers=2))
+        radar.poll_new()
+        assert radar.collect("org/r1")  # still queued for the workers
+        radar.start()
+        assert radar.drain(timeout=5.0)
+        radar.stop()
+        assert sorted(calls) == ["org/r0", "org/r1", "org/r2"]
+        assert all(s is RepoStatus.DONE for s in radar.status().values())
+
+    def test_direct_collects_race_workers_at_most_once(self):
+        calls = []
+        lock = threading.Lock()
+        adapter = fixture_adapter(50)
+        orig = adapter.fetch_commit_metrics
+
+        def counted(repo_id):
+            with lock:
+                calls.append(repo_id)
+            return orig(repo_id)
+
+        adapter.fetch_commit_metrics = counted
+        radar = Radar(RadarConfig(adapter=adapter, workers=8,
+                                  poll_interval_seconds=60.0))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            radar.start()
+            for i in range(50):
+                try:
+                    radar.collect(f"org/r{i}")
+                except RadarError:
+                    pass  # a worker claimed it first
+            assert radar.drain(timeout=10.0)
+        finally:
+            radar.stop()
+            sys.setswitchinterval(interval)
+        assert sorted(calls) == sorted(f"org/r{i}" for i in range(50))
+
+    def test_stop_wakes_idle_workers(self):
+        radar = Radar(RadarConfig(adapter=fixture_adapter(0), workers=3,
+                                  poll_interval_seconds=60.0))
+        radar.start()
+        threads = [radar._poller, *radar._workers]
+        t0 = time.monotonic()
+        assert radar.stop() == "Stopped"
+        assert time.monotonic() - t0 < 5.0
+        assert not any(t.is_alive() for t in threads)
+
+    def test_drain_times_out_while_work_is_open(self):
+        release = threading.Event()
+        adapter = fixture_adapter(1)
+        orig = adapter.fetch_commit_metrics
+        adapter.fetch_commit_metrics = lambda r: release.wait(5.0) and orig(r)
+        radar = Radar(RadarConfig(adapter=adapter))
+        radar.start()
+        assert radar.drain(timeout=0.05) is False
+        release.set()
+        assert radar.drain(timeout=5.0)
+        radar.stop()
+
 
 class FakeResponse:
     def __init__(self, status_code=200, body=None, headers=None):
@@ -282,6 +360,55 @@ class TestLiveAdapter:
         assert len(series) == 3
         assert sleeps[0] == 2.0  # honored Retry-After
         assert sleeps[1] == 2.0  # doubled base delay
+
+    def test_rate_limit_reset_is_an_epoch_time(self, monkeypatch):
+        monkeypatch.setattr(ingestion, "time", SimpleNamespace(time=lambda: 1000.0))
+        sleeps = []
+        limited = {"X-RateLimit-Remaining": "0"}
+        session = FakeSession([
+            FakeResponse(403, headers={**limited, "X-RateLimit-Reset": "1012"}),
+            FakeResponse(403, headers={**limited, "X-RateLimit-Reset": "5000"}),
+            FakeResponse(429, headers={"X-RateLimit-Reset": "900"}),
+            FakeResponse(200, [commit(1, 1, 1)]),
+        ])
+        adapter = LiveGitHubAdapter("tok", ["org/a"], session=session,
+                                    sleep=sleeps.append)
+        assert len(adapter.fetch_commit_metrics("org/a")) == 3
+        assert sleeps == [12.0, 60.0, 0.0]  # reset - now, within [0, 60]
+
+    def test_forbidden_without_rate_limit_is_auth_error(self):
+        sleeps = []
+        session = FakeSession([
+            FakeResponse(403, headers={"X-RateLimit-Remaining": "4999"}),
+            FakeResponse(200, [commit(1, 1, 1)]),
+        ])
+        adapter = LiveGitHubAdapter("tok", ["org/a"], session=session,
+                                    sleep=sleeps.append)
+        with pytest.raises(AuthError):
+            adapter.fetch_commit_metrics("org/a")
+        assert len(session.requests) == 1 and sleeps == []
+
+    def test_commit_without_stats_fetches_the_commit(self):
+        listed = {"sha": "abc", "commit": commit(2, 0, 0)["commit"]}
+        session = FakeSession([
+            FakeResponse(200, [commit(1, 5, 1), listed]),
+            FakeResponse(200, {"sha": "abc", **commit(2, 7, 3)}),
+        ])
+        adapter = LiveGitHubAdapter("tok", ["org/a"], session=session)
+        by = {s.metric_name: s for s in adapter.fetch_commit_metrics("org/a")}
+        assert by["lines_added"].values.tolist() == [5.0, 7.0]
+        assert by["lines_deleted"].values.tolist() == [1.0, 3.0]
+        assert session.requests[1][0].endswith("/repos/org/a/commits/abc")
+
+    def test_commit_stats_missing_everywhere_raises(self):
+        listed = {"sha": "abc", "commit": commit(1, 0, 0)["commit"]}
+        session = FakeSession([
+            FakeResponse(200, [listed]),
+            FakeResponse(200, {"sha": "abc", "commit": listed["commit"]}),
+        ])
+        adapter = LiveGitHubAdapter("tok", ["org/a"], session=session)
+        with pytest.raises(IncompleteRecord, match="abc"):
+            adapter.fetch_commit_metrics("org/a")
 
     def test_rate_limit_exhausted(self):
         session = FakeSession([FakeResponse(429)] * 3)

@@ -13,7 +13,7 @@ from capaminer.mining import (
     count_matches,
     greedy_matches,
     mine_patterns,
-    occurrence_from_json_line,
+    occurrence_from_json,
     occurrence_to_json_line,
     patterns_from_json,
     patterns_to_json,
@@ -306,5 +306,5 @@ class TestSerialization:
 
         occ = PatternOccurrence(2, "org/repo1", 5, 12,
                                 1_600_000_000.0, 1_600_604_800.0, 1.25)
-        back = occurrence_from_json_line(occurrence_to_json_line(occ))
+        back = occurrence_from_json(json.loads(occurrence_to_json_line(occ)))
         assert back == occ

@@ -146,19 +146,10 @@ class TestTwoSampleTTest:
         for _ in range(100):
             a = rng.normal(0, 1, int(rng.integers(3, 30)))
             b = rng.normal(0.3, 1.7, int(rng.integers(3, 30)))
-            r = two_sample_t_test(a, b, "welch")
+            r = two_sample_t_test(a, b)
             t, p = scipy_stats.ttest_ind(a, b, equal_var=False)
             assert r.t_stat == pytest.approx(t, rel=1e-9)
             assert r.p_value == pytest.approx(p, abs=1e-10)
-
-    def test_pooled_matches_scipy(self, rng):
-        a = rng.normal(0, 1, 15)
-        b = rng.normal(1, 1, 10)
-        r = two_sample_t_test(a, b, "pooled")
-        t, p = scipy_stats.ttest_ind(a, b, equal_var=True)
-        assert r.t_stat == pytest.approx(t, rel=1e-9)
-        assert r.p_value == pytest.approx(p, abs=1e-10)
-        assert r.dof == 23
 
     def test_constant_equal_means(self):
         r = two_sample_t_test([2, 2, 2], [2.0, 2.0])
