@@ -10,6 +10,7 @@ or on how estimators are scheduled.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
@@ -216,68 +217,63 @@ class ForestConfig:
     seed: int = 0
 
 
-def _gini_from_counts(counts, totals):
-    # counts: (k, n_classes) class counts per split side; totals: (k,)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p = counts / totals[:, None]
-        g = 1.0 - np.sum(p * p, axis=1)
-    g[totals == 0] = 0.0
-    return g
+def _best_split(XT, onehot, idx, feat_idx, min_leaf):
+    """Best (weighted Gini, feature, threshold) of the node holding rows idx,
+    or None when no candidate feature has a valid boundary.
+
+    XT is the training matrix transposed (features x rows) and onehot its
+    (rows x classes) label indicator.  All candidate features are scored in
+    one pass: sort each column, accumulate class counts down it, and take
+    the Gini of every boundary between distinct values that leaves at least
+    min_leaf rows on both sides.  Ties break to the lowest feature index,
+    then the lowest threshold."""
+    n = len(idx)
+    vals = XT[feat_idx[:, None], idx]                     # (k, n)
+    # the order of equal values cannot change the counts at a boundary
+    # between distinct values, so the sort need not be stable
+    order = np.argsort(vals, axis=1)
+    sv = np.sort(vals, axis=1)
+    # class counts left of each position, (k, n, classes); the int8 one-hot
+    # summed in int32 moves a fraction of the bytes of float64 on large
+    # nodes, and the counts are exact either way
+    cum = np.cumsum(onehot[idx[order]], axis=1, dtype=np.int32)
+    # split after position i: left = rows [0..i], i in [0, n-2]
+    valid = sv[:, :-1] < sv[:, 1:]
+    valid[:, :min_leaf - 1] = False
+    valid[:, max(n - min_leaf, 0):] = False
+    col, pos = np.nonzero(valid)  # feature-major, then ascending threshold
+    if len(col) == 0:
+        return None
+    left_counts = cum[col, pos]
+    right_counts = cum[0, -1] - left_counts
+    left_n = pos + 1
+    right_n = n - left_n
+    p = left_counts / left_n[:, None]
+    gl = 1.0 - np.sum(p * p, axis=1)
+    p = right_counts / right_n[:, None]
+    gr = 1.0 - np.sum(p * p, axis=1)
+    g = (left_n * gl + right_n * gr) / n
+    i = int(np.argmin(g))
+    c, b = col[i], pos[i]
+    thr = 0.5 * (sv[c, b] + sv[c, b + 1])
+    return float(g[i]), int(feat_idx[c]), float(thr)
 
 
-def _best_split(X, y_codes, n_classes, feat_idx, min_leaf):
-    """Best (feature, threshold, weighted Gini) over the candidate features.
-
-    Ties break to the lowest feature index, then the lowest threshold."""
-    n = len(y_codes)
-    best = None
-    onehot = np.eye(n_classes)[y_codes]
-    for f in feat_idx:
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
-        sv = col[order]
-        cum = np.cumsum(onehot[order], axis=0)
-        # split after position i: left = rows [0..i], i in [0, n-2]
-        boundaries = np.flatnonzero(sv[:-1] < sv[1:])
-        if len(boundaries) == 0:
-            continue
-        left_n = boundaries + 1
-        right_n = n - left_n
-        keep = (left_n >= min_leaf) & (right_n >= min_leaf)
-        boundaries = boundaries[keep]
-        if len(boundaries) == 0:
-            continue
-        left_n = left_n[keep]
-        right_n = n - left_n
-        left_counts = cum[boundaries]
-        right_counts = cum[-1] - left_counts
-        g = (left_n * _gini_from_counts(left_counts, left_n)
-             + right_n * _gini_from_counts(right_counts, right_n)) / n
-        i = int(np.argmin(g))
-        thr = 0.5 * (sv[boundaries[i]] + sv[boundaries[i] + 1])
-        cand = (float(g[i]), int(f), float(thr))
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
-def _grow_tree(X, y_codes, n_classes, cfg, rng, depth, idx):
-    counts = np.bincount(y_codes[idx], minlength=n_classes)
-    majority = int(np.argmax(counts))  # argmax ties -> lowest class index
+def _grow_tree(XT, onehot, cfg, rng, depth, idx):
+    counts = onehot[idx].sum(axis=0)
     leaf = {"leaf": True, "counts": counts.tolist()}
     if (len(idx) < 2 * cfg.min_samples_leaf
             or counts.max() == len(idx)
             or (cfg.max_depth is not None and depth >= cfg.max_depth)):
         return leaf
-    n_feat = X.shape[1]
+    n_feat = XT.shape[0]
     k = cfg.features_per_split or math.ceil(math.sqrt(n_feat))
     feat_idx = np.sort(rng.choice(n_feat, size=min(k, n_feat), replace=False))
-    best = _best_split(X[idx], y_codes[idx], n_classes, feat_idx,
-                       cfg.min_samples_leaf)
+    best = _best_split(XT, onehot, idx, feat_idx, cfg.min_samples_leaf)
     if best is None:
         return leaf
     _, f, thr = best
-    mask = X[idx, f] <= thr
+    mask = XT[f, idx] <= thr
     left_idx = idx[mask]
     right_idx = idx[~mask]
     if len(left_idx) == 0 or len(right_idx) == 0:
@@ -286,15 +282,9 @@ def _grow_tree(X, y_codes, n_classes, cfg, rng, depth, idx):
         "leaf": False,
         "feature": f,
         "threshold": thr,
-        "left": _grow_tree(X, y_codes, n_classes, cfg, rng, depth + 1, left_idx),
-        "right": _grow_tree(X, y_codes, n_classes, cfg, rng, depth + 1, right_idx),
+        "left": _grow_tree(XT, onehot, cfg, rng, depth + 1, left_idx),
+        "right": _grow_tree(XT, onehot, cfg, rng, depth + 1, right_idx),
     }
-
-
-def _tree_predict_code(node, x):
-    while not node["leaf"]:
-        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
-    return int(np.argmax(node["counts"]))
 
 
 @dataclass
@@ -303,20 +293,53 @@ class RandomForest:
     classes: list
     trees: list
 
-    def predict(self, x):
-        """Majority vote over trees; ties break to the lowest class id.
+    def predict(self, X):
+        """Majority vote over trees for each row of X; ties break to the
+        lowest class id.
 
-        Returns (label, vote_fractions keyed by class)."""
-        x = np.asarray(x, dtype=float)
-        votes = np.zeros(len(self.classes))
-        for tree in self.trees:
-            votes[_tree_predict_code(tree, x)] += 1
-        fractions = votes / votes.sum()
-        label = self.classes[int(np.argmax(votes))]  # argmax -> lowest index
-        return label, dict(zip(self.classes, fractions.tolist()))
+        Returns (labels, vote fractions), the fractions as a rows x classes
+        array with columns in the order of self.classes."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise ValueError(f"expected a rows x features matrix, got shape {X.shape}")
+        feature, threshold, left, right, code = self._nodes
+        n, n_trees = len(X), len(self.trees)
+        rows = np.repeat(np.arange(n), n_trees)
+        node = np.tile(np.arange(n_trees), n)  # tree t's root is node t
+        # every (row, tree) pair descends one level per step
+        active = np.flatnonzero(code[node] < 0)
+        while len(active):
+            nd = node[active]
+            go_left = X[rows[active], feature[nd]] <= threshold[nd]
+            node[active] = np.where(go_left, left[nd], right[nd])
+            active = active[code[node[active]] < 0]
+        n_classes = len(self.classes)
+        votes = np.bincount(rows * n_classes + code[node],
+                            minlength=n * n_classes).reshape(n, n_classes)
+        labels = np.asarray(self.classes)[np.argmax(votes, axis=1)]
+        return labels, votes / n_trees
 
-    def predict_many(self, X):
-        return [self.predict(x)[0] for x in np.asarray(X, dtype=float)]
+    @functools.cached_property
+    def _nodes(self):
+        """The trees as parallel node arrays: feature, threshold, left and
+        right child, and leaf class code (-1 at a split).  The roots come
+        first, then children in the order they are reached."""
+        nodes, left, right = list(self.trees), [], []
+        for node in nodes:  # visits the children appended below as well
+            if node["leaf"]:
+                left.append(-1)
+                right.append(-1)
+            else:
+                left.append(len(nodes))
+                right.append(len(nodes) + 1)
+                nodes += [node["left"], node["right"]]
+        # argmax of the leaf counts, ties -> lowest class index
+        code = [n["counts"].index(max(n["counts"])) if n["leaf"] else -1
+                for n in nodes]
+        return (np.array([n.get("feature", 0) for n in nodes], dtype=np.intp),
+                np.array([n.get("threshold", 0.0) for n in nodes], dtype=float),
+                np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
+                np.array(code, dtype=np.intp))
 
     def to_json(self) -> dict:
         return {
@@ -359,24 +382,28 @@ def train_forest(X, y, config: ForestConfig = ForestConfig()) -> RandomForest:
     code_of = {c: i for i, c in enumerate(classes.tolist())}
     y_codes = np.array([code_of[v] for v in y.tolist()])
     order = _canonical_order(X, y_codes)
-    X = X[order]
-    y_codes = y_codes[order]
+    XT = np.ascontiguousarray(X[order].T)
+    onehot = np.eye(len(classes), dtype=np.int8)[y_codes[order]]
     n = len(X)
     trees = []
     for i in range(config.n_estimators):
         rng = np.random.default_rng([config.seed, i])
         sample = np.sort(rng.integers(0, n, size=n))
-        trees.append(_grow_tree(X, y_codes, len(classes), config, rng, 0, sample))
+        trees.append(_grow_tree(XT, onehot, config, rng, 0, sample))
     return RandomForest(config=config, classes=classes.tolist(), trees=trees)
 
 
-def classify_two_stage(stage1: RandomForest, stage2: RandomForest, x):
-    """Stage 1 decides CAPA vs non-CAPA; stage 2 runs only on CAPAs."""
-    label1, _ = stage1.predict(x)
-    if StageOneLabel(label1) is StageOneLabel.NON_CAPA:
-        return StageOneLabel.NON_CAPA
-    label2, _ = stage2.predict(x)
-    return CapaLabel(label2)
+def classify_two_stage(stage1: RandomForest, stage2: RandomForest, X) -> list:
+    """Stage 1 decides CAPA vs non-CAPA for each row of X; stage 2 runs only
+    on the rows stage 1 calls CAPA.  One StageOneLabel.NON_CAPA or CapaLabel
+    per row."""
+    X = np.asarray(X, dtype=float)
+    out = [StageOneLabel(label) for label in stage1.predict(X)[0].tolist()]
+    capa = [i for i, label in enumerate(out) if label is StageOneLabel.CAPA]
+    labels2, _ = stage2.predict(X[capa])
+    for i, label in zip(capa, labels2.tolist()):
+        out[i] = CapaLabel(label)
+    return out
 
 
 def _round2(value: float) -> float:

@@ -203,11 +203,12 @@ class Run:
 
     @cached_property
     def features(self):
-        """One feature vector per PR, all relative to one reference instant."""
+        """One feature row per PR, all relative to one reference instant."""
         ref = self.cfg.reference_instant
         if ref is None:
             ref = min(pr.created_at for pr in self.prs)
-        return [classifier.encode_features(pr, ref) for pr in self.prs]
+        rows = [classifier.encode_features(pr, ref) for pr in self.prs]
+        return np.array(rows).reshape(len(rows), len(classifier.FEATURE_ORDER))
 
     @cached_property
     def golden(self):
@@ -322,8 +323,8 @@ def cmd_train(run: Run):
         tr, te = classifier.split_train_test(X, y, cfg.train_ratio, cfg.seed)
         forest = classifier.train_forest(X[tr], y[tr], fconf)
         models.append(forest)
-        pred = forest.predict_many(X[te])
-        rows = classifier.compute_report(y[te].tolist(), pred,
+        pred, _ = forest.predict(X[te])
+        rows = classifier.compute_report(y[te].tolist(), pred.tolist(),
                                          sorted(set(y.tolist())))
         _write_json(run.out / f"model_stage{stage}.json", forest.to_json(), cfg)
         _write_json(run.out / f"report_stage{stage}.json",
@@ -335,8 +336,8 @@ def cmd_train(run: Run):
 def cmd_classify(run: Run):
     prs, (stage1, stage2) = run.prs, run.models
     classified = []
-    for pr, x in zip(prs, run.features):
-        result = classifier.classify_two_stage(stage1, stage2, x)
+    results = classifier.classify_two_stage(stage1, stage2, run.features)
+    for pr, result in zip(prs, results):
         classified.append({
             "pr_id": pr.pr_id,
             "repo_id": pr.repo_id,

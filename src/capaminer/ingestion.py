@@ -39,6 +39,9 @@ METRIC_COLUMNS = ["lines_added", "lines_deleted", "lines_changed"]
 CSV_HEADER = ["repo_id", "timestamp"] + METRIC_COLUMNS
 
 PR_KNOWN_EXTRA = {"repo_id", "pr_id", "text", "title", "body"}
+# counts GitHub returns only from GET /repos/{repo}/pulls/{number}
+PR_DETAIL_COUNTS = ("additions", "deletions", "commits", "changed_files",
+                    "comments", "review_comments")
 
 
 def load_metrics_csv(path):
@@ -443,6 +446,13 @@ class LiveGitHubAdapter(SourceAdapter):
         pulls.sort(key=lambda p: p.get("number", 0))
         records = []
         for p in pulls:
+            # the list endpoint omits the counts; the single-PR endpoint has them
+            detail = self._get(
+                f"{self._base}/repos/{repo_id}/pulls/{p['number']}").json()
+            missing = sorted(k for k in PR_DETAIL_COUNTS if detail.get(k) is None)
+            if missing:
+                raise IncompleteRecord(
+                    f"{repo_id}: pull request {p['number']} has no {', '.join(missing)}")
             obj = {
                 "repo_id": repo_id,
                 "pr_id": str(p.get("number", "")),
@@ -456,13 +466,13 @@ class LiveGitHubAdapter(SourceAdapter):
                 "merged_state": p.get("merged_at") is not None,
                 "pull_request_state": p.get("state") == "open",
                 "pull_request_number": p.get("number"),
-                "number_of_additions": p.get("additions"),
-                "number_of_deletions": p.get("deletions"),
-                "number_of_commits": p.get("commits"),
-                "number_of_files": p.get("changed_files"),
-                "number_of_file_changes": p.get("changed_files"),
-                "number_of_comments": p.get("comments"),
-                "number_of_review_comments": p.get("review_comments"),
+                "number_of_additions": detail["additions"],
+                "number_of_deletions": detail["deletions"],
+                "number_of_commits": detail["commits"],
+                "number_of_files": detail["changed_files"],
+                "number_of_file_changes": detail["changed_files"],
+                "number_of_comments": detail["comments"],
+                "number_of_review_comments": detail["review_comments"],
             }
             obj = {k: v for k, v in obj.items() if v is not None}
             records.append(_record_from_obj(obj, p.get("number", 0)))

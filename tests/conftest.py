@@ -118,6 +118,67 @@ def naive_exhaustive_patterns(dataset, config):
     return keys
 
 
+def naive_best_split(X, y_codes, n_classes, feat_idx, min_leaf):
+    """Best (weighted Gini, feature, threshold) over the candidate features
+    of a node's rows X, searched one feature at a time with the same
+    arithmetic as the forest's one-pass kernel: ties go to the lowest
+    feature, then the lowest threshold; None when nothing can be split."""
+    n = len(y_codes)
+    best = None
+    onehot = np.eye(n_classes)[y_codes]
+    for f in feat_idx:
+        col = X[:, f]
+        order = np.argsort(col, kind="stable")
+        sv = col[order]
+        cum = np.cumsum(onehot[order], axis=0)
+        # split after position i: left = rows [0..i], i in [0, n-2]
+        boundaries = np.flatnonzero(sv[:-1] < sv[1:])
+        left_n = boundaries + 1
+        keep = (left_n >= min_leaf) & (n - left_n >= min_leaf)
+        boundaries = boundaries[keep]
+        if len(boundaries) == 0:
+            continue
+        left_n = left_n[keep]
+        right_n = n - left_n
+        left_counts = cum[boundaries]
+        right_counts = cum[-1] - left_counts
+        p = left_counts / left_n[:, None]
+        gl = 1.0 - np.sum(p * p, axis=1)
+        p = right_counts / right_n[:, None]
+        gr = 1.0 - np.sum(p * p, axis=1)
+        g = (left_n * gl + right_n * gr) / n
+        i = int(np.argmin(g))
+        thr = 0.5 * (sv[boundaries[i]] + sv[boundaries[i] + 1])
+        cand = (float(g[i]), int(f), float(thr))
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def naive_predict(forest, x):
+    """One row walked down each nested-dict tree; the majority vote with
+    ties to the lowest class, as (label, {class: vote fraction})."""
+    votes = np.zeros(len(forest.classes))
+    for node in forest.trees:
+        while not node["leaf"]:
+            go_left = x[node["feature"]] <= node["threshold"]
+            node = node["left"] if go_left else node["right"]
+        votes[int(np.argmax(node["counts"]))] += 1
+    fractions = votes / votes.sum()
+    label = forest.classes[int(np.argmax(votes))]
+    return label, dict(zip(forest.classes, fractions.tolist()))
+
+
+def naive_classify_two_stage(stage1, stage2, x):
+    """Per-row two-stage classification: stage 2 only when stage 1 says
+    CAPA."""
+    from capaminer.classifier import CapaLabel, StageOneLabel
+
+    if StageOneLabel(naive_predict(stage1, x)[0]) is StageOneLabel.NON_CAPA:
+        return StageOneLabel.NON_CAPA
+    return CapaLabel(naive_predict(stage2, x)[0])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

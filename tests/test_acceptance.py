@@ -226,8 +226,8 @@ def test_7_classifier_accuracy_and_determinism():
     train, test = split_train_test(X, y, 0.8, seed=9)
     cfg = ForestConfig(n_estimators=100, seed=9)
     forest = train_forest(X[train], y[train], cfg)
-    pred = forest.predict_many(X[test])
-    acc = float(np.mean(np.array(pred) == y[test]))
+    pred, _ = forest.predict(X[test])
+    acc = float(np.mean(pred == y[test]))
     assert acc >= 0.95
     # retrain on a permuted copy of the same rows: identical model bytes
     perm = rng.permutation(len(train))

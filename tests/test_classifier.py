@@ -23,7 +23,10 @@ from capaminer.classifier import (
     report_to_json,
     split_train_test,
     train_forest,
+    _best_split,
 )
+
+from conftest import naive_best_split, naive_classify_two_stage, naive_predict
 
 
 class TestFeatureEncoding:
@@ -148,8 +151,8 @@ class TestRandomForest:
         X, y = separable_data(rng)
         train, test = split_train_test(X, y, 0.8, seed=3)
         forest = train_forest(X[train], y[train], ForestConfig(50, seed=3))
-        pred = forest.predict_many(X[test])
-        acc = np.mean(np.array(pred) == y[test])
+        pred, _ = forest.predict(X[test])
+        acc = np.mean(pred == y[test])
         assert acc >= 0.95
 
     def test_bitwise_deterministic(self, rng):
@@ -172,9 +175,9 @@ class TestRandomForest:
         tree_b = {"leaf": True, "counts": [0, 5]}
         forest = RandomForest(ForestConfig(2), classes=[3, 7],
                               trees=[tree_a, tree_b])
-        label, fractions = forest.predict(np.zeros(4))
-        assert label == 3
-        assert fractions == {3: 0.5, 7: 0.5}
+        labels, fractions = forest.predict(np.zeros((1, 4)))
+        assert labels.tolist() == [3]
+        assert dict(zip(forest.classes, fractions[0].tolist())) == {3: 0.5, 7: 0.5}
 
     def test_feature_subset_default(self):
         import math
@@ -190,7 +193,7 @@ class TestRandomForest:
         forest = train_forest(X, y, ForestConfig(5, seed=2))
         back = RandomForest.from_json(json.loads(json.dumps(forest.to_json())))
         probe = rng.normal(15, 8, size=(20, X.shape[1]))
-        assert forest.predict_many(probe) == back.predict_many(probe)
+        assert forest.predict(probe)[0].tolist() == back.predict(probe)[0].tolist()
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
@@ -211,10 +214,111 @@ class TestTwoStage:
             y2.extend([cls] * 20)
         stage2 = train_forest(np.vstack(X2), np.array(y2),
                               ForestConfig(25, seed=1))
-        assert classify_two_stage(stage1, stage2, np.full(4, 30.0)) \
-            is StageOneLabel.NON_CAPA
-        got = classify_two_stage(stage1, stage2, np.full(4, -4 + 6.0))
-        assert got is CapaLabel(6)
+        got = classify_two_stage(stage1, stage2,
+                                 [np.full(4, 30.0), np.full(4, -4 + 6.0)])
+        assert got[0] is StageOneLabel.NON_CAPA
+        assert got[1] is CapaLabel(6)
+
+
+def random_node(rng, n_rows, n_classes, n_feat=9):
+    """A training matrix with continuous, tied (few integer values) and
+    constant columns, and a node of it: a sorted bootstrap sample of rows."""
+    X = np.column_stack([
+        rng.normal(size=(n_rows, n_feat // 3)),
+        rng.integers(0, 3, size=(n_rows, n_feat // 3)).astype(float),
+        np.full((n_rows, n_feat - 2 * (n_feat // 3)), 4.0),
+    ])
+    y = rng.integers(0, n_classes, size=n_rows)
+    idx = np.sort(rng.integers(0, n_rows, size=rng.integers(1, n_rows + 1)))
+    return X, y, idx
+
+
+class TestSplitKernel:
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    @pytest.mark.parametrize("n_classes", [2, 3, 5, 7, 8])
+    def test_matches_per_feature_oracle(self, rng, n_classes, min_leaf):
+        splits = 0
+        for _ in range(60):
+            X, y, idx = random_node(rng, int(rng.integers(2, 80)), n_classes)
+            feat_idx = np.sort(rng.choice(X.shape[1], size=int(rng.integers(1, 6)),
+                                          replace=False))
+            want = naive_best_split(X[idx], y[idx], n_classes, feat_idx, min_leaf)
+            got = _best_split(np.ascontiguousarray(X.T),
+                              np.eye(n_classes, dtype=np.int8)[y], idx,
+                              feat_idx, min_leaf)
+            assert got == want
+            splits += want is not None
+        assert splits > 30
+
+    def test_no_valid_split(self, rng):
+        X, y, idx = random_node(rng, 40, 3)
+        onehot = np.eye(3, dtype=np.int8)[y]
+        XT = np.ascontiguousarray(X.T)
+        constant = np.array([7, 8])
+        assert _best_split(XT, onehot, idx, constant, 1) is None
+        assert naive_best_split(X[idx], y[idx], 3, constant, 1) is None
+        # four distinct values cannot leave 3 rows on both sides
+        rows = np.array([0, 1, 2, 3])
+        assert _best_split(XT, onehot, rows, np.array([0]), 3) is None
+        assert _best_split(XT, onehot, rows, np.array([0]), 2) is not None
+
+
+class TestBatchedPredict:
+    def assert_matches_rows(self, forest, X):
+        labels, fractions = forest.predict(X)
+        assert labels.shape == (len(X),)
+        assert fractions.shape == (len(X), len(forest.classes))
+        for x, label, frac in zip(X, labels.tolist(), fractions.tolist()):
+            want_label, want_frac = naive_predict(forest, x)
+            assert label == want_label
+            assert dict(zip(forest.classes, frac)) == want_frac
+
+    def test_random_forests(self, rng):
+        for n_classes in (2, 4, 7):
+            X = rng.normal(size=(150, 5))
+            X[:, 1] = np.round(X[:, 1])  # ties
+            y = rng.integers(1, n_classes + 1, size=150)
+            forest = train_forest(X, y, ForestConfig(9, seed=n_classes))
+            probe = np.vstack([X[:40], rng.normal(size=(40, 5))])
+            self.assert_matches_rows(forest, probe)
+            # one-row batches give the same answer as the whole batch
+            labels, _ = forest.predict(probe)
+            assert [forest.predict(probe[i:i + 1])[0][0]
+                    for i in range(len(probe))] == labels.tolist()
+
+    def test_vote_tie_and_one_row(self):
+        forest = RandomForest(ForestConfig(2), classes=[3, 7],
+                              trees=[{"leaf": True, "counts": [5, 0]},
+                                     {"leaf": True, "counts": [0, 5]}])
+        self.assert_matches_rows(forest, np.zeros((1, 4)))
+
+    def test_vector_rejected(self):
+        forest = RandomForest(ForestConfig(1), classes=[1, 2],
+                              trees=[{"leaf": True, "counts": [1, 0]}])
+        with pytest.raises(ValueError):
+            forest.predict(np.zeros(4))
+
+    def test_two_stage_matches_rows(self, rng):
+        X1 = np.vstack([rng.normal(0, 1, (40, 4)), rng.normal(6, 1, (40, 4))])
+        y1 = np.repeat([int(StageOneLabel.CAPA), int(StageOneLabel.NON_CAPA)], 40)
+        stage1 = train_forest(X1, y1, ForestConfig(7, seed=2))
+        X2 = rng.normal(0, 1, (60, 4))
+        stage2 = train_forest(X2, rng.integers(1, 8, size=60), ForestConfig(7, seed=2))
+        probe = rng.normal(3, 3, (50, 4))
+        got = classify_two_stage(stage1, stage2, probe)
+        assert got == [naive_classify_two_stage(stage1, stage2, x) for x in probe]
+        assert {type(g) for g in got} == {StageOneLabel, CapaLabel}
+
+    def test_two_stage_with_no_capa_rows(self, rng):
+        X1 = np.vstack([rng.normal(0, 1, (30, 3)), rng.normal(9, 1, (30, 3))])
+        y1 = np.repeat([int(StageOneLabel.CAPA), int(StageOneLabel.NON_CAPA)], 30)
+        stage1 = train_forest(X1, y1, ForestConfig(5, seed=4))
+        stage2 = train_forest(X1, np.tile([1, 2, 3], 20), ForestConfig(5, seed=4))
+        probe = rng.normal(9, 1, (6, 3))
+        assert classify_two_stage(stage1, stage2, probe) == \
+            [StageOneLabel.NON_CAPA] * 6
+        labels, fractions = stage2.predict(probe[[]])
+        assert labels.shape == (0,) and fractions.shape == (0, 3)
 
 
 class TestReport:

@@ -12,6 +12,7 @@ from capaminer.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
     OutputLock,
+    Run,
     _write_jsonl,
     bundled_data_path,
     load_config,
@@ -22,6 +23,8 @@ from capaminer.ingestion import load_metrics_csv
 from capaminer.mining import occurrence_from_json, patterns_from_json
 from capaminer.timeutil import from_rfc3339
 from capaminer.tsdist import znorm_distance
+
+from conftest import naive_classify_two_stage, naive_predict
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -238,6 +241,22 @@ class TestPipeline:
         # a single stage still reads its inputs from the files
         assert main(["--config", str(cfg), "classify"]) == EXIT_OK
         assert len(loads) == 2 and len(model_reads) == 2
+
+    def test_fixture_models_predict_as_per_row_walk(self, tmp_path):
+        cfg, out = fixture_config(tmp_path)
+        for stage in ("label", "train"):
+            assert main(["--config", str(cfg), stage]) == EXIT_OK
+        run = Run(load_config(cfg), out)
+        (stage1, stage2), X = run.models, run.features
+        for forest in (stage1, stage2):
+            labels, fractions = forest.predict(X)
+            for x, label, frac in zip(X, labels.tolist(), fractions.tolist()):
+                assert (label, dict(zip(forest.classes, frac))) == \
+                    naive_predict(forest, x)
+        got = classifier.classify_two_stage(stage1, stage2, X)
+        assert got == [naive_classify_two_stage(stage1, stage2, x) for x in X]
+        assert classifier.StageOneLabel.NON_CAPA in got
+        assert any(isinstance(g, classifier.CapaLabel) for g in got)
 
     def test_seed_recorded_in_artifacts(self, tmp_path):
         cfg, out = fixture_config(tmp_path, seed=13)

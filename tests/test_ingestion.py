@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from capaminer.classifier import PullRequestRecord
+from capaminer.classifier import FEATURE_ORDER, PullRequestRecord, encode_features
 from capaminer import ingestion
 from capaminer.errors import (
     AuthError,
@@ -312,6 +312,13 @@ class FakeSession:
         return self.responses.pop(0)
 
 
+def pull_detail(number, **counts):
+    """GET /pulls/{number}: the list item's fields plus the six counts."""
+    base = {"additions": 10, "deletions": 4, "commits": 2, "changed_files": 3,
+            "comments": 1, "review_comments": 5}
+    return {"number": number, **base, **counts}
+
+
 def commit(day, additions, deletions):
     return {"commit": {"author": {"date": f"2020-01-{day:02d}T00:00:00Z"}},
             "stats": {"additions": additions, "deletions": deletions}}
@@ -426,14 +433,46 @@ class TestLiveAdapter:
             FakeResponse(200, page1),
             FakeResponse(200, page2),
             FakeResponse(200, []),
-        ])
+        ] + [FakeResponse(200, pull_detail(i)) for i in range(200)])
         adapter = LiveGitHubAdapter("tok", ["org/a"], session=session)
         records = adapter.fetch_pull_requests("org/a")
         assert len(records) == 200
         assert records[0].pr_id == "0"
         assert records[-1].pr_id == "199"
-        pages = [p["page"] for _, p in session.requests]
+        pages = [p["page"] for _, p in session.requests if "page" in p]
         assert pages == [1, 2, 3]
+
+    def test_pull_request_counts_come_from_the_detail_record(self):
+        # list items as GET /pulls returns them: no counts
+        listed = [{"number": n, "title": f"pr {n}", "state": "closed",
+                   "created_at": "2020-01-01T00:00:00Z"} for n in (8, 3)]
+        session = FakeSession([
+            FakeResponse(200, listed),
+            FakeResponse(200, pull_detail(3, additions=7, changed_files=0)),
+            FakeResponse(200, pull_detail(8)),
+        ])
+        adapter = LiveGitHubAdapter("tok", ["org/a"], session=session)
+        records = adapter.fetch_pull_requests("org/a")
+        assert [url for url, _ in session.requests[1:]] == [
+            "https://api.github.com/repos/org/a/pulls/3",
+            "https://api.github.com/repos/org/a/pulls/8"]
+        x = encode_features(records[0], 0.0)
+        by = dict(zip(FEATURE_ORDER, x.tolist()))
+        assert (by["number_of_additions"], by["number_of_deletions"],
+                by["number_of_commits"], by["number_of_files"],
+                by["number_of_file_changes"], by["number_of_comments"],
+                by["number_of_review_comments"]) == (7, 4, 2, 0, 0, 1, 5)
+        assert records[1].fields["number_of_additions"] == 10
+
+    def test_pull_request_detail_without_counts_raises(self):
+        listed = [{"number": 4, "created_at": "2020-01-01T00:00:00Z"}]
+        detail = pull_detail(4)
+        del detail["commits"], detail["review_comments"]
+        session = FakeSession([FakeResponse(200, listed),
+                               FakeResponse(200, detail)])
+        adapter = LiveGitHubAdapter("tok", ["org/a"], session=session)
+        with pytest.raises(IncompleteRecord, match="4 has no commits, review_comments"):
+            adapter.fetch_pull_requests("org/a")
 
     def test_repo_announcement_is_incremental(self):
         adapter = LiveGitHubAdapter("tok", ["org/a", "org/b"],
