@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from capaminer.ingestion import load_metrics_csv
-from capaminer.mining import MiningConfig, RepoCoverage, mine_patterns
+from capaminer.mining import MiningConfig, mine_patterns
 from capaminer.timeutil import to_rfc3339
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -21,8 +21,9 @@ print(f"loaded {len(series)} series across {len(repos)} repositories")
 
 m = 8
 tau = 0.25 * 2.0 * math.sqrt(m)  # 25% of the z-normalized distance ceiling
+# accepted when at least half of the repositories have a match
 config = MiningConfig(min_len=m, max_len=m, match_threshold=tau,
-                      repo_coverage=RepoCoverage("min", 0.5))
+                      min_repo_fraction=0.5)
 
 for metric in ("lines_added", "lines_deleted", "lines_changed"):
     subset = [s for s in series if s.metric_name == metric]

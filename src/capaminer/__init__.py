@@ -31,7 +31,6 @@ from .mining import (  # noqa: F401
     ConsensusPattern,
     MiningConfig,
     PatternOccurrence,
-    RepoCoverage,
     consensus_candidate,
     count_matches,
     mine_patterns,

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSamples
 from .stats import Chi2Result, chi2_independence, two_sample_t_test
 
 DEFAULT_WINDOW_SECONDS = 30 * 86400  # "plus one month", fixed at 30 days
@@ -58,8 +57,8 @@ class PairwiseTestResult:
     capa_j: int
     mean_i: float
     mean_j: float
-    t_stat: float
-    dof: float
+    t_stat: float | None  # None in rows read without t or dof
+    dof: float | None
     p_value: float
 
 
@@ -163,16 +162,15 @@ def occurrence_fraction_samples(joins):
 
 def pairwise_tests(joins, qualifying_sets):
     """Welch tests between occurrence-level fraction samples of each
-    qualifying action pair of each pattern."""
+    qualifying action pair of each pattern, in qualifying_pairs order.  A
+    pair with fewer than 2 samples on either side is skipped."""
     samples = occurrence_fraction_samples(joins)
     results = []
     for pt, ci, cj in qualifying_pairs(qualifying_sets):
         a = samples.get((pt, ci), [])
         b = samples.get((pt, cj), [])
         if len(a) < 2 or len(b) < 2:
-            raise InsufficientSamples(
-                f"pattern {pt}: need >= 2 occurrence samples per action "
-                f"({ci}: {len(a)}, {cj}: {len(b)})")
+            continue
         r = two_sample_t_test(a, b)
         results.append(PairwiseTestResult(
             pattern_type=pt, capa_i=ci, capa_j=cj,
@@ -258,11 +256,13 @@ def pairwise_to_json(results) -> dict:
 
 
 def pairwise_from_json(doc) -> list:
+    """Rows as pairwise_to_json writes them; a missing field raises KeyError,
+    except t and dof, which published tables may omit and become None."""
     return [
         PairwiseTestResult(
             pattern_type=e["pattern"], capa_i=e["capa_i"], capa_j=e["capa_j"],
             mean_i=e["mean_i"], mean_j=e["mean_j"],
-            t_stat=e.get("t", 0.0), dof=e.get("dof", 0.0), p_value=e["p"])
+            t_stat=e.get("t"), dof=e.get("dof"), p_value=e["p"])
         for e in doc["tests"]
     ]
 

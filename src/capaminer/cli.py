@@ -22,8 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import association, classifier, ingestion, mining, timeutil
-from .errors import CapaMinerError, ConfigError, EmptyTable
-from .mining import MiningConfig, RepoCoverage
+from .errors import (CapaMinerError, ConfigError, EmptyDataset, EmptyTable,
+                     MalformedInput)
+from .mining import MiningConfig
 
 log = logging.getLogger(__name__)
 
@@ -55,10 +56,7 @@ class PipelineConfig:
     min_len: int = 8
     max_len: int = 8
     match_threshold: float | None = None  # None: 25% of the 2*sqrt(m) maximum
-    min_matches_per_series: int = 1
-    max_matches_per_series: float = math.inf
-    coverage_mode: str = "min"
-    coverage_value: float = 0.5
+    coverage_value: float = 0.5  # fraction of the repositories, in (0, 1]
     # classifier
     n_estimators: int = 100
     train_ratio: float = 0.8
@@ -72,10 +70,26 @@ class PipelineConfig:
             min_len=self.min_len,
             max_len=self.max_len,
             match_threshold=tau,
-            min_matches_per_series=self.min_matches_per_series,
-            max_matches_per_series=self.max_matches_per_series,
-            repo_coverage=RepoCoverage(self.coverage_mode, self.coverage_value),
+            min_repo_fraction=self.coverage_value,
         )
+
+
+# (key, test, requirement) checked by load_config, besides MiningConfig's own
+VALUE_CHECKS = [
+    ("seed", lambda v: isinstance(v, int), "an integer"),
+    ("alpha", lambda v: 0 < v < 1, "in (0, 1)"),
+    ("window_days", lambda v: v >= 0, ">= 0"),
+    ("min_count", lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
+    ("metrics", lambda v: isinstance(v, (list, tuple))
+     and all(isinstance(m, str) for m in v), "a list of metric names"),
+    ("min_len", lambda v: isinstance(v, int), "an integer"),
+    ("max_len", lambda v: isinstance(v, int), "an integer"),
+    ("train_ratio", lambda v: 0 < v < 1, "in (0, 1)"),
+    ("n_estimators", lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
+    ("coverage_value", lambda v: 0 < v <= 1, "a fraction in (0, 1]"),
+    ("reference_instant", lambda v: v is None or isinstance(v, (int, float)),
+     "POSIX seconds or null"),
+]
 
 
 def load_config(path=None, overrides=None) -> PipelineConfig:
@@ -91,13 +105,21 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
         unknown = set(doc) - set(PipelineConfig.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "metrics" in doc:
-            doc["metrics"] = tuple(doc["metrics"])
         cfg = replace(cfg, **doc)
     if overrides:
         cfg = replace(cfg, **overrides)
-    if not 0 < cfg.alpha < 1:
-        raise ConfigError(f"alpha must be in (0, 1), got {cfg.alpha}")
+    for key, valid, want in VALUE_CHECKS:
+        value = getattr(cfg, key)
+        try:
+            ok = valid(value)
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ConfigError(f"{key} must be {want}, got {value!r}")
+    try:
+        cfg.mining_config()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid mining config: {exc}") from None
     return cfg
 
 
@@ -107,6 +129,15 @@ def _require_file(path, what):
     if not os.path.exists(path):
         raise ConfigError(f"{what} file not found: {path}")
     return path
+
+
+def _parse(path: Path, parse):
+    """parse(text) of an input file; a malformed file is a data error that
+    names it."""
+    try:
+        return parse(path.read_text())
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise MalformedInput(f"malformed {path}: {exc!r}") from None
 
 
 def _write_text(path: Path, text: str):
@@ -198,8 +229,10 @@ class Run:
 
     @cached_property
     def prs(self):
-        return ingestion.load_prs_jsonl(
-            _require_file(self.cfg.prs_path, "pull requests"))
+        prs = ingestion.load_prs_jsonl(_require_file(self.cfg.prs_path, "pull requests"))
+        if not prs:
+            raise EmptyDataset(f"no pull requests in {self.cfg.prs_path}")
+        return prs
 
     @cached_property
     def features(self):
@@ -207,8 +240,7 @@ class Run:
         ref = self.cfg.reference_instant
         if ref is None:
             ref = min(pr.created_at for pr in self.prs)
-        rows = [classifier.encode_features(pr, ref) for pr in self.prs]
-        return np.array(rows).reshape(len(rows), len(classifier.FEATURE_ORDER))
+        return np.array([classifier.encode_features(pr, ref) for pr in self.prs])
 
     @cached_property
     def golden(self):
@@ -369,24 +401,21 @@ def cmd_validate(run: Run, contingency_path=None, pairwise_path=None):
     cpath = Path(contingency_path) if contingency_path else out / "contingency.csv"
     if not cpath.exists():
         raise ConfigError(f"contingency table not found: {cpath}")
-    table = association.contingency_from_csv(cpath.read_text())
+    table = _parse(cpath, association.contingency_from_csv)
+    if pairwise_path:
+        results = _parse(Path(pairwise_path), lambda text:
+                         association.pairwise_from_json(json.loads(text)))
+    else:
+        qualifying = association.filter_relevant(table, cfg.min_count)
+        results = association.pairwise_tests(run.joins, qualifying)
+        log.info("skipped %d action pairs with fewer than 2 occurrence samples",
+                 len(association.qualifying_pairs(qualifying)) - len(results))
     try:
         chi2_doc = asdict(association.chi2_on_table(table))
     except EmptyTable as exc:
         chi2_doc = {"statistic": None, "dof": None, "p_value": None,
                     "note": str(exc)}
     _write_json(out / "chi2.json", chi2_doc, cfg)
-    qualifying = association.filter_relevant(table, cfg.min_count)
-    if pairwise_path:
-        results = association.pairwise_from_json(
-            json.loads(Path(pairwise_path).read_text()))
-    else:
-        samples = association.occurrence_fraction_samples(run.joins)
-        testable = {
-            pt: {c for c in caps if len(samples.get((pt, c), [])) >= 2}
-            for pt, caps in qualifying.items()
-        }
-        results = association.pairwise_tests(run.joins, testable)
     _write_json(out / "pairwise.json", association.pairwise_to_json(results), cfg)
     mapping = association.extract_mapping(results, cfg.alpha)
     _write_json(out / "mapping.json", association.mapping_to_json(mapping), cfg)

@@ -14,7 +14,7 @@ class NoValidWindow(CapaMinerError):
 
 
 class EmptyDataset(CapaMinerError):
-    """The mining dataset contains no series."""
+    """An input dataset holds no records."""
 
 
 class MetricMismatch(CapaMinerError):
@@ -33,8 +33,8 @@ class EmptyTable(CapaMinerError):
     """A contingency table has no usable rows/columns."""
 
 
-class InsufficientSamples(CapaMinerError):
-    """An occurrence-level sample has fewer than two points."""
+class MalformedInput(CapaMinerError):
+    """An input file does not have the expected layout."""
 
 
 class MissingColumn(CapaMinerError):

@@ -2,15 +2,15 @@
 
 A candidate window is scored by its radius: the maximum over the other
 series of the minimum z-normalized distance to any window.  The window with
-the smallest radius is the consensus candidate for its length.  Accepted
-candidates are those matched often enough in enough repositories.
+the smallest radius is the consensus candidate for its length.  A candidate
+is accepted when enough of the repositories have a series it matches.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,52 +24,25 @@ from .tsdist import (
 
 
 @dataclass(frozen=True)
-class RepoCoverage:
-    """Acceptance rule over the number of covered repositories.
-
-    mode "min" accepts candidates covering at least count_or_fraction
-    repositories (a fraction in (0, 1] is resolved against the repo count);
-    mode "max_literal" accepts when the covered count is strictly below it.
-    """
-
-    mode: str = "min"
-    count_or_fraction: float = 0.5
-
-    def __post_init__(self):
-        if self.mode not in ("min", "max_literal"):
-            raise ValueError(f"unknown coverage mode {self.mode!r}")
-        if self.count_or_fraction <= 0:
-            raise ValueError("count_or_fraction must be positive")
-
-    def threshold(self, n_repos: int) -> int:
-        p = self.count_or_fraction
-        if 0 < p <= 1 and isinstance(p, float):
-            return math.ceil(p * n_repos)
-        return int(p)
-
-    def accepts(self, covered: int, n_repos: int) -> bool:
-        t = self.threshold(n_repos)
-        if self.mode == "min":
-            return covered >= t
-        return covered < t
-
-
-@dataclass(frozen=True)
 class MiningConfig:
+    """min_repo_fraction is the repo-coverage rule: a candidate is accepted
+    when at least that share of the repositories have a series with a match.
+    It is compared as k / n_repos >= fraction, because ceil(fraction *
+    n_repos) rounds the product: ceil(0.28 * 25) is 8 in floating point."""
+
     min_len: int
     max_len: int
     match_threshold: float
-    min_matches_per_series: int = 1
-    max_matches_per_series: float = math.inf
-    repo_coverage: RepoCoverage = field(default_factory=RepoCoverage)
+    min_repo_fraction: float = 0.5
 
     def __post_init__(self):
         if self.min_len < 2 or self.max_len < self.min_len:
             raise ValueError("need 2 <= min_len <= max_len")
         if self.match_threshold < 0:
             raise ValueError("match_threshold must be >= 0")
-        if not 1 <= self.min_matches_per_series <= self.max_matches_per_series:
-            raise ValueError("need 1 <= min_matches <= max_matches")
+        if not 0 < self.min_repo_fraction <= 1:
+            raise ValueError("min_repo_fraction must be in (0, 1], "
+                             f"got {self.min_repo_fraction}")
 
 
 @dataclass(frozen=True)
@@ -172,7 +145,7 @@ def greedy_matches(profile: DistanceProfile, tau: float):
 
 
 def count_matches(pattern: ConsensusPattern, series: MetricSeries, tau: float):
-    """Count thresholded non-overlapping matches of pattern in series."""
+    """Occurrences of the thresholded non-overlapping matches of pattern."""
     if len(series) < len(pattern):
         raise ValueError("series shorter than pattern")
     profile = distance_profile(pattern.values, series)
@@ -188,7 +161,7 @@ def count_matches(pattern: ConsensusPattern, series: MetricSeries, tau: float):
             end_time=float(series.timestamps[end]),
             distance=dist,
         ))
-    return len(occs), occs
+    return occs
 
 
 def mine_patterns(dataset, config: MiningConfig, first_id: int = 0):
@@ -212,13 +185,10 @@ def mine_patterns(dataset, config: MiningConfig, first_id: int = 0):
             cand = consensus_candidate(eligible, m)
         except NoValidWindow:
             continue
-        occurrences, covered = [], set()
-        for s in eligible:
-            n, occs = count_matches(cand, s, config.match_threshold)
-            occurrences += occs
-            if config.min_matches_per_series <= n <= config.max_matches_per_series:
-                covered.add(s.repo_id)
-        if config.repo_coverage.accepts(len(covered), n_repos):
+        occurrences = [o for s in eligible
+                       for o in count_matches(cand, s, config.match_threshold)]
+        covered = {o.repo_id for o in occurrences}
+        if len(covered) / n_repos >= config.min_repo_fraction:
             accepted.append((cand, occurrences))
     return [
         replace(p, pattern_id=pid,

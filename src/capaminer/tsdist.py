@@ -143,8 +143,9 @@ def znormalized_windows(t, m: int):
 def distance_profile(q, t) -> DistanceProfile:
     """Distance from query q to every length-m window of t.
 
-    Uses precomputed sliding mean/std and a sliding dot product, O(n*m)
-    total.  Constant target windows come back flagged invalid.
+    Takes the direct norm ||qz - wz|| between the z-normalized query and
+    every z-normalized window, O(n*m) total.  Constant target windows come
+    back flagged invalid.
     """
     q = np.asarray(q, dtype=float)
     t = t.values if isinstance(t, MetricSeries) else np.asarray(t, dtype=float)

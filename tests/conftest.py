@@ -95,9 +95,11 @@ def naive_greedy_matches(profile, m, tau):
 def naive_exhaustive_patterns(dataset, config):
     """Every non-constant window of every series that passes the coverage
     rule, as (repo, offset, length) keys: the candidates consensus mining
-    picks one from per length, each counted with the naive profile and
-    greedy selection above."""
-    n_repos = len({s.repo_id for s in dataset})
+    picks one from per length, each matched with the naive profile and
+    greedy selection above.  A repository is covered when one of its series
+    has a match; a window passes when the covered share of all repositories
+    is at least min_repo_fraction."""
+    repos = {s.repo_id for s in dataset}
     keys = set()
     for m in range(config.min_len, config.max_len + 1):
         eligible = [s for s in dataset if len(s) >= m]
@@ -106,14 +108,11 @@ def naive_exhaustive_patterns(dataset, config):
                 q = s.values[off : off + m]
                 if q.std() < 1e-12:
                     continue
-                covered = set()
-                for other in eligible:
-                    prof = naive_distance_profile(q, other.values)
-                    n = len(naive_greedy_matches(prof, m, config.match_threshold))
-                    if (config.min_matches_per_series <= n
-                            <= config.max_matches_per_series):
-                        covered.add(other.repo_id)
-                if config.repo_coverage.accepts(len(covered), n_repos):
+                covered = {other.repo_id for other in eligible
+                           if naive_greedy_matches(
+                               naive_distance_profile(q, other.values), m,
+                               config.match_threshold)}
+                if len(covered) / len(repos) >= config.min_repo_fraction:
                     keys.add((s.repo_id, off, m))
     return keys
 

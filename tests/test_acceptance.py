@@ -25,7 +25,7 @@ from capaminer.classifier import (
 )
 from capaminer.cli import ARTIFACTS, main as cli_main
 from capaminer.ingestion import FixtureAdapter, Radar, RadarConfig, RepoStatus
-from capaminer.mining import MiningConfig, RepoCoverage, mine_patterns
+from capaminer.mining import MiningConfig, mine_patterns
 from capaminer.stats import (
     betainc,
     chi2_independence,
@@ -203,8 +203,7 @@ def test_6_planted_motif_recovery():
         series.append(MetricSeries(f"r{i}", "m", np.arange(500.0), vals))
     tau = 0.25 * 2.0 * math.sqrt(m)  # 25% of the 2*sqrt(m) maximum
     cfg = MiningConfig(min_len=m, max_len=m, match_threshold=tau,
-                       min_matches_per_series=1,
-                       repo_coverage=RepoCoverage("min", 0.5))
+                       min_repo_fraction=0.5)
     t0 = time.time()
     patterns = mine_patterns(series, cfg)
     elapsed = time.time() - t0

@@ -22,7 +22,6 @@ from capaminer.association import (
     qualifying_pairs,
     temporal_join,
 )
-from capaminer.errors import InsufficientSamples
 from capaminer.mining import PatternOccurrence
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "capaminer" / "data"
@@ -173,8 +172,13 @@ class TestPairwise:
     def test_insufficient_occurrences(self):
         joins = [JoinRecord(0, ("r", 0), "a", 0, 0.0),
                  JoinRecord(0, ("r", 0), "b", 1, 0.0)]
-        with pytest.raises(InsufficientSamples):
-            pairwise_tests(joins, {0: {0, 1}})
+        # one occurrence gives one sample per action: the pair is skipped
+        assert pairwise_tests(joins, {0: {0, 1}}) == []
+        # beside a pattern with enough occurrences, only that pair is skipped
+        short = [JoinRecord(1, ("r", 0), "a", 0, 0.0),
+                 JoinRecord(1, ("r", 0), "b", 1, 0.0)]
+        assert (pairwise_tests(self.make_joins() + short, {0: {0, 1}, 1: {0, 1}})
+                == pairwise_tests(self.make_joins(), {0: {0, 1}}))
 
     def test_json_round_trip(self):
         results = pairwise_tests(self.make_joins(), {0: {0, 1}})

@@ -10,11 +10,13 @@ from capaminer import association, classifier, ingestion
 from capaminer.cli import (
     ARTIFACTS,
     EXIT_CONFIG_ERROR,
+    EXIT_DATA_ERROR,
     EXIT_OK,
     OutputLock,
     Run,
     _write_jsonl,
     bundled_data_path,
+    cmd_validate,
     load_config,
     main,
 )
@@ -76,6 +78,41 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(p)
 
+    @pytest.mark.parametrize("key, value", [
+        ("min_len", 1),
+        ("min_len", 8.0),
+        ("max_len", 7),
+        ("metrics", "lines_added"),
+        ("window_days", -30),
+        ("coverage_value", 0),
+        ("coverage_value", 1.5),
+        ("coverage_value", 2),
+        ("train_ratio", 1.5),
+        ("train_ratio", 0),
+        ("n_estimators", 0),
+        ("n_estimators", 2.5),
+        ("alpha", "0.1"),
+        ("seed", 1.5),
+        ("min_count", "3"),
+        ("min_count", 0),
+        ("reference_instant", "x"),
+    ])
+    def test_bad_value_exits_before_any_write(self, tmp_path, capsys, key, value):
+        cfg, out = fixture_config(tmp_path, **{key: value})
+        out.mkdir()
+        assert main(["--config", str(cfg), "pipeline"]) == EXIT_CONFIG_ERROR
+        assert key in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_coverage_value_is_always_a_fraction(self, tmp_path):
+        patterns = []
+        for value in (1, 1.0):
+            cfg, out = fixture_config(tmp_path / repr(value),
+                                      coverage_value=value)
+            assert main(["--config", str(cfg), "mine"]) == EXIT_OK
+            patterns.append((out / "patterns.json").read_bytes())
+        assert patterns[0] == patterns[1]
+
 
 class TestExitCodes:
     def test_missing_metrics_file_names_path(self, tmp_path, capsys):
@@ -86,6 +123,14 @@ class TestExitCodes:
         rc = main(["--config", str(cfg), "mine"])
         assert rc == EXIT_CONFIG_ERROR
         assert str(missing) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["label", "train", "pipeline"])
+    def test_empty_prs_file_is_a_data_error(self, tmp_path, capsys, stage):
+        prs = tmp_path / "prs.jsonl"
+        prs.write_text("")
+        cfg, _ = fixture_config(tmp_path, prs_path=str(prs))
+        assert main(["--config", str(cfg), stage]) == EXIT_DATA_ERROR
+        assert f"no pull requests in {prs}" in capsys.readouterr().err
 
     def test_no_subcommand(self, capsys):
         assert main([]) == EXIT_CONFIG_ERROR
@@ -150,6 +195,45 @@ class TestValidateStandalone:
         mapping = json.loads((out / "mapping.json").read_text())
         got = {(t["pattern"], t["capa"]) for t in mapping["tuples"]}
         assert got == {(5, 0), (11, 1), (12, 0), (13, 0), (14, 1)}
+
+    def run_validate(self, tmp_path, contingency=None, pairwise=None):
+        out = tmp_path / "out"
+        reference = json.loads(
+            bundled_data_path("reference_pairwise.json").read_text())
+        table = tmp_path / "table.csv"
+        table.write_text(contingency or
+                         bundled_data_path("reference_capa_counts.csv").read_text())
+        rows = tmp_path / "pairwise.json"
+        rows.write_text(json.dumps(pairwise or reference))
+        rc = main(["--out", str(out), "validate", "--contingency", str(table),
+                   "--pairwise", str(rows)])
+        return rc, out, table, rows
+
+    def test_pairwise_without_t_or_dof_records_null(self, tmp_path):
+        # the published rows give means and p-values only; no t is made up
+        rc, out, _, _ = self.run_validate(tmp_path)
+        assert rc == EXIT_OK
+        tests = json.loads((out / "pairwise.json").read_text())["tests"]
+        assert len(tests) == 14
+        assert all(t["t"] is None and t["dof"] is None for t in tests)
+
+    def test_pairwise_row_without_pattern(self, tmp_path, capsys):
+        doc = json.loads(bundled_data_path("reference_pairwise.json").read_text())
+        del doc["tests"][3]["pattern"]
+        rc, out, _, rows = self.run_validate(tmp_path, pairwise=doc)
+        assert rc == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert str(rows) in err and "'pattern'" in err
+        assert list(out.iterdir()) == []
+
+    def test_contingency_cell_not_a_number(self, tmp_path, capsys):
+        text = bundled_data_path("reference_capa_counts.csv").read_text()
+        rc, out, table, _ = self.run_validate(
+            tmp_path, contingency=text.replace("Pattern 6,2,", "Pattern 6,x,"))
+        assert rc == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert str(table) in err and "'x'" in err
+        assert list(out.iterdir()) == []
 
     def test_missing_contingency(self, tmp_path, capsys):
         rc = main(["--out", str(tmp_path / "out"), "validate"])
@@ -257,6 +341,26 @@ class TestPipeline:
         assert got == [naive_classify_two_stage(stage1, stage2, x) for x in X]
         assert classifier.StageOneLabel.NON_CAPA in got
         assert any(isinstance(g, classifier.CapaLabel) for g in got)
+
+    def test_validate_logs_skipped_pairs(self, tmp_path, caplog):
+        # pattern 0 has three occurrences, pattern 1 one: its pair is skipped
+        caps = {(0, 0): [0, 0, 1], (0, 1): [0, 1, 1, 0], (0, 2): [0, 0, 0, 1],
+                (1, 0): [0, 1]}
+        joins = [association.JoinRecord(pt, ("r", k), f"p{pt}.{k}.{i}", c, 0.0)
+                 for (pt, k), cs in caps.items() for i, c in enumerate(cs)]
+        run = Run(load_config(None, {"out_dir": str(tmp_path), "min_count": 1}),
+                  tmp_path)
+        run.joins = joins
+        (tmp_path / "contingency.csv").write_text(association.contingency_to_csv(
+            association.build_contingency(joins)))
+        with caplog.at_level("INFO", logger="capaminer.cli"):
+            cmd_validate(run)
+        skipped = [r.args[0] for r in caplog.records
+                   if r.msg.startswith("skipped %d action pairs")]
+        tested = json.loads((tmp_path / "pairwise.json").read_text())["tests"]
+        assert skipped == [1]
+        assert [(t["pattern"], t["capa_i"], t["capa_j"]) for t in tested] == \
+            [(0, 0, 1)]
 
     def test_seed_recorded_in_artifacts(self, tmp_path):
         cfg, out = fixture_config(tmp_path, seed=13)

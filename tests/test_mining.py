@@ -8,7 +8,6 @@ from capaminer.errors import EmptyDataset, MetricMismatch, NoValidWindow
 from capaminer.mining import (
     ConsensusPattern,
     MiningConfig,
-    RepoCoverage,
     consensus_candidate,
     count_matches,
     greedy_matches,
@@ -43,29 +42,46 @@ def with_plateau(rng, series, m):
                         series.timestamps, vals)
 
 
-class TestRepoCoverage:
+SPIKES = np.array([0.0, 1.0, 0.0, 5.0, 0.0, 1.0, 0.0, 9.0])
+
+
+def spike_dataset(n_covered, n_repos):
+    """n_covered repos holding the same spike series, which every length-3
+    candidate matches, and the other repos a series too short to match."""
+    return [MetricSeries(f"r{i}", "m", np.arange(8.0), SPIKES)
+            if i < n_covered else
+            MetricSeries(f"r{i}", "m", [0.0, 1.0], [1.0, 2.0])
+            for i in range(n_repos)]
+
+
+def accepted(n_covered, n_repos, fraction):
+    cfg = MiningConfig(3, 3, 0.1, min_repo_fraction=fraction)
+    return len(mine_patterns(spike_dataset(n_covered, n_repos), cfg))
+
+
+class TestCoverageRule:
     def test_fraction_resolves_with_ceiling(self):
-        cov = RepoCoverage("min", 0.5)
-        assert cov.threshold(8) == 4
-        assert cov.threshold(7) == 4
-        assert cov.threshold(1) == 1
+        assert accepted(4, 8, 0.5) == 1
+        assert accepted(3, 8, 0.5) == 0
+        assert accepted(4, 7, 0.5) == 1  # ceil(3.5) = 4
+        assert accepted(3, 7, 0.5) == 0
+        assert accepted(1, 1, 0.5) == 1
+        # ceil(0.28 * 25) is 8 in floating point; 7 of 25 repos is 0.28
+        assert accepted(7, 25, 0.28) == 1
+        assert accepted(7, 25, 0.29) == 0
 
-    def test_integer_count_used_directly(self):
-        cov = RepoCoverage("min", 3.0)
-        assert cov.threshold(100) == 3
-        assert cov.accepts(3, 100)
-        assert not cov.accepts(2, 100)
-
-    def test_max_literal_is_strictly_below(self):
-        cov = RepoCoverage("max_literal", 3.0)
-        assert cov.accepts(2, 10)
-        assert not cov.accepts(3, 10)
+    def test_integer_is_a_fraction_too(self):
+        # 1 means every repository, as 1.0 does
+        for fraction in (1, 1.0):
+            assert accepted(3, 3, fraction) == 1
+            assert accepted(2, 3, fraction) == 0
 
     def test_rejects_bad_args(self):
+        for fraction in (0, -0.5, 1.5, 2, float("nan")):
+            with pytest.raises(ValueError):
+                MiningConfig(3, 3, 0.1, min_repo_fraction=fraction)
         with pytest.raises(ValueError):
-            RepoCoverage("between", 1)
-        with pytest.raises(ValueError):
-            RepoCoverage("min", 0)
+            MiningConfig(1, 3, 0.1)
 
 
 class TestConsensusCandidate:
@@ -184,8 +200,8 @@ class TestCountMatches:
         s = MetricSeries("r", "m", np.arange(7.0) * 100,
                          [0.0, 1.0, 0.0, 5.0, 0.0, 1.0, 0.0])
         p = ConsensusPattern(3, np.array([0.0, 1.0, 0.0]), "m", "src", 0, 0.0)
-        n, occs = count_matches(p, s, 0.1)
-        assert n == 2
+        occs = count_matches(p, s, 0.1)
+        assert len(occs) == 2
         assert {o.start_index for o in occs} == {0, 4}
         first = min(occs, key=lambda o: o.start_index)
         assert first.pattern_id == 3
@@ -215,7 +231,7 @@ class TestMinePatterns:
     def test_recovers_planted_pattern(self, rng):
         dataset = self.planted_dataset(rng)
         tau = 0.25 * 2 * math.sqrt(8)
-        cfg = MiningConfig(8, 8, tau, repo_coverage=RepoCoverage("min", 0.5))
+        cfg = MiningConfig(8, 8, tau)
         pats = mine_patterns(dataset, cfg)
         assert len(pats) == 1
         occs = pats[0].occurrences
@@ -229,7 +245,7 @@ class TestMinePatterns:
 
     def test_sequential_ids_and_determinism(self, rng):
         dataset = self.planted_dataset(rng)
-        cfg = MiningConfig(6, 9, 2.0, repo_coverage=RepoCoverage("min", 0.5))
+        cfg = MiningConfig(6, 9, 2.0)
         a = mine_patterns(dataset, cfg)
         b = mine_patterns(dataset, cfg)
         assert [p.pattern_id for p in a] == list(range(len(a)))
@@ -243,19 +259,19 @@ class TestMinePatterns:
         dataset = self.planted_dataset(rng)
         # too short for lengths 8 and 9, so not every series is eligible
         dataset.insert(2, make_series(rng, "r9", 7, metric="m"))
-        cfg = MiningConfig(6, 9, 2.0, repo_coverage=RepoCoverage("min", 0.5))
+        cfg = MiningConfig(6, 9, 2.0)
         pats = mine_patterns(dataset, cfg, first_id=3)
         assert pats
         assert [p.pattern_id for p in pats] == list(range(3, 3 + len(pats)))
         for p in pats:
             expected = [o for s in dataset if len(s) >= len(p)
-                        for o in count_matches(p, s, cfg.match_threshold)[1]]
+                        for o in count_matches(p, s, cfg.match_threshold)]
             assert list(p.occurrences) == expected
 
     def test_exhaustive_superset_of_consensus(self, rng):
         dataset = self.planted_dataset(rng, n_repos=3, planted=3)
         tau = 0.25 * 2 * math.sqrt(8)
-        cfg = MiningConfig(8, 8, tau, repo_coverage=RepoCoverage("min", 0.5))
+        cfg = MiningConfig(8, 8, tau)
         con = mine_patterns(dataset, cfg)
         con_keys = {(p.source_repo, p.source_offset, len(p)) for p in con}
         assert con_keys
@@ -263,18 +279,19 @@ class TestMinePatterns:
 
     def test_coverage_rule_counts_repos_not_series(self, rng):
         # two series of the same repo both matching still cover one repo
-        vals = np.array([0.0, 1.0, 0.0, 5.0, 0.0, 1.0, 0.0, 9.0])
-        s1 = MetricSeries("r0", "m", np.arange(8.0), vals)
-        s2 = MetricSeries("r0", "m", np.arange(8.0), vals + 3)
+        s1 = MetricSeries("r0", "m", np.arange(8.0), SPIKES)
+        s2 = MetricSeries("r0", "m", np.arange(8.0), SPIKES + 3)
         other = make_series(rng, "r1", 8, metric="m")
-        cfg = MiningConfig(3, 3, 0.1, repo_coverage=RepoCoverage("min", 2.0))
+        cfg = MiningConfig(3, 3, 0.1, min_repo_fraction=1.0)
         keys = naive_exhaustive_patterns([s1, s2, other], cfg)
         spikes = [k for k in keys if k[:2] in (("r0", 0), ("r0", 4))]
-        assert not spikes  # only r0 is covered, threshold asks for 2 repos
-        # every window of s1 matches itself and its copy s2: two series, one repo
-        assert not mine_patterns([s1, s2], cfg)
-        one = MiningConfig(3, 3, 0.1, repo_coverage=RepoCoverage("min", 1.0))
-        assert len(mine_patterns([s1, s2], one)) == 1
+        assert not spikes  # only r0 is covered, the rule asks for both repos
+        # every window of s1 matches itself and its copy s2: two series, one
+        # repo, out of two repos (r1's series is too short to match)
+        short = MetricSeries("r1", "m", [0.0, 1.0], [1.0, 2.0])
+        assert not mine_patterns([s1, s2, short], cfg)
+        half = MiningConfig(3, 3, 0.1, min_repo_fraction=0.5)
+        assert len(mine_patterns([s1, s2, short], half)) == 1
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
