@@ -424,6 +424,12 @@ def cmd_validate(run: Run, contingency_path=None, pairwise_path=None):
 
 
 def cmd_pipeline(cfg: PipelineConfig, out: Path):
+    # every input is checked before the first stage writes, so a bad path
+    # cannot leave artifacts of two runs side by side
+    _require_file(cfg.metrics_path, "metrics")
+    _require_file(cfg.prs_path, "pull requests")
+    if cfg.keywords_path:
+        _require_file(cfg.keywords_path, "keyword map")
     run = Run(cfg, out)
     cmd_mine(run)
     cmd_label(run)
@@ -472,7 +478,8 @@ def cmd_report(run: Run):
             lines += [f"not computed: {doc.get('note', 'degenerate table')}", ""]
         else:
             lines += [f"Chi-squared statistic {doc['statistic']:.4f}, "
-                      f"dof {doc['dof']}, p-value {doc['p_value']:.4g}", ""]
+                      f"dof {doc['dof']}, p-value {doc['p_value']:.4g}", "",
+                      f"Expected cells below 5: {doc['low_expected_cells']}", ""]
     else:
         gaps.append("chi2.json")
 

@@ -2,8 +2,11 @@
 
 A candidate window is scored by its radius: the maximum over the other
 series of the minimum z-normalized distance to any window.  The window with
-the smallest radius is the consensus candidate for its length.  A candidate
-is accepted when enough of the repositories have a series it matches.
+the smallest radius is the consensus candidate for its length; ties go to
+the lowest (series order, offset).  The search abandons a window as soon as
+its radius over the series scored so far passes the best radius found
+(Ostinato, Kamgar et al., ICDM 2019).  A candidate is accepted when enough
+of the repositories have a series it matches.
 """
 
 from __future__ import annotations
@@ -93,30 +96,70 @@ def _nearest_distance(z, other, m: int, excl: int = 0):
     return np.sqrt(2.0 * np.maximum(m - best, 0.0))
 
 
+def _direct_radius(qz, targets) -> float:
+    """Max over the (Z, mask) targets of the min direct ||qz - w|| over the
+    windows w that the mask admits."""
+    return max(float(np.linalg.norm(z[ok] - qz, axis=1).min())
+               for z, ok in targets)
+
+
+def _ostinato(zs, m: int):
+    """(radius, series_idx, offset) of the consensus window of two or more
+    series of (Z, valid) windows.
+
+    A series' windows are scored one other series at a time, and a window
+    is dropped once its running max, a lower bound on its radius, is
+    strictly above the best radius of the earlier series.  The survivors
+    are ranked by the dot form; the best is measured with the direct norm,
+    which gives equal windows equal bits whatever rows a product held, and
+    must beat the best so far strictly, so ties go to the lowest (series,
+    offset).
+    """
+    best = None
+    for si, (z, valid) in enumerate(zs):
+        others = zs[:si] + zs[si + 1:]
+        rows = np.flatnonzero(valid)
+        q, radii = z[rows], np.zeros(len(rows))
+        for other in others:
+            if not len(rows):
+                break
+            radii = np.maximum(radii, _nearest_distance(q, other, m))
+            if best is not None:
+                alive = radii <= best[0]
+                rows, q, radii = rows[alive], q[alive], radii[alive]
+        if len(rows) and np.isfinite(radii.min()):
+            off = int(rows[np.argmin(radii)])
+            radius = _direct_radius(z[off], others)
+            if best is None or radius < best[0]:
+                best = (radius, si, off)
+    if best is None:
+        raise NoValidWindow("all windows constant")
+    return best
+
+
 def consensus_candidate(series_set, m: int) -> ConsensusPattern:
     """Window minimizing the max over the other series of the min distance.
 
-    A single series is scored against its own windows, with trivial
-    matches within ceil(m/2) offsets excluded.  Ties break to the lowest
-    (series order, offset).  pattern_id is provisional (-1).
+    Several series go through the Ostinato search (_ostinato).  A single
+    series is scored against its own windows, with trivial matches within
+    ceil(m/2) offsets excluded.  Ties break to the lowest (series order,
+    offset).  The radius is the direct norm ||qz - wz||, whatever was
+    pruned.  pattern_id is provisional (-1).
     """
     if any(len(s) < m for s in series_set):
         raise ValueError("every series must be at least as long as m")
     zs = [znormalized_windows(s.values, m) for s in series_set]
-    excl = math.ceil(m / 2)
-    best = None  # (radius, series_idx, offset)
-    for si, (z, valid) in enumerate(zs):
-        radii = np.zeros(len(z))
-        for sj in [j for j in range(len(zs)) if j != si] or [si]:
-            radii = np.maximum(radii, _nearest_distance(
-                z, zs[sj], m, excl if sj == si else 0))
-        radii[~valid] = np.inf
-        off = int(np.argmin(radii))
-        if np.isfinite(radii[off]) and (best is None or radii[off] < best[0]):
-            best = (float(radii[off]), si, off)
-    if best is None:
-        raise NoValidWindow("all windows constant")
-    radius, si, off = best
+    if len(zs) == 1:
+        excl = math.ceil(m / 2)
+        z, valid = zs[0]
+        radii = np.where(valid, _nearest_distance(z, zs[0], m, excl), np.inf)
+        si, off = 0, int(np.argmin(radii))
+        if not np.isfinite(radii[off]):
+            raise NoValidWindow("all windows constant")
+        far = np.abs(np.arange(len(z)) - off) >= excl
+        radius = _direct_radius(z[off], [(z, valid & far)])
+    else:
+        radius, si, off = _ostinato(zs, m)
     s = series_set[si]
     return ConsensusPattern(-1, s.values[off : off + m], s.metric_name,
                             s.repo_id, off, radius)

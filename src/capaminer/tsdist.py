@@ -4,12 +4,14 @@ All distances are Euclidean distances between mean-0 / population-std-1
 rescalings of equal-length windows, so they are invariant to positive affine
 transforms of either input and bounded by 2*sqrt(m).
 
-Precision policy: two kernels compute this distance.  distance_profile, which
-every match and occurrence distance comes from, takes the direct
-||qz - wz||, so an affine copy comes out within 1e-9 of 0.  The consensus
-search in mining ranks windows with the dot-product form sqrt(2(m - qz.wz)),
-one matrix product per pair of series; near 0 it loses precision (about
-2e-7 on affine copies), which the radii it reports carry.
+Precision policy: two kernels compute this distance.  The dot-product form
+sqrt(2(m - qz.wz)), a matrix product of one series' windows against
+another's, only ranks windows in the consensus search
+(mining._nearest_distance).  Near 0 it loses precision (about 2e-7 on
+affine copies), and its last bits depend on which rows a product holds.
+Every reported distance, consensus radii included, comes from the direct
+||qz - wz||, as distance_profile takes it, so an affine copy comes out
+within 1e-9 of 0.
 """
 
 from __future__ import annotations

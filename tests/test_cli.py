@@ -362,6 +362,28 @@ class TestPipeline:
         assert [(t["pattern"], t["capa_i"], t["capa_j"]) for t in tested] == \
             [(0, 0, 1)]
 
+    @pytest.mark.parametrize("key", ["metrics_path", "prs_path", "keywords_path"])
+    def test_missing_input_fails_before_any_write(self, tmp_path, capsys, key):
+        cfg, out = fixture_config(tmp_path)
+        assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == sorted(ARTIFACTS)
+        # a re-run at another length must not replace the patterns before
+        # the missing input stops it
+        missing = tmp_path / "missing"
+        cfg, _ = fixture_config(tmp_path, min_len=9, max_len=9,
+                                **{key: str(missing)})
+        assert main(["--config", str(cfg), "pipeline"]) == EXIT_CONFIG_ERROR
+        assert str(missing) in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_report_counts_low_expected_cells(self, tmp_path):
+        cfg, out = fixture_config(tmp_path)
+        assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
+        chi2 = json.loads((out / "chi2.json").read_text())
+        assert chi2["low_expected_cells"] == 8
+        assert "\nExpected cells below 5: 8\n" in (out / "report.md").read_text()
+
     def test_seed_recorded_in_artifacts(self, tmp_path):
         cfg, out = fixture_config(tmp_path, seed=13)
         assert main(["--config", str(cfg), "mine"]) == EXIT_OK

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from capaminer import mining
 from capaminer.errors import EmptyDataset, MetricMismatch, NoValidWindow
 from capaminer.mining import (
     ConsensusPattern,
@@ -40,6 +41,18 @@ def with_plateau(rng, series, m):
     vals[start : start + m + 2] = vals[start]
     return MetricSeries(series.repo_id, series.metric_name,
                         series.timestamps, vals)
+
+
+def planted_shape_series(rng, offsets, n):
+    """One noisy series per offset, with a length-6 sine cycle of amplitude
+    50 planted at that offset."""
+    shape = 50 * np.sin(np.linspace(0, 2 * np.pi, 6))
+    series = []
+    for i, o in enumerate(offsets):
+        vals = rng.normal(10, 1, n)
+        vals[o : o + 6] += shape
+        series.append(MetricSeries(f"r{i}", "m", np.arange(float(n)), vals))
+    return series
 
 
 SPIKES = np.array([0.0, 1.0, 0.0, 5.0, 0.0, 1.0, 0.0, 9.0])
@@ -138,15 +151,69 @@ class TestConsensusCandidate:
         cand = consensus_candidate([a, b], m)
         assert (cand.source_repo, cand.source_offset) in {("r0", 7), ("r1", 21)}
         assert cand.radius <= 1e-6
+        assert cand.radius <= 1e-9  # the direct norm keeps precision near 0
+
+    def test_near_copy_radius_is_direct_norm(self, rng):
+        # a copy perturbed by 1e-6 has a radius near 3e-7, where the dot
+        # form is off by about 4e-9
+        m = 8
+        a = make_series(rng, "r0", 40)
+        vals = rng.normal(10, 3, 50)
+        vals[21 : 21 + m] = (2.5 * a.values[7 : 7 + m] + 4.0
+                             + 1e-6 * rng.normal(size=m))
+        b = MetricSeries("r1", "lines_changed", np.arange(50) * 86400.0, vals)
+        cand = consensus_candidate([a, b], m)
+        radius, si, off = naive_consensus([a, b], m)
+        assert (si, off) == (0, 7)
+        assert (cand.source_repo, cand.source_offset) == ("r0", 7)
+        assert abs(cand.radius - radius) <= 1e-12
+
+    def test_duplicated_series_tie_to_lowest(self, rng):
+        # a window and its exact copy have equal radii: the earlier series
+        # wins, whichever rows the pruned products held
+        for _ in range(4):
+            m = int(rng.integers(3, 8))
+            a = make_series(rng, "r0", int(rng.integers(m + 10, 30)))
+            copy = MetricSeries("r1", a.metric_name, a.timestamps, a.values)
+            c = make_series(rng, "r2", int(rng.integers(m + 10, 30)))
+            for series in ([a, copy, c], [c, a, copy], [a, c, copy]):
+                cand = consensus_candidate(series, m)
+                radius, si, off = naive_consensus(series, m)
+                assert cand.source_repo == series[si].repo_id
+                assert cand.source_offset == off
+                assert cand.radius == pytest.approx(radius, abs=1e-9)
+
+    def test_constant_other_series_leaves_no_window(self, rng):
+        flat = MetricSeries("rc", "m", np.arange(30.0), np.full(30, 3.0))
+        a = make_series(rng, "r0", 30, metric="m")
+        b = make_series(rng, "r1", 30, metric="m")
+        for series in ([a, flat], [flat, a], [a, b, flat], [a, flat, b]):
+            assert naive_consensus(series, 5) is None
+            with pytest.raises(NoValidWindow):
+                consensus_candidate(series, 5)
+        assert mine_patterns([a, b, flat], MiningConfig(5, 5, 10.0)) == []
+
+    def test_abandonment_scores_fewer_rows(self, rng, monkeypatch):
+        series = planted_shape_series(rng, [4, 10, 17, 21, 8], n=30)
+        m = 6
+        rows = []
+        nearest = mining._nearest_distance
+
+        def counted(z, other, m, excl=0):
+            rows.append(len(z))
+            return nearest(z, other, m, excl)
+
+        monkeypatch.setattr(mining, "_nearest_distance", counted)
+        cand = consensus_candidate(series, m)
+        exhaustive = sum((len(s) - m + 1) * (len(series) - 1) for s in series)
+        assert sum(rows) < exhaustive / 2
+        radius, si, off = naive_consensus(series, m)
+        assert (cand.source_repo, cand.source_offset) == (series[si].repo_id, off)
+        assert cand.radius == pytest.approx(radius, abs=1e-9)
 
     def test_planted_shape_wins(self, rng):
-        shape = 50 * np.sin(np.linspace(0, 2 * np.pi, 6))
-        series = []
         offsets = [4, 10, 17]
-        for i, o in enumerate(offsets):
-            vals = rng.normal(10, 1, 30)
-            vals[o : o + 6] += shape
-            series.append(MetricSeries(f"r{i}", "m", np.arange(30.0), vals))
+        series = planted_shape_series(rng, offsets, n=30)
         cand = consensus_candidate(series, 6)
         si = [s.repo_id for s in series].index(cand.source_repo)
         # the shape is zero at both ends, so a one-step shift matches too
