@@ -37,7 +37,6 @@ from .mining import (  # noqa: F401
 )
 from .stats import chi2_independence, two_sample_t_test  # noqa: F401
 from .tsdist import (  # noqa: F401
-    DistanceProfile,
     MetricSeries,
     distance_profile,
     znorm_distance,

@@ -80,8 +80,8 @@ VALUE_CHECKS = [
     ("alpha", lambda v: 0 < v < 1, "in (0, 1)"),
     ("window_days", lambda v: v >= 0, ">= 0"),
     ("min_count", lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    ("metrics", lambda v: isinstance(v, (list, tuple))
-     and all(isinstance(m, str) for m in v), "a list of metric names"),
+    ("metrics", lambda v: isinstance(v, (list, tuple)) and len(v) > 0
+     and all(isinstance(m, str) for m in v), "a non-empty list of metric names"),
     ("min_len", lambda v: isinstance(v, int), "an integer"),
     ("max_len", lambda v: isinstance(v, int), "an integer"),
     ("train_ratio", lambda v: 0 < v < 1, "in (0, 1)"),
@@ -102,6 +102,9 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid config JSON in {path}: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config {path} must hold a JSON object, "
+                              f"got {type(doc).__name__}")
         unknown = set(doc) - set(PipelineConfig.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -116,6 +119,10 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
             ok = False
         if not ok:
             raise ConfigError(f"{key} must be {want}, got {value!r}")
+    unknown = sorted(set(cfg.metrics) - set(ingestion.METRIC_COLUMNS))
+    if unknown:
+        raise ConfigError(f"unknown metrics {unknown}; "
+                          f"known: {ingestion.METRIC_COLUMNS}")
     try:
         cfg.mining_config()
     except (TypeError, ValueError) as exc:

@@ -99,19 +99,30 @@ def _record_from_obj(obj, line_no):
             continue
         v = obj[name]
         if name in classifier.TIMESTAMP_FIELDS and isinstance(v, str):
-            v = timeutil.from_rfc3339(v)
+            try:
+                v = timeutil.from_rfc3339(v)
+            except ValueError:
+                raise MalformedLine(line_no, f"line {line_no}: {name} is not "
+                                    f"an RFC 3339 date: {v!r}") from None
+        if name not in classifier.BOOLEAN_FIELDS and not (
+                isinstance(v, (int, float)) and math.isfinite(v)):
+            raise MalformedLine(line_no, f"line {line_no}: {name} must be a "
+                                f"finite number, got {v!r}")
         fields[name] = v
     if "creation_date" not in fields:
         raise MalformedLine(line_no, f"line {line_no}: creation_date missing")
     text = obj.get("text") or " ".join(
         str(obj.get(k, "")) for k in ("title", "body")).strip()
-    return classifier.PullRequestRecord(
-        repo_id=obj.get("repo_id", ""),
-        creation_date=fields["creation_date"],
-        pr_id=str(obj.get("pr_id", obj.get("pull_request_number", line_no))),
-        text=text,
-        fields=fields,
-    )
+    try:
+        return classifier.PullRequestRecord(
+            repo_id=obj.get("repo_id", ""),
+            creation_date=fields["creation_date"],
+            pr_id=str(obj.get("pr_id", obj.get("pull_request_number", line_no))),
+            text=text,
+            fields=fields,
+        )
+    except ValueError as exc:  # a negative count
+        raise MalformedLine(line_no, f"line {line_no}: {exc}") from None
 
 
 def load_prs_jsonl(path):
@@ -129,6 +140,8 @@ def load_prs_jsonl(path):
                 obj = json.loads(line)
             except json.JSONDecodeError:
                 raise MalformedLine(line_no) from None
+            if not isinstance(obj, dict):
+                raise MalformedLine(line_no, f"line {line_no}: not a JSON object")
             records.append(_record_from_obj(obj, line_no))
     return records
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import EmptyDataset, MetricMismatch, NoValidWindow
 from .tsdist import (
-    DistanceProfile,
     MetricSeries,
+    direct_distances,
     distance_profile,
     znormalized_windows,
 )
@@ -98,9 +98,8 @@ def _nearest_distance(z, other, m: int, excl: int = 0):
 
 def _direct_radius(qz, targets) -> float:
     """Max over the (Z, mask) targets of the min direct ||qz - w|| over the
-    windows w that the mask admits."""
-    return max(float(np.linalg.norm(z[ok] - qz, axis=1).min())
-               for z, ok in targets)
+    windows w that the mask admits; each mask admits at least one."""
+    return max(float(np.nanmin(direct_distances(qz, t))) for t in targets)
 
 
 def _ostinato(zs, m: int):
@@ -165,23 +164,21 @@ def consensus_candidate(series_set, m: int) -> ConsensusPattern:
                             s.repo_id, off, radius)
 
 
-def greedy_matches(profile: DistanceProfile, tau: float):
-    """Non-overlapping match offsets from a distance profile.
+def greedy_matches(distances, m: int, tau: float):
+    """Non-overlapping match offsets from a distance profile of a length-m
+    query.
 
-    Repeatedly takes the smallest defined distance <= tau (ties to the
-    lowest offset) and masks every offset overlapping the taken window.
-    Returns [(offset, distance), ...] in selection order.
+    Repeatedly takes the smallest distance <= tau (ties to the lowest
+    offset; NaN never qualifies) and masks every offset overlapping the
+    taken window.  Returns [(offset, distance), ...] in selection order.
     """
-    m = profile.query_length
-    d = profile.distances.copy()
-    d[~profile.valid] = np.inf
-    d[d > tau] = np.inf
+    d = np.where(distances <= tau, distances, np.inf)
     out = []
     while True:
         i = int(np.argmin(d))
         if not np.isfinite(d[i]):
             break
-        out.append((i, float(profile.distances[i])))
+        out.append((i, float(distances[i])))
         lo = max(0, i - m + 1)
         d[lo : i + m] = np.inf
     return out
@@ -193,7 +190,7 @@ def count_matches(pattern: ConsensusPattern, series: MetricSeries, tau: float):
         raise ValueError("series shorter than pattern")
     profile = distance_profile(pattern.values, series)
     occs = []
-    for off, dist in greedy_matches(profile, tau):
+    for off, dist in greedy_matches(profile, len(pattern), tau):
         end = off + len(pattern) - 1
         occs.append(PatternOccurrence(
             pattern_id=pattern.pattern_id,

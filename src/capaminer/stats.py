@@ -9,6 +9,7 @@ function.  Both target absolute error well below 1e-10.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,102 +22,85 @@ _TINY = 1e-300
 _EPS = 1e-16
 
 
-def _gamma_series(a: float, x: float) -> float:
-    """P(a, x) by power series; converges fast for x < a + 1."""
-    term = 1.0 / a
-    total = term
-    ap = a
-    for _ in range(_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+def _lentz(h, c, d, levels):
+    """Modified Lentz evaluation of a continued fraction (Thompson &
+    Barnett, J. Comput. Phys. 1986), from the state (h, c, d) after its
+    leading term.
 
-def _gamma_cont_fraction(a: float, x: float) -> float:
-    """Q(a, x) by modified Lentz continued fraction; for x >= a + 1."""
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+    Each level is a sequence of (a, b) steps d <- 1/(b + a*d), c <- b + a/c,
+    h <- h*d*c.  Convergence is checked after a level's last step only:
+    checking after every step would stop the beta fraction half a level
+    early and change the last bits of betainc.
+    """
+    for level in levels:
+        for an, bn in level:
+            d = bn + an * d
+            if abs(d) < _TINY:
+                d = _TINY
+            c = bn + an / c
+            if abs(c) < _TINY:
+                c = _TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _EPS:
             break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return h
+
+
+def _gamma_pq(a: float, x: float):
+    """(P(a, x), Q(a, x)), the regularized lower and upper incomplete gamma
+    functions: P by power series for x < a + 1, else Q by continued
+    fraction, each clipped to [0, 1]."""
+    if a <= 0:
+        raise ValueError("a must be positive")
+    if x < 0:
+        raise ValueError("x must be non-negative")
+    if x == 0:
+        return 0.0, 1.0
+    front = math.exp(-x + a * math.log(x) - math.lgamma(a))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        ap = a
+        for _ in range(_MAX_ITER):
+            ap += 1.0
+            term *= x / ap
+            total += term
+            if abs(term) < abs(total) * _EPS:
+                break
+        p = total * front
+        return min(1.0, p), max(0.0, 1.0 - p)
+    b = x + 1.0 - a
+    # level i has b + 2i, summed 2 at a time as a running b += 2 rounds it
+    bs = itertools.accumulate(itertools.repeat(2.0, _MAX_ITER - 1), initial=b + 2.0)
+    levels = (((-i * (i - a), bi),) for i, bi in enumerate(bs, start=1))
+    q = _lentz(1.0 / b, 1.0 / _TINY, 1.0 / b, levels) * front
+    return max(0.0, 1.0 - q), min(1.0, q)
 
 
 def gammainc_lower(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x)."""
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if x < 0:
-        raise ValueError("x must be non-negative")
-    if x == 0:
-        return 0.0
-    if x < a + 1.0:
-        return min(1.0, _gamma_series(a, x))
-    return max(0.0, 1.0 - _gamma_cont_fraction(a, x))
+    return _gamma_pq(a, x)[0]
 
 
 def gammainc_upper(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if x < 0:
-        raise ValueError("x must be non-negative")
-    if x == 0:
-        return 1.0
-    if x < a + 1.0:
-        return max(0.0, 1.0 - _gamma_series(a, x))
-    return min(1.0, _gamma_cont_fraction(a, x))
+    return _gamma_pq(a, x)[1]
 
 
 def _beta_cont_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of I_x(a, b); two Lentz steps per level."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    c = 1.0
     d = 1.0 - qab * x / qap
     if abs(d) < _TINY:
         d = _TINY
     d = 1.0 / d
-    h = d
-    for m in range(1, _MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h
+    return _lentz(d, 1.0, d, (
+        ((m * (b - m) * x / ((qam + 2 * m) * (a + 2 * m)), 1.0),
+         (-(a + m) * (qab + m) * x / ((a + 2 * m) * (qap + 2 * m)), 1.0))
+        for m in range(1, _MAX_ITER + 1)))
 
 
 def betainc(a: float, b: float, x: float) -> float:

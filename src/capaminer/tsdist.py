@@ -4,19 +4,23 @@ All distances are Euclidean distances between mean-0 / population-std-1
 rescalings of equal-length windows, so they are invariant to positive affine
 transforms of either input and bounded by 2*sqrt(m).
 
+A distance to a constant window is undefined.  Such windows come out of
+znormalized_windows marked invalid, and every array of distances holds NaN
+at them.  NaN fails every comparison, so a threshold test skips them.
+
 Precision policy: two kernels compute this distance.  The dot-product form
 sqrt(2(m - qz.wz)), a matrix product of one series' windows against
 another's, only ranks windows in the consensus search
 (mining._nearest_distance).  Near 0 it loses precision (about 2e-7 on
 affine copies), and its last bits depend on which rows a product holds.
 Every reported distance, consensus radii included, comes from the direct
-||qz - wz||, as distance_profile takes it, so an affine copy comes out
-within 1e-9 of 0.
+||qz - wz|| of direct_distances, the one direct-norm kernel, so an affine
+copy comes out within 1e-9 of 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,34 +60,6 @@ class MetricSeries:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class DistanceProfile:
-    """Distances from a fixed query to every window of one series.
-
-    Entries where the target window is constant are undefined: valid[i] is
-    False and distances[i] is NaN.  Callers must consult valid before using
-    a distance.
-    """
-
-    query_length: int
-    distances: np.ndarray
-    valid: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        d = np.asarray(self.distances, dtype=float)
-        v = self.valid
-        if v is None:
-            v = np.isfinite(d)
-        v = np.asarray(v, dtype=bool)
-        d.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "distances", d)
-        object.__setattr__(self, "valid", v)
-
-    def __len__(self):
-        return len(self.distances)
-
-
 def znormalize(x) -> np.ndarray:
     """Rescale x to mean 0 and population standard deviation 1.
 
@@ -112,29 +88,20 @@ def znorm_distance(q, w) -> float:
     return float(np.sqrt(np.dot(diff, diff)))
 
 
-def sliding_mean_std(t, m: int):
-    """Mean and population std of every length-m window of t.
-
-    Two-pass over a strided window view: O(n*m) but numerically identical
-    to recomputing each window directly, which the cumsum trick is not for
-    near-constant windows.
-    """
-    t = np.asarray(t, dtype=float)
-    n = len(t)
-    if not 1 <= m <= n:
-        raise ValueError("window length out of range")
-    w = np.lib.stride_tricks.sliding_window_view(t, m)
-    return w.mean(axis=1), w.std(axis=1)
-
-
 def znormalized_windows(t, m: int):
     """Z-normalize every length-m window of t.
 
     Returns (Z, valid): Z has constant windows zeroed out, valid marks the
-    non-constant ones.
+    non-constant ones.  Means and population stds are taken two-pass over a
+    strided window view: O(n*m) but numerically identical to normalizing
+    each window directly, which the cumsum trick is not for near-constant
+    windows.
     """
-    mean, std = sliding_mean_std(t, m)
-    w = np.lib.stride_tricks.sliding_window_view(np.asarray(t, dtype=float), m)
+    t = np.asarray(t, dtype=float)
+    if not 1 <= m <= len(t):
+        raise ValueError("window length out of range")
+    w = np.lib.stride_tricks.sliding_window_view(t, m)
+    mean, std = w.mean(axis=1), w.std(axis=1)
     valid = std >= EPS_VAR
     safe = np.where(valid, std, 1.0)
     z = (w - mean[:, None]) / safe[:, None]
@@ -142,23 +109,22 @@ def znormalized_windows(t, m: int):
     return z, valid
 
 
-def distance_profile(q, t) -> DistanceProfile:
-    """Distance from query q to every length-m window of t.
+def direct_distances(qz, windows) -> np.ndarray:
+    """Direct norm ||qz - wz|| from the z-normalized query qz to every row
+    of a (Z, valid) pair, NaN where the window is not valid.
 
-    Takes the direct norm ||qz - wz|| between the z-normalized query and
-    every z-normalized window, O(n*m) total.  Constant target windows come
-    back flagged invalid.
+    The direct difference keeps full precision near zero, unlike the
+    2*(m - dot) shortcut.
     """
+    z, valid = windows
+    return np.where(valid, np.linalg.norm(z - qz, axis=1), np.nan)
+
+
+def distance_profile(q, t) -> np.ndarray:
+    """Distance from query q to every length-m window of t, NaN at the
+    constant windows of t.  O(n*m) total."""
     q = np.asarray(q, dtype=float)
     t = t.values if isinstance(t, MetricSeries) else np.asarray(t, dtype=float)
-    m = len(q)
-    n = len(t)
-    if not 2 <= m <= n:
+    if not 2 <= len(q) <= len(t):
         raise ValueError("need 2 <= len(q) <= len(t)")
-    qz = znormalize(q)
-    z, valid = znormalized_windows(t, m)
-    # direct ||qz - wz|| keeps full precision near zero, unlike the
-    # 2*(m - dot/sigma) shortcut
-    dist = np.linalg.norm(z - qz[None, :], axis=1)
-    dist[~valid] = np.nan
-    return DistanceProfile(query_length=m, distances=dist, valid=valid)
+    return direct_distances(znormalize(q), znormalized_windows(t, len(q)))

@@ -169,7 +169,7 @@ def test_5_distance_profile_oracle():
         t = rng.normal(0, float(rng.uniform(0.5, 20)), n)
         q = rng.normal(0, float(rng.uniform(0.5, 20)), m)
         dp = distance_profile(q, t)
-        np.testing.assert_allclose(dp.distances, naive_distance_profile(q, t),
+        np.testing.assert_allclose(dp, naive_distance_profile(q, t),
                                    atol=1e-9)
     for _ in range(1000):
         m = int(rng.integers(3, 40))

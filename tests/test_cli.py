@@ -83,6 +83,8 @@ class TestConfig:
         ("min_len", 8.0),
         ("max_len", 7),
         ("metrics", "lines_added"),
+        ("metrics", ["lines_add"]),
+        ("metrics", []),
         ("window_days", -30),
         ("coverage_value", 0),
         ("coverage_value", 1.5),
@@ -103,6 +105,20 @@ class TestConfig:
         assert main(["--config", str(cfg), "pipeline"]) == EXIT_CONFIG_ERROR
         assert key in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    def test_unknown_metric_names_the_known_ones(self, tmp_path):
+        cfg, _ = fixture_config(tmp_path, metrics=["lines_added", "lines_add"])
+        with pytest.raises(ConfigError) as exc:
+            load_config(cfg)
+        assert "['lines_add']" in str(exc.value)
+        assert str(ingestion.METRIC_COLUMNS) in str(exc.value)
+
+    @pytest.mark.parametrize("text", ["5", "[]", '"x"', "null"])
+    def test_config_must_be_an_object(self, tmp_path, capsys, text):
+        p = tmp_path / "c.json"
+        p.write_text(text)
+        assert main(["--config", str(p), "pipeline"]) == EXIT_CONFIG_ERROR
+        assert "must hold a JSON object" in capsys.readouterr().err
 
     def test_coverage_value_is_always_a_fraction(self, tmp_path):
         patterns = []
@@ -131,6 +147,31 @@ class TestExitCodes:
         cfg, _ = fixture_config(tmp_path, prs_path=str(prs))
         assert main(["--config", str(cfg), stage]) == EXIT_DATA_ERROR
         assert f"no pull requests in {prs}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, why", [
+        ("number_of_comments", '"3"', "must be a finite number"),
+        ("number_of_comments", "Infinity", "must be a finite number"),
+        ("number_of_comments", "-1", "must be non-negative"),
+        ("creation_date", '"not a date"', "is not an RFC 3339 date"),
+    ])
+    def test_bad_pr_value_is_a_data_error(self, tmp_path, capsys, field, value, why):
+        lines = (FIXTURES / "prs.jsonl").read_text().splitlines()
+        first = json.loads(lines[0])
+        first[field] = "SENTINEL"
+        lines[0] = json.dumps(first).replace('"SENTINEL"', value)
+        prs = tmp_path / "prs.jsonl"
+        prs.write_text("\n".join(lines) + "\n")
+        cfg, _ = fixture_config(tmp_path, prs_path=str(prs))
+        assert main(["--config", str(cfg), "pipeline"]) == EXIT_DATA_ERROR
+        assert f"error: line 1: {field} {why}" in capsys.readouterr().err
+
+    def test_pr_line_must_be_an_object(self, tmp_path, capsys):
+        prs = tmp_path / "prs.jsonl"
+        prs.write_text((FIXTURES / "prs.jsonl").read_text() + "5\n")
+        n = len(prs.read_text().splitlines())
+        cfg, _ = fixture_config(tmp_path, prs_path=str(prs))
+        assert main(["--config", str(cfg), "label"]) == EXIT_DATA_ERROR
+        assert f"line {n}: not a JSON object" in capsys.readouterr().err
 
     def test_no_subcommand(self, capsys):
         assert main([]) == EXIT_CONFIG_ERROR

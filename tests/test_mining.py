@@ -233,7 +233,7 @@ class TestGreedyMatches:
     def test_spec_example(self):
         t = np.array([0.0, 1.0, 0.0, 5.0, 0.0, 1.0, 0.0])
         dp = distance_profile([0.0, 1.0, 0.0], t)
-        out = greedy_matches(dp, 0.1)
+        out = greedy_matches(dp, 3, 0.1)
         assert sorted(off for off, _ in out) == [0, 4]
 
     def test_matches_naive(self, rng):
@@ -244,21 +244,21 @@ class TestGreedyMatches:
             q = rng.normal(size=m)
             dp = distance_profile(q, t)
             tau = float(rng.uniform(0.5, 3.0))
-            got = [off for off, _ in greedy_matches(dp, tau)]
-            assert got == naive_greedy_matches(dp.distances, m, tau)
+            got = [off for off, _ in greedy_matches(dp, m, tau)]
+            assert got == naive_greedy_matches(dp, m, tau)
 
     def test_no_overlap(self, rng):
         t = rng.normal(size=80)
         q = rng.normal(size=5)
         dp = distance_profile(q, t)
-        offs = sorted(off for off, _ in greedy_matches(dp, 4.0))
+        offs = sorted(off for off, _ in greedy_matches(dp, 5, 4.0))
         assert all(b - a >= 5 for a, b in zip(offs, offs[1:]))
 
     def test_count_monotone_in_tau(self, rng):
         t = rng.normal(size=100)
         q = rng.normal(size=4)
         dp = distance_profile(q, t)
-        counts = [len(greedy_matches(dp, tau)) for tau in (0.5, 1.0, 2.0, 4.0)]
+        counts = [len(greedy_matches(dp, 4, tau)) for tau in (0.5, 1.0, 2.0, 4.0)]
         assert counts == sorted(counts)
 
 

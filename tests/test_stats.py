@@ -69,6 +69,35 @@ class TestIncompleteBeta:
                 1.0, abs=1e-12)
 
 
+# Exact results the artifacts' bytes rest on (p-values in chi2.json and
+# pairwise.json).  Both sides of the series / continued-fraction switch of
+# the incomplete gamma (x < a + 1), and Student-t arguments whose bits move
+# if the beta fraction checks convergence after each of its two steps per
+# level instead of after the second.
+PINNED_BITS = [
+    ("chi2_sf", (3.0, 5), "0.6999858358786275"),
+    ("chi2_sf", (0.5, 1), "0.4795001221869536"),
+    ("chi2_sf", (20.0, 6), "0.002769395715511579"),
+    ("chi2_sf", (40.0, 12), "7.190884052842887e-05"),
+    ("gammainc_lower", (2.5, 1.0), "0.1508549639153903"),
+    ("gammainc_lower", (0.3, 0.1), "0.5459128495917966"),
+    ("gammainc_lower", (2.5, 6.0), "0.9652122194937582"),
+    ("gammainc_lower", (10.0, 30.0), "0.9999928782491372"),
+    ("student_t_sf_two_tailed", (1.0, 10.0), "0.3408931323020593"),
+    ("student_t_sf_two_tailed", (2.2, 23.1), "0.03807473221676092"),
+    ("student_t_sf_two_tailed", (0.44, 2.6), "0.693896406745615"),
+    ("student_t_sf_two_tailed", (-1.9, 122.3), "0.059787609952294936"),
+    ("student_t_sf_two_tailed", (4.0, 43.1), "0.0002444543319223507"),
+]
+
+
+@pytest.mark.parametrize("fn, args, expected", PINNED_BITS)
+def test_pinned_bits(fn, args, expected):
+    funcs = {f.__name__: f for f in
+             (chi2_sf, gammainc_lower, student_t_sf_two_tailed)}
+    assert repr(funcs[fn](*args)) == expected
+
+
 class TestChi2Independence:
     def test_proportional_rows_give_zero(self):
         table = [[10, 20, 30], [20, 40, 60]]

@@ -9,9 +9,9 @@ from capaminer.errors import ZeroVariance
 from capaminer.tsdist import (
     MetricSeries,
     distance_profile,
-    sliding_mean_std,
     znorm_distance,
     znormalize,
+    znormalized_windows,
 )
 
 from conftest import naive_distance_profile
@@ -84,28 +84,29 @@ class TestZnormDistance:
         assert 0 <= d1 <= 2 * math.sqrt(m) + 1e-9
 
 
-class TestSlidingStats:
+class TestZnormalizedWindows:
     def test_matches_direct(self, rng):
         t = rng.normal(5, 3, 200)
         for m in (2, 7, 50):
-            mean, std = sliding_mean_std(t, m)
-            for i in range(len(mean)):
+            z, valid = znormalized_windows(t, m)
+            assert valid.all()
+            for i in range(len(z)):
                 w = t[i : i + m]
-                assert mean[i] == pytest.approx(w.mean(), abs=1e-9)
-                assert std[i] == pytest.approx(w.std(), abs=1e-9)
+                np.testing.assert_allclose(z[i], (w - w.mean()) / w.std(),
+                                           rtol=0, atol=1e-9)
 
 
 class TestDistanceProfile:
     def test_alternating(self):
         dp = distance_profile([1, 2], [1, 2, 1, 2])
-        np.testing.assert_allclose(dp.distances, [0, 2.828427, 0], atol=1e-6)
-        assert dp.valid.all()
+        np.testing.assert_allclose(dp, [0, 2.828427, 0], atol=1e-6)
+        assert not np.isnan(dp).any()
 
     def test_full_length_query(self, rng):
         t = rng.normal(size=16)
         dp = distance_profile(t, t)
         assert len(dp) == 1
-        assert dp.distances[0] == pytest.approx(0, abs=1e-9)
+        assert dp[0] == pytest.approx(0, abs=1e-9)
 
     def test_matches_naive_random(self, rng):
         for _ in range(100):
@@ -115,15 +116,13 @@ class TestDistanceProfile:
             q = rng.normal(size=m)
             dp = distance_profile(q, t)
             naive = naive_distance_profile(q, t)
-            np.testing.assert_allclose(dp.distances, naive, atol=1e-9)
+            np.testing.assert_allclose(dp, naive, atol=1e-9)
 
     def test_constant_windows_flagged(self):
         t = np.array([1.0, 1.0, 1.0, 1.0, 2.0, 3.0])
         dp = distance_profile([0.0, 1.0, 2.0], t)
-        assert not dp.valid[0]
-        assert np.isnan(dp.distances[0])
-        assert dp.valid[3]
-        assert np.isfinite(dp.distances[3])
+        assert np.isnan(dp[0])
+        assert np.isfinite(dp[3])
 
     def test_accepts_metric_series(self):
         s = MetricSeries("r", "lines_added", [0, 1, 2, 3], [1, 2, 1, 2])
