@@ -12,18 +12,20 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from enum import IntEnum
 
 import numpy as np
 
+from . import timeutil
 from .errors import DegenerateData, MissingCreationDate
 
 MODEL_FORMAT_VERSION = 1
 
 # The 27 pull-request metrics, in fixed table order.
-NUMERIC_FIELDS_HEAD = [
+FEATURE_ORDER = [
     "number_of_comments",
     "number_of_commits",
     "number_of_files",
@@ -34,8 +36,6 @@ NUMERIC_FIELDS_HEAD = [
     "number_of_review_requests",
     "number_of_reviewers",
     "number_of_additions",
-]
-FEATURE_ORDER = NUMERIC_FIELDS_HEAD + [
     "closure_date",
     "creation_date",
     "number_of_deletions",
@@ -62,10 +62,10 @@ BOOLEAN_FIELDS = {
     "locked_state", "merged_state", "milestone_status", "milestone_state",
     "pull_request_state",
 }
-COUNT_FIELDS = [f for f in FEATURE_ORDER
-                if f not in TIMESTAMP_FIELDS and f not in BOOLEAN_FIELDS]
+COUNT_FIELDS = set(FEATURE_ORDER) - TIMESTAMP_FIELDS - BOOLEAN_FIELDS
 
 MISSING = -1.0  # sentinel for absent optional fields
+_REAL = (int, float, np.integer, np.floating)  # bool and numpy scalars too
 
 
 class CapaLabel(IntEnum):
@@ -83,12 +83,32 @@ class StageOneLabel(IntEnum):
     NON_CAPA = 2
 
 
+def _coerce(name, value) -> float:
+    """One present PR field as a float, checked by its kind: a timestamp is
+    a number or RFC 3339 text, a boolean a real bool, a count a number >= 0."""
+    if name in TIMESTAMP_FIELDS and isinstance(value, str):
+        try:
+            return timeutil.from_rfc3339(value)
+        except ValueError:
+            raise ValueError(f"{name} is not an RFC 3339 date: {value!r}") from None
+    is_boolean = name in BOOLEAN_FIELDS
+    # only a boolean field takes a bool; the bound rejects NaN, inf and huge ints
+    if (isinstance(value, bool) != is_boolean or not isinstance(value, _REAL)
+            or not abs(value) <= sys.float_info.max):
+        want = "true or false" if is_boolean else "a finite number"
+        raise ValueError(f"{name} must be {want}, got {value!r}")
+    if name in COUNT_FIELDS and value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return float(value)
+
+
 @dataclass
 class PullRequestRecord:
     """One pull request with the 27 tabled metrics plus joining fields.
 
-    Optional metrics may be None; creation_date is mandatory.  Timestamps
-    are POSIX seconds; text carries title/body for keyword labeling.
+    fields maps each present metric to a float checked by _coerce; a None
+    is absent and left out.  creation_date is mandatory.  Timestamps are
+    POSIX seconds; text carries title/body for keyword labeling.
     """
 
     repo_id: str
@@ -99,36 +119,23 @@ class PullRequestRecord:
 
     def __post_init__(self):
         if self.creation_date is None:
-            raise MissingCreationDate(self.repo_id)
-        self.fields = dict(self.fields)
-        self.fields["creation_date"] = float(self.creation_date)
-        unknown = set(self.fields) - set(FEATURE_ORDER)
+            raise MissingCreationDate("creation_date missing")
+        raw = {**self.fields, "creation_date": self.creation_date}
+        unknown = set(raw) - set(FEATURE_ORDER)
         if unknown:
             raise ValueError(f"unknown metric fields: {sorted(unknown)}")
-        for name in COUNT_FIELDS:
-            v = self.fields.get(name)
-            if v is not None and v < 0:
-                raise ValueError(f"{name} must be non-negative, got {v}")
-
-    @property
-    def created_at(self) -> float:
-        return float(self.creation_date)
+        # keyed by the FEATURE_ORDER strings, which every record shares
+        self.fields = {name: _coerce(name, value) for name in FEATURE_ORDER
+                       if (value := raw.get(name)) is not None}
+        self.creation_date = self.fields["creation_date"]
 
 
 def encode_features(pr: PullRequestRecord, reference_instant: float) -> np.ndarray:
     """Fixed-order 27-vector: counts as-is, booleans as 0/1, timestamps as
     seconds relative to reference_instant, absences as the -1 sentinel."""
-    out = np.empty(len(FEATURE_ORDER))
-    for i, name in enumerate(FEATURE_ORDER):
-        v = pr.fields.get(name)
-        if v is None:
-            out[i] = MISSING
-        elif name in BOOLEAN_FIELDS:
-            out[i] = 1.0 if v else 0.0
-        elif name in TIMESTAMP_FIELDS:
-            out[i] = float(v) - float(reference_instant)
-        else:
-            out[i] = float(v)
+    offset = dict.fromkeys(TIMESTAMP_FIELDS, float(reference_instant))
+    out = np.array([pr.fields[name] - offset.get(name, 0.0) if name in pr.fields
+                    else MISSING for name in FEATURE_ORDER])
     if not np.all(np.isfinite(out)):
         raise ValueError("non-finite feature value")
     return out
@@ -172,16 +179,26 @@ def label_by_keywords(pr_text: str, keyword_map=None, non_capa_keywords=None):
     return None
 
 
+def _phrases(value, what):
+    if not (isinstance(value, list) and all(isinstance(p, str) for p in value)):
+        raise ValueError(f"{what} must be a list of strings, got {value!r}")
+    return list(value)
+
+
 def load_keyword_map(doc: dict):
-    """Parse {"capa": {label_name: [phrases]}, "non_capa": [phrases]}."""
+    """Parse {"capa": {label_name: [phrases]}, "non_capa": [phrases]}; a
+    document of any other shape raises ValueError."""
+    capa = doc.get("capa", {}) if isinstance(doc, dict) else None
+    if not isinstance(capa, dict):
+        raise ValueError('expected {"capa": {label: [phrases]}, "non_capa": [phrases]}')
     by_name = {l.name.lower(): l for l in CapaLabel}
     kmap = {}
-    for name, phrases in doc.get("capa", {}).items():
-        key = name.lower()
-        if key not in by_name:
+    for name, phrases in capa.items():
+        if name.lower() not in by_name:
             raise ValueError(f"unknown CAPA label {name!r}")
-        kmap[by_name[key]] = list(phrases)
-    return kmap or DEFAULT_KEYWORDS, doc.get("non_capa", DEFAULT_NON_CAPA_KEYWORDS)
+        kmap[by_name[name.lower()]] = _phrases(phrases, f"phrases of {name!r}")
+    non_capa = _phrases(doc.get("non_capa", DEFAULT_NON_CAPA_KEYWORDS), "non_capa")
+    return kmap or DEFAULT_KEYWORDS, non_capa
 
 
 def split_train_test(rows, labels, ratio: float, seed: int):

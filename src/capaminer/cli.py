@@ -242,11 +242,23 @@ class Run:
         return prs
 
     @cached_property
+    def keywords(self):
+        """(keyword map, non-CAPA phrases) of keywords_path, or the bundled ones."""
+        path = self.cfg.keywords_path
+        if not path:
+            return classifier.DEFAULT_KEYWORDS, classifier.DEFAULT_NON_CAPA_KEYWORDS
+        try:
+            text = Path(_require_file(path, "keyword map")).read_text()
+            return classifier.load_keyword_map(json.loads(text))
+        except (OSError, ValueError) as exc:  # invalid JSON is a ValueError
+            raise ConfigError(f"invalid keyword map {path}: {exc}") from None
+
+    @cached_property
     def features(self):
         """One feature row per PR, all relative to one reference instant."""
         ref = self.cfg.reference_instant
         if ref is None:
-            ref = min(pr.created_at for pr in self.prs)
+            ref = min(pr.creation_date for pr in self.prs)
         return np.array([classifier.encode_features(pr, ref) for pr in self.prs])
 
     @cached_property
@@ -312,16 +324,9 @@ def cmd_mine(run: Run):
              len(run.occurrences))
 
 
-def _load_keywords(cfg):
-    if cfg.keywords_path:
-        with open(_require_file(cfg.keywords_path, "keyword map")) as fh:
-            return classifier.load_keyword_map(json.load(fh))
-    return classifier.DEFAULT_KEYWORDS, classifier.DEFAULT_NON_CAPA_KEYWORDS
-
-
 def cmd_label(run: Run):
     prs = run.prs
-    kmap, non_capa = _load_keywords(run.cfg)
+    kmap, non_capa = run.keywords
     golden = []
     for pr in prs:
         labels = classifier.label_by_keywords(pr.text, kmap, non_capa)
@@ -380,7 +385,7 @@ def cmd_classify(run: Run):
         classified.append({
             "pr_id": pr.pr_id,
             "repo_id": pr.repo_id,
-            "creation_date": timeutil.to_rfc3339(pr.created_at),
+            "creation_date": timeutil.to_rfc3339(pr.creation_date),
             "capa_class": (None if result is classifier.StageOneLabel.NON_CAPA
                            else int(result)),
         })
@@ -432,12 +437,11 @@ def cmd_validate(run: Run, contingency_path=None, pairwise_path=None):
 
 def cmd_pipeline(cfg: PipelineConfig, out: Path):
     # every input is checked before the first stage writes, so a bad path
-    # cannot leave artifacts of two runs side by side
+    # or keyword map cannot leave artifacts of two runs side by side
     _require_file(cfg.metrics_path, "metrics")
     _require_file(cfg.prs_path, "pull requests")
-    if cfg.keywords_path:
-        _require_file(cfg.keywords_path, "keyword map")
     run = Run(cfg, out)
+    run.keywords  # parsed now; cmd_label reuses it
     cmd_mine(run)
     cmd_label(run)
     cmd_train(run)

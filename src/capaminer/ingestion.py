@@ -23,6 +23,7 @@ import numpy as np
 from . import classifier, timeutil
 from .errors import (
     AuthError,
+    CapaMinerError,
     IncompleteRecord,
     MalformedLine,
     MissingColumn,
@@ -89,39 +90,21 @@ def load_metrics_csv(path):
 
 
 def _record_from_obj(obj, line_no):
-    known = set(classifier.FEATURE_ORDER) | PR_KNOWN_EXTRA
-    unknown = set(obj) - known
+    metrics = set(classifier.FEATURE_ORDER)
+    unknown = set(obj) - metrics - PR_KNOWN_EXTRA
     if unknown:
         log.info("line %d: ignoring unknown fields %s", line_no, sorted(unknown))
-    fields = {}
-    for name in classifier.FEATURE_ORDER:
-        if name not in obj or obj[name] is None:
-            continue
-        v = obj[name]
-        if name in classifier.TIMESTAMP_FIELDS and isinstance(v, str):
-            try:
-                v = timeutil.from_rfc3339(v)
-            except ValueError:
-                raise MalformedLine(line_no, f"line {line_no}: {name} is not "
-                                    f"an RFC 3339 date: {v!r}") from None
-        if name not in classifier.BOOLEAN_FIELDS and not (
-                isinstance(v, (int, float)) and math.isfinite(v)):
-            raise MalformedLine(line_no, f"line {line_no}: {name} must be a "
-                                f"finite number, got {v!r}")
-        fields[name] = v
-    if "creation_date" not in fields:
-        raise MalformedLine(line_no, f"line {line_no}: creation_date missing")
     text = obj.get("text") or " ".join(
         str(obj.get(k, "")) for k in ("title", "body")).strip()
     try:
         return classifier.PullRequestRecord(
             repo_id=obj.get("repo_id", ""),
-            creation_date=fields["creation_date"],
+            creation_date=obj.get("creation_date"),
             pr_id=str(obj.get("pr_id", obj.get("pull_request_number", line_no))),
             text=text,
-            fields=fields,
+            fields={k: v for k, v in obj.items() if k in metrics},
         )
-    except ValueError as exc:  # a negative count
+    except (ValueError, CapaMinerError) as exc:
         raise MalformedLine(line_no, f"line {line_no}: {exc}") from None
 
 
@@ -170,12 +153,16 @@ class RepoStatus(enum.Enum):
 
 
 class SourceAdapter:
-    """Behavioral contract for data sources; fetches must be idempotent."""
+    """Behavioral contract for data sources; fetches must be idempotent.
+    A subclass lists its repository ids in self._repos."""
 
     name = "abstract"
+    _announced = 0  # how many of self._repos were announced
 
     def list_new_repos(self):
-        raise NotImplementedError
+        new = self._repos[self._announced:]
+        self._announced = len(self._repos)
+        return [RepoRef(r, self.name) for r in new]
 
     def fetch_commit_metrics(self, repo_id):
         raise NotImplementedError
@@ -196,12 +183,6 @@ class FixtureAdapter(SourceAdapter):
             repos = sorted({s.repo_id for s in self._series}
                            | {p.repo_id for p in self._prs})
         self._repos = list(repos)
-        self._announced = 0
-
-    def list_new_repos(self):
-        new = self._repos[self._announced:]
-        self._announced = len(self._repos)
-        return [RepoRef(r, self.name) for r in new]
 
     def fetch_commit_metrics(self, repo_id):
         return [s for s in self._series if s.repo_id == repo_id]
@@ -366,7 +347,6 @@ class LiveGitHubAdapter(SourceAdapter):
             raise AuthError("no API token configured")
         self._token = token
         self._repos = list(repos)
-        self._announced = 0
         self._base = base_url.rstrip("/")
         self._per_page = per_page
         self._max_retries = max_retries
@@ -423,11 +403,6 @@ class LiveGitHubAdapter(SourceAdapter):
                 return
             page += 1
 
-    def list_new_repos(self):
-        new = self._repos[self._announced:]
-        self._announced = len(self._repos)
-        return [RepoRef(r, self.name) for r in new]
-
     def fetch_commit_metrics(self, repo_id):
         commits = list(self._paginate(f"{self._base}/repos/{repo_id}/commits"))
         rows = []
@@ -468,8 +443,7 @@ class LiveGitHubAdapter(SourceAdapter):
                     f"{repo_id}: pull request {p['number']} has no {', '.join(missing)}")
             obj = {
                 "repo_id": repo_id,
-                "pr_id": str(p.get("number", "")),
-                "title": p.get("title", ""),
+                "title": p.get("title") or "",
                 "body": p.get("body") or "",
                 "creation_date": p.get("created_at"),
                 "closure_date": p.get("closed_at"),
@@ -487,6 +461,5 @@ class LiveGitHubAdapter(SourceAdapter):
                 "number_of_comments": detail["comments"],
                 "number_of_review_comments": detail["review_comments"],
             }
-            obj = {k: v for k, v in obj.items() if v is not None}
             records.append(_record_from_obj(obj, p.get("number", 0)))
         return records

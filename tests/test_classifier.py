@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +26,29 @@ from capaminer.classifier import (
     train_forest,
     _best_split,
 )
+from capaminer.ingestion import load_prs_jsonl
+from capaminer.timeutil import from_rfc3339
 
 from conftest import naive_best_split, naive_classify_two_stage, naive_predict
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def reference_encoding(obj, reference_instant):
+    """The 27 features of one raw JSON pull request, field by field."""
+    out = []
+    for name in FEATURE_ORDER:
+        v = obj.get(name)
+        if v is None:
+            out.append(MISSING)
+        elif name in BOOLEAN_FIELDS:
+            out.append(1.0 if v else 0.0)
+        elif name in TIMESTAMP_FIELDS:
+            v = from_rfc3339(v) if isinstance(v, str) else v
+            out.append(float(v) - float(reference_instant))
+        else:
+            out.append(float(v))
+    return np.array(out)
 
 
 class TestFeatureEncoding:
@@ -62,6 +84,26 @@ class TestFeatureEncoding:
         with pytest.raises(ValueError):
             PullRequestRecord(repo_id="org/r", creation_date=0.0,
                               fields={"number_of_commits": -2})
+
+    def test_numpy_counts_accepted_nan_rejected(self):
+        pr = PullRequestRecord(repo_id="org/r", creation_date=np.float64(2.0),
+                               fields={"number_of_commits": np.int64(3)})
+        assert pr.fields == {"number_of_commits": 3.0, "creation_date": 2.0}
+        assert type(pr.creation_date) is float
+        for bad in (float("nan"), 10**400):
+            with pytest.raises(ValueError, match="number_of_commits must be a finite"):
+                PullRequestRecord(repo_id="org/r", creation_date=0.0,
+                                  fields={"number_of_commits": bad})
+
+    def test_fixture_encoding_matches_per_field_reference(self):
+        lines = (FIXTURES / "prs.jsonl").read_text().splitlines()
+        objs = [json.loads(line) for line in lines]
+        prs = load_prs_jsonl(FIXTURES / "prs.jsonl")
+        earliest = min(from_rfc3339(o["creation_date"]) for o in objs)
+        for ref in (earliest, 0.0, 1234.5):
+            for obj, pr in zip(objs, prs, strict=True):
+                got = encode_features(pr, ref)
+                assert got.tobytes() == reference_encoding(obj, ref).tobytes()
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
@@ -101,6 +143,17 @@ class TestKeywordLabeling:
         assert non_capa == ["wip"]
         with pytest.raises(ValueError):
             load_keyword_map({"capa": {"nonsense": ["x"]}})
+
+    @pytest.mark.parametrize("doc", [
+        {"capa": {"refactoring": "refactor"}},
+        {"capa": {"refactoring": ["refactor", 3]}},
+        {"non_capa": "bump"},
+        {"capa": ["refactor"]},
+        ["refactor"],
+    ])
+    def test_keyword_map_of_wrong_shape_rejected(self, doc):
+        with pytest.raises(ValueError):
+            load_keyword_map(doc)
 
 
 class TestSplit:

@@ -418,6 +418,22 @@ class TestPipeline:
         assert str(missing) in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("text", [
+        '{"capa": {"refactoring": "refactor"}}',  # phrases must be a list
+        '{"non_capa": "bump"}',
+        '{"capa": {"nonsense": ["x"]}}',
+        '["refactor"]',
+        '{"capa": ',
+    ])
+    def test_bad_keyword_map_fails_before_any_write(self, tmp_path, capsys, text):
+        kw = tmp_path / "keywords.json"
+        kw.write_text(text)
+        cfg, out = fixture_config(tmp_path, keywords_path=str(kw))
+        for command in ("label", "pipeline"):
+            assert main(["--config", str(cfg), command]) == EXIT_CONFIG_ERROR
+            assert f"error: invalid keyword map {kw}: " in capsys.readouterr().err
+            assert list(out.iterdir()) == []
+
     def test_report_counts_low_expected_cells(self, tmp_path):
         cfg, out = fixture_config(tmp_path)
         assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK

@@ -121,6 +121,26 @@ class TestPrsJsonl:
             load_prs_jsonl(p)
         assert exc.value.line_number == 2
 
+    @pytest.mark.parametrize("field, value", [
+        # booleans take only true/false
+        ("locked_state", "false"), ("merged_state", "no"),
+        ("pull_request_state", 1),
+        # counts take no booleans and no non-finite numbers
+        ("number_of_commits", True), ("number_of_commits", False),
+        ("number_of_additions", float("nan")),
+        ("number_of_additions", float("inf")),
+        # timestamps take no booleans
+        ("closure_date", True), ("closure_date", False),
+    ])
+    def test_wrongly_typed_field_names_line_and_field(self, tmp_path, field, value):
+        good = {"repo_id": "org/a", "creation_date": "2020-01-01T00:00:00Z"}
+        p = tmp_path / "prs.jsonl"
+        p.write_text(json.dumps(good) + "\n"
+                     + json.dumps({**good, field: value}) + "\n")
+        with pytest.raises(MalformedLine, match=f"^line 2: {field} ") as exc:
+            load_prs_jsonl(p)
+        assert exc.value.line_number == 2
+
     def test_missing_creation_date(self, tmp_path):
         p = tmp_path / "prs.jsonl"
         p.write_text(json.dumps({"repo_id": "org/a"}) + "\n")
