@@ -8,12 +8,19 @@ class-dependent numeric offsets so the classifier has signal to learn, and
 their texts hit the default keyword map.
 
 Run from the repository root:  python demos/generate_fixture_dataset.py
+Every file's text is built before the first one is written, so a failure
+leaves fixtures/ as it was.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # this checkout's package, installed or not
+from capaminer.timeutil import to_rfc3339 as rfc3339  # noqa: E402
 
 GEN_SEED = 20240817
 N_REPOS = 8
@@ -21,7 +28,7 @@ N_DAYS = 120
 DAY = 86400
 T0 = 1_600_000_000  # fixture epoch, 2020-09-13T12:26:40Z
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+FIXTURES = ROOT / "fixtures"
 
 CAPA_TEXTS = {
     1: ["add eslint config", "enable pylint in ci", "tighten lint rule set"],
@@ -68,12 +75,6 @@ def make_metrics(rng):
             ts = T0 + d * DAY
             rows.append((repo, ts, added[d], deleted[d], changed[d]))
     return rows
-
-
-def rfc3339(ts):
-    from capaminer.timeutil import to_rfc3339
-
-    return to_rfc3339(ts)
 
 
 def make_prs(rng):
@@ -137,25 +138,10 @@ def make_prs(rng):
 
 def main():
     rng = np.random.default_rng(GEN_SEED)
-    FIXTURES.mkdir(exist_ok=True)
-
     rows = make_metrics(rng)
-    with open(FIXTURES / "metrics.csv", "w") as fh:
-        fh.write("repo_id,timestamp,lines_added,lines_deleted,lines_changed\n")
-        for repo, ts, a, d, c in rows:
-            fh.write(f"{repo},{rfc3339(ts)},{a},{d},{c}\n")
-
     prs = make_prs(rng)
-    with open(FIXTURES / "prs.jsonl", "w") as fh:
-        for obj in prs:
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
-
     keywords = json.loads(
-        (Path(__file__).resolve().parent.parent / "src" / "capaminer" / "data"
-         / "default_keywords.json").read_text())
-    (FIXTURES / "keywords.json").write_text(
-        json.dumps(keywords, indent=2) + "\n")
-
+        (ROOT / "src" / "capaminer" / "data" / "default_keywords.json").read_text())
     config = {
         "metrics_path": "fixtures/metrics.csv",
         "prs_path": "fixtures/prs.jsonl",
@@ -170,7 +156,16 @@ def main():
         "coverage_value": 0.5,
         "n_estimators": 50,
     }
-    (FIXTURES / "config.json").write_text(json.dumps(config, indent=2) + "\n")
+    texts = {
+        "metrics.csv": "repo_id,timestamp,lines_added,lines_deleted,lines_changed\n"
+        + "".join(f"{repo},{rfc3339(ts)},{a},{d},{c}\n" for repo, ts, a, d, c in rows),
+        "prs.jsonl": "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in prs),
+        "keywords.json": json.dumps(keywords, indent=2) + "\n",
+        "config.json": json.dumps(config, indent=2) + "\n",
+    }
+    FIXTURES.mkdir(exist_ok=True)
+    for name, text in texts.items():
+        (FIXTURES / name).write_text(text)
     print(f"wrote {len(rows)} metric rows, {len(prs)} PRs under {FIXTURES}")
 
 

@@ -6,6 +6,13 @@ splits, bootstrap sampling, and a random feature subset per node.  All
 randomness derives from (seed, estimator index), and training rows are put
 into a canonical order first, so results do not depend on input row order
 or on how estimators are scheduled.
+
+Training grows all trees in lockstep.  Each tree keeps an explicit stack
+and draws the features of its nodes in depth-first pre-order, exactly as a
+recursive grower would; each step takes the next node to split from every
+tree and scores them together in one numpy pass (_best_splits).  A tree's
+draws depend only on its own nodes, so the lockstep schedule gives the same
+trees as growing them one at a time.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from enum import IntEnum
 
@@ -120,6 +127,9 @@ class PullRequestRecord:
     def __post_init__(self):
         if self.creation_date is None:
             raise MissingCreationDate("creation_date missing")
+        for name in ("repo_id", "text"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
         raw = {**self.fields, "creation_date": self.creation_date}
         unknown = set(raw) - set(FEATURE_ORDER)
         if unknown:
@@ -234,74 +244,106 @@ class ForestConfig:
     seed: int = 0
 
 
-def _best_split(XT, onehot, idx, feat_idx, min_leaf):
-    """Best (weighted Gini, feature, threshold) of the node holding rows idx,
-    or None when no candidate feature has a valid boundary.
+# The most (row, feature) values one split pass scores; a node with more
+# gets a pass of its own.  Bounds the working memory of training.
+_PASS_ELEMENTS = 8192
 
-    XT is the training matrix transposed (features x rows) and onehot its
-    (rows x classes) label indicator.  All candidate features are scored in
-    one pass: sort each column, accumulate class counts down it, and take
-    the Gini of every boundary between distinct values that leaves at least
-    min_leaf rows on both sides.  Ties break to the lowest feature index,
-    then the lowest threshold."""
-    n = len(idx)
-    vals = XT[feat_idx[:, None], idx]                     # (k, n)
+
+def _dense_ranks(XT):
+    """Each value's rank among the distinct values of its feature row."""
+    return np.array([np.unique(col, return_inverse=True)[1] for col in XT])
+
+
+def _best_splits(XT, ranks, onehot, idxs, feats, min_leaf):
+    """Best split of every node of a batch, all scored in one pass.
+
+    XT is the training matrix transposed (features x rows), ranks its
+    _dense_ranks and onehot its (rows x classes) label indicator.  Node j
+    holds the rows idxs[j] and has the ascending candidate features
+    feats[j], a (nodes x k) array.  Per node the result is None when no
+    candidate feature has a valid boundary, else (weighted Gini, feature,
+    threshold, left, right), each side its (rows, class counts): the rows
+    at or below the threshold go left.
+
+    Each (feature, node) pair is a segment of the node's values.  One
+    argsort of (segment, rank) keys sorts every segment, one cumulative sum
+    gives the class counts before every position, and the Gini is taken at
+    every boundary between distinct values that leaves at least min_leaf
+    rows on both sides.  A node's first minimum in (feature, threshold)
+    order wins, so ties break to the lowest feature, then the lowest
+    threshold."""
+    n_nodes, k = feats.shape
+    sizes = np.array([len(idx) for idx in idxs])
+    rows = np.concatenate(idxs)
+    node = np.repeat(np.arange(n_nodes), sizes)
+    # left_n: rows up to and including each position of its node
+    left_n = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes) + 1
+    n = sizes[node]
+    fits = (left_n >= min_leaf) & (left_n <= n - min_leaf)
+    # values laid out feature-major: the block of the t-th candidate
+    # feature of every node, then the next t
+    segment = np.arange(0, k * n_nodes, n_nodes)[:, None] + node
+    key = (segment * ranks.shape[1] + ranks[feats.T[:, node], rows]).ravel()
     # the order of equal values cannot change the counts at a boundary
     # between distinct values, so the sort need not be stable
-    order = np.argsort(vals, axis=1)
-    sv = np.sort(vals, axis=1)
-    # class counts left of each position, (k, n, classes); the int8 one-hot
-    # summed in int32 moves a fraction of the bytes of float64 on large
-    # nodes, and the counts are exact either way
-    cum = np.cumsum(onehot[idx[order]], axis=1, dtype=np.int32)
-    # split after position i: left = rows [0..i], i in [0, n-2]
-    valid = sv[:, :-1] < sv[:, 1:]
-    valid[:, :min_leaf - 1] = False
-    valid[:, max(n - min_leaf, 0):] = False
-    col, pos = np.nonzero(valid)  # feature-major, then ascending threshold
-    if len(col) == 0:
-        return None
-    left_counts = cum[col, pos]
-    right_counts = cum[0, -1] - left_counts
-    left_n = pos + 1
+    order = np.argsort(key)
+    key, sorted_rows = key[order], np.tile(rows, k)[order]
+    cum = np.zeros((len(key) + 1, onehot.shape[1]), dtype=np.int32)
+    np.cumsum(onehot[sorted_rows], axis=0, out=cum[1:])
+    # split after position p: its left_n rows of the segment go left; fits
+    # keeps p + 1 inside the segment
+    valid = np.tile(fits, k)
+    valid[:-1] &= key[:-1] < key[1:]
+    cand = np.flatnonzero(valid)
+    i = cand % len(rows)
+    start = cand + 1 - left_n[i]
+    left_counts = cum[cand + 1] - cum[start]
+    right_counts = cum[start + n[i]] - cum[cand + 1]
+    left_n, n = left_n[i], n[i]
     right_n = n - left_n
     p = left_counts / left_n[:, None]
     gl = 1.0 - np.sum(p * p, axis=1)
     p = right_counts / right_n[:, None]
     gr = 1.0 - np.sum(p * p, axis=1)
     g = (left_n * gl + right_n * gr) / n
-    i = int(np.argmin(g))
-    c, b = col[i], pos[i]
-    thr = 0.5 * (sv[c, b] + sv[c, b + 1])
-    return float(g[i]), int(feat_idx[c]), float(thr)
+    # a node's candidates come in (feature, threshold) order, interleaved
+    # with other nodes', so its first minimum is its first hit
+    cand_node = node[i]
+    best_g = np.full(n_nodes, np.inf)
+    np.minimum.at(best_g, cand_node, g)
+    hits = np.flatnonzero(g == best_g[cand_node])
+    hits = hits[np.unique(cand_node[hits], return_index=True)[1]]
+    c, lo, hi = cand[hits], start[hits], start[hits] + n[hits]
+    f = feats[cand_node[hits], c // len(rows)]
+    above = XT[f, sorted_rows[c + 1]]
+    thr = 0.5 * (XT[f, sorted_rows[c]] + above)
+    # rows at or below thr go left: a midpoint that rounds up onto the
+    # next value takes that value's rows too
+    mid = np.where(thr < above, c + 1, np.searchsorted(key, key[c + 1], "right"))
+    best = [None] * n_nodes
+    for j, gini, feature, threshold, a, b, z, left_counts, right_counts in zip(
+            cand_node[hits].tolist(), g[hits].tolist(), f.tolist(), thr.tolist(),
+            lo.tolist(), mid.tolist(), hi.tolist(),
+            (cum[mid] - cum[lo]).tolist(), (cum[hi] - cum[mid]).tolist()):
+        if b < z:  # else every row went left
+            best[j] = (gini, feature, threshold,
+                       (sorted_rows[a:b].copy(), left_counts),
+                       (sorted_rows[b:z].copy(), right_counts))
+    return best
 
 
-def _grow_tree(XT, onehot, cfg, rng, depth, idx):
-    counts = onehot[idx].sum(axis=0)
-    leaf = {"leaf": True, "counts": counts.tolist()}
-    if (len(idx) < 2 * cfg.min_samples_leaf
-            or counts.max() == len(idx)
-            or (cfg.max_depth is not None and depth >= cfg.max_depth)):
-        return leaf
-    n_feat = XT.shape[0]
-    k = cfg.features_per_split or math.ceil(math.sqrt(n_feat))
-    feat_idx = np.sort(rng.choice(n_feat, size=min(k, n_feat), replace=False))
-    best = _best_split(XT, onehot, idx, feat_idx, cfg.min_samples_leaf)
-    if best is None:
-        return leaf
-    _, f, thr = best
-    mask = XT[f, idx] <= thr
-    left_idx = idx[mask]
-    right_idx = idx[~mask]
-    if len(left_idx) == 0 or len(right_idx) == 0:
-        return leaf
-    return {
-        "leaf": False,
-        "feature": f,
-        "threshold": thr,
-        "left": _grow_tree(XT, onehot, cfg, rng, depth + 1, left_idx),
-        "right": _grow_tree(XT, onehot, cfg, rng, depth + 1, right_idx),
-    }
+def _passes(step, k):
+    """The entries of step, (idx, ...) each, cut into consecutive runs of
+    at most _PASS_ELEMENTS values to score."""
+    batch, size = [], 0
+    for entry in step:
+        if batch and size + k * len(entry[0]) > _PASS_ELEMENTS:
+            yield batch
+            batch, size = [], 0
+        batch.append(entry)
+        size += k * len(entry[0])
+    if batch:
+        yield batch
 
 
 @dataclass
@@ -361,23 +403,58 @@ class RandomForest:
     def to_json(self) -> dict:
         return {
             "format_version": MODEL_FORMAT_VERSION,
-            "config": {
-                "n_estimators": self.config.n_estimators,
-                "max_depth": self.config.max_depth,
-                "min_samples_leaf": self.config.min_samples_leaf,
-                "features_per_split": self.config.features_per_split,
-                "seed": self.config.seed,
-            },
+            "config": asdict(self.config),
             "classes": [int(c) for c in self.classes],
             "trees": self.trees,
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "RandomForest":
+    def from_json(cls, doc: dict, n_features=None) -> "RandomForest":
+        """The forest of a to_json document.  A document of another shape,
+        or a split on a feature index of n_features or more, raises
+        ValueError."""
+        if not isinstance(doc, dict):
+            raise ValueError("model must be a JSON object")
         if doc.get("format_version") != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format {doc.get('format_version')}")
-        return cls(config=ForestConfig(**doc["config"]),
-                   classes=list(doc["classes"]), trees=doc["trees"])
+        config, classes, trees = (doc.get(key) for key in ("config", "classes", "trees"))
+        keys = sorted(asdict(ForestConfig()))
+        if not isinstance(config, dict) or sorted(config) != keys:
+            raise ValueError(f"model config must have exactly the keys {keys}")
+        if not (isinstance(classes, list) and len(classes) >= 2
+                and all(type(c) is int for c in classes)
+                and len(set(classes)) == len(classes)):
+            raise ValueError(f"model classes must be distinct integers, got {classes!r}")
+        if not (isinstance(trees, list) and trees):
+            raise ValueError("model trees must be a non-empty list")
+        nodes = list(trees)
+        while nodes:
+            node = nodes.pop()
+            _check_node(node, len(classes), n_features)
+            if not node["leaf"]:
+                nodes += [node["left"], node["right"]]
+        return cls(config=ForestConfig(**config), classes=classes, trees=trees)
+
+
+def _check_node(node, n_classes, n_features):
+    """ValueError unless node is a leaf with n_classes counts or a split
+    with a feature index, a finite threshold and two children."""
+    if not isinstance(node, dict) or type(node.get("leaf")) is not bool:
+        raise ValueError(f"tree node must be an object with a boolean leaf, got {node!r:.80}")
+    if node["leaf"]:
+        counts = node.get("counts")
+        if not (isinstance(counts, list) and len(counts) == n_classes
+                and all(type(c) is int and c >= 0 for c in counts)):
+            raise ValueError(f"leaf counts must be {n_classes} non-negative "
+                             f"integers, got {counts!r}")
+        return
+    f, thr = node.get("feature"), node.get("threshold")
+    if type(f) is not int or f < 0 or (n_features is not None and f >= n_features):
+        raise ValueError(f"split feature must be an index below {n_features}, got {f!r}")
+    if type(thr) not in (int, float) or not math.isfinite(thr):
+        raise ValueError(f"split threshold must be a finite number, got {thr!r}")
+    if not ("left" in node and "right" in node):
+        raise ValueError("split node must have a left and a right child")
 
 
 def _canonical_order(X, y_codes):
@@ -393,6 +470,10 @@ def train_forest(X, y, config: ForestConfig = ForestConfig()) -> RandomForest:
     y = np.asarray(y)
     if len(X) != len(y) or len(X) < 2:
         raise ValueError("need |X| == |y| >= 2")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("training values must be finite")
+    if config.min_samples_leaf < 1:
+        raise ValueError("min_samples_leaf must be at least 1")
     classes = np.unique(y)
     if len(classes) < 2:
         raise DegenerateData("training data has a single class")
@@ -400,13 +481,43 @@ def train_forest(X, y, config: ForestConfig = ForestConfig()) -> RandomForest:
     y_codes = np.array([code_of[v] for v in y.tolist()])
     order = _canonical_order(X, y_codes)
     XT = np.ascontiguousarray(X[order].T)
-    onehot = np.eye(len(classes), dtype=np.int8)[y_codes[order]]
-    n = len(X)
-    trees = []
+    ranks = _dense_ranks(XT)
+    onehot = np.eye(len(classes), dtype=np.int32)[y_codes[order]]
+    n_feat, n = XT.shape
+    k = min(config.features_per_split or math.ceil(math.sqrt(n_feat)), n_feat)
+    min_leaf, max_depth = config.min_samples_leaf, config.max_depth
+    trees, stacks = [], []
     for i in range(config.n_estimators):
         rng = np.random.default_rng([config.seed, i])
         sample = np.sort(rng.integers(0, n, size=n))
-        trees.append(_grow_tree(XT, onehot, config, rng, 0, sample))
+        trees.append({"leaf": True, "counts": onehot[sample].sum(axis=0).tolist()})
+        stacks.append((rng, [(sample, trees[-1], 0)]))
+    while True:
+        # each tree's next node, in depth-first pre-order, that may split
+        step = []
+        for rng, stack in stacks:
+            while stack:
+                idx, node, depth = stack.pop()
+                if (len(idx) >= 2 * min_leaf and max(node["counts"]) < len(idx)
+                        and (max_depth is None or depth < max_depth)):
+                    feats = rng.choice(n_feat, size=k, replace=False)
+                    step.append((idx, node, depth, stack, feats))
+                    break
+        if not step:
+            break
+        for batch in _passes(step, k):
+            splits = _best_splits(XT, ranks, onehot, [idx for idx, *_ in batch],
+                                  np.sort([feats for *_, feats in batch]), min_leaf)
+            for (idx, node, depth, stack, _), split in zip(batch, splits):
+                if split is None:
+                    continue
+                _, f, thr, (left_idx, left_counts), (right_idx, right_counts) = split
+                left = {"leaf": True, "counts": left_counts}
+                right = {"leaf": True, "counts": right_counts}
+                node.clear()
+                node.update(leaf=False, feature=f, threshold=thr,
+                            left=left, right=right)
+                stack += [(right_idx, right, depth + 1), (left_idx, left, depth + 1)]
     return RandomForest(config=config, classes=classes.tolist(), trees=trees)
 
 

@@ -159,9 +159,12 @@ def _write_text(path: Path, text: str):
         tmp.unlink(missing_ok=True)
 
 
-def _write_json(path: Path, doc: dict, cfg):
+def _write_json(path: Path, doc: dict, cfg, compact=False):
     doc = {"meta": {"seed": cfg.seed}, **doc}
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    # indent makes json fall back to its pure-Python encoder, which takes
+    # ten times as long on a model of nested trees
+    layout = {"separators": (",", ":")} if compact else {"indent": 2}
+    _write_text(path, json.dumps(doc, sort_keys=True, **layout) + "\n")
 
 
 def _write_jsonl(path: Path, lines, cfg):
@@ -271,12 +274,20 @@ class Run:
     @cached_property
     def models(self):
         models = []
-        for stage in (1, 2):
+        for stage, labels in ((1, classifier.StageOneLabel), (2, classifier.CapaLabel)):
             path = self.out / f"model_stage{stage}.json"
             if not path.exists():
                 raise ConfigError(f"model not found: {path} (run train)")
-            models.append(classifier.RandomForest.from_json(
-                json.loads(path.read_text())))
+            try:
+                forest = classifier.RandomForest.from_json(
+                    json.loads(path.read_text()), len(classifier.FEATURE_ORDER))
+                if not set(forest.classes) <= set(labels):
+                    raise ValueError(f"classes {forest.classes} are not all "
+                                     f"{labels.__name__} values")
+            # invalid JSON is a ValueError, JSON nested too deep a RecursionError
+            except (OSError, ValueError, RecursionError) as exc:
+                raise ConfigError(f"invalid model {path}: {exc}") from None
+            models.append(forest)
         return models
 
     def _artifact(self, name, hint):
@@ -370,7 +381,8 @@ def cmd_train(run: Run):
         pred, _ = forest.predict(X[te])
         rows = classifier.compute_report(y[te].tolist(), pred.tolist(),
                                          sorted(set(y.tolist())))
-        _write_json(run.out / f"model_stage{stage}.json", forest.to_json(), cfg)
+        _write_json(run.out / f"model_stage{stage}.json", forest.to_json(), cfg,
+                    compact=True)
         _write_json(run.out / f"report_stage{stage}.json",
                     classifier.report_to_json(rows), cfg)
     run.models = models

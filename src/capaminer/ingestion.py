@@ -94,8 +94,9 @@ def _record_from_obj(obj, line_no):
     unknown = set(obj) - metrics - PR_KNOWN_EXTRA
     if unknown:
         log.info("line %d: ignoring unknown fields %s", line_no, sorted(unknown))
-    text = obj.get("text") or " ".join(
-        str(obj.get(k, "")) for k in ("title", "body")).strip()
+    text = obj.get("text")
+    if text in (None, ""):  # any other non-string is left for the record to reject
+        text = " ".join(str(obj.get(k, "")) for k in ("title", "body")).strip()
     try:
         return classifier.PullRequestRecord(
             repo_id=obj.get("repo_id", ""),

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from capaminer import classifier
 from capaminer.errors import DegenerateData, MissingCreationDate
 from capaminer.classifier import (
     BOOLEAN_FIELDS,
@@ -24,12 +25,14 @@ from capaminer.classifier import (
     report_to_json,
     split_train_test,
     train_forest,
-    _best_split,
+    _best_splits,
+    _dense_ranks,
 )
 from capaminer.ingestion import load_prs_jsonl
 from capaminer.timeutil import from_rfc3339
 
-from conftest import naive_best_split, naive_classify_two_stage, naive_predict
+from conftest import (naive_best_split, naive_classify_two_stage,
+                      naive_forest_trees, naive_predict)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -79,6 +82,13 @@ class TestFeatureEncoding:
     def test_missing_creation_date(self):
         with pytest.raises(MissingCreationDate):
             PullRequestRecord(repo_id="org/r", creation_date=None)
+
+    @pytest.mark.parametrize("name, value", [
+        ("repo_id", 5), ("repo_id", None), ("text", 5), ("text", ["fix ci"])])
+    def test_text_and_repo_id_must_be_strings(self, name, value):
+        args = {"repo_id": "org/r", "creation_date": 0.0, "text": "", name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be a string"):
+            PullRequestRecord(**args)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
@@ -252,6 +262,42 @@ class TestRandomForest:
         with pytest.raises(ValueError):
             RandomForest.from_json({"format_version": 99})
 
+    @pytest.mark.parametrize("edit, why", [
+        (lambda d: d.pop("config"), "config must have exactly the keys"),
+        (lambda d: d["config"].pop("seed"), "config must have exactly the keys"),
+        (lambda d: d.update(classes=[1, 1]), "classes must be distinct integers"),
+        (lambda d: d.update(classes=[1, True]), "classes must be distinct integers"),
+        (lambda d: d.update(trees=[]), "trees must be a non-empty list"),
+        (lambda d: d["trees"].append("leaf"), "boolean leaf"),
+        (lambda d: first_node(d, True).update(leaf=1), "boolean leaf"),
+        (lambda d: first_node(d, True).update(counts=[3]), "leaf counts"),
+        (lambda d: first_node(d, True).update(counts=[3, -1]), "leaf counts"),
+        (lambda d: first_node(d, False).update(feature=-1), "split feature"),
+        (lambda d: first_node(d, False).update(feature=4), "split feature"),
+        (lambda d: first_node(d, False).update(feature=1.0), "split feature"),
+        (lambda d: first_node(d, False).update(threshold="0.5"), "split threshold"),
+        (lambda d: first_node(d, False).pop("right"), "a left and a right child"),
+    ])
+    def test_malformed_model_rejected(self, rng, edit, why):
+        X, y = separable_data(rng, n_classes=2, n_per_class=15, n_features=4)
+        doc = json.loads(json.dumps(train_forest(X, y, ForestConfig(3)).to_json()))
+        RandomForest.from_json(doc, n_features=4)
+        edit(doc)
+        with pytest.raises(ValueError, match=why):
+            RandomForest.from_json(doc, n_features=4)
+
+
+def first_node(doc, leaf):
+    """The first leaf (or split) node of a model document, in pre-order."""
+    nodes = list(reversed(doc["trees"]))
+    while nodes:
+        node = nodes.pop()
+        if node["leaf"] is leaf:
+            return node
+        if not node["leaf"]:
+            nodes += [node["right"], node["left"]]
+    raise AssertionError("no such node")
+
 
 class TestTwoStage:
     def test_composition(self, rng):
@@ -286,6 +332,31 @@ def random_node(rng, n_rows, n_classes, n_feat=9):
     return X, y, idx
 
 
+def kernel_splits(X, y, n_classes, nodes, min_leaf):
+    """_best_splits of the (idx, feat_idx) nodes of X, with the training
+    arrays built as train_forest builds them."""
+    XT = np.ascontiguousarray(X.T)
+    return _best_splits(XT, _dense_ranks(XT), np.eye(n_classes, dtype=np.int32)[y],
+                        [idx for idx, _ in nodes],
+                        np.array([feats for _, feats in nodes]), min_leaf)
+
+
+def assert_split(X, y, n_classes, idx, feat_idx, min_leaf, got):
+    """got is the naive split of the node, with its rows partitioned at the
+    threshold and the class counts of each side."""
+    want = naive_best_split(X[idx], y[idx], n_classes, feat_idx, min_leaf)
+    if want is None:
+        assert got is None
+        return
+    gini, f, thr, (left, left_counts), (right, right_counts) = got
+    assert (gini, f, thr) == want
+    below = X[idx, f] <= thr
+    assert sorted(left.tolist()) == idx[below].tolist()
+    assert sorted(right.tolist()) == idx[~below].tolist()
+    assert left_counts == np.bincount(y[left], minlength=n_classes).tolist()
+    assert right_counts == np.bincount(y[right], minlength=n_classes).tolist()
+
+
 class TestSplitKernel:
     @pytest.mark.parametrize("min_leaf", [1, 3])
     @pytest.mark.parametrize("n_classes", [2, 3, 5, 7, 8])
@@ -293,27 +364,88 @@ class TestSplitKernel:
         splits = 0
         for _ in range(60):
             X, y, idx = random_node(rng, int(rng.integers(2, 80)), n_classes)
-            feat_idx = np.sort(rng.choice(X.shape[1], size=int(rng.integers(1, 6)),
-                                          replace=False))
-            want = naive_best_split(X[idx], y[idx], n_classes, feat_idx, min_leaf)
-            got = _best_split(np.ascontiguousarray(X.T),
-                              np.eye(n_classes, dtype=np.int8)[y], idx,
-                              feat_idx, min_leaf)
-            assert got == want
-            splits += want is not None
+            k = int(rng.integers(1, 6))
+            feat_idx = np.sort(rng.choice(X.shape[1], size=k, replace=False))
+            got = kernel_splits(X, y, n_classes, [(idx, feat_idx)], min_leaf)[0]
+            assert_split(X, y, n_classes, idx, feat_idx, min_leaf, got)
+            splits += got is not None
+            # the same node amid others of other sizes scores the same
+            nodes = [(np.sort(rng.integers(0, len(X), size=int(rng.integers(1, 60)))),
+                      np.sort(rng.choice(X.shape[1], size=k, replace=False)))
+                     for _ in range(3)]
+            nodes.insert(int(rng.integers(0, 4)), (idx, feat_idx))
+            for (node_idx, feats), got in zip(
+                    nodes, kernel_splits(X, y, n_classes, nodes, min_leaf)):
+                assert_split(X, y, n_classes, node_idx, feats, min_leaf, got)
         assert splits > 30
 
     def test_no_valid_split(self, rng):
         X, y, idx = random_node(rng, 40, 3)
-        onehot = np.eye(3, dtype=np.int8)[y]
-        XT = np.ascontiguousarray(X.T)
         constant = np.array([7, 8])
-        assert _best_split(XT, onehot, idx, constant, 1) is None
+        assert kernel_splits(X, y, 3, [(idx, constant)], 1) == [None]
         assert naive_best_split(X[idx], y[idx], 3, constant, 1) is None
         # four distinct values cannot leave 3 rows on both sides
         rows = np.array([0, 1, 2, 3])
-        assert _best_split(XT, onehot, rows, np.array([0]), 3) is None
-        assert _best_split(XT, onehot, rows, np.array([0]), 2) is not None
+        got = kernel_splits(X, y, 3, [(rows, [0]), (rows, [0])], 3)
+        assert got == [None, None]
+        assert kernel_splits(X, y, 3, [(rows, [0])], 2)[0] is not None
+
+    def test_midpoint_rounded_onto_the_upper_value(self):
+        a, b = 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51
+        assert 0.5 * (a + b) == b  # the threshold between a and b is b
+        X = np.array([[a], [a], [b], [b], [2.0], [2.0]])
+        y = np.array([0, 0, 1, 1, 1, 1])
+        rows = np.arange(6)
+        # rows equal to the threshold go left, as at prediction time
+        got = kernel_splits(X, y, 2, [(rows, [0])], 1)[0]
+        assert_split(X, y, 2, rows, [0], 1, got)
+        assert got[3][1] == [2, 2] and got[4][1] == [0, 2]
+        # with nothing above b, the split would leave the right side empty
+        assert kernel_splits(X, y, 2, [(rows[:4], [0])], 1) == [None]
+
+
+def growth_data(rng, n_rows, n_classes):
+    """random_node's columns plus one of adjacent floats, some of whose
+    midpoints round up onto the upper value, and random labels."""
+    X, y, _ = random_node(rng, n_rows, n_classes)
+    ulps = 1.0 + 2.0 ** -52 * rng.integers(0, 4, size=n_rows)
+    return np.column_stack([X, ulps]), y
+
+
+class TestLockstepGrowth:
+    @pytest.mark.parametrize("n_classes", [2, 4, 7])
+    @pytest.mark.parametrize("min_leaf, max_depth, per_split", [
+        (1, None, None), (3, None, 2), (1, 4, 5), (3, 7, None)])
+    def test_matches_recursive_oracle(self, rng, n_classes, min_leaf, max_depth,
+                                      per_split):
+        X, y = growth_data(rng, 120, n_classes)
+        config = ForestConfig(6, max_depth=max_depth, min_samples_leaf=min_leaf,
+                              features_per_split=per_split, seed=n_classes)
+        assert train_forest(X, y, config).trees == naive_forest_trees(X, y, config)
+
+    def test_steps_larger_than_a_pass(self, rng):
+        # 900 rows x 4 features per root: one step of 4 trees holds more
+        # values than one pass scores
+        X, y = growth_data(rng, 900, 3)
+        config = ForestConfig(4, features_per_split=4, seed=1)
+        assert 4 * 900 * 4 > classifier._PASS_ELEMENTS
+        assert train_forest(X, y, config).trees == naive_forest_trees(X, y, config)
+
+    @pytest.mark.parametrize("cap", [1, 50, 400])
+    def test_any_pass_size(self, rng, monkeypatch, cap):
+        X, y = growth_data(rng, 150, 4)
+        config = ForestConfig(5, seed=3)
+        want = train_forest(X, y, config).trees
+        monkeypatch.setattr(classifier, "_PASS_ELEMENTS", cap)
+        assert train_forest(X, y, config).trees == want == naive_forest_trees(X, y, config)
+
+    def test_bad_training_values_rejected(self):
+        X = np.arange(8.0).reshape(4, 2)
+        y = np.array([1, 2, 1, 2])
+        with pytest.raises(ValueError, match="finite"):
+            train_forest(np.where(X == 3, np.nan, X), y, ForestConfig(2))
+        with pytest.raises(ValueError, match="min_samples_leaf"):
+            train_forest(X, y, ForestConfig(2, min_samples_leaf=0))
 
 
 class TestBatchedPredict:

@@ -165,6 +165,35 @@ class TestExitCodes:
         assert main(["--config", str(cfg), "pipeline"]) == EXIT_DATA_ERROR
         assert f"error: line 1: {field} {why}" in capsys.readouterr().err
 
+    def test_non_string_text_is_a_data_error(self, tmp_path, capsys):
+        lines = (FIXTURES / "prs.jsonl").read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), "text": 5})
+        prs = tmp_path / "prs.jsonl"
+        prs.write_text("\n".join(lines) + "\n")
+        cfg, _ = fixture_config(tmp_path, prs_path=str(prs))
+        assert main(["--config", str(cfg), "label"]) == EXIT_DATA_ERROR
+        assert "error: line 3: text must be a string, got 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage, edit, why", [
+        (1, lambda doc: {"format_version": 1}, "config must have exactly the keys"),
+        (2, lambda doc: json.dumps(doc)[:-40], "line 1 column"),  # truncated
+        (2, lambda doc: "[" * 100_000, "recursion depth"),
+        (2, lambda doc: with_split_feature(doc, 99), "split feature must be an index below 27"),
+        (1, lambda doc: {**doc, "classes": [1, 5]}, "not all StageOneLabel values"),
+    ])
+    def test_malformed_model_is_a_config_error(self, tmp_path, capsys, stage, edit, why):
+        cfg, out = fixture_config(tmp_path)
+        for step in ("label", "train"):
+            assert main(["--config", str(cfg), step]) == EXIT_OK
+        path = out / f"model_stage{stage}.json"
+        doc = edit(json.loads(path.read_text()))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "classify"]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert f"error: invalid model {path}: " in err and why in err
+        assert not (out / "classified.jsonl").exists()
+
     def test_pr_line_must_be_an_object(self, tmp_path, capsys):
         prs = tmp_path / "prs.jsonl"
         prs.write_text((FIXTURES / "prs.jsonl").read_text() + "5\n")
@@ -303,6 +332,12 @@ class TestAtomicWrites:
             _write_jsonl(path, ['{"pr_id": 2}', "\ud800"], cfg)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["golden.jsonl"]
+
+
+def with_split_feature(doc, feature):
+    """doc with the root split of its first tree on feature."""
+    doc["trees"][0]["feature"] = feature
+    return doc
 
 
 def count_calls(monkeypatch, owner, name):

@@ -131,6 +131,8 @@ class TestPrsJsonl:
         ("number_of_additions", float("inf")),
         # timestamps take no booleans
         ("closure_date", True), ("closure_date", False),
+        # text and repo_id are strings
+        ("text", 5), ("text", 0), ("text", False), ("repo_id", 7), ("repo_id", None),
     ])
     def test_wrongly_typed_field_names_line_and_field(self, tmp_path, field, value):
         good = {"repo_id": "org/a", "creation_date": "2020-01-01T00:00:00Z"}
