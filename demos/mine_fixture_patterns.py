@@ -4,13 +4,12 @@ their occurrences, narrating each step.
 Run from the repository root:  python demos/mine_fixture_patterns.py
 """
 
-import math
 from pathlib import Path
 
 import numpy as np
 
 from capaminer.ingestion import load_metrics_csv
-from capaminer.mining import MiningConfig, mine_patterns
+from capaminer.mining import MiningConfig, default_match_threshold, mine_patterns
 from capaminer.timeutil import to_rfc3339
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -20,7 +19,7 @@ repos = sorted({s.repo_id for s in series})
 print(f"loaded {len(series)} series across {len(repos)} repositories")
 
 m = 8
-tau = 0.25 * 2.0 * math.sqrt(m)  # 25% of the z-normalized distance ceiling
+tau = default_match_threshold(m)  # 25% of the z-normalized distance ceiling
 # accepted when at least half of the repositories have a match
 config = MiningConfig(min_len=m, max_len=m, match_threshold=tau,
                       min_repo_fraction=0.5)

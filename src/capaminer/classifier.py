@@ -18,11 +18,13 @@ trees as growing them one at a time.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from enum import IntEnum
+from pathlib import Path
 
 import numpy as np
 
@@ -151,27 +153,6 @@ def encode_features(pr: PullRequestRecord, reference_instant: float) -> np.ndarr
     return out
 
 
-DEFAULT_KEYWORDS = {
-    CapaLabel.ADD_LINTER: ["linter", "lint rule", "eslint", "pylint",
-                           "flake8", "rubocop", "checkstyle", "clippy"],
-    CapaLabel.COVERAGE: ["coverage", "add tests", "add unit tests",
-                         "increase test", "codecov"],
-    CapaLabel.DOCUMENTATION: ["documentation", "readme", "docs", "docstring",
-                              "changelog"],
-    CapaLabel.FUNCTIONAL_REQUIREMENTS: ["functional requirement",
-                                        "implement feature",
-                                        "add feature", "new feature"],
-    CapaLabel.REFACTORING: ["refactor", "clean up", "cleanup", "simplify",
-                            "restructure"],
-    CapaLabel.UNSTABLE_BUILD: ["unstable build", "fix build", "flaky",
-                               "fix ci", "broken build"],
-    CapaLabel.UNUSED: ["unused", "dead code", "remove unused",
-                       "delete unused"],
-}
-DEFAULT_NON_CAPA_KEYWORDS = ["fix bug", "bugfix", "hotfix", "bump version",
-                             "release", "merge branch"]
-
-
 def label_by_keywords(pr_text: str, keyword_map=None, non_capa_keywords=None):
     """Case-insensitive phrase containment.  The first matching label in
     ascending label order wins; returns None when nothing matches."""
@@ -207,8 +188,15 @@ def load_keyword_map(doc: dict):
         if name.lower() not in by_name:
             raise ValueError(f"unknown CAPA label {name!r}")
         kmap[by_name[name.lower()]] = _phrases(phrases, f"phrases of {name!r}")
-    non_capa = _phrases(doc.get("non_capa", DEFAULT_NON_CAPA_KEYWORDS), "non_capa")
+    # the defaults are looked up only when doc leaves a part out, because
+    # they are built by this function from the bundled map, which has both
+    non_capa = (_phrases(doc["non_capa"], "non_capa") if "non_capa" in doc
+                else DEFAULT_NON_CAPA_KEYWORDS)
     return kmap or DEFAULT_KEYWORDS, non_capa
+
+
+DEFAULT_KEYWORDS, DEFAULT_NON_CAPA_KEYWORDS = load_keyword_map(json.loads(
+    (Path(__file__).parent / "data" / "default_keywords.json").read_text()))
 
 
 def split_train_test(rows, labels, ratio: float, seed: int):

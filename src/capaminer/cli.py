@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -55,7 +54,7 @@ class PipelineConfig:
     metrics: tuple = ("lines_added", "lines_deleted", "lines_changed")
     min_len: int = 8
     max_len: int = 8
-    match_threshold: float | None = None  # None: 25% of the 2*sqrt(m) maximum
+    match_threshold: float | None = None  # None: default_match_threshold(min_len)
     coverage_value: float = 0.5  # fraction of the repositories, in (0, 1]
     # classifier
     n_estimators: int = 100
@@ -65,7 +64,7 @@ class PipelineConfig:
     def mining_config(self) -> MiningConfig:
         tau = self.match_threshold
         if tau is None:
-            tau = 0.25 * 2.0 * math.sqrt(self.min_len)
+            tau = mining.default_match_threshold(self.min_len)
         return MiningConfig(
             min_len=self.min_len,
             max_len=self.max_len,
@@ -74,34 +73,42 @@ class PipelineConfig:
         )
 
 
-# (key, test, requirement) checked by load_config, besides MiningConfig's own
-VALUE_CHECKS = [
-    ("seed", lambda v: isinstance(v, int), "an integer"),
-    ("alpha", lambda v: 0 < v < 1, "in (0, 1)"),
-    ("window_days", lambda v: v >= 0, ">= 0"),
-    ("min_count", lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    ("metrics", lambda v: isinstance(v, (list, tuple)) and len(v) > 0
-     and all(isinstance(m, str) for m in v), "a non-empty list of metric names"),
-    ("min_len", lambda v: isinstance(v, int), "an integer"),
-    ("max_len", lambda v: isinstance(v, int), "an integer"),
-    ("train_ratio", lambda v: 0 < v < 1, "in (0, 1)"),
-    ("n_estimators", lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    ("coverage_value", lambda v: 0 < v <= 1, "a fraction in (0, 1]"),
-    ("reference_instant", lambda v: v is None or isinstance(v, (int, float)),
-     "POSIX seconds or null"),
-]
+# {key: (test, requirement)} checked by load_config, besides MiningConfig's own
+VALUE_CHECKS = {
+    "seed": (lambda v: isinstance(v, int), "an integer"),
+    "alpha": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "window_days": (lambda v: v >= 0, ">= 0"),
+    "min_count": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
+    "metrics": (lambda v: isinstance(v, (list, tuple)) and len(v) > 0
+                and all(isinstance(m, str) for m in v) and len(set(v)) == len(v),
+                "a non-empty list of distinct metric names"),
+    "min_len": (lambda v: isinstance(v, int), "an integer"),
+    "max_len": (lambda v: isinstance(v, int), "an integer"),
+    "train_ratio": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "n_estimators": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
+    "coverage_value": (lambda v: 0 < v <= 1, "a fraction in (0, 1]"),
+    "reference_instant": (lambda v: v is None or isinstance(v, (int, float)),
+                          "POSIX seconds or null"),
+}
+
+
+def _need(doc, checks):
+    """doc, after checking it against checks, {key: (test, requirement)}; a
+    missing key, or a test that fails or raises, is a ValueError."""
+    for key, (valid, want) in checks.items():
+        try:
+            ok = key in doc and valid(doc[key])
+        except (AttributeError, TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ValueError(f"{key} must be {want}, got {doc.get(key)!r}")
+    return doc
 
 
 def load_config(path=None, overrides=None) -> PipelineConfig:
     cfg = PipelineConfig()
     if path is not None:
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid config JSON in {path}: {exc}") from None
+        doc = _parse(Path(path), "config", json.loads, ConfigError)
         if not isinstance(doc, dict):
             raise ConfigError(f"config {path} must hold a JSON object, "
                               f"got {type(doc).__name__}")
@@ -111,14 +118,10 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
         cfg = replace(cfg, **doc)
     if overrides:
         cfg = replace(cfg, **overrides)
-    for key, valid, want in VALUE_CHECKS:
-        value = getattr(cfg, key)
-        try:
-            ok = valid(value)
-        except TypeError:
-            ok = False
-        if not ok:
-            raise ConfigError(f"{key} must be {want}, got {value!r}")
+    try:
+        _need(vars(cfg), VALUE_CHECKS)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     unknown = sorted(set(cfg.metrics) - set(ingestion.METRIC_COLUMNS))
     if unknown:
         raise ConfigError(f"unknown metrics {unknown}; "
@@ -138,13 +141,16 @@ def _require_file(path, what):
     return path
 
 
-def _parse(path: Path, parse):
-    """parse(text) of an input file; a malformed file is a data error that
-    names it."""
+def _parse(path: Path, what, parse, error):
+    """parse(text) of the file at path; a file that parse cannot read
+    raises error, which names what and the path."""
     try:
         return parse(path.read_text())
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"malformed {path}: {exc!r}") from None
+    except KeyError as exc:
+        raise error(f"invalid {what} {path}: missing key {exc}") from None
+    # invalid JSON is a ValueError, JSON nested too deep a RecursionError
+    except (OSError, IndexError, TypeError, ValueError, RecursionError) as exc:
+        raise error(f"invalid {what} {path}: {exc}") from None
 
 
 def _write_text(path: Path, text: str):
@@ -172,9 +178,39 @@ def _write_jsonl(path: Path, lines, cfg):
     _write_text(path, "\n".join([head, *lines]) + "\n")
 
 
-def _read_jsonl(path: Path):
-    rows = [json.loads(ln) for ln in path.read_text().splitlines() if ln.strip()]
-    return [r for r in rows if set(r) != {"meta"}]
+# {key: (test, requirement)} of the artifact fields that later stages read
+_TEXT = (lambda v: isinstance(v, str), "a string")
+_INDEX = (lambda v: type(v) is int and v >= 0, "an integer >= 0")
+_DATE = (lambda v: timeutil.from_rfc3339(v) is not None, "an RFC 3339 date")
+_CAPA = (lambda v: type(v) is int and v in range(1, 8), "a CAPA class in 1..7")
+GOLDEN_FIELDS = {"repo_id": _TEXT, "pr_id": _TEXT,
+                 "stage1": (lambda v: v in ("capa", "non_capa"), "capa or non_capa")}
+OCCURRENCE_FIELDS = {"pattern_id": _INDEX, "repo": _TEXT, "start_index": _INDEX,
+                     "end_index": _INDEX, "start_time": _DATE, "end_time": _DATE}
+CLASSIFIED_FIELDS = {
+    "pr_id": _TEXT, "repo_id": _TEXT, "creation_date": _DATE,
+    "capa_class": (lambda v: v is None or _CAPA[0](v), "null or " + _CAPA[1])}
+
+
+def _golden_row(g):
+    _need(g, GOLDEN_FIELDS)
+    return _need(g, {"stage2": _CAPA}) if g["stage1"] == "capa" else g
+
+
+def _read_jsonl(text, parse_row):
+    """parse_row of each object after the meta line of a JSONL artifact; a
+    line that is not an object or that parse_row rejects is a ValueError."""
+    rows = []
+    for n, line in enumerate(text.splitlines(), start=1):
+        try:
+            row = json.loads(line)
+            if not isinstance(row, dict):
+                raise ValueError("not a JSON object")
+            if set(row) != {"meta"}:
+                rows.append(parse_row(row))
+        except ValueError as exc:
+            raise ValueError(f"line {n}: {exc}") from None
+    return rows
 
 
 class OutputLock:
@@ -220,6 +256,15 @@ def bundled_data_path(name: str) -> Path:
     return Path(__file__).parent / "data" / name
 
 
+def _forest(doc, labels):
+    """The forest of a model document, whose classes must be labels values."""
+    forest = classifier.RandomForest.from_json(doc, len(classifier.FEATURE_ORDER))
+    if not set(forest.classes) <= set(labels):
+        raise ValueError(f"classes {forest.classes} are not all "
+                         f"{labels.__name__} values")
+    return forest
+
+
 # --- subcommand bodies -------------------------------------------------------
 
 class Run:
@@ -250,11 +295,9 @@ class Run:
         path = self.cfg.keywords_path
         if not path:
             return classifier.DEFAULT_KEYWORDS, classifier.DEFAULT_NON_CAPA_KEYWORDS
-        try:
-            text = Path(_require_file(path, "keyword map")).read_text()
-            return classifier.load_keyword_map(json.loads(text))
-        except (OSError, ValueError) as exc:  # invalid JSON is a ValueError
-            raise ConfigError(f"invalid keyword map {path}: {exc}") from None
+        return _parse(Path(_require_file(path, "keyword map")), "keyword map",
+                      lambda text: classifier.load_keyword_map(json.loads(text)),
+                      ConfigError)
 
     @cached_property
     def features(self):
@@ -264,46 +307,38 @@ class Run:
             ref = min(pr.creation_date for pr in self.prs)
         return np.array([classifier.encode_features(pr, ref) for pr in self.prs])
 
+    def load(self, name, what, stage, parse):
+        """parse(text) of the artifact name, which stage writes, checked for
+        every field that its consumer reads; a missing artifact, or one that
+        parse rejects, is a ConfigError naming it."""
+        path = self.out / name
+        if not path.exists():
+            raise ConfigError(f"{what} not found: {path} (run {stage})")
+        return _parse(path, what, parse, ConfigError)
+
     @cached_property
     def golden(self):
-        path = self.out / "golden.jsonl"
-        if not path.exists():
-            raise ConfigError(f"golden standard not found: {path} (run label)")
-        return _read_jsonl(path)
+        return self.load("golden.jsonl", "golden standard", "label",
+                         lambda text: _read_jsonl(text, _golden_row))
 
     @cached_property
     def models(self):
-        models = []
-        for stage, labels in ((1, classifier.StageOneLabel), (2, classifier.CapaLabel)):
-            path = self.out / f"model_stage{stage}.json"
-            if not path.exists():
-                raise ConfigError(f"model not found: {path} (run train)")
-            try:
-                forest = classifier.RandomForest.from_json(
-                    json.loads(path.read_text()), len(classifier.FEATURE_ORDER))
-                if not set(forest.classes) <= set(labels):
-                    raise ValueError(f"classes {forest.classes} are not all "
-                                     f"{labels.__name__} values")
-            # invalid JSON is a ValueError, JSON nested too deep a RecursionError
-            except (OSError, ValueError, RecursionError) as exc:
-                raise ConfigError(f"invalid model {path}: {exc}") from None
-            models.append(forest)
-        return models
-
-    def _artifact(self, name, hint):
-        path = self.out / name
-        if not path.exists():
-            raise ConfigError(f"artifact not found: {path} (run {hint})")
-        return _read_jsonl(path)
+        return [self.load(f"model_stage{stage}.json", "model", "train",
+                          lambda text: _forest(json.loads(text), labels))
+                for stage, labels in ((1, classifier.StageOneLabel),
+                                      (2, classifier.CapaLabel))]
 
     @cached_property
     def occurrences(self):
-        return [mining.occurrence_from_json(o)
-                for o in self._artifact("occurrences.jsonl", "mine")]
+        return self.load("occurrences.jsonl", "occurrences", "mine", lambda text:
+                         _read_jsonl(text, lambda o: mining.occurrence_from_json(
+                             _need(o, OCCURRENCE_FIELDS))))
 
     @cached_property
     def classified(self):
-        return self._artifact("classified.jsonl", "classify")
+        return self.load("classified.jsonl", "classified pull requests", "classify",
+                         lambda text: _read_jsonl(
+                             text, lambda c: _need(c, CLASSIFIED_FIELDS)))
 
     @cached_property
     def joins(self):
@@ -316,22 +351,18 @@ class Run:
 
 def cmd_mine(run: Run):
     cfg = run.cfg
-    _require_file(cfg.metrics_path, "metrics")
-    series = ingestion.load_metrics_csv(cfg.metrics_path)
-    mconf = cfg.mining_config()
-    all_patterns = []
-    for metric in cfg.metrics:
-        subset = [s for s in series if s.metric_name == metric]
-        if not subset:
-            continue
-        # ids continue across metrics so they stay globally unique
-        all_patterns += mining.mine_patterns(subset, mconf,
-                                             first_id=len(all_patterns))
-    run.occurrences = [o for p in all_patterns for o in p.occurrences]
-    _write_json(run.out / "patterns.json", mining.patterns_to_json(all_patterns), cfg)
+    path = _require_file(cfg.metrics_path, "metrics")
+    loaded = ingestion.load_metrics_csv(path)
+    if not loaded:
+        raise EmptyDataset(f"no metric series in {path}")
+    # mine_patterns numbers the patterns in the order of their metrics
+    series = [s for metric in cfg.metrics for s in loaded if s.metric_name == metric]
+    patterns = mining.mine_patterns(series, cfg.mining_config())
+    run.occurrences = [o for p in patterns for o in p.occurrences]
+    _write_json(run.out / "patterns.json", mining.patterns_to_json(patterns), cfg)
     _write_jsonl(run.out / "occurrences.jsonl",
                  [mining.occurrence_to_json_line(o) for o in run.occurrences], cfg)
-    log.info("mined %d patterns, %d occurrences", len(all_patterns),
+    log.info("mined %d patterns, %d occurrences", len(patterns),
              len(run.occurrences))
 
 
@@ -422,13 +453,17 @@ def cmd_validate(run: Run, contingency_path=None, pairwise_path=None):
     when validating a standalone table), and from the joins otherwise.
     """
     cfg, out = run.cfg, run.out
-    cpath = Path(contingency_path) if contingency_path else out / "contingency.csv"
-    if not cpath.exists():
-        raise ConfigError(f"contingency table not found: {cpath}")
-    table = _parse(cpath, association.contingency_from_csv)
+    if contingency_path:
+        table = _parse(Path(_require_file(contingency_path, "contingency table")),
+                       "contingency table", association.contingency_from_csv,
+                       MalformedInput)
+    else:
+        table = run.load("contingency.csv", "contingency table", "associate",
+                         association.contingency_from_csv)
     if pairwise_path:
-        results = _parse(Path(pairwise_path), lambda text:
-                         association.pairwise_from_json(json.loads(text)))
+        results = _parse(Path(pairwise_path), "pairwise rows", lambda text:
+                         association.pairwise_from_json(json.loads(text)),
+                         MalformedInput)
     else:
         qualifying = association.filter_relevant(table, cfg.min_count)
         results = association.pairwise_tests(run.joins, qualifying)

@@ -17,10 +17,6 @@ class EmptyDataset(CapaMinerError):
     """An input dataset holds no records."""
 
 
-class MetricMismatch(CapaMinerError):
-    """A pattern is applied to a series of a different metric."""
-
-
 class MissingCreationDate(CapaMinerError):
     """A pull-request record lacks its mandatory creation date."""
 

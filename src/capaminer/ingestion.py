@@ -95,9 +95,13 @@ def _record_from_obj(obj, line_no):
     if unknown:
         log.info("line %d: ignoring unknown fields %s", line_no, sorted(unknown))
     text = obj.get("text")
-    if text in (None, ""):  # any other non-string is left for the record to reject
-        text = " ".join(str(obj.get(k, "")) for k in ("title", "body")).strip()
     try:
+        if text in (None, ""):  # any other non-string is left for the record to reject
+            parts = {k: obj[k] for k in ("title", "body") if obj.get(k) is not None}
+            for k, part in parts.items():
+                if not isinstance(part, str):
+                    raise ValueError(f"{k} must be a string, got {part!r}")
+            text = " ".join(parts.values()).strip()
         return classifier.PullRequestRecord(
             repo_id=obj.get("repo_id", ""),
             creation_date=obj.get("creation_date"),
@@ -444,8 +448,8 @@ class LiveGitHubAdapter(SourceAdapter):
                     f"{repo_id}: pull request {p['number']} has no {', '.join(missing)}")
             obj = {
                 "repo_id": repo_id,
-                "title": p.get("title") or "",
-                "body": p.get("body") or "",
+                "title": p.get("title"),
+                "body": p.get("body"),
                 "creation_date": p.get("created_at"),
                 "closure_date": p.get("closed_at"),
                 "merged_date": p.get("merged_at"),

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyDataset, MetricMismatch, NoValidWindow
+from .errors import EmptyDataset, NoValidWindow
 from .tsdist import (
     MetricSeries,
     direct_distances,
@@ -143,7 +143,7 @@ def consensus_candidate(series_set, m: int) -> ConsensusPattern:
     series is scored against its own windows, with trivial matches within
     ceil(m/2) offsets excluded.  Ties break to the lowest (series order,
     offset).  The radius is the direct norm ||qz - wz||, whatever was
-    pruned.  pattern_id is provisional (-1).
+    pruned.  pattern_id is -1: mine_patterns numbers the accepted ones.
     """
     if any(len(s) < m for s in series_set):
         raise ValueError("every series must be at least as long as m")
@@ -204,37 +204,40 @@ def count_matches(pattern: ConsensusPattern, series: MetricSeries, tau: float):
     return occs
 
 
-def mine_patterns(dataset, config: MiningConfig, first_id: int = 0):
-    """Mine accepted consensus patterns for every length in [min_len, max_len].
+def default_match_threshold(m: int) -> float:
+    """25% of 2*sqrt(m), the largest z-normalized distance at length m."""
+    return 0.25 * 2.0 * math.sqrt(m)
 
-    Deterministic: output ordered by ascending length; accepted patterns get
-    sequential ids from first_id.  Each pattern carries its thresholded
-    occurrences in every series at least as long as it, in dataset order.
+
+def mine_patterns(dataset, config: MiningConfig):
+    """Mine accepted consensus patterns of each metric of the dataset, in
+    order of first appearance, for every length in [min_len, max_len].
+
+    Coverage counts the repositories with a series of the pattern's metric.
+    Ids run from 0 across metrics.  Each pattern carries its thresholded
+    occurrences in every series of its metric at least as long as it.
     """
-    dataset = list(dataset)
-    if not dataset:
+    by_metric = {}
+    for s in dataset:
+        by_metric.setdefault(s.metric_name, []).append(s)
+    if not by_metric:
         raise EmptyDataset("no series to mine")
-    metrics = {s.metric_name for s in dataset}
-    if len(metrics) > 1:
-        raise MetricMismatch(f"mixed metrics in dataset: {sorted(metrics)}")
-    n_repos = len({s.repo_id for s in dataset})
-    accepted = []  # (candidate, occurrences)
-    for m in range(config.min_len, config.max_len + 1):
-        eligible = [s for s in dataset if len(s) >= m]
-        try:
-            cand = consensus_candidate(eligible, m)
-        except NoValidWindow:
-            continue
-        occurrences = [o for s in eligible
-                       for o in count_matches(cand, s, config.match_threshold)]
-        covered = {o.repo_id for o in occurrences}
-        if len(covered) / n_repos >= config.min_repo_fraction:
-            accepted.append((cand, occurrences))
-    return [
-        replace(p, pattern_id=pid,
-                occurrences=tuple(replace(o, pattern_id=pid) for o in occs))
-        for pid, (p, occs) in enumerate(accepted, start=first_id)
-    ]
+    accepted = []
+    for series in by_metric.values():
+        n_repos = len({s.repo_id for s in series})
+        for m in range(config.min_len, config.max_len + 1):
+            eligible = [s for s in series if len(s) >= m]
+            try:
+                cand = replace(consensus_candidate(eligible, m),
+                               pattern_id=len(accepted))
+            except NoValidWindow:
+                continue
+            occurrences = tuple(o for s in eligible for o in
+                                count_matches(cand, s, config.match_threshold))
+            covered = {o.repo_id for o in occurrences}
+            if len(covered) / n_repos >= config.min_repo_fraction:
+                accepted.append(replace(cand, occurrences=occurrences))
+    return accepted
 
 
 def patterns_to_json(patterns) -> dict:

@@ -154,6 +154,16 @@ class TestKeywordLabeling:
         with pytest.raises(ValueError):
             load_keyword_map({"capa": {"nonsense": ["x"]}})
 
+    def test_defaults_are_the_bundled_map(self):
+        bundled = json.loads((Path(classifier.__file__).parent / "data"
+                              / "default_keywords.json").read_text())
+        kmap, non_capa = classifier.DEFAULT_KEYWORDS, classifier.DEFAULT_NON_CAPA_KEYWORDS
+        assert (kmap, non_capa) == load_keyword_map(bundled)
+        assert sorted(kmap) == list(CapaLabel) and non_capa
+        # a part left out of a map falls back to the bundled one
+        assert load_keyword_map({"non_capa": ["wip"]}) == (kmap, ["wip"])
+        assert load_keyword_map({"capa": {"unused": ["x"]}})[1] == non_capa
+
     @pytest.mark.parametrize("doc", [
         {"capa": {"refactoring": "refactor"}},
         {"capa": {"refactoring": ["refactor", 3]}},

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ from capaminer.cli import (
     EXIT_DATA_ERROR,
     EXIT_OK,
     OutputLock,
+    PipelineConfig,
     Run,
     _write_jsonl,
     bundled_data_path,
@@ -98,6 +101,7 @@ class TestConfig:
         ("min_count", "3"),
         ("min_count", 0),
         ("reference_instant", "x"),
+        ("metrics", ["lines_added", "lines_added"]),
     ])
     def test_bad_value_exits_before_any_write(self, tmp_path, capsys, key, value):
         cfg, out = fixture_config(tmp_path, **{key: value})
@@ -112,6 +116,13 @@ class TestConfig:
             load_config(cfg)
         assert "['lines_add']" in str(exc.value)
         assert str(ingestion.METRIC_COLUMNS) in str(exc.value)
+
+    def test_readme_names_every_config_key(self):
+        readme = (ROOT / "README.md").read_text()
+        table = readme.split("### Configuration keys", 1)[1].split("\n## ", 1)[0]
+        keys = [k for row in table.splitlines() if row.startswith("| `")
+                for k in re.findall(r"`(\w+)`", row.split("|")[1])]
+        assert sorted(keys) == sorted(f.name for f in dataclasses.fields(PipelineConfig))
 
     @pytest.mark.parametrize("text", ["5", "[]", '"x"', "null"])
     def test_config_must_be_an_object(self, tmp_path, capsys, text):
@@ -131,6 +142,16 @@ class TestConfig:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("stage", ["mine", "pipeline"])
+    def test_header_only_metrics_is_a_data_error(self, tmp_path, capsys, stage):
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text((FIXTURES / "metrics.csv").read_text().splitlines()[0] + "\n")
+        cfg, out = fixture_config(tmp_path, metrics_path=str(metrics))
+        out.mkdir()
+        assert main(["--config", str(cfg), stage]) == EXIT_DATA_ERROR
+        assert f"error: no metric series in {metrics}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_missing_metrics_file_names_path(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
         cfg = tmp_path / "c.json"
@@ -193,6 +214,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: invalid model {path}: " in err and why in err
         assert not (out / "classified.jsonl").exists()
+
+    @pytest.mark.parametrize("name, stage, line, edit, why", [
+        ("occurrences.jsonl", "associate", 1, lambda ln: without(ln, "start_time"),
+         "start_time must be an RFC 3339 date, got None"),
+        ("occurrences.jsonl", "associate", 1, lambda ln: with_fields(ln, pattern_id="0"),
+         "pattern_id must be an integer >= 0, got '0'"),
+        ("classified.jsonl", "associate", 2, lambda ln: with_fields(ln, capa_class=9),
+         "capa_class must be null or a CAPA class in 1..7, got 9"),
+        ("classified.jsonl", "associate", 1, lambda ln: with_fields(ln, creation_date=5),
+         "creation_date must be an RFC 3339 date, got 5"),
+        ("golden.jsonl", "train", 1, lambda ln: with_fields(ln, stage1="CAPA"),
+         "stage1 must be capa or non_capa, got 'CAPA'"),
+        ("golden.jsonl", "train", 1,
+         lambda ln: with_fields(ln, stage1="capa", stage2=None),
+         "stage2 must be a CAPA class in 1..7, got None"),
+        ("golden.jsonl", "train", 1, lambda ln: "{oops", "Expecting property name"),
+        ("golden.jsonl", "train", 1, lambda ln: "5", "not a JSON object"),
+        # the first pattern row
+        ("contingency.csv", "validate", 2, lambda ln: ln.replace(",", ",x", 1),
+         "invalid literal"),
+    ])
+    def test_malformed_artifact_is_a_config_error(self, tmp_path, capsys, name,
+                                                  stage, line, edit, why):
+        cfg, out = fixture_config(tmp_path)
+        assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
+        path = out / name
+        lines = path.read_text().splitlines()
+        lines[line] = edit(lines[line])
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["--config", str(cfg), stage]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid ") and f" {path}: " in err
+        assert why in err and "Traceback" not in err
+        if name.endswith(".jsonl"):
+            assert f"line {line + 1}" in err
 
     def test_pr_line_must_be_an_object(self, tmp_path, capsys):
         prs = tmp_path / "prs.jsonl"
@@ -332,6 +389,16 @@ class TestAtomicWrites:
             _write_jsonl(path, ['{"pr_id": 2}', "\ud800"], cfg)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["golden.jsonl"]
+
+
+def with_fields(line, **fields):
+    """The JSON object of line with fields set."""
+    return json.dumps({**json.loads(line), **fields})
+
+
+def without(line, key):
+    """The JSON object of line without key."""
+    return json.dumps({k: v for k, v in json.loads(line).items() if k != key})
 
 
 def with_split_feature(doc, feature):
@@ -483,6 +550,16 @@ class TestPipeline:
         assert doc["meta"]["seed"] == 13
         head = (out / "occurrences.jsonl").read_text().splitlines()[0]
         assert json.loads(head) == {"meta": {"seed": 13}}
+
+    def test_patterns_numbered_in_configured_metric_order(self, tmp_path):
+        metrics = ["lines_changed", "lines_added"]
+        cfg, out = fixture_config(tmp_path, metrics=metrics)
+        assert main(["--config", str(cfg), "mine"]) == EXIT_OK
+        patterns = patterns_from_json(json.loads((out / "patterns.json").read_text()))
+        names = [p.metric_name for p in patterns]
+        assert [p.pattern_id for p in patterns] == list(range(len(patterns)))
+        assert set(names) == set(metrics)
+        assert names == sorted(names, key=metrics.index)
 
     def test_occurrence_ids_name_patterns_of_their_metric(self, tmp_path):
         cfg, out = fixture_config(tmp_path)

@@ -143,6 +143,32 @@ class TestPrsJsonl:
             load_prs_jsonl(p)
         assert exc.value.line_number == 2
 
+    @pytest.mark.parametrize("parts, text", [
+        ({"title": "fix ci", "body": None}, "fix ci"),
+        ({"title": None, "body": "add docs"}, "add docs"),
+        ({"title": "fix ci"}, "fix ci"),
+        ({"title": None, "body": None}, ""),
+        ({"text": None, "title": "fix ci", "body": "now"}, "fix ci now"),
+    ])
+    def test_absent_or_null_title_and_body_add_nothing(self, tmp_path, parts, text):
+        p = tmp_path / "prs.jsonl"
+        p.write_text(json.dumps({"repo_id": "org/a",
+                                 "creation_date": "2020-01-01T00:00:00Z", **parts}) + "\n")
+        assert load_prs_jsonl(p)[0].text == text
+
+    @pytest.mark.parametrize("field, value", [
+        ("title", 5), ("title", False), ("body", ["fix ci"]), ("body", 0),
+    ])
+    def test_non_string_title_or_body_names_line_and_field(self, tmp_path, field, value):
+        p = tmp_path / "prs.jsonl"
+        p.write_text(json.dumps({"repo_id": "org/a", "title": "fix ci",
+                                 "creation_date": "2020-01-01T00:00:00Z",
+                                 field: value}) + "\n")
+        with pytest.raises(MalformedLine,
+                           match=f"^line 1: {field} must be a string, got ") as exc:
+            load_prs_jsonl(p)
+        assert exc.value.line_number == 1
+
     def test_missing_creation_date(self, tmp_path):
         p = tmp_path / "prs.jsonl"
         p.write_text(json.dumps({"repo_id": "org/a"}) + "\n")

@@ -1,11 +1,12 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from capaminer import mining
-from capaminer.errors import EmptyDataset, MetricMismatch, NoValidWindow
+from capaminer.errors import EmptyDataset, NoValidWindow
 from capaminer.mining import (
     ConsensusPattern,
     MiningConfig,
@@ -327,9 +328,9 @@ class TestMinePatterns:
         # too short for lengths 8 and 9, so not every series is eligible
         dataset.insert(2, make_series(rng, "r9", 7, metric="m"))
         cfg = MiningConfig(6, 9, 2.0)
-        pats = mine_patterns(dataset, cfg, first_id=3)
+        pats = mine_patterns(dataset, cfg)
         assert pats
-        assert [p.pattern_id for p in pats] == list(range(3, 3 + len(pats)))
+        assert [p.pattern_id for p in pats] == list(range(len(pats)))
         for p in pats:
             expected = [o for s in dataset if len(s) >= len(p)
                         for o in count_matches(p, s, cfg.match_threshold)]
@@ -364,11 +365,32 @@ class TestMinePatterns:
         with pytest.raises(EmptyDataset):
             mine_patterns([], MiningConfig(3, 3, 1.0))
 
-    def test_mixed_metrics_rejected(self, rng):
-        a = make_series(rng, "r0", 20, metric="lines_added")
-        b = make_series(rng, "r1", 20, metric="lines_deleted")
-        with pytest.raises(MetricMismatch):
-            mine_patterns([a, b], MiningConfig(3, 3, 1.0))
+    def test_mixed_metrics_equal_per_metric_calls(self, rng):
+        # metric "b" appears first, in two of the six repositories, so its
+        # coverage counts those two and not all six
+        m = self.planted_dataset(rng)
+        b = [replace(s, metric_name="b", values=s.values[::-1].copy())
+             for s in self.planted_dataset(rng, n_repos=2, planted=2)]
+        dataset = [b[0], *m[:3], b[1], *m[3:],
+                   make_series(rng, "r5", 60, metric="m")]
+        cfg = MiningConfig(6, 9, 2.0)
+        # oracle: one call per metric, in order of first appearance, with
+        # the ids of each offset by the patterns of the metrics before it
+        expected = []
+        for metric in ("b", "m"):
+            for p in mine_patterns([s for s in dataset if s.metric_name == metric], cfg):
+                pid = len(expected)
+                expected.append(replace(p, pattern_id=pid, occurrences=tuple(
+                    replace(o, pattern_id=pid) for o in p.occurrences)))
+        got = mine_patterns(dataset, cfg)
+        assert {p.metric_name for p in got} == {"b", "m"}
+        assert len(got) == len(expected)
+        for p, q in zip(got, expected):
+            assert (p.pattern_id, p.metric_name, p.source_repo, p.source_offset,
+                    p.radius, p.occurrences) == \
+                (q.pattern_id, q.metric_name, q.source_repo, q.source_offset,
+                 q.radius, q.occurrences)
+            np.testing.assert_array_equal(p.values, q.values)
 
 
 class TestSerialization:
