@@ -9,7 +9,6 @@ Run from the repository root:  python demos/validate_published_counts.py
 import json
 
 from capaminer.association import (
-    chi2_on_table,
     contingency_from_csv,
     extract_mapping,
     filter_relevant,
@@ -17,13 +16,14 @@ from capaminer.association import (
     qualifying_pairs,
 )
 from capaminer.cli import bundled_data_path
+from capaminer.stats import chi2_independence
 
 table = contingency_from_csv(
     bundled_data_path("reference_capa_counts.csv").read_text())
 print(f"contingency table: {len(table.row_labels)} pattern types x "
       f"{len(table.col_labels)} actions, {table.grand_total} joined PRs")
 
-r = chi2_on_table(table)
+r = chi2_independence(table.counts)
 print(f"chi-squared = {r.statistic:.3f}, dof = {r.dof}, p = {r.p_value:.6f}")
 if r.low_expected_cells:
     print(f"  note: {r.low_expected_cells} cells have expected count < 5")

@@ -7,11 +7,12 @@ from __future__ import annotations
 
 import io
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .stats import Chi2Result, chi2_independence, two_sample_t_test
+from .stats import two_sample_t_test
 
 DEFAULT_WINDOW_SECONDS = 30 * 86400  # "plus one month", fixed at 30 days
 N_CAPAS = 7  # association-side action ids 0..6
@@ -34,6 +35,14 @@ class ContingencyTable:
 
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=int)
+        if c.shape != (len(self.row_labels), len(self.col_labels)):
+            raise ValueError(f"counts of shape {c.shape} for {len(self.row_labels)} "
+                             f"rows and {len(self.col_labels)} columns")
+        if (c < 0).any():
+            raise ValueError("counts must be non-negative")
+        for labels in (self.row_labels, self.col_labels):
+            if len(set(labels)) != len(labels):
+                raise ValueError(f"repeated labels in {labels}")
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
 
@@ -119,10 +128,6 @@ def build_contingency(joins) -> ContingencyTable:
     for j in joins:
         counts[ri[j.pattern_type], ci[j.capa]] += 1
     return ContingencyTable(rows, cols, counts)
-
-
-def chi2_on_table(table: ContingencyTable) -> Chi2Result:
-    return chi2_independence(table.counts)
 
 
 def filter_relevant(table: ContingencyTable, min_count: int = 5) -> dict:
@@ -234,7 +239,8 @@ def contingency_from_csv(text: str) -> ContingencyTable:
             continue
         rows.append(int(cells[0].split()[-1]))
         data.append([int(c) for c in cells[1 : 1 + len(cols)]])
-    return ContingencyTable(tuple(rows), cols, np.array(data, dtype=int))
+    counts = np.array(data, dtype=int) if data else np.zeros((0, len(cols)), dtype=int)
+    return ContingencyTable(tuple(rows), cols, counts)
 
 
 def pairwise_to_json(results) -> dict:
@@ -255,16 +261,27 @@ def pairwise_to_json(results) -> dict:
     }
 
 
+_ID = (lambda v: type(v) is int, "an integer")
+_FINITE = (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number")
+_NUMBER_OR_NULL = (lambda v: v is None or type(v) in (int, float), "a number or null")
+# {field: (test, requirement)} of a pairwise row, in PairwiseTestResult order
+PAIRWISE_FIELDS = {"pattern": _ID, "capa_i": _ID, "capa_j": _ID,
+                   "mean_i": _FINITE, "mean_j": _FINITE,
+                   "t": _NUMBER_OR_NULL, "dof": _NUMBER_OR_NULL, "p": _FINITE}
+
+
 def pairwise_from_json(doc) -> list:
     """Rows as pairwise_to_json writes them; a missing field raises KeyError,
-    except t and dof, which published tables may omit and become None."""
-    return [
-        PairwiseTestResult(
-            pattern_type=e["pattern"], capa_i=e["capa_i"], capa_j=e["capa_j"],
-            mean_i=e["mean_i"], mean_j=e["mean_j"],
-            t_stat=e.get("t"), dof=e.get("dof"), p_value=e["p"])
-        for e in doc["tests"]
-    ]
+    except t and dof, which published tables may omit and become None, and
+    a field of another kind raises ValueError."""
+    rows = []
+    for n, e in enumerate(doc["tests"]):
+        e = {"t": None, "dof": None, **e}
+        for key, (valid, want) in PAIRWISE_FIELDS.items():
+            if not valid(e[key]):
+                raise ValueError(f"test {n}: {key} must be {want}, got {e[key]!r}")
+        rows.append(PairwiseTestResult(*(e[key] for key in PAIRWISE_FIELDS)))
+    return rows
 
 
 def mapping_to_json(mapping: CapaMapping) -> dict:

@@ -22,6 +22,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field
+from dataclasses import fields as dataclass_fields
 from decimal import ROUND_HALF_UP, Decimal
 from enum import IntEnum
 from pathlib import Path
@@ -225,7 +226,7 @@ def split_train_test(rows, labels, ratio: float, seed: int):
 
 @dataclass(frozen=True)
 class ForestConfig:
-    n_estimators: int = 500
+    n_estimators: int
     max_depth: int | None = None
     min_samples_leaf: int = 1
     features_per_split: int | None = None  # default ceil(sqrt(n_features))
@@ -406,7 +407,7 @@ class RandomForest:
         if doc.get("format_version") != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format {doc.get('format_version')}")
         config, classes, trees = (doc.get(key) for key in ("config", "classes", "trees"))
-        keys = sorted(asdict(ForestConfig()))
+        keys = sorted(f.name for f in dataclass_fields(ForestConfig))
         if not isinstance(config, dict) or sorted(config) != keys:
             raise ValueError(f"model config must have exactly the keys {keys}")
         if not (isinstance(classes, list) and len(classes) >= 2
@@ -452,7 +453,7 @@ def _canonical_order(X, y_codes):
     return np.lexsort(keys)
 
 
-def train_forest(X, y, config: ForestConfig = ForestConfig()) -> RandomForest:
+def train_forest(X, y, config: ForestConfig) -> RandomForest:
     """Fit a random forest of Gini trees on bootstrap samples."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)

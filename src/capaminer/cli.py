@@ -1,10 +1,6 @@
 """Batch front-end: wires mining, labeling, training, classification, and
-validation into subcommands that emit deterministic file artifacts.
-
-Artifacts (fixed names, under the output directory): patterns.json,
-occurrences.jsonl, golden.jsonl, model_stage1.json, model_stage2.json,
-report_stage1.json, report_stage2.json, classified.jsonl, contingency.csv,
-chi2.json, pairwise.json, mapping.json, report.md.
+validation into subcommands that emit deterministic file artifacts, the
+fixed names of ARTIFACTS under the output directory.
 """
 
 from __future__ import annotations
@@ -12,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -20,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import association, classifier, ingestion, mining, timeutil
+from . import association, classifier, ingestion, mining, stats, timeutil
 from .errors import (CapaMinerError, ConfigError, EmptyDataset, EmptyTable,
                      MalformedInput)
 from .mining import MiningConfig
@@ -31,13 +28,22 @@ EXIT_OK = 0
 EXIT_DATA_ERROR = 1
 EXIT_CONFIG_ERROR = 2
 
-ARTIFACTS = [
-    "patterns.json", "occurrences.jsonl", "golden.jsonl",
-    "model_stage1.json", "model_stage2.json",
-    "report_stage1.json", "report_stage2.json", "classified.jsonl",
-    "contingency.csv", "chi2.json", "pairwise.json", "mapping.json",
-    "report.md",
-]
+# {name: (what it is, the stage that writes it)}, in the order of the stages
+ARTIFACTS = {
+    "patterns.json": ("patterns", "mine"),
+    "occurrences.jsonl": ("occurrences", "mine"),
+    "golden.jsonl": ("golden standard", "label"),
+    "model_stage1.json": ("model", "train"),
+    "model_stage2.json": ("model", "train"),
+    "report_stage1.json": ("class report", "train"),
+    "report_stage2.json": ("class report", "train"),
+    "classified.jsonl": ("classified pull requests", "classify"),
+    "contingency.csv": ("contingency table", "associate"),
+    "chi2.json": ("chi-squared result", "validate"),
+    "pairwise.json": ("pairwise tests", "validate"),
+    "mapping.json": ("mapping", "validate"),
+    "report.md": ("report", "report"),
+}
 
 
 @dataclass
@@ -94,7 +100,10 @@ VALUE_CHECKS = {
 
 def _need(doc, checks):
     """doc, after checking it against checks, {key: (test, requirement)}; a
-    missing key, or a test that fails or raises, is a ValueError."""
+    doc that is not a dict, a missing key, or a test that fails or raises,
+    is a ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError("not a JSON object")
     for key, (valid, want) in checks.items():
         try:
             ok = key in doc and valid(doc[key])
@@ -183,6 +192,7 @@ _TEXT = (lambda v: isinstance(v, str), "a string")
 _INDEX = (lambda v: type(v) is int and v >= 0, "an integer >= 0")
 _DATE = (lambda v: timeutil.from_rfc3339(v) is not None, "an RFC 3339 date")
 _CAPA = (lambda v: type(v) is int and v in range(1, 8), "a CAPA class in 1..7")
+_NUMBER = (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number")
 GOLDEN_FIELDS = {"repo_id": _TEXT, "pr_id": _TEXT,
                  "stage1": (lambda v: v in ("capa", "non_capa"), "capa or non_capa")}
 OCCURRENCE_FIELDS = {"pattern_id": _INDEX, "repo": _TEXT, "start_index": _INDEX,
@@ -190,11 +200,38 @@ OCCURRENCE_FIELDS = {"pattern_id": _INDEX, "repo": _TEXT, "start_index": _INDEX,
 CLASSIFIED_FIELDS = {
     "pr_id": _TEXT, "repo_id": _TEXT, "creation_date": _DATE,
     "capa_class": (lambda v: v is None or _CAPA[0](v), "null or " + _CAPA[1])}
+CLASS_REPORT_ROW_FIELDS = {
+    "label": (lambda v: type(v) is int, "an integer"),
+    **{count: _INDEX for count in ("tp", "tn", "fp", "fn")},
+    **{score: _NUMBER for score in ("precision", "recall", "f1")}}
+CHI2_FIELDS = {"statistic": _NUMBER, "dof": _INDEX, "p_value": _NUMBER,
+               "low_expected_cells": _INDEX}
+MAPPING_TUPLE_FIELDS = {
+    "pattern": _INDEX,
+    "capa": (lambda v: type(v) is int and v in range(association.N_CAPAS),
+             f"an action id in 0..{association.N_CAPAS - 1}")}
 
 
 def _golden_row(g):
     _need(g, GOLDEN_FIELDS)
     return _need(g, {"stage2": _CAPA}) if g["stage1"] == "capa" else g
+
+
+def _chi2(doc):
+    """A chi-squared document: a test result, or the note why there is none."""
+    untested = isinstance(doc, dict) and doc.get("statistic") is None
+    return _need(doc, {"note": _TEXT} if untested else CHI2_FIELDS)
+
+
+def _rows(doc, key, fields):
+    """doc, after checking that doc[key] is a list of objects with fields."""
+    _need(doc, {key: (lambda v: type(v) is list, "a list")})
+    for n, row in enumerate(doc[key]):
+        try:
+            _need(row, fields)
+        except ValueError as exc:
+            raise ValueError(f"{key}[{n}]: {exc}") from None
+    return doc
 
 
 def _read_jsonl(text, parse_row):
@@ -272,10 +309,11 @@ class Run:
 
     A stage that produces a value stores it here as well as writing its
     artifact; a value this process has not produced is loaded from its input
-    file or artifact.  So `pipeline` parses each input once, while a single
-    subcommand reads the files it needs.  golden and classified are the
-    dicts written to disk, so the join parses creation_date from the same
-    RFC 3339 text either way.
+    file or artifact.  So `pipeline` parses each input once and reads no
+    artifact back, while a single subcommand reads the files it needs.
+    golden, classified, reports, chi2 and mapping are the dicts written to
+    disk, so the join parses creation_date from the same RFC 3339 text, and
+    the report renders the same values, either way.
     """
 
     def __init__(self, cfg: PipelineConfig, out: Path):
@@ -307,10 +345,11 @@ class Run:
             ref = min(pr.creation_date for pr in self.prs)
         return np.array([classifier.encode_features(pr, ref) for pr in self.prs])
 
-    def load(self, name, what, stage, parse):
-        """parse(text) of the artifact name, which stage writes, checked for
-        every field that its consumer reads; a missing artifact, or one that
-        parse rejects, is a ConfigError naming it."""
+    def load(self, name, parse):
+        """parse(text) of the artifact name, checked for every field that its
+        consumer reads; a missing artifact, or one that parse rejects, is a
+        ConfigError naming it and, when missing, the stage that writes it."""
+        what, stage = ARTIFACTS[name]
         path = self.out / name
         if not path.exists():
             raise ConfigError(f"{what} not found: {path} (run {stage})")
@@ -318,27 +357,43 @@ class Run:
 
     @cached_property
     def golden(self):
-        return self.load("golden.jsonl", "golden standard", "label",
-                         lambda text: _read_jsonl(text, _golden_row))
+        return self.load("golden.jsonl", lambda text: _read_jsonl(text, _golden_row))
 
     @cached_property
     def models(self):
-        return [self.load(f"model_stage{stage}.json", "model", "train",
+        return [self.load(f"model_stage{stage}.json",
                           lambda text: _forest(json.loads(text), labels))
                 for stage, labels in ((1, classifier.StageOneLabel),
                                       (2, classifier.CapaLabel))]
 
     @cached_property
     def occurrences(self):
-        return self.load("occurrences.jsonl", "occurrences", "mine", lambda text:
-                         _read_jsonl(text, lambda o: mining.occurrence_from_json(
-                             _need(o, OCCURRENCE_FIELDS))))
+        return self.load("occurrences.jsonl", lambda text: _read_jsonl(
+            text, lambda o: mining.occurrence_from_json(_need(o, OCCURRENCE_FIELDS))))
 
     @cached_property
     def classified(self):
-        return self.load("classified.jsonl", "classified pull requests", "classify",
-                         lambda text: _read_jsonl(
-                             text, lambda c: _need(c, CLASSIFIED_FIELDS)))
+        return self.load("classified.jsonl", lambda text: _read_jsonl(
+            text, lambda c: _need(c, CLASSIFIED_FIELDS)))
+
+    @cached_property
+    def reports(self):
+        """The class-report documents of stages 1 and 2."""
+        return [self.load(f"report_stage{stage}.json", lambda text: _rows(
+            json.loads(text), "rows", CLASS_REPORT_ROW_FIELDS)) for stage in (1, 2)]
+
+    @cached_property
+    def table(self):
+        return self.load("contingency.csv", association.contingency_from_csv)
+
+    @cached_property
+    def chi2(self):
+        return self.load("chi2.json", lambda text: _chi2(json.loads(text)))
+
+    @cached_property
+    def mapping(self):
+        return self.load("mapping.json", lambda text: _rows(_need(
+            json.loads(text), {"alpha": _NUMBER}), "tuples", MAPPING_TUPLE_FIELDS))
 
     @cached_property
     def joins(self):
@@ -402,7 +457,7 @@ def cmd_train(run: Run):
             X2.append(x)
             y2.append(int(g["stage2"]))
     fconf = classifier.ForestConfig(n_estimators=cfg.n_estimators, seed=cfg.seed)
-    models = []
+    models, reports = [], []
     for stage, (X, y) in enumerate([(X1, y1), (X2, y2)], start=1):
         X = np.array(X)
         y = np.array(y)
@@ -410,13 +465,12 @@ def cmd_train(run: Run):
         forest = classifier.train_forest(X[tr], y[tr], fconf)
         models.append(forest)
         pred, _ = forest.predict(X[te])
-        rows = classifier.compute_report(y[te].tolist(), pred.tolist(),
-                                         sorted(set(y.tolist())))
+        reports.append(classifier.report_to_json(classifier.compute_report(
+            y[te].tolist(), pred.tolist(), sorted(set(y.tolist())))))
         _write_json(run.out / f"model_stage{stage}.json", forest.to_json(), cfg,
                     compact=True)
-        _write_json(run.out / f"report_stage{stage}.json",
-                    classifier.report_to_json(rows), cfg)
-    run.models = models
+        _write_json(run.out / f"report_stage{stage}.json", reports[-1], cfg)
+    run.models, run.reports = models, reports
     log.info("trained stage-1 on %d rows, stage-2 on %d rows", len(X1), len(X2))
 
 
@@ -439,47 +493,46 @@ def cmd_classify(run: Run):
 
 
 def cmd_associate(run: Run):
-    table = association.build_contingency(run.joins)
-    text = f"# seed={run.cfg.seed}\n" + association.contingency_to_csv(table)
+    run.table = association.build_contingency(run.joins)
+    text = f"# seed={run.cfg.seed}\n" + association.contingency_to_csv(run.table)
     _write_text(run.out / "contingency.csv", text)
     log.info("joined %d pull requests across %d pattern types",
-             len(run.joins), len(table.row_labels))
+             len(run.joins), len(run.table.row_labels))
 
 
 def cmd_validate(run: Run, contingency_path=None, pairwise_path=None):
     """Chi-squared on the contingency table, pairwise tests, and mapping.
 
-    The pairwise rows come from pairwise_path whenever it is given (e.g.
-    when validating a standalone table), and from the joins otherwise.
+    The table comes from contingency_path and the pairwise rows from
+    pairwise_path whenever they are given (e.g. when validating a standalone
+    table), and from the run otherwise.  All three documents are computed
+    before the first is written.
     """
     cfg, out = run.cfg, run.out
     if contingency_path:
-        table = _parse(Path(_require_file(contingency_path, "contingency table")),
-                       "contingency table", association.contingency_from_csv,
-                       MalformedInput)
-    else:
-        table = run.load("contingency.csv", "contingency table", "associate",
-                         association.contingency_from_csv)
+        run.table = _parse(Path(_require_file(contingency_path, "contingency table")),
+                           "contingency table", association.contingency_from_csv,
+                           MalformedInput)
     if pairwise_path:
         results = _parse(Path(pairwise_path), "pairwise rows", lambda text:
                          association.pairwise_from_json(json.loads(text)),
                          MalformedInput)
     else:
-        qualifying = association.filter_relevant(table, cfg.min_count)
+        qualifying = association.filter_relevant(run.table, cfg.min_count)
         results = association.pairwise_tests(run.joins, qualifying)
         log.info("skipped %d action pairs with fewer than 2 occurrence samples",
                  len(association.qualifying_pairs(qualifying)) - len(results))
     try:
-        chi2_doc = asdict(association.chi2_on_table(table))
+        chi2 = asdict(stats.chi2_independence(run.table.counts))
     except EmptyTable as exc:
-        chi2_doc = {"statistic": None, "dof": None, "p_value": None,
-                    "note": str(exc)}
-    _write_json(out / "chi2.json", chi2_doc, cfg)
-    _write_json(out / "pairwise.json", association.pairwise_to_json(results), cfg)
+        chi2 = {"statistic": None, "dof": None, "p_value": None, "note": str(exc)}
     mapping = association.extract_mapping(results, cfg.alpha)
-    _write_json(out / "mapping.json", association.mapping_to_json(mapping), cfg)
+    run.chi2, run.mapping = chi2, association.mapping_to_json(mapping)
+    _write_json(out / "chi2.json", run.chi2, cfg)
+    _write_json(out / "pairwise.json", association.pairwise_to_json(results), cfg)
+    _write_json(out / "mapping.json", run.mapping, cfg)
     log.info("chi2 p=%s; %d pairwise tests; %d mapping tuples",
-             chi2_doc["p_value"], len(results), len(mapping.tuples))
+             chi2["p_value"], len(results), len(mapping.tuples))
 
 
 def cmd_pipeline(cfg: PipelineConfig, out: Path):
@@ -499,63 +552,52 @@ def cmd_pipeline(cfg: PipelineConfig, out: Path):
 
 
 def cmd_report(run: Run):
-    """Assemble a human-readable summary from whatever artifacts exist."""
-    cfg, out = run.cfg, run.out
-    lines = ["<!-- seed=%d -->" % cfg.seed, "# Pipeline report", ""]
+    """Render report.md from the run's contingency table, class reports,
+    chi-squared result and mapping; one that the run does not hold and that
+    is not on disk is listed as missing."""
+    lines = ["<!-- seed=%d -->" % run.cfg.seed, "# Pipeline report", ""]
     gaps = []
 
-    cpath = out / "contingency.csv"
-    if cpath.exists():
-        lines += ["## Actions near patterns", "", "```"]
-        lines += [ln for ln in cpath.read_text().splitlines()
-                  if not ln.startswith("#")]
-        lines += ["```", ""]
-    else:
-        gaps.append("contingency.csv")
+    def held(attr, *names):
+        """run.attr, or None when the run does not hold it and one of names
+        is not on disk; those names are gaps."""
+        missing = [] if attr in vars(run) else [
+            n for n in names if not (run.out / n).exists()]
+        gaps.extend(missing)
+        return None if missing else getattr(run, attr)
 
-    for stage in (1, 2):
-        rpath = out / f"report_stage{stage}.json"
-        if rpath.exists():
-            doc = json.loads(rpath.read_text())
-            lines += [f"## Classification report, stage {stage}", "",
-                      "| label | TP | TN | FP | FN | PRE | REC | F1 |",
-                      "|---|---|---|---|---|---|---|---|"]
-            for r in doc["rows"]:
-                lines.append(
-                    "| {label} | {tp} | {tn} | {fp} | {fn} | "
-                    "{precision:.2f} | {recall:.2f} | {f1:.2f} |".format(**r))
-            lines.append("")
-        else:
-            gaps.append(rpath.name)
+    if (table := held("table", "contingency.csv")) is not None:
+        lines += ["## Actions near patterns", "", "```",
+                  *association.contingency_to_csv(table).splitlines(), "```", ""]
 
-    chpath = out / "chi2.json"
-    if chpath.exists():
-        doc = json.loads(chpath.read_text())
-        lines += ["## Independence test", ""]
-        if doc.get("statistic") is None:
-            lines += [f"not computed: {doc.get('note', 'degenerate table')}", ""]
-        else:
-            lines += [f"Chi-squared statistic {doc['statistic']:.4f}, "
-                      f"dof {doc['dof']}, p-value {doc['p_value']:.4g}", "",
-                      f"Expected cells below 5: {doc['low_expected_cells']}", ""]
-    else:
-        gaps.append("chi2.json")
-
-    mpath = out / "mapping.json"
-    if mpath.exists():
-        doc = json.loads(mpath.read_text())
-        lines += ["## Recommended actions (alpha = %g)" % doc["alpha"], ""]
-        lines += [f"- Pattern {t['pattern']} -> CAPA {t['capa']}"
-                  for t in doc["tuples"]] or ["- none"]
+    for stage, doc in enumerate(held("reports", "report_stage1.json",
+                                     "report_stage2.json") or [], start=1):
+        lines += [f"## Classification report, stage {stage}", "",
+                  "| label | TP | TN | FP | FN | PRE | REC | F1 |",
+                  "|---|---|---|---|---|---|---|---|"]
+        lines += ["| {label} | {tp} | {tn} | {fp} | {fn} | "
+                  "{precision:.2f} | {recall:.2f} | {f1:.2f} |".format(**r)
+                  for r in doc["rows"]]
         lines.append("")
-    else:
-        gaps.append("mapping.json")
+
+    if (chi2 := held("chi2", "chi2.json")) is not None:
+        lines += ["## Independence test", ""]
+        if chi2["statistic"] is None:
+            lines += [f"not computed: {chi2['note']}", ""]
+        else:
+            lines += [f"Chi-squared statistic {chi2['statistic']:.4f}, "
+                      f"dof {chi2['dof']}, p-value {chi2['p_value']:.4g}", "",
+                      f"Expected cells below 5: {chi2['low_expected_cells']}", ""]
+
+    if (mapping := held("mapping", "mapping.json")) is not None:
+        lines += ["## Recommended actions (alpha = %g)" % mapping["alpha"], ""]
+        lines += [f"- Pattern {t['pattern']} -> CAPA {t['capa']}"
+                  for t in mapping["tuples"]] or ["- none"]
+        lines.append("")
 
     if gaps:
-        lines += ["## Missing artifacts", ""]
-        lines += [f"- {g}" for g in gaps]
-        lines.append("")
-    _write_text(out / "report.md", "\n".join(lines))
+        lines += ["## Missing artifacts", "", *(f"- {g}" for g in gaps), ""]
+    _write_text(run.out / "report.md", "\n".join(lines))
 
 
 # --- argument parsing --------------------------------------------------------

@@ -9,7 +9,6 @@ from capaminer.association import (
     JoinRecord,
     build_contingency,
     capa_id_from_class,
-    chi2_on_table,
     contingency_from_csv,
     contingency_to_csv,
     extract_mapping,
@@ -23,6 +22,7 @@ from capaminer.association import (
     temporal_join,
 )
 from capaminer.mining import PatternOccurrence
+from capaminer.stats import chi2_independence
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "capaminer" / "data"
 DAY = 86400.0
@@ -104,7 +104,7 @@ class TestContingency:
 
     def test_reference_table_chi2(self):
         t = contingency_from_csv((DATA / "reference_capa_counts.csv").read_text())
-        r = chi2_on_table(t)
+        r = chi2_independence(t.counts)
         assert r.statistic == pytest.approx(84.208, abs=0.01)
         assert r.dof == 54
         assert 0.005 <= r.p_value <= 0.012
@@ -115,6 +115,21 @@ class TestContingency:
             "Pattern 2,3,4,7\nTotal,3,4,7\n")
         assert t.row_labels == (2,)
         np.testing.assert_array_equal(t.counts, [[3, 4]])
+
+    def test_table_without_joins_round_trips(self):
+        t = build_contingency([])
+        again = contingency_from_csv(contingency_to_csv(t))
+        assert again.row_labels == () and again.counts.shape == (0, 7)
+
+    @pytest.mark.parametrize("rows, cols, counts, why", [
+        ((0,), (0, 1), [[5]], "shape"),
+        ((0, 1), (0,), [[5], [-1]], "non-negative"),
+        ((0, 0), (0,), [[5], [1]], "repeated labels"),
+        ((0,), (3, 3), [[5, 1]], "repeated labels"),
+    ])
+    def test_bad_table_rejected(self, rows, cols, counts, why):
+        with pytest.raises(ValueError, match=why):
+            ContingencyTable(rows, cols, counts)
 
 
 class TestFilterRelevant:

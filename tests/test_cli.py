@@ -344,22 +344,41 @@ class TestValidateStandalone:
         assert len(tests) == 14
         assert all(t["t"] is None and t["dof"] is None for t in tests)
 
-    def test_pairwise_row_without_pattern(self, tmp_path, capsys):
+    @pytest.mark.parametrize("edit, why", [
+        (lambda row: row.pop("pattern"), "'pattern'"),
+        (lambda row: row.update(p="x"), "test 3: p must be a finite number, got 'x'"),
+        (lambda row: row.update(capa_i=1.0), "capa_i must be an integer, got 1.0"),
+        (lambda row: row.update(pattern=True), "pattern must be an integer, got True"),
+        (lambda row: row.update(mean_j=None), "mean_j must be a finite number"),
+        (lambda row: row.update(t="2.1"), "t must be a number or null, got '2.1'"),
+        (lambda row: row.update(dof=[]), "dof must be a number or null, got []"),
+    ], ids=["no-pattern", "p-text", "capa-float", "pattern-bool", "mean-null",
+            "t-text", "dof-list"])
+    def test_malformed_pairwise_row(self, tmp_path, capsys, edit, why):
         doc = json.loads(bundled_data_path("reference_pairwise.json").read_text())
-        del doc["tests"][3]["pattern"]
+        edit(doc["tests"][3])
         rc, out, _, rows = self.run_validate(tmp_path, pairwise=doc)
         assert rc == EXIT_DATA_ERROR
         err = capsys.readouterr().err
-        assert str(rows) in err and "'pattern'" in err
+        assert str(rows) in err and why in err and "Traceback" not in err
         assert list(out.iterdir()) == []
 
-    def test_contingency_cell_not_a_number(self, tmp_path, capsys):
+    @pytest.mark.parametrize("edit, why", [
+        (lambda text: text.replace("Pattern 6,2,", "Pattern 6,x,"), "'x'"),
+        (lambda text: "Pattern type,CAPA 0,CAPA 1,Total\nPattern 0,5\nTotal,5,0,5\n",
+         "counts of shape (1, 1) for 1 rows and 2 columns"),
+        (lambda text: text.replace("Pattern 6,2,", "Pattern 6,-5,"),
+         "counts must be non-negative"),
+        (lambda text: text.replace("Pattern 6,", "Pattern 5,"), "repeated labels"),
+        (lambda text: text.replace("CAPA 1,", "CAPA 0,"), "repeated labels"),
+    ], ids=["cell-text", "short-row", "negative-cell", "repeated-row",
+            "repeated-column"])
+    def test_malformed_contingency_table(self, tmp_path, capsys, edit, why):
         text = bundled_data_path("reference_capa_counts.csv").read_text()
-        rc, out, table, _ = self.run_validate(
-            tmp_path, contingency=text.replace("Pattern 6,2,", "Pattern 6,x,"))
+        rc, out, table, _ = self.run_validate(tmp_path, contingency=edit(text))
         assert rc == EXIT_DATA_ERROR
         err = capsys.readouterr().err
-        assert str(table) in err and "'x'" in err
+        assert str(table) in err and why in err and "Traceback" not in err
         assert list(out.iterdir()) == []
 
     def test_missing_contingency(self, tmp_path, capsys):
@@ -376,6 +395,81 @@ class TestReportGaps:
         assert "Missing artifacts" in text
         assert "contingency.csv" in text
         assert "chi2.json" in text
+
+
+def set_field(key, value, row=None):
+    """An edit of a JSON document that sets key, in doc[row[0]][row[1]]
+    when row is given."""
+    def edit(doc):
+        (doc if row is None else doc[row[0]][row[1]])[key] = value
+        return doc
+    return edit
+
+
+def drop_field(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+class TestReportInputs:
+    @pytest.mark.parametrize("name, edit, why", [
+        ("report_stage1.json", set_field("rows", 5), "rows must be a list, got 5"),
+        ("report_stage1.json", set_field("rows", {}), "rows must be a list"),
+        ("report_stage2.json", set_field("f1", "1.00", ("rows", 0)),
+         "rows[0]: f1 must be a finite number, got '1.00'"),
+        ("report_stage1.json", set_field("label", "1", ("rows", 1)),
+         "rows[1]: label must be an integer, got '1'"),
+        ("report_stage2.json", set_field("tp", None, ("rows", 2)),
+         "rows[2]: tp must be an integer >= 0, got None"),
+        ("report_stage1.json", set_field("rows", [[]]), "rows[0]: not a JSON object"),
+        ("chi2.json", set_field("statistic", "x"),
+         "statistic must be a finite number, got 'x'"),
+        ("chi2.json", drop_field("low_expected_cells"),
+         "low_expected_cells must be an integer >= 0, got None"),
+        ("chi2.json", set_field("dof", "12"), "dof must be an integer >= 0, got '12'"),
+        ("chi2.json", set_field("p_value", False), "p_value must be a finite number"),
+        ("chi2.json", lambda doc: [doc], "not a JSON object"),
+        ("chi2.json", set_field("statistic", None), "note must be a string, got None"),
+        ("mapping.json", drop_field("tuples"), "tuples must be a list, got None"),
+        ("mapping.json", set_field("alpha", "0.15"), "alpha must be a finite number"),
+        ("mapping.json", set_field("tuples", [{"pattern": 0, "capa": "1"}]),
+         "tuples[0]: capa must be an action id in 0..6, got '1'"),
+        ("mapping.json", set_field("tuples", [{"pattern": None, "capa": 1}]),
+         "tuples[0]: pattern must be an integer >= 0, got None"),
+        ("contingency.csv", lambda text: text.replace("Pattern 0,14,", "Pattern 0,x,"),
+         "invalid literal"),
+        ("contingency.csv", lambda text: text.replace("Pattern 0,14,", "Pattern 0,-1,"),
+         "counts must be non-negative"),
+        ("contingency.csv", lambda text: text.replace("Pattern 1,", "Pattern 0,"),
+         "repeated labels"),
+    ], ids=["rows-int", "rows-object", "f1-text", "label-text", "tp-null", "row-list",
+            "statistic-text", "no-low-expected-cells", "dof-text", "p-value-bool",
+            "chi2-list", "no-note", "no-tuples", "alpha-text", "capa-text",
+            "pattern-null", "cell-text", "negative-cell", "repeated-row"])
+    def test_malformed_input_exits_2_and_keeps_report(self, tmp_path, capsys, name,
+                                                      edit, why):
+        cfg, out = fixture_config(tmp_path)
+        assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
+        report = (out / "report.md").read_bytes()
+        path = out / name
+        if name.endswith(".json"):
+            path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        else:
+            path.write_text(edit(path.read_text()))
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "report"]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid {ARTIFACTS[name][0]} {path}: ")
+        assert why in err and "Traceback" not in err
+        assert (out / "report.md").read_bytes() == report
+
+    def test_missing_class_report_is_listed(self, tmp_path):
+        cfg, out = fixture_config(tmp_path)
+        assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
+        (out / "report_stage2.json").unlink()
+        assert main(["--config", str(cfg), "report"]) == EXIT_OK
+        text = (out / "report.md").read_text()
+        assert text.endswith("## Missing artifacts\n\n- report_stage2.json\n")
+        assert "## Actions near patterns" in text and "## Independence test" in text
 
 
 class TestAtomicWrites:
@@ -408,7 +502,8 @@ def with_split_feature(doc, feature):
 
 
 def count_calls(monkeypatch, owner, name):
-    """Replace owner.name by a wrapper that records the arguments of each call."""
+    """Replace owner.name by a wrapper that records the arguments of each
+    call; those of a plain method of a class begin with self."""
     calls = []
     original = getattr(owner, name)
 
@@ -416,8 +511,8 @@ def count_calls(monkeypatch, owner, name):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(owner, name,
-                        staticmethod(counted) if isinstance(owner, type) else counted)
+    bound = isinstance(owner, type) and hasattr(original, "__self__")
+    monkeypatch.setattr(owner, name, staticmethod(counted) if bound else counted)
     return calls
 
 
@@ -460,14 +555,20 @@ class TestPipeline:
         joins = count_calls(monkeypatch, association, "temporal_join")
         encodes = count_calls(monkeypatch, classifier, "encode_features")
         model_reads = count_calls(monkeypatch, classifier.RandomForest, "from_json")
+        artifact_reads = count_calls(monkeypatch, Run, "load")
         cfg, _ = fixture_config(tmp_path)
         assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
         assert len(loads) == len(joins) == 1
         assert len(encodes) == len({id(args[0]) for args in encodes}) == n_prs
-        assert model_reads == []
+        assert model_reads == [] and artifact_reads == []
         # a single stage still reads its inputs from the files
         assert main(["--config", str(cfg), "classify"]) == EXIT_OK
         assert len(loads) == 2 and len(model_reads) == 2
+        artifact_reads.clear()
+        assert main(["--config", str(cfg), "report"]) == EXIT_OK
+        assert sorted(args[1] for args in artifact_reads) == [
+            "chi2.json", "contingency.csv", "mapping.json",
+            "report_stage1.json", "report_stage2.json"]
 
     def test_fixture_models_predict_as_per_row_walk(self, tmp_path):
         cfg, out = fixture_config(tmp_path)
