@@ -228,19 +228,39 @@ def contingency_to_csv(table: ContingencyTable) -> str:
 
 
 def contingency_from_csv(text: str) -> ContingencyTable:
-    lines = [ln for ln in text.splitlines()
+    """The table of a text in contingency_to_csv's layout.  A line whose
+    cell count differs from the header's, a missing Total column or row, or
+    a total that is not the sum of its cells raises ValueError naming the
+    1-based line."""
+    lines = [(n, ln.split(",")) for n, ln in enumerate(text.splitlines(), 1)
              if ln.strip() and not ln.startswith("#")]
-    header = lines[0].split(",")
-    cols = tuple(int(h.split()[-1]) for h in header[1:] if h.strip() != "Total")
+    if len(lines) < 2 or lines[0][1][-1].strip() != "Total" \
+            or lines[-1][1][0].strip() != "Total":
+        raise ValueError("expected a header ending in a Total column, "
+                         "pattern rows and a Total row")
+    (_, header), *body = lines
+    last = body[-1][0]
+    cols = tuple(int(h.split()[-1]) for h in header[1:-1])
     rows, data = [], []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if cells[0].strip() == "Total":
-            continue
-        rows.append(int(cells[0].split()[-1]))
-        data.append([int(c) for c in cells[1 : 1 + len(cols)]])
-    counts = np.array(data, dtype=int) if data else np.zeros((0, len(cols)), dtype=int)
-    return ContingencyTable(tuple(rows), cols, counts)
+    for n, cells in body:
+        if len(cells) != len(header):
+            raise ValueError(f"line {n}: {len(cells)} cells, the header has {len(header)}")
+        try:
+            data.append([int(c) for c in cells[1:]])
+            if n != last:
+                rows.append(int(cells[0].split()[-1]))
+        except ValueError as e:
+            raise ValueError(f"line {n}: {e}") from None
+    counts = np.array(data[:-1], dtype=int).reshape(len(body) - 1, len(header) - 1)
+    table = ContingencyTable(tuple(rows), cols, counts[:, :-1])
+    for (n, _), total, want in zip(body, counts[:, -1].tolist(),
+                                   table.row_totals.tolist()):
+        if total != want:
+            raise ValueError(f"line {n}: row total {total}, its cells sum to {want}")
+    want = [*table.col_totals.tolist(), table.grand_total]
+    if data[-1] != want:
+        raise ValueError(f"line {last}: Total row {data[-1]}, the columns sum to {want}")
+    return table
 
 
 def pairwise_to_json(results) -> dict:

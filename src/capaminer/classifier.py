@@ -3,16 +3,16 @@ classification, and classification report math.
 
 The forest is built from scratch: axis-aligned binary trees with Gini
 splits, bootstrap sampling, and a random feature subset per node.  All
-randomness derives from (seed, estimator index), and training rows are put
-into a canonical order first, so results do not depend on input row order
-or on how estimators are scheduled.
+randomness comes from keyed draws (_draws): SplitMix64 outputs at counters
+of a stream keyed by (seed, purpose, tree, depth), so each draw is a pure
+function of where it is used.  Training rows are put into a canonical order
+first, so results do not depend on input row order or on how nodes are
+scheduled.
 
-Training grows all trees in lockstep.  Each tree keeps an explicit stack
-and draws the features of its nodes in depth-first pre-order, exactly as a
-recursive grower would; each step takes the next node to split from every
-tree and scores them together in one numpy pass (_best_splits).  A tree's
-draws depend only on its own nodes, so the lockstep schedule gives the same
-trees as growing them one at a time.
+Training grows all trees level-wise.  The nodes of one depth that may
+split, across all trees, draw their feature subsets in one keyed call, each
+keyed by its tree and its left-to-right position among that tree's such
+nodes, and are scored together in batched numpy passes (_best_splits).
 """
 
 from __future__ import annotations
@@ -200,6 +200,56 @@ DEFAULT_KEYWORDS, DEFAULT_NON_CAPA_KEYWORDS = load_keyword_map(json.loads(
     (Path(__file__).parent / "data" / "default_keywords.json").read_text()))
 
 
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+# the purpose part of a draw's key
+_SPLIT, _BOOTSTRAP, _FEATURES = 0, 1, 2
+
+
+def _mix(z):
+    """SplitMix64's output function on an array of uint64 (which wraps)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _draws(seed, purpose, tree, depth, counter):
+    """Keyed uint64 draws, one per element of the broadcast tree and
+    counter arrays: the counter-th output of the SplitMix64 stream whose
+    state starts at the key, a hash of (seed, purpose, tree, depth).
+
+    Counter-based generation (Salmon et al., SC 2011) with the SplitMix64
+    mixer (Steele, Lea & Flood, OOPSLA 2014): no stream is consumed, so any
+    subset of draws can be made in any order, and the words do not depend
+    on numpy's Generator algorithms."""
+    tree, counter = np.broadcast_arrays(np.asarray(tree, dtype=np.uint64),
+                                        np.asarray(counter, dtype=np.uint64))
+    key = np.zeros(counter.shape, dtype=np.uint64)
+    for part in (seed, purpose, tree, depth):
+        key = _mix(key ^ np.asarray(part, dtype=np.uint64))
+    return _mix(key + _GAMMA * (counter + np.uint64(1)))
+
+
+def _permutation(seed, n):
+    """A random permutation of range(n), for split_train_test."""
+    return np.argsort(_draws(seed, _SPLIT, 0, 0, np.arange(n)), kind="stable")
+
+
+def _bootstrap(seed, tree, n):
+    """The bootstrap sample of tree number tree: n integers in [0, n),
+    ascending, each from the high 32 bits of a draw by multiply-shift."""
+    high = _draws(seed, _BOOTSTRAP, tree, 0, np.arange(n)) >> np.uint64(32)
+    return np.sort((high * np.uint64(n) >> np.uint64(32)).astype(np.intp))
+
+
+def _feature_subsets(seed, depth, trees, positions, n_feat, k):
+    """The ascending candidate features of nodes at depth: per node, the k
+    features with the smallest of n_feat draws keyed by its tree and its
+    position among the tree's nodes that may split at that depth."""
+    counter = positions[:, None] * n_feat + np.arange(n_feat)
+    words = _draws(seed, _FEATURES, trees[:, None], depth, counter)
+    return np.sort(np.argsort(words, axis=1, kind="stable")[:, :k], axis=1)
+
+
 def split_train_test(rows, labels, ratio: float, seed: int):
     """Stratified split into (train_idx, test_idx), deterministic per seed.
 
@@ -210,15 +260,15 @@ def split_train_test(rows, labels, ratio: float, seed: int):
     labels = np.asarray(labels)
     if len(rows) != len(labels):
         raise ValueError("rows and labels length mismatch")
-    rng = np.random.default_rng(seed)
+    classes, codes = np.unique(labels, return_inverse=True)
+    order = _permutation(seed, len(labels))
     train, test = [], []
-    for cls in np.unique(labels):
-        idx = np.flatnonzero(labels == cls)
-        if len(idx) < 2:
+    for c, cls in enumerate(classes.tolist()):
+        perm = order[codes[order] == c]  # the class's rows in random order
+        if len(perm) < 2:
             raise ValueError(f"class {cls!r} has fewer than 2 rows")
-        n_train = int(round(ratio * len(idx)))
-        n_train = min(max(n_train, 1), len(idx) - 1)
-        perm = rng.permutation(idx)
+        n_train = int(round(ratio * len(perm)))
+        n_train = min(max(n_train, 1), len(perm) - 1)
         train.extend(perm[:n_train].tolist())
         test.extend(perm[n_train:].tolist())
     return sorted(train), sorted(test)
@@ -463,11 +513,9 @@ def train_forest(X, y, config: ForestConfig) -> RandomForest:
         raise ValueError("training values must be finite")
     if config.min_samples_leaf < 1:
         raise ValueError("min_samples_leaf must be at least 1")
-    classes = np.unique(y)
+    classes, y_codes = np.unique(y, return_inverse=True)
     if len(classes) < 2:
         raise DegenerateData("training data has a single class")
-    code_of = {c: i for i, c in enumerate(classes.tolist())}
-    y_codes = np.array([code_of[v] for v in y.tolist()])
     order = _canonical_order(X, y_codes)
     XT = np.ascontiguousarray(X[order].T)
     ranks = _dense_ranks(XT)
@@ -475,29 +523,28 @@ def train_forest(X, y, config: ForestConfig) -> RandomForest:
     n_feat, n = XT.shape
     k = min(config.features_per_split or math.ceil(math.sqrt(n_feat)), n_feat)
     min_leaf, max_depth = config.min_samples_leaf, config.max_depth
-    trees, stacks = [], []
-    for i in range(config.n_estimators):
-        rng = np.random.default_rng([config.seed, i])
-        sample = np.sort(rng.integers(0, n, size=n))
+    trees, level = [], []
+    for t in range(config.n_estimators):
+        sample = _bootstrap(config.seed, t, n)
         trees.append({"leaf": True, "counts": onehot[sample].sum(axis=0).tolist()})
-        stacks.append((rng, [(sample, trees[-1], 0)]))
-    while True:
-        # each tree's next node, in depth-first pre-order, that may split
-        step = []
-        for rng, stack in stacks:
-            while stack:
-                idx, node, depth = stack.pop()
-                if (len(idx) >= 2 * min_leaf and max(node["counts"]) < len(idx)
-                        and (max_depth is None or depth < max_depth)):
-                    feats = rng.choice(n_feat, size=k, replace=False)
-                    step.append((idx, node, depth, stack, feats))
-                    break
+        level.append((sample, trees[-1], t))
+    depth = 0
+    while max_depth is None or depth < max_depth:
+        # the leaves of this depth that may split, tree by tree, left to right
+        step = [(idx, node, t) for idx, node, t in level
+                if len(idx) >= 2 * min_leaf and max(node["counts"]) < len(idx)]
         if not step:
             break
+        tree_of = np.array([t for *_, t in step])
+        first = np.searchsorted(tree_of, tree_of)  # index of each tree's first node
+        feats = _feature_subsets(config.seed, depth, tree_of,
+                                 np.arange(len(step)) - first, n_feat, k)
+        step = [(idx, node, t, f) for (idx, node, t), f in zip(step, feats)]
+        level = []
         for batch in _passes(step, k):
             splits = _best_splits(XT, ranks, onehot, [idx for idx, *_ in batch],
-                                  np.sort([feats for *_, feats in batch]), min_leaf)
-            for (idx, node, depth, stack, _), split in zip(batch, splits):
+                                  np.array([f for *_, f in batch]), min_leaf)
+            for (_, node, t, _), split in zip(batch, splits):
                 if split is None:
                     continue
                 _, f, thr, (left_idx, left_counts), (right_idx, right_counts) = split
@@ -506,7 +553,8 @@ def train_forest(X, y, config: ForestConfig) -> RandomForest:
                 node.clear()
                 node.update(leaf=False, feature=f, threshold=thr,
                             left=left, right=right)
-                stack += [(right_idx, right, depth + 1), (left_idx, left, depth + 1)]
+                level += [(left_idx, left, t), (right_idx, right, t)]
+        depth += 1
     return RandomForest(config=config, classes=classes.tolist(), trees=trees)
 
 

@@ -81,7 +81,8 @@ class PipelineConfig:
 
 # {key: (test, requirement)} checked by load_config, besides MiningConfig's own
 VALUE_CHECKS = {
-    "seed": (lambda v: isinstance(v, int), "an integer"),
+    "seed": (lambda v: isinstance(v, int) and 0 <= v < 2**64,
+             "an integer in [0, 2**64)"),
     "alpha": (lambda v: 0 < v < 1, "in (0, 1)"),
     "window_days": (lambda v: v >= 0, ">= 0"),
     "min_count": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),

@@ -154,51 +154,53 @@ def naive_best_split(X, y_codes, n_classes, feat_idx, min_leaf):
     return best
 
 
-def naive_grow_tree(X, y_codes, n_classes, config, rng, depth, idx):
-    """One tree grown recursively, node by node with naive_best_split, as
-    nested dicts: a node draws its candidate features from rng when it may
-    split, so the draws follow depth-first pre-order."""
-    counts = np.bincount(y_codes[idx], minlength=n_classes)
-    leaf = {"leaf": True, "counts": counts.tolist()}
-    if (len(idx) < 2 * config.min_samples_leaf or counts.max() == len(idx)
-            or (config.max_depth is not None and depth >= config.max_depth)):
-        return leaf
-    n_feat = X.shape[1]
-    k = config.features_per_split or math.ceil(math.sqrt(n_feat))
-    feat_idx = np.sort(rng.choice(n_feat, size=min(k, n_feat), replace=False))
-    best = naive_best_split(X[idx], y_codes[idx], n_classes, feat_idx,
-                            config.min_samples_leaf)
-    if best is None:
-        return leaf
-    _, f, thr = best
-    mask = X[idx, f] <= thr
-    if mask.all():
-        return leaf
-    return {
-        "leaf": False,
-        "feature": f,
-        "threshold": thr,
-        "left": naive_grow_tree(X, y_codes, n_classes, config, rng, depth + 1,
-                                idx[mask]),
-        "right": naive_grow_tree(X, y_codes, n_classes, config, rng, depth + 1,
-                                 idx[~mask]),
-    }
-
-
 def naive_forest_trees(X, y, config):
-    """The trees of train_forest(X, y, config), grown one after another:
-    rows in canonical order (by feature values, then label), then per tree
-    a bootstrap sample and naive_grow_tree, both from the tree's own rng."""
+    """The trees of train_forest(X, y, config), grown one after another and
+    level by level with naive_best_split, as nested dicts.  Rows are put in
+    canonical order (by feature values, then label); each tree draws its
+    bootstrap sample, and each node that may split draws its candidate
+    features, from _draws keyed as the docstrings of _bootstrap and
+    _feature_subsets say, worked out here one node at a time."""
+    from capaminer.classifier import _BOOTSTRAP, _FEATURES, _draws
+
     classes = np.unique(y)
     y_codes = np.searchsorted(classes, y)
     order = np.lexsort([y_codes] + [X[:, j] for j in range(X.shape[1] - 1, -1, -1)])
     X, y_codes = X[order], y_codes[order]
+    (n, n_feat), min_leaf = X.shape, config.min_samples_leaf
+    k = min(config.features_per_split or math.ceil(math.sqrt(n_feat)), n_feat)
+
+    def leaf(idx):
+        return {"leaf": True,
+                "counts": np.bincount(y_codes[idx], minlength=len(classes)).tolist()}
+
     trees = []
-    for i in range(config.n_estimators):
-        rng = np.random.default_rng([config.seed, i])
-        sample = np.sort(rng.integers(0, len(X), size=len(X)))
-        trees.append(naive_grow_tree(X, y_codes, len(classes), config, rng, 0,
-                                     sample))
+    for t in range(config.n_estimators):
+        words = _draws(config.seed, _BOOTSTRAP, t, 0, np.arange(n)).tolist()
+        sample = np.array(sorted((w >> 32) * n >> 32 for w in words))
+        trees.append(leaf(sample))
+        level, depth = [(sample, trees[-1])], 0
+        while level and (config.max_depth is None or depth < config.max_depth):
+            splittable = [(idx, node) for idx, node in level
+                          if len(idx) >= 2 * min_leaf and max(node["counts"]) < len(idx)]
+            level = []
+            for position, (idx, node) in enumerate(splittable):
+                words = _draws(config.seed, _FEATURES, t, depth,
+                               position * n_feat + np.arange(n_feat)).tolist()
+                feat_idx = sorted(sorted(range(n_feat), key=lambda f: (words[f], f))[:k])
+                best = naive_best_split(X[idx], y_codes[idx], len(classes), feat_idx,
+                                        min_leaf)
+                if best is None:
+                    continue
+                _, f, thr = best
+                mask = X[idx, f] <= thr
+                if mask.all():
+                    continue
+                left, right = leaf(idx[mask]), leaf(idx[~mask])
+                node.clear()
+                node.update(leaf=False, feature=f, threshold=thr, left=left, right=right)
+                level += [(idx[mask], left), (idx[~mask], right)]
+            depth += 1
     return trees
 
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from capaminer import classifier
 from capaminer.errors import DegenerateData, MissingCreationDate
@@ -25,8 +26,16 @@ from capaminer.classifier import (
     report_to_json,
     split_train_test,
     train_forest,
+    _BOOTSTRAP,
+    _FEATURES,
+    _GAMMA,
     _best_splits,
+    _bootstrap,
     _dense_ranks,
+    _draws,
+    _feature_subsets,
+    _mix,
+    _permutation,
 )
 from capaminer.ingestion import load_prs_jsonl
 from capaminer.timeutil import from_rfc3339
@@ -423,6 +432,9 @@ def growth_data(rng, n_rows, n_classes):
 
 
 class TestLockstepGrowth:
+    """All trees grow together, one depth at a time, and must equal
+    naive_forest_trees, which grows them one by one."""
+
     @pytest.mark.parametrize("n_classes", [2, 4, 7])
     @pytest.mark.parametrize("min_leaf, max_depth, per_split", [
         (1, None, None), (3, None, 2), (1, 4, 5), (3, 7, None)])
@@ -449,6 +461,12 @@ class TestLockstepGrowth:
         monkeypatch.setattr(classifier, "_PASS_ELEMENTS", cap)
         assert train_forest(X, y, config).trees == want == naive_forest_trees(X, y, config)
 
+    def test_first_trees_of_a_larger_forest(self, rng):
+        X, y = growth_data(rng, 120, 3)
+        small = train_forest(X, y, ForestConfig(3, seed=8)).trees
+        assert small == train_forest(X, y, ForestConfig(5, seed=8)).trees[:3]
+        assert small != train_forest(X, y, ForestConfig(3, seed=9)).trees
+
     def test_bad_training_values_rejected(self):
         X = np.arange(8.0).reshape(4, 2)
         y = np.array([1, 2, 1, 2])
@@ -456,6 +474,75 @@ class TestLockstepGrowth:
             train_forest(np.where(X == 3, np.nan, X), y, ForestConfig(2))
         with pytest.raises(ValueError, match="min_samples_leaf"):
             train_forest(X, y, ForestConfig(2, min_samples_leaf=0))
+
+
+def reference_draw(seed, purpose, tree, depth, counter):
+    """One keyed draw in Python integers: the key hashes (seed, purpose,
+    tree, depth) by SplitMix64 mixes, then the counter-th output of the
+    SplitMix64 stream from that key."""
+    def mix(z):
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+        return z ^ (z >> 31)
+    key = 0
+    for part in (seed, purpose, tree, depth):
+        key = mix(key ^ part)
+    return mix((key + 0x9E3779B97F4A7C15 * (counter + 1)) % 2**64)
+
+
+class TestKeyedDraws:
+    def test_splitmix64_reference_stream(self):
+        # the first outputs of SplitMix64 seeded with 1234567
+        states = np.uint64(1234567) + _GAMMA * np.arange(1, 6, dtype=np.uint64)
+        assert _mix(states).tolist() == [
+            6457827717110365317, 3203168211198807973, 9817491932198370423,
+            4593380528125082431, 16408922859458223821]
+
+    @pytest.mark.parametrize("key, counter, want", [
+        ((7, _FEATURES, 3, 2), [0, 1, 2, 3],
+         [13820641432645056966, 7316285299855643297, 3142733834210387681,
+          12477402831823933235]),
+        ((2**64 - 1, _BOOTSTRAP, 24, 0), [0, 2**40],
+         [13791547329358690386, 4399022849495825203]),
+    ])
+    def test_golden_words(self, key, counter, want):
+        # models depend on these words: they must not change with numpy
+        assert _draws(*key, np.array(counter)).tolist() == want
+        assert [reference_draw(*key, c) for c in counter] == want
+
+    def test_broadcast_keys(self):
+        got = _draws(5, _FEATURES, [[0], [3]], 1, [[0, 9], [2, 4]])
+        assert got.dtype == np.uint64 and got.shape == (2, 2)
+        assert got.tolist() == [[reference_draw(5, _FEATURES, t, 1, c) for c in cs]
+                                for t, cs in [(0, [0, 9]), (3, [2, 4])]]
+
+    def test_bootstrap_uniform(self):
+        n = 40
+        samples = [_bootstrap(3, t, n) for t in range(300)]
+        assert all(len(s) == n and (np.diff(s) >= 0).all() for s in samples)
+        counts = np.bincount(np.concatenate(samples), minlength=n)
+        assert len(counts) == n
+        assert stats.chisquare(counts).pvalue > 1e-3
+
+    def test_feature_subsets_uniform(self):
+        n_nodes, n_feat, k = 4000, 27, 6
+        trees = np.repeat(np.arange(40), n_nodes // 40)
+        positions = np.tile(np.arange(n_nodes // 40), 40)
+        subsets = _feature_subsets(11, 2, trees, positions, n_feat, k)
+        assert subsets.shape == (n_nodes, k)
+        assert (np.diff(subsets, axis=1) > 0).all()  # ascending, distinct
+        counts = np.bincount(subsets.ravel(), minlength=n_feat)
+        assert stats.chisquare(counts).pvalue > 1e-3
+        # another depth draws other subsets
+        assert (_feature_subsets(11, 3, trees, positions, n_feat, k) != subsets).any()
+
+    def test_permutation_positions_uniform(self):
+        n = 10
+        perms = np.array([_permutation(seed, n) for seed in range(2000)])
+        assert (np.sort(perms, axis=1) == np.arange(n)).all()
+        for row in (0, n - 1):
+            position = np.argmax(perms == row, axis=1)
+            assert stats.chisquare(np.bincount(position, minlength=n)).pvalue > 1e-3
 
 
 class TestBatchedPredict:

@@ -102,6 +102,7 @@ class TestConfig:
         ("min_count", 0),
         ("reference_instant", "x"),
         ("metrics", ["lines_added", "lines_added"]),
+        ("seed", -1),
     ])
     def test_bad_value_exits_before_any_write(self, tmp_path, capsys, key, value):
         cfg, out = fixture_config(tmp_path, **{key: value})
@@ -366,13 +367,21 @@ class TestValidateStandalone:
     @pytest.mark.parametrize("edit, why", [
         (lambda text: text.replace("Pattern 6,2,", "Pattern 6,x,"), "'x'"),
         (lambda text: "Pattern type,CAPA 0,CAPA 1,Total\nPattern 0,5\nTotal,5,0,5\n",
-         "counts of shape (1, 1) for 1 rows and 2 columns"),
+         "line 2: 2 cells, the header has 4"),
         (lambda text: text.replace("Pattern 6,2,", "Pattern 6,-5,"),
          "counts must be non-negative"),
         (lambda text: text.replace("Pattern 6,", "Pattern 5,"), "repeated labels"),
         (lambda text: text.replace("CAPA 1,", "CAPA 0,"), "repeated labels"),
+        (lambda text: text.replace(",0,20\n", ",0,21\n"),
+         "line 2: row total 21, its cells sum to 20"),
+        (lambda text: text.replace(",11,217", ",11,218"),
+         "line 12: Total row [37, 49, 69, 10, 6, 35, 11, 218], the columns sum to "
+         "[37, 49, 69, 10, 6, 35, 11, 217]"),
+        (lambda text: text.replace("Pattern 6,2,2,1,1,0,0,0,6", "Pattern 6,2,2,1,1,0,0,0,6,42"),
+         "line 3: 10 cells, the header has 9"),
+        (lambda text: text.rsplit("Total,", 1)[0], "and a Total row"),
     ], ids=["cell-text", "short-row", "negative-cell", "repeated-row",
-            "repeated-column"])
+            "repeated-column", "row-total", "total-row", "extra-cell", "no-total-row"])
     def test_malformed_contingency_table(self, tmp_path, capsys, edit, why):
         text = bundled_data_path("reference_capa_counts.csv").read_text()
         rc, out, table, _ = self.run_validate(tmp_path, contingency=edit(text))
@@ -441,10 +450,12 @@ class TestReportInputs:
          "counts must be non-negative"),
         ("contingency.csv", lambda text: text.replace("Pattern 1,", "Pattern 0,"),
          "repeated labels"),
+        ("contingency.csv", lambda text: text.replace("Pattern 0,14,", "Pattern 0,15,"),
+         "line 3: row total"),
     ], ids=["rows-int", "rows-object", "f1-text", "label-text", "tp-null", "row-list",
             "statistic-text", "no-low-expected-cells", "dof-text", "p-value-bool",
             "chi2-list", "no-note", "no-tuples", "alpha-text", "capa-text",
-            "pattern-null", "cell-text", "negative-cell", "repeated-row"])
+            "pattern-null", "cell-text", "negative-cell", "repeated-row", "row-total"])
     def test_malformed_input_exits_2_and_keeps_report(self, tmp_path, capsys, name,
                                                       edit, why):
         cfg, out = fixture_config(tmp_path)
@@ -569,6 +580,21 @@ class TestPipeline:
         assert sorted(args[1] for args in artifact_reads) == [
             "chi2.json", "contingency.csv", "mapping.json",
             "report_stage1.json", "report_stage2.json"]
+
+    def test_pipeline_imports_no_random_or_masked_arrays(self, tmp_path):
+        # numpy.random pulls in hashlib and OpenSSL, a plain np.unique pulls
+        # in numpy.ma: several MiB of resident memory that a run never uses
+        cfg, out = fixture_config(tmp_path)
+        script = ("import sys; from capaminer.cli import main; "
+                  "code = main(['--config', sys.argv[1], 'pipeline']); "
+                  "print(sorted({'numpy.random', 'numpy.ma', 'hashlib'} & set(sys.modules)));"
+                  "sys.exit(code)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run([sys.executable, "-c", script, str(cfg)], env=env,
+                               capture_output=True, text=True, check=True)
+        assert child.stdout.strip() == "[]"
+        assert (out / "model_stage2.json").exists()
 
     def test_fixture_models_predict_as_per_row_walk(self, tmp_path):
         cfg, out = fixture_config(tmp_path)
