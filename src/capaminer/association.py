@@ -238,9 +238,13 @@ def contingency_from_csv(text: str) -> ContingencyTable:
             or lines[-1][1][0].strip() != "Total":
         raise ValueError("expected a header ending in a Total column, "
                          "pattern rows and a Total row")
-    (_, header), *body = lines
+    (head, header), *body = lines
     last = body[-1][0]
-    cols = tuple(int(h.split()[-1]) for h in header[1:-1])
+    # a label such as "CAPA 3" or "Pattern 5" ends in its number
+    try:
+        cols = tuple(int(h.strip().rpartition(" ")[2]) for h in header[1:-1])
+    except ValueError as e:
+        raise ValueError(f"line {head}: {e}") from None
     rows, data = [], []
     for n, cells in body:
         if len(cells) != len(header):
@@ -248,7 +252,7 @@ def contingency_from_csv(text: str) -> ContingencyTable:
         try:
             data.append([int(c) for c in cells[1:]])
             if n != last:
-                rows.append(int(cells[0].split()[-1]))
+                rows.append(int(cells[0].strip().rpartition(" ")[2]))
         except ValueError as e:
             raise ValueError(f"line {n}: {e}") from None
     counts = np.array(data[:-1], dtype=int).reshape(len(body) - 1, len(header) - 1)

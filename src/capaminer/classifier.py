@@ -229,11 +229,6 @@ def _draws(seed, purpose, tree, depth, counter):
     return _mix(key + _GAMMA * (counter + np.uint64(1)))
 
 
-def _permutation(seed, n):
-    """A random permutation of range(n), for split_train_test."""
-    return np.argsort(_draws(seed, _SPLIT, 0, 0, np.arange(n)), kind="stable")
-
-
 def _bootstrap(seed, tree, n):
     """The bootstrap sample of tree number tree: n integers in [0, n),
     ascending, each from the high 32 bits of a draw by multiply-shift."""
@@ -261,7 +256,8 @@ def split_train_test(rows, labels, ratio: float, seed: int):
     if len(rows) != len(labels):
         raise ValueError("rows and labels length mismatch")
     classes, codes = np.unique(labels, return_inverse=True)
-    order = _permutation(seed, len(labels))
+    # all rows in random order
+    order = np.argsort(_draws(seed, _SPLIT, 0, 0, np.arange(len(labels))), kind="stable")
     train, test = [], []
     for c, cls in enumerate(classes.tolist()):
         perm = order[codes[order] == c]  # the class's rows in random order

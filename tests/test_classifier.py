@@ -29,13 +29,13 @@ from capaminer.classifier import (
     _BOOTSTRAP,
     _FEATURES,
     _GAMMA,
+    _SPLIT,
     _best_splits,
     _bootstrap,
     _dense_ranks,
     _draws,
     _feature_subsets,
     _mix,
-    _permutation,
 )
 from capaminer.ingestion import load_prs_jsonl
 from capaminer.timeutil import from_rfc3339
@@ -538,7 +538,9 @@ class TestKeyedDraws:
 
     def test_permutation_positions_uniform(self):
         n = 10
-        perms = np.array([_permutation(seed, n) for seed in range(2000)])
+        # split_train_test's row order
+        perms = np.array([np.argsort(_draws(seed, _SPLIT, 0, 0, np.arange(n)), kind="stable")
+                          for seed in range(2000)])
         assert (np.sort(perms, axis=1) == np.arange(n)).all()
         for row in (0, n - 1):
             position = np.argmax(perms == row, axis=1)

@@ -380,8 +380,10 @@ class TestValidateStandalone:
         (lambda text: text.replace("Pattern 6,2,2,1,1,0,0,0,6", "Pattern 6,2,2,1,1,0,0,0,6,42"),
          "line 3: 10 cells, the header has 9"),
         (lambda text: text.rsplit("Total,", 1)[0], "and a Total row"),
-    ], ids=["cell-text", "short-row", "negative-cell", "repeated-row",
-            "repeated-column", "row-total", "total-row", "extra-cell", "no-total-row"])
+        (lambda text: text.replace("CAPA 1,", "CAPA x,"), "line 1: invalid literal for int()"),
+        (lambda text: text.replace("Pattern 6,", ","), "line 3: invalid literal for int()"),
+    ], ids=["cell-text", "short-row", "negative-cell", "repeated-row", "repeated-column",
+            "row-total", "total-row", "extra-cell", "no-total-row", "bad-header", "empty-label"])
     def test_malformed_contingency_table(self, tmp_path, capsys, edit, why):
         text = bundled_data_path("reference_capa_counts.csv").read_text()
         rc, out, table, _ = self.run_validate(tmp_path, contingency=edit(text))
