@@ -7,11 +7,11 @@ from __future__ import annotations
 
 import io
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import INTEGER, NUMBER, need_rows
 from .stats import two_sample_t_test
 
 DEFAULT_WINDOW_SECONDS = 30 * 86400  # "plus one month", fixed at 30 days
@@ -285,27 +285,20 @@ def pairwise_to_json(results) -> dict:
     }
 
 
-_ID = (lambda v: type(v) is int, "an integer")
-_FINITE = (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number")
 _NUMBER_OR_NULL = (lambda v: v is None or type(v) in (int, float), "a number or null")
 # {field: (test, requirement)} of a pairwise row, in PairwiseTestResult order
-PAIRWISE_FIELDS = {"pattern": _ID, "capa_i": _ID, "capa_j": _ID,
-                   "mean_i": _FINITE, "mean_j": _FINITE,
-                   "t": _NUMBER_OR_NULL, "dof": _NUMBER_OR_NULL, "p": _FINITE}
+PAIRWISE_FIELDS = {"pattern": INTEGER, "capa_i": INTEGER, "capa_j": INTEGER,
+                   "mean_i": NUMBER, "mean_j": NUMBER,
+                   "t": _NUMBER_OR_NULL, "dof": _NUMBER_OR_NULL, "p": NUMBER}
 
 
 def pairwise_from_json(doc) -> list:
-    """Rows as pairwise_to_json writes them; a missing field raises KeyError,
-    except t and dof, which published tables may omit and become None, and
-    a field of another kind raises ValueError."""
-    rows = []
-    for n, e in enumerate(doc["tests"]):
-        e = {"t": None, "dof": None, **e}
-        for key, (valid, want) in PAIRWISE_FIELDS.items():
-            if not valid(e[key]):
-                raise ValueError(f"test {n}: {key} must be {want}, got {e[key]!r}")
-        rows.append(PairwiseTestResult(*(e[key] for key in PAIRWISE_FIELDS)))
-    return rows
+    """Rows as pairwise_to_json writes them, checked by need_rows against
+    PAIRWISE_FIELDS; t and dof, which published tables may omit, become
+    None."""
+    tests = [{"t": None, "dof": None, **e} for e in need_rows(doc, "tests", {})["tests"]]
+    need_rows({"tests": tests}, "tests", PAIRWISE_FIELDS)
+    return [PairwiseTestResult(*(e[key] for key in PAIRWISE_FIELDS)) for e in tests]
 
 
 def mapping_to_json(mapping: CapaMapping) -> dict:

@@ -22,7 +22,6 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field
-from dataclasses import fields as dataclass_fields
 from decimal import ROUND_HALF_UP, Decimal
 from enum import IntEnum
 from pathlib import Path
@@ -30,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import timeutil
-from .errors import DegenerateData, MissingCreationDate
+from .errors import NUMBER, TEXT, DegenerateData, MissingCreationDate, need, need_rows
 
 MODEL_FORMAT_VERSION = 1
 
@@ -130,9 +129,7 @@ class PullRequestRecord:
     def __post_init__(self):
         if self.creation_date is None:
             raise MissingCreationDate("creation_date missing")
-        for name in ("repo_id", "text"):
-            if not isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
+        need(vars(self), {"repo_id": TEXT, "text": TEXT})
         raw = {**self.fields, "creation_date": self.creation_date}
         unknown = set(raw) - set(FEATURE_ORDER)
         if unknown:
@@ -250,8 +247,8 @@ def split_train_test(rows, labels, ratio: float, seed: int):
 
     Per class, round(ratio * n) rows go to train (never all or none when
     the class has >= 2 rows)."""
-    if not 0 < ratio < 1:
-        raise ValueError("ratio must be in (0, 1)")
+    need({"ratio": ratio, "seed": seed}, {"ratio": (lambda v: 0 < v < 1, "in (0, 1)"),
+                                          "seed": FOREST_CONFIG_FIELDS["seed"]})
     labels = np.asarray(labels)
     if len(rows) != len(labels):
         raise ValueError("rows and labels length mismatch")
@@ -270,6 +267,18 @@ def split_train_test(rows, labels, ratio: float, seed: int):
     return sorted(train), sorted(test)
 
 
+# {field: (test, requirement)} of a ForestConfig
+FOREST_CONFIG_FIELDS = {
+    "n_estimators": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
+    "max_depth": (lambda v: v is None or isinstance(v, int) and v >= 0,
+                  "null or an integer >= 0"),
+    "min_samples_leaf": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
+    "features_per_split": (lambda v: v is None or isinstance(v, int) and v >= 1,
+                           "null or an integer >= 1"),
+    "seed": (lambda v: isinstance(v, int) and 0 <= v < 2**64, "an integer in [0, 2**64)"),
+}
+
+
 @dataclass(frozen=True)
 class ForestConfig:
     n_estimators: int
@@ -277,6 +286,9 @@ class ForestConfig:
     min_samples_leaf: int = 1
     features_per_split: int | None = None  # default ceil(sqrt(n_features))
     seed: int = 0
+
+    def __post_init__(self):
+        need(vars(self), FOREST_CONFIG_FIELDS)
 
 
 # The most (row, feature) values one split pass scores; a node with more
@@ -445,51 +457,37 @@ class RandomForest:
 
     @classmethod
     def from_json(cls, doc: dict, n_features=None) -> "RandomForest":
-        """The forest of a to_json document.  A document of another shape,
-        or a split on a feature index of n_features or more, raises
-        ValueError."""
-        if not isinstance(doc, dict):
-            raise ValueError("model must be a JSON object")
-        if doc.get("format_version") != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported model format {doc.get('format_version')}")
-        config, classes, trees = (doc.get(key) for key in ("config", "classes", "trees"))
-        keys = sorted(f.name for f in dataclass_fields(ForestConfig))
-        if not isinstance(config, dict) or sorted(config) != keys:
-            raise ValueError(f"model config must have exactly the keys {keys}")
-        if not (isinstance(classes, list) and len(classes) >= 2
-                and all(type(c) is int for c in classes)
-                and len(set(classes)) == len(classes)):
-            raise ValueError(f"model classes must be distinct integers, got {classes!r}")
-        if not (isinstance(trees, list) and trees):
-            raise ValueError("model trees must be a non-empty list")
-        nodes = list(trees)
-        while nodes:
-            node = nodes.pop()
-            _check_node(node, len(classes), n_features)
-            if not node["leaf"]:
-                nodes += [node["left"], node["right"]]
-        return cls(config=ForestConfig(**config), classes=classes, trees=trees)
-
-
-def _check_node(node, n_classes, n_features):
-    """ValueError unless node is a leaf with n_classes counts or a split
-    with a feature index, a finite threshold and two children."""
-    if not isinstance(node, dict) or type(node.get("leaf")) is not bool:
-        raise ValueError(f"tree node must be an object with a boolean leaf, got {node!r:.80}")
-    if node["leaf"]:
-        counts = node.get("counts")
-        if not (isinstance(counts, list) and len(counts) == n_classes
-                and all(type(c) is int and c >= 0 for c in counts)):
-            raise ValueError(f"leaf counts must be {n_classes} non-negative "
-                             f"integers, got {counts!r}")
-        return
-    f, thr = node.get("feature"), node.get("threshold")
-    if type(f) is not int or f < 0 or (n_features is not None and f >= n_features):
-        raise ValueError(f"split feature must be an index below {n_features}, got {f!r}")
-    if type(thr) not in (int, float) or not math.isfinite(thr):
-        raise ValueError(f"split threshold must be a finite number, got {thr!r}")
-    if not ("left" in node and "right" in node):
-        raise ValueError("split node must have a left and a right child")
+        """The forest of a to_json document, checked by need: a document of
+        another shape, or a node that is neither a leaf with a count per
+        class nor a split on a feature index below n_features with two
+        child nodes, raises ValueError."""
+        keys = sorted(FOREST_CONFIG_FIELDS)
+        need(doc, {
+            "format_version": (lambda v: v == MODEL_FORMAT_VERSION, str(MODEL_FORMAT_VERSION)),
+            "config": (lambda v: isinstance(v, dict) and sorted(v) == keys,
+                       f"an object with exactly the keys {keys}"),
+            "classes": (lambda v: type(v) is list and len(v) >= 2
+                        and all(type(c) is int for c in v) and len(set(v)) == len(v),
+                        "two or more distinct integers"),
+            "trees": (lambda v: type(v) is list and len(v) > 0, "a non-empty list")})
+        n_classes = len(doc["classes"])
+        child = (lambda v: isinstance(v, dict), "a tree node")
+        leaf = {"counts": (lambda v: type(v) is list and len(v) == n_classes
+                           and all(type(c) is int and c >= 0 for c in v),
+                           f"a list of {n_classes} integers >= 0")}
+        split = {"leaf": (lambda v: v is False, "true or false"),
+                 "feature": (lambda v: type(v) is int and v >= 0
+                             and (n_features is None or v < n_features),
+                             f"an index below {n_features}"),
+                 "threshold": NUMBER, "left": child, "right": child}
+        nodes = list(need_rows(doc, "trees", {})["trees"])
+        for node in nodes:  # visits the children appended below as well
+            if node.get("leaf") is True:
+                need(node, leaf)
+            else:
+                nodes += [need(node, split)["left"], node["right"]]
+        return cls(config=ForestConfig(**doc["config"]), classes=doc["classes"],
+                   trees=doc["trees"])
 
 
 def _canonical_order(X, y_codes):
@@ -507,8 +505,6 @@ def train_forest(X, y, config: ForestConfig) -> RandomForest:
         raise ValueError("need |X| == |y| >= 2")
     if not np.all(np.isfinite(X)):
         raise ValueError("training values must be finite")
-    if config.min_samples_leaf < 1:
-        raise ValueError("min_samples_leaf must be at least 1")
     classes, y_codes = np.unique(y, return_inverse=True)
     if len(classes) < 2:
         raise DegenerateData("training data has a single class")
@@ -620,9 +616,7 @@ def report_to_json(rows) -> dict:
             {
                 "label": int(r.label) if isinstance(r.label, (int, np.integer)) else r.label,
                 "tp": r.tp, "tn": r.tn, "fp": r.fp, "fn": r.fn,
-                "precision": _round2(r.precision),
-                "recall": _round2(r.recall),
-                "f1": _round2(r.f1),
+                **dict(zip(("precision", "recall", "f1"), r.rounded())),
                 "precision_undefined": r.precision_undefined,
             }
             for r in rows

@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -18,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import association, classifier, ingestion, mining, stats, timeutil
-from .errors import (CapaMinerError, ConfigError, EmptyDataset, EmptyTable,
-                     MalformedInput)
+from .errors import (INDEX, INTEGER, NUMBER, TEXT, CapaMinerError, ConfigError,
+                     EmptyDataset, EmptyTable, MalformedInput, need, need_rows)
 from .mining import MiningConfig
 
 log = logging.getLogger(__name__)
@@ -81,8 +80,7 @@ class PipelineConfig:
 
 # {key: (test, requirement)} checked by load_config, besides MiningConfig's own
 VALUE_CHECKS = {
-    "seed": (lambda v: isinstance(v, int) and 0 <= v < 2**64,
-             "an integer in [0, 2**64)"),
+    "seed": classifier.FOREST_CONFIG_FIELDS["seed"],
     "alpha": (lambda v: 0 < v < 1, "in (0, 1)"),
     "window_days": (lambda v: v >= 0, ">= 0"),
     "min_count": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
@@ -92,27 +90,11 @@ VALUE_CHECKS = {
     "min_len": (lambda v: isinstance(v, int), "an integer"),
     "max_len": (lambda v: isinstance(v, int), "an integer"),
     "train_ratio": (lambda v: 0 < v < 1, "in (0, 1)"),
-    "n_estimators": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
+    "n_estimators": classifier.FOREST_CONFIG_FIELDS["n_estimators"],
     "coverage_value": (lambda v: 0 < v <= 1, "a fraction in (0, 1]"),
     "reference_instant": (lambda v: v is None or isinstance(v, (int, float)),
                           "POSIX seconds or null"),
 }
-
-
-def _need(doc, checks):
-    """doc, after checking it against checks, {key: (test, requirement)}; a
-    doc that is not a dict, a missing key, or a test that fails or raises,
-    is a ValueError."""
-    if not isinstance(doc, dict):
-        raise ValueError("not a JSON object")
-    for key, (valid, want) in checks.items():
-        try:
-            ok = key in doc and valid(doc[key])
-        except (AttributeError, TypeError, ValueError):
-            ok = False
-        if not ok:
-            raise ValueError(f"{key} must be {want}, got {doc.get(key)!r}")
-    return doc
 
 
 def load_config(path=None, overrides=None) -> PipelineConfig:
@@ -129,7 +111,7 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
     if overrides:
         cfg = replace(cfg, **overrides)
     try:
-        _need(vars(cfg), VALUE_CHECKS)
+        need(vars(cfg), VALUE_CHECKS)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     unknown = sorted(set(cfg.metrics) - set(ingestion.METRIC_COLUMNS))
@@ -156,8 +138,6 @@ def _parse(path: Path, what, parse, error):
     raises error, which names what and the path."""
     try:
         return parse(path.read_text())
-    except KeyError as exc:
-        raise error(f"invalid {what} {path}: missing key {exc}") from None
     # invalid JSON is a ValueError, JSON nested too deep a RecursionError
     except (OSError, IndexError, TypeError, ValueError, RecursionError) as exc:
         raise error(f"invalid {what} {path}: {exc}") from None
@@ -189,50 +169,37 @@ def _write_jsonl(path: Path, lines, cfg):
 
 
 # {key: (test, requirement)} of the artifact fields that later stages read
-_TEXT = (lambda v: isinstance(v, str), "a string")
-_INDEX = (lambda v: type(v) is int and v >= 0, "an integer >= 0")
 _DATE = (lambda v: timeutil.from_rfc3339(v) is not None, "an RFC 3339 date")
 _CAPA = (lambda v: type(v) is int and v in range(1, 8), "a CAPA class in 1..7")
-_NUMBER = (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number")
-GOLDEN_FIELDS = {"repo_id": _TEXT, "pr_id": _TEXT,
+GOLDEN_FIELDS = {"repo_id": TEXT, "pr_id": TEXT,
                  "stage1": (lambda v: v in ("capa", "non_capa"), "capa or non_capa")}
-OCCURRENCE_FIELDS = {"pattern_id": _INDEX, "repo": _TEXT, "start_index": _INDEX,
-                     "end_index": _INDEX, "start_time": _DATE, "end_time": _DATE}
+OCCURRENCE_FIELDS = {"pattern_id": INDEX, "repo": TEXT, "start_index": INDEX,
+                     "end_index": INDEX, "start_time": _DATE, "end_time": _DATE,
+                     "distance": NUMBER}
 CLASSIFIED_FIELDS = {
-    "pr_id": _TEXT, "repo_id": _TEXT, "creation_date": _DATE,
+    "pr_id": TEXT, "repo_id": TEXT, "creation_date": _DATE,
     "capa_class": (lambda v: v is None or _CAPA[0](v), "null or " + _CAPA[1])}
 CLASS_REPORT_ROW_FIELDS = {
-    "label": (lambda v: type(v) is int, "an integer"),
-    **{count: _INDEX for count in ("tp", "tn", "fp", "fn")},
-    **{score: _NUMBER for score in ("precision", "recall", "f1")}}
-CHI2_FIELDS = {"statistic": _NUMBER, "dof": _INDEX, "p_value": _NUMBER,
-               "low_expected_cells": _INDEX}
+    "label": INTEGER,
+    **{count: INDEX for count in ("tp", "tn", "fp", "fn")},
+    **{score: NUMBER for score in ("precision", "recall", "f1")}}
+CHI2_FIELDS = {"statistic": NUMBER, "dof": INDEX, "p_value": NUMBER,
+               "low_expected_cells": INDEX}
 MAPPING_TUPLE_FIELDS = {
-    "pattern": _INDEX,
+    "pattern": INDEX,
     "capa": (lambda v: type(v) is int and v in range(association.N_CAPAS),
              f"an action id in 0..{association.N_CAPAS - 1}")}
 
 
 def _golden_row(g):
-    _need(g, GOLDEN_FIELDS)
-    return _need(g, {"stage2": _CAPA}) if g["stage1"] == "capa" else g
+    need(g, GOLDEN_FIELDS)
+    return need(g, {"stage2": _CAPA}) if g["stage1"] == "capa" else g
 
 
 def _chi2(doc):
     """A chi-squared document: a test result, or the note why there is none."""
     untested = isinstance(doc, dict) and doc.get("statistic") is None
-    return _need(doc, {"note": _TEXT} if untested else CHI2_FIELDS)
-
-
-def _rows(doc, key, fields):
-    """doc, after checking that doc[key] is a list of objects with fields."""
-    _need(doc, {key: (lambda v: type(v) is list, "a list")})
-    for n, row in enumerate(doc[key]):
-        try:
-            _need(row, fields)
-        except ValueError as exc:
-            raise ValueError(f"{key}[{n}]: {exc}") from None
-    return doc
+    return need(doc, {"note": TEXT} if untested else CHI2_FIELDS)
 
 
 def _read_jsonl(text, parse_row):
@@ -241,9 +208,7 @@ def _read_jsonl(text, parse_row):
     rows = []
     for n, line in enumerate(text.splitlines(), start=1):
         try:
-            row = json.loads(line)
-            if not isinstance(row, dict):
-                raise ValueError("not a JSON object")
+            row = need(json.loads(line), {})
             if set(row) != {"meta"}:
                 rows.append(parse_row(row))
         except ValueError as exc:
@@ -370,17 +335,17 @@ class Run:
     @cached_property
     def occurrences(self):
         return self.load("occurrences.jsonl", lambda text: _read_jsonl(
-            text, lambda o: mining.occurrence_from_json(_need(o, OCCURRENCE_FIELDS))))
+            text, lambda o: mining.occurrence_from_json(need(o, OCCURRENCE_FIELDS))))
 
     @cached_property
     def classified(self):
         return self.load("classified.jsonl", lambda text: _read_jsonl(
-            text, lambda c: _need(c, CLASSIFIED_FIELDS)))
+            text, lambda c: need(c, CLASSIFIED_FIELDS)))
 
     @cached_property
     def reports(self):
         """The class-report documents of stages 1 and 2."""
-        return [self.load(f"report_stage{stage}.json", lambda text: _rows(
+        return [self.load(f"report_stage{stage}.json", lambda text: need_rows(
             json.loads(text), "rows", CLASS_REPORT_ROW_FIELDS)) for stage in (1, 2)]
 
     @cached_property
@@ -393,8 +358,8 @@ class Run:
 
     @cached_property
     def mapping(self):
-        return self.load("mapping.json", lambda text: _rows(_need(
-            json.loads(text), {"alpha": _NUMBER}), "tuples", MAPPING_TUPLE_FIELDS))
+        return self.load("mapping.json", lambda text: need_rows(need(
+            json.loads(text), {"alpha": NUMBER}), "tuples", MAPPING_TUPLE_FIELDS))
 
     @cached_property
     def joins(self):

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import classifier, timeutil
 from .errors import (
+    TEXT,
     AuthError,
     CapaMinerError,
     IncompleteRecord,
@@ -31,6 +32,7 @@ from .errors import (
     NotFound,
     RadarError,
     RateLimited,
+    need,
 )
 from .tsdist import MetricSeries
 
@@ -98,10 +100,7 @@ def _record_from_obj(obj, line_no):
     try:
         if text in (None, ""):  # any other non-string is left for the record to reject
             parts = {k: obj[k] for k in ("title", "body") if obj.get(k) is not None}
-            for k, part in parts.items():
-                if not isinstance(part, str):
-                    raise ValueError(f"{k} must be a string, got {part!r}")
-            text = " ".join(parts.values()).strip()
+            text = " ".join(need(parts, dict.fromkeys(parts, TEXT)).values()).strip()
         return classifier.PullRequestRecord(
             repo_id=obj.get("repo_id", ""),
             creation_date=obj.get("creation_date"),

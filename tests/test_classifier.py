@@ -219,6 +219,11 @@ class TestSplit:
         with pytest.raises(ValueError):
             split_train_test(rng.normal(size=(4, 2)), [1, 1, 2, 2], 1.0, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range(self, rng, seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\)"):
+            split_train_test(rng.normal(size=(4, 2)), [1, 1, 2, 2], 0.5, seed)
+
 
 def separable_data(rng, n_per_class=60, n_classes=3, n_features=6):
     X, y = [], []
@@ -261,9 +266,33 @@ class TestRandomForest:
         assert labels.tolist() == [3]
         assert dict(zip(forest.classes, fractions[0].tolist())) == {3: 0.5, 7: 0.5}
 
-    def test_feature_subset_default(self):
-        import math
-        assert math.ceil(math.sqrt(27)) == 6
+    def test_feature_subset_default(self, rng):
+        # ceil(sqrt(27)) = 6 candidate features per node
+        X, y = rng.normal(size=(80, 27)), rng.integers(1, 4, size=80)
+        trees = {k: train_forest(X, y, ForestConfig(4, features_per_split=k, seed=1)).trees
+                 for k in (None, 5, 6, 7)}
+        assert trees[None] == trees[6]
+        assert trees[None] != trees[5] and trees[None] != trees[7]
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 2**64), ("seed", 1.5), ("n_estimators", 0),
+        ("min_samples_leaf", 0), ("max_depth", -1), ("features_per_split", 0),
+    ])
+    def test_config_out_of_range(self, rng, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            ForestConfig(**{"n_estimators": 2, field: value})
+        X, y = separable_data(rng, n_classes=2, n_per_class=15, n_features=4)
+        doc = train_forest(X, y, ForestConfig(3)).to_json()
+        doc["config"][field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            RandomForest.from_json(doc, n_features=4)
+
+    def test_config_limits_accepted(self, rng):
+        X, y = separable_data(rng, n_classes=2, n_per_class=15, n_features=4)
+        config = ForestConfig(2, max_depth=0, features_per_split=1, seed=2**64 - 1)
+        forest = train_forest(X, y, config)
+        assert all(tree["leaf"] for tree in forest.trees)
+        assert RandomForest.from_json(forest.to_json(), n_features=4).config == config
 
     def test_single_class_raises(self, rng):
         X = rng.normal(size=(10, 3))
@@ -281,21 +310,44 @@ class TestRandomForest:
         with pytest.raises(ValueError):
             RandomForest.from_json({"format_version": 99})
 
+    # explicit ids keep the test names stable when a message is reworded
     @pytest.mark.parametrize("edit, why", [
-        (lambda d: d.pop("config"), "config must have exactly the keys"),
-        (lambda d: d["config"].pop("seed"), "config must have exactly the keys"),
-        (lambda d: d.update(classes=[1, 1]), "classes must be distinct integers"),
-        (lambda d: d.update(classes=[1, True]), "classes must be distinct integers"),
+        pytest.param(lambda d: d.pop("config"),
+                     r"^config must be an object with exactly the keys \[.*\], got None$",
+                     id="<lambda>-config must have exactly the keys0"),
+        pytest.param(lambda d: d["config"].pop("seed"),
+                     "^config must be an object with exactly the keys ",
+                     id="<lambda>-config must have exactly the keys1"),
+        pytest.param(lambda d: d.update(classes=[1, 1]),
+                     r"^classes must be two or more distinct integers, got \[1, 1\]$",
+                     id="<lambda>-classes must be distinct integers0"),
+        pytest.param(lambda d: d.update(classes=[1, True]),
+                     r"^classes must be two or more distinct integers, got \[1, True\]$",
+                     id="<lambda>-classes must be distinct integers1"),
         (lambda d: d.update(trees=[]), "trees must be a non-empty list"),
-        (lambda d: d["trees"].append("leaf"), "boolean leaf"),
-        (lambda d: first_node(d, True).update(leaf=1), "boolean leaf"),
-        (lambda d: first_node(d, True).update(counts=[3]), "leaf counts"),
-        (lambda d: first_node(d, True).update(counts=[3, -1]), "leaf counts"),
-        (lambda d: first_node(d, False).update(feature=-1), "split feature"),
-        (lambda d: first_node(d, False).update(feature=4), "split feature"),
-        (lambda d: first_node(d, False).update(feature=1.0), "split feature"),
-        (lambda d: first_node(d, False).update(threshold="0.5"), "split threshold"),
-        (lambda d: first_node(d, False).pop("right"), "a left and a right child"),
+        pytest.param(lambda d: d["trees"].append("leaf"),
+                     r"^trees\[3\]: not a JSON object$", id="<lambda>-boolean leaf0"),
+        pytest.param(lambda d: first_node(d, True).update(leaf=1),
+                     "^leaf must be true or false, got 1$", id="<lambda>-boolean leaf1"),
+        pytest.param(lambda d: first_node(d, True).update(counts=[3]),
+                     r"^counts must be a list of 2 integers >= 0, got \[3\]$",
+                     id="<lambda>-leaf counts0"),
+        pytest.param(lambda d: first_node(d, True).update(counts=[3, -1]),
+                     r"^counts must be a list of 2 integers >= 0, got \[3, -1\]$",
+                     id="<lambda>-leaf counts1"),
+        pytest.param(lambda d: first_node(d, False).update(feature=-1),
+                     "^feature must be an index below 4, got -1$", id="<lambda>-split feature0"),
+        pytest.param(lambda d: first_node(d, False).update(feature=4),
+                     "^feature must be an index below 4, got 4$", id="<lambda>-split feature1"),
+        pytest.param(lambda d: first_node(d, False).update(feature=1.0),
+                     "^feature must be an index below 4, got 1.0$",
+                     id="<lambda>-split feature2"),
+        pytest.param(lambda d: first_node(d, False).update(threshold="0.5"),
+                     "^threshold must be a finite number, got '0.5'$",
+                     id="<lambda>-split threshold"),
+        pytest.param(lambda d: first_node(d, False).pop("right"),
+                     "^right must be a tree node, got None$",
+                     id="<lambda>-a left and a right child"),
     ])
     def test_malformed_model_rejected(self, rng, edit, why):
         X, y = separable_data(rng, n_classes=2, n_per_class=15, n_features=4)

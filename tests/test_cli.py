@@ -196,11 +196,16 @@ class TestExitCodes:
         assert main(["--config", str(cfg), "label"]) == EXIT_DATA_ERROR
         assert "error: line 3: text must be a string, got 5" in capsys.readouterr().err
 
+    # explicit ids keep the test names stable when a message is reworded
     @pytest.mark.parametrize("stage, edit, why", [
-        (1, lambda doc: {"format_version": 1}, "config must have exactly the keys"),
+        pytest.param(1, lambda doc: {"format_version": 1},
+                     "config must be an object with exactly the keys",
+                     id="1-<lambda>-config must have exactly the keys"),
         (2, lambda doc: json.dumps(doc)[:-40], "line 1 column"),  # truncated
         (2, lambda doc: "[" * 100_000, "recursion depth"),
-        (2, lambda doc: with_split_feature(doc, 99), "split feature must be an index below 27"),
+        pytest.param(2, lambda doc: with_split_feature(doc, 99),
+                     "feature must be an index below 27, got 99",
+                     id="2-<lambda>-split feature must be an index below 27"),
         (1, lambda doc: {**doc, "classes": [1, 5]}, "not all StageOneLabel values"),
     ])
     def test_malformed_model_is_a_config_error(self, tmp_path, capsys, stage, edit, why):
@@ -221,6 +226,8 @@ class TestExitCodes:
          "start_time must be an RFC 3339 date, got None"),
         ("occurrences.jsonl", "associate", 1, lambda ln: with_fields(ln, pattern_id="0"),
          "pattern_id must be an integer >= 0, got '0'"),
+        ("occurrences.jsonl", "associate", 1, lambda ln: without(ln, "distance"),
+         "distance must be a finite number, got None"),
         ("classified.jsonl", "associate", 2, lambda ln: with_fields(ln, capa_class=9),
          "capa_class must be null or a CAPA class in 1..7, got 9"),
         ("classified.jsonl", "associate", 1, lambda ln: with_fields(ln, creation_date=5),
@@ -346,8 +353,8 @@ class TestValidateStandalone:
         assert all(t["t"] is None and t["dof"] is None for t in tests)
 
     @pytest.mark.parametrize("edit, why", [
-        (lambda row: row.pop("pattern"), "'pattern'"),
-        (lambda row: row.update(p="x"), "test 3: p must be a finite number, got 'x'"),
+        (lambda row: row.pop("pattern"), "tests[3]: pattern must be an integer, got None"),
+        (lambda row: row.update(p="x"), "tests[3]: p must be a finite number, got 'x'"),
         (lambda row: row.update(capa_i=1.0), "capa_i must be an integer, got 1.0"),
         (lambda row: row.update(pattern=True), "pattern must be an integer, got True"),
         (lambda row: row.update(mean_j=None), "mean_j must be a finite number"),
