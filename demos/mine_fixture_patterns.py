@@ -24,11 +24,14 @@ tau = default_match_threshold(m)  # 25% of the z-normalized distance ceiling
 config = MiningConfig(min_len=m, max_len=m, match_threshold=tau,
                       min_repo_fraction=0.5)
 
-for metric in ("lines_added", "lines_deleted", "lines_changed"):
-    subset = [s for s in series if s.metric_name == metric]
-    patterns = mine_patterns(subset, config)
-    print(f"\n{metric}: {len(patterns)} accepted pattern(s) at tau={tau:.3f}")
-    for p in patterns:
+# one call mines every metric and numbers the patterns across metrics, in
+# the order the metrics first appear: the table's column order, as in
+# the patterns.json of `capaminer mine` on the fixture config
+patterns = mine_patterns(series, config)
+for metric in dict.fromkeys(s.metric_name for s in series):
+    mined = [p for p in patterns if p.metric_name == metric]
+    print(f"\n{metric}: {len(mined)} accepted pattern(s) at tau={tau:.3f}")
+    for p in mined:
         shape = np.array2string(p.values, precision=1, floatmode="fixed")
         print(f"  pattern {p.pattern_id} from {p.source_repo} "
               f"offset {p.source_offset}, radius {p.radius:.3f}")

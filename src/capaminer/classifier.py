@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import timeutil
-from .errors import NUMBER, TEXT, DegenerateData, MissingCreationDate, need, need_rows
+from .errors import (INDEX, NUMBER, PROBABILITY, TEXT, DegenerateData,
+                     MissingCreationDate, at_least, need, need_rows, or_null)
 
 MODEL_FORMAT_VERSION = 1
 
@@ -168,33 +169,30 @@ def label_by_keywords(pr_text: str, keyword_map=None, non_capa_keywords=None):
     return None
 
 
-def _phrases(value, what):
-    if not (isinstance(value, list) and all(isinstance(p, str) for p in value)):
-        raise ValueError(f"{what} must be a list of strings, got {value!r}")
-    return list(value)
+_LABELS = {label.name.lower(): label for label in CapaLabel}
+# an empty phrase is in every text
+_PHRASES = (lambda v: type(v) is list and all(isinstance(p, str) and p for p in v),
+            "a list of non-empty strings")
+_KEYWORD_MAP_PARTS = {
+    # label names in any case, but each once
+    "capa": (lambda v: type(v) is dict and len(v) > 0
+             and len({n.lower() for n in v} & set(_LABELS)) == len(v),
+             f"an object naming one or more distinct labels of {list(_LABELS)}"),
+    "non_capa": _PHRASES}
+_BUNDLED_KEYWORD_MAP = json.loads(
+    (Path(__file__).parent / "data" / "default_keywords.json").read_text())
 
 
 def load_keyword_map(doc: dict):
     """Parse {"capa": {label_name: [phrases]}, "non_capa": [phrases]}; a
-    document of any other shape raises ValueError."""
-    capa = doc.get("capa", {}) if isinstance(doc, dict) else None
-    if not isinstance(capa, dict):
-        raise ValueError('expected {"capa": {label: [phrases]}, "non_capa": [phrases]}')
-    by_name = {l.name.lower(): l for l in CapaLabel}
-    kmap = {}
-    for name, phrases in capa.items():
-        if name.lower() not in by_name:
-            raise ValueError(f"unknown CAPA label {name!r}")
-        kmap[by_name[name.lower()]] = _phrases(phrases, f"phrases of {name!r}")
-    # the defaults are looked up only when doc leaves a part out, because
-    # they are built by this function from the bundled map, which has both
-    non_capa = (_phrases(doc["non_capa"], "non_capa") if "non_capa" in doc
-                else DEFAULT_NON_CAPA_KEYWORDS)
-    return kmap or DEFAULT_KEYWORDS, non_capa
+    part left out is the bundled map's, and a document of any other shape
+    raises ValueError."""
+    doc = need({**_BUNDLED_KEYWORD_MAP, **need(doc, {})}, _KEYWORD_MAP_PARTS)
+    capa = need(doc["capa"], dict.fromkeys(doc["capa"], _PHRASES))
+    return {_LABELS[name.lower()]: phrases for name, phrases in capa.items()}, doc["non_capa"]
 
 
-DEFAULT_KEYWORDS, DEFAULT_NON_CAPA_KEYWORDS = load_keyword_map(json.loads(
-    (Path(__file__).parent / "data" / "default_keywords.json").read_text()))
+DEFAULT_KEYWORDS, DEFAULT_NON_CAPA_KEYWORDS = load_keyword_map({})
 
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -247,8 +245,8 @@ def split_train_test(rows, labels, ratio: float, seed: int):
 
     Per class, round(ratio * n) rows go to train (never all or none when
     the class has >= 2 rows)."""
-    need({"ratio": ratio, "seed": seed}, {"ratio": (lambda v: 0 < v < 1, "in (0, 1)"),
-                                          "seed": FOREST_CONFIG_FIELDS["seed"]})
+    need({"ratio": ratio, "seed": seed},
+         {"ratio": PROBABILITY, "seed": FOREST_CONFIG_FIELDS["seed"]})
     labels = np.asarray(labels)
     if len(rows) != len(labels):
         raise ValueError("rows and labels length mismatch")
@@ -269,13 +267,11 @@ def split_train_test(rows, labels, ratio: float, seed: int):
 
 # {field: (test, requirement)} of a ForestConfig
 FOREST_CONFIG_FIELDS = {
-    "n_estimators": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    "max_depth": (lambda v: v is None or isinstance(v, int) and v >= 0,
-                  "null or an integer >= 0"),
-    "min_samples_leaf": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    "features_per_split": (lambda v: v is None or isinstance(v, int) and v >= 1,
-                           "null or an integer >= 1"),
-    "seed": (lambda v: isinstance(v, int) and 0 <= v < 2**64, "an integer in [0, 2**64)"),
+    "n_estimators": at_least(1),
+    "max_depth": or_null(INDEX),
+    "min_samples_leaf": at_least(1),
+    "features_per_split": or_null(at_least(1)),
+    "seed": (lambda v: type(v) is int and 0 <= v < 2**64, "an integer in [0, 2**64)"),
 }
 
 

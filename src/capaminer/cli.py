@@ -10,16 +10,17 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import association, classifier, ingestion, mining, stats, timeutil
-from .errors import (INDEX, INTEGER, NUMBER, TEXT, CapaMinerError, ConfigError,
-                     EmptyDataset, EmptyTable, MalformedInput, need, need_rows)
-from .mining import MiningConfig
+from .errors import (INDEX, INTEGER, NON_NEGATIVE, NUMBER, PROBABILITY, TEXT,
+                     CapaMinerError, ConfigError, EmptyDataset, EmptyTable,
+                     MalformedInput, at_least, need, need_rows, or_null)
+from .mining import MINING_CONFIG_FIELDS, MiningConfig
 
 log = logging.getLogger(__name__)
 
@@ -66,63 +67,50 @@ class PipelineConfig:
     train_ratio: float = 0.8
     reference_instant: float | None = None  # None: min creation date
 
+    def __post_init__(self):
+        need(vars(self), VALUE_CHECKS)
+        self.mining_config()  # checks max_len >= min_len
+
     def mining_config(self) -> MiningConfig:
         tau = self.match_threshold
         if tau is None:
             tau = mining.default_match_threshold(self.min_len)
-        return MiningConfig(
-            min_len=self.min_len,
-            max_len=self.max_len,
-            match_threshold=tau,
-            min_repo_fraction=self.coverage_value,
-        )
+        return MiningConfig(self.min_len, self.max_len, tau,
+                            min_repo_fraction=self.coverage_value)
 
 
-# {key: (test, requirement)} checked by load_config, besides MiningConfig's own
+# {field: (test, requirement)} of a PipelineConfig, one per field; the
+# mining and forest fields take the rules of MiningConfig and ForestConfig
 VALUE_CHECKS = {
+    **dict.fromkeys(("metrics_path", "prs_path", "keywords_path", "out_dir"), TEXT),
     "seed": classifier.FOREST_CONFIG_FIELDS["seed"],
-    "alpha": (lambda v: 0 < v < 1, "in (0, 1)"),
-    "window_days": (lambda v: v >= 0, ">= 0"),
-    "min_count": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    "metrics": (lambda v: isinstance(v, (list, tuple)) and len(v) > 0
-                and all(isinstance(m, str) for m in v) and len(set(v)) == len(v),
-                "a non-empty list of distinct metric names"),
-    "min_len": (lambda v: isinstance(v, int), "an integer"),
-    "max_len": (lambda v: isinstance(v, int), "an integer"),
-    "train_ratio": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "alpha": PROBABILITY,
+    "window_days": NON_NEGATIVE,
+    "min_count": at_least(1),
+    "metrics": (lambda v: isinstance(v, (list, tuple)) and 0 < len(set(v)) == len(v)
+                and set(v) <= set(ingestion.METRIC_COLUMNS),
+                f"a non-empty list of distinct names from {ingestion.METRIC_COLUMNS}"),
+    "min_len": MINING_CONFIG_FIELDS["min_len"],
+    "max_len": MINING_CONFIG_FIELDS["max_len"],
+    "match_threshold": or_null(MINING_CONFIG_FIELDS["match_threshold"]),
+    "coverage_value": MINING_CONFIG_FIELDS["min_repo_fraction"],
     "n_estimators": classifier.FOREST_CONFIG_FIELDS["n_estimators"],
-    "coverage_value": (lambda v: 0 < v <= 1, "a fraction in (0, 1]"),
-    "reference_instant": (lambda v: v is None or isinstance(v, (int, float)),
-                          "POSIX seconds or null"),
+    "train_ratio": PROBABILITY,
+    "reference_instant": or_null(NUMBER),
 }
 
 
 def load_config(path=None, overrides=None) -> PipelineConfig:
-    cfg = PipelineConfig()
-    if path is not None:
-        doc = _parse(Path(path), "config", json.loads, ConfigError)
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config {path} must hold a JSON object, "
-                              f"got {type(doc).__name__}")
-        unknown = set(doc) - set(PipelineConfig.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg = replace(cfg, **doc)
-    if overrides:
-        cfg = replace(cfg, **overrides)
+    """The config at path, if any, with overrides; a bad one is a ConfigError."""
+    doc = {} if path is None else _parse(
+        Path(path), "config", lambda text: need(json.loads(text), {}), ConfigError)
+    unknown = set(doc) - set(PipelineConfig.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
-        need(vars(cfg), VALUE_CHECKS)
+        return PipelineConfig(**{**doc, **(overrides or {})})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    unknown = sorted(set(cfg.metrics) - set(ingestion.METRIC_COLUMNS))
-    if unknown:
-        raise ConfigError(f"unknown metrics {unknown}; "
-                          f"known: {ingestion.METRIC_COLUMNS}")
-    try:
-        cfg.mining_config()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid mining config: {exc}") from None
-    return cfg
 
 
 def _require_file(path, what):
@@ -178,7 +166,7 @@ OCCURRENCE_FIELDS = {"pattern_id": INDEX, "repo": TEXT, "start_index": INDEX,
                      "distance": NUMBER}
 CLASSIFIED_FIELDS = {
     "pr_id": TEXT, "repo_id": TEXT, "creation_date": _DATE,
-    "capa_class": (lambda v: v is None or _CAPA[0](v), "null or " + _CAPA[1])}
+    "capa_class": or_null(_CAPA)}
 CLASS_REPORT_ROW_FIELDS = {
     "label": INTEGER,
     **{count: INDEX for count in ("tp", "tn", "fp", "fn")},

@@ -1,17 +1,30 @@
 """Exception types shared across the package, and need, the one check of
-the fields of a document read from outside: the config, a model, an
-artifact, a published pairwise table or a pull-request record.  A spec
-{key: (test, requirement)} fails at its first missing or failing key with
-the ValueError "<key> must be <requirement>, got <value>", which need_rows
-prefixes with "<list>[n]: "; the caller names the file."""
+the fields of a document read from outside: the config, the keyword map, a
+model, an artifact, a published pairwise table or a pull-request record.  A
+spec {key: (test, requirement)} fails at its first missing or failing key
+with the ValueError "<key> must be <requirement>, got <value>", which
+need_rows prefixes with "<list>[n]: "; the caller names the file."""
 
 import math
+
+
+def at_least(n):
+    """The (test, requirement) atom of an integer >= n; a bool is not one."""
+    return (lambda v: type(v) is int and v >= n, f"an integer >= {n}")
+
+
+def or_null(atom):
+    """The atom of null or what atom admits."""
+    return (lambda v: v is None or atom[0](v), f"null or {atom[1]}")
+
 
 # (test, requirement) atoms of the specs
 TEXT = (lambda v: isinstance(v, str), "a string")
 INTEGER = (lambda v: type(v) is int, "an integer")
-INDEX = (lambda v: type(v) is int and v >= 0, "an integer >= 0")
+INDEX = at_least(0)
 NUMBER = (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number")
+NON_NEGATIVE = (lambda v: NUMBER[0](v) and v >= 0, "a finite number >= 0")
+PROBABILITY = (lambda v: NUMBER[0](v) and 0 < v < 1, "a number in (0, 1)")
 
 
 def need(doc, checks):

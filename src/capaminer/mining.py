@@ -17,13 +17,22 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyDataset, NoValidWindow
+from .errors import NON_NEGATIVE, NUMBER, EmptyDataset, NoValidWindow, at_least, need
 from .tsdist import (
     MetricSeries,
     direct_distances,
     distance_profile,
     znormalized_windows,
 )
+
+
+# {field: (test, requirement)} of a MiningConfig, besides max_len >= min_len
+MINING_CONFIG_FIELDS = {
+    "min_len": at_least(2),
+    "max_len": at_least(2),
+    "match_threshold": NON_NEGATIVE,
+    "min_repo_fraction": (lambda v: NUMBER[0](v) and 0 < v <= 1, "a fraction in (0, 1]"),
+}
 
 
 @dataclass(frozen=True)
@@ -39,13 +48,7 @@ class MiningConfig:
     min_repo_fraction: float = 0.5
 
     def __post_init__(self):
-        if self.min_len < 2 or self.max_len < self.min_len:
-            raise ValueError("need 2 <= min_len <= max_len")
-        if self.match_threshold < 0:
-            raise ValueError("match_threshold must be >= 0")
-        if not 0 < self.min_repo_fraction <= 1:
-            raise ValueError("min_repo_fraction must be in (0, 1], "
-                             f"got {self.min_repo_fraction}")
+        need(vars(self), {**MINING_CONFIG_FIELDS, "max_len": at_least(self.min_len)})
 
 
 @dataclass(frozen=True)

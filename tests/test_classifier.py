@@ -179,6 +179,10 @@ class TestKeywordLabeling:
         {"non_capa": "bump"},
         {"capa": ["refactor"]},
         ["refactor"],
+        {"capa": {"refactoring": ["refactor", ""]}},
+        {"non_capa": [""]},
+        {"capa": {}},
+        {"capa": {"refactoring": ["refactor"], "Refactoring": ["cleanup"]}},
     ])
     def test_keyword_map_of_wrong_shape_rejected(self, doc):
         with pytest.raises(ValueError):

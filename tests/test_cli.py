@@ -14,6 +14,7 @@ from capaminer.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_DATA_ERROR,
     EXIT_OK,
+    VALUE_CHECKS,
     OutputLock,
     PipelineConfig,
     Run,
@@ -40,12 +41,13 @@ def fixture_config(tmp_path, **extra):
     cfg["metrics_path"] = str(FIXTURES / "metrics.csv")
     cfg["prs_path"] = str(FIXTURES / "prs.jsonl")
     cfg["keywords_path"] = str(FIXTURES / "keywords.json")
-    cfg["out_dir"] = str(tmp_path / "out")
+    out = tmp_path / "out"
+    cfg["out_dir"] = str(out)
     cfg.update(extra)
     tmp_path.mkdir(parents=True, exist_ok=True)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
-    return path, Path(cfg["out_dir"])
+    return path, out
 
 
 class TestConfig:
@@ -103,6 +105,10 @@ class TestConfig:
         ("reference_instant", "x"),
         ("metrics", ["lines_added", "lines_added"]),
         ("seed", -1),
+        ("seed", True),
+        ("match_threshold", float("nan")),
+        ("reference_instant", float("nan")),
+        ("out_dir", 5),
     ])
     def test_bad_value_exits_before_any_write(self, tmp_path, capsys, key, value):
         cfg, out = fixture_config(tmp_path, **{key: value})
@@ -115,8 +121,9 @@ class TestConfig:
         cfg, _ = fixture_config(tmp_path, metrics=["lines_added", "lines_add"])
         with pytest.raises(ConfigError) as exc:
             load_config(cfg)
-        assert "['lines_add']" in str(exc.value)
-        assert str(ingestion.METRIC_COLUMNS) in str(exc.value)
+        assert str(exc.value) == (
+            f"metrics must be a non-empty list of distinct names from "
+            f"{ingestion.METRIC_COLUMNS}, got ['lines_added', 'lines_add']")
 
     def test_readme_names_every_config_key(self):
         readme = (ROOT / "README.md").read_text()
@@ -125,12 +132,33 @@ class TestConfig:
                 for k in re.findall(r"`(\w+)`", row.split("|")[1])]
         assert sorted(keys) == sorted(f.name for f in dataclasses.fields(PipelineConfig))
 
+    def test_every_field_has_one_check(self):
+        assert set(VALUE_CHECKS) == {f.name for f in dataclasses.fields(PipelineConfig)}
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(PipelineConfig)])
+    def test_every_field_is_checked(self, key):
+        # load_config only: a numeric path given to main would open one of
+        # this process's own file descriptors
+        for value in (None, True, 5, -1, float("nan"), "x", [], {}):
+            try:
+                load_config(None, {key: value})
+            except ConfigError as exc:
+                assert str(exc).startswith(f"{key} must be "), (value, str(exc))
+            else:
+                path = key in ("metrics_path", "prs_path", "keywords_path", "out_dir")
+                assert not (isinstance(value, bool) or value != value
+                            or path and not isinstance(value, str)), value
+
     @pytest.mark.parametrize("text", ["5", "[]", '"x"', "null"])
     def test_config_must_be_an_object(self, tmp_path, capsys, text):
         p = tmp_path / "c.json"
         p.write_text(text)
-        assert main(["--config", str(p), "pipeline"]) == EXIT_CONFIG_ERROR
-        assert "must hold a JSON object" in capsys.readouterr().err
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["--config", str(p), "--out", str(out), "pipeline"]) == \
+            EXIT_CONFIG_ERROR
+        assert f"error: invalid config {p}: not a JSON object" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_coverage_value_is_always_a_fraction(self, tmp_path):
         patterns = []
@@ -661,6 +689,9 @@ class TestPipeline:
         '{"non_capa": "bump"}',
         '{"capa": {"nonsense": ["x"]}}',
         '["refactor"]',
+        '{"non_capa": [""]}',  # an empty phrase is in every text
+        '{"capa": {}}',
+        '{"capa": {"refactoring": ["refactor"], "Refactoring": ["cleanup"]}}',
         '{"capa": ',
     ])
     def test_bad_keyword_map_fails_before_any_write(self, tmp_path, capsys, text):

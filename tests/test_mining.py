@@ -97,6 +97,16 @@ class TestCoverageRule:
         with pytest.raises(ValueError):
             MiningConfig(1, 3, 0.1)
 
+    @pytest.mark.parametrize("args, field", [
+        ((8.5, 9, 1.0), "min_len"),
+        ((8, 8, float("nan")), "match_threshold"),
+        ((True, 8, 1.0), "min_len"),
+        ((8, 7, 1.0), "max_len"),
+    ])
+    def test_bad_field_is_named(self, args, field):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            MiningConfig(*args)
+
 
 class TestConsensusCandidate:
     def test_matches_exhaustive_oracle(self, rng):
