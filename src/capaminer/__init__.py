@@ -16,7 +16,6 @@ from .association import (  # noqa: F401
 )
 from .classifier import (  # noqa: F401
     CapaLabel,
-    ForestConfig,
     PullRequestRecord,
     RandomForest,
     StageOneLabel,

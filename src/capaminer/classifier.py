@@ -21,7 +21,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from enum import IntEnum
 from pathlib import Path
@@ -29,10 +29,10 @@ from pathlib import Path
 import numpy as np
 
 from . import timeutil
-from .errors import (INDEX, NUMBER, PROBABILITY, TEXT, DegenerateData,
-                     MissingCreationDate, at_least, need, need_rows, or_null)
+from .errors import (NUMBER, PROBABILITY, SEED, TEXT, DegenerateData,
+                     MissingCreationDate, at_least, need, need_rows, only)
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 # The 27 pull-request metrics, in fixed table order.
 FEATURE_ORDER = [
@@ -186,8 +186,9 @@ _BUNDLED_KEYWORD_MAP = json.loads(
 def load_keyword_map(doc: dict):
     """Parse {"capa": {label_name: [phrases]}, "non_capa": [phrases]}; a
     part left out is the bundled map's, and a document of any other shape
-    raises ValueError."""
-    doc = need({**_BUNDLED_KEYWORD_MAP, **need(doc, {})}, _KEYWORD_MAP_PARTS)
+    raises ValueError, as does a key other than those two."""
+    doc = only(need(doc, {}), _KEYWORD_MAP_PARTS, "keyword map")
+    doc = need({**_BUNDLED_KEYWORD_MAP, **doc}, _KEYWORD_MAP_PARTS)
     capa = need(doc["capa"], dict.fromkeys(doc["capa"], _PHRASES))
     return {_LABELS[name.lower()]: phrases for name, phrases in capa.items()}, doc["non_capa"]
 
@@ -245,8 +246,7 @@ def split_train_test(rows, labels, ratio: float, seed: int):
 
     Per class, round(ratio * n) rows go to train (never all or none when
     the class has >= 2 rows)."""
-    need({"ratio": ratio, "seed": seed},
-         {"ratio": PROBABILITY, "seed": FOREST_CONFIG_FIELDS["seed"]})
+    need({"ratio": ratio, "seed": seed}, {"ratio": PROBABILITY, "seed": SEED})
     labels = np.asarray(labels)
     if len(rows) != len(labels):
         raise ValueError("rows and labels length mismatch")
@@ -265,28 +265,6 @@ def split_train_test(rows, labels, ratio: float, seed: int):
     return sorted(train), sorted(test)
 
 
-# {field: (test, requirement)} of a ForestConfig
-FOREST_CONFIG_FIELDS = {
-    "n_estimators": at_least(1),
-    "max_depth": or_null(INDEX),
-    "min_samples_leaf": at_least(1),
-    "features_per_split": or_null(at_least(1)),
-    "seed": (lambda v: type(v) is int and 0 <= v < 2**64, "an integer in [0, 2**64)"),
-}
-
-
-@dataclass(frozen=True)
-class ForestConfig:
-    n_estimators: int
-    max_depth: int | None = None
-    min_samples_leaf: int = 1
-    features_per_split: int | None = None  # default ceil(sqrt(n_features))
-    seed: int = 0
-
-    def __post_init__(self):
-        need(vars(self), FOREST_CONFIG_FIELDS)
-
-
 # The most (row, feature) values one split pass scores; a node with more
 # gets a pass of its own.  Bounds the working memory of training.
 _PASS_ELEMENTS = 8192
@@ -297,7 +275,7 @@ def _dense_ranks(XT):
     return np.array([np.unique(col, return_inverse=True)[1] for col in XT])
 
 
-def _best_splits(XT, ranks, onehot, idxs, feats, min_leaf):
+def _best_splits(XT, ranks, onehot, idxs, feats):
     """Best split of every node of a batch, all scored in one pass.
 
     XT is the training matrix transposed (features x rows), ranks its
@@ -311,10 +289,9 @@ def _best_splits(XT, ranks, onehot, idxs, feats, min_leaf):
     Each (feature, node) pair is a segment of the node's values.  One
     argsort of (segment, rank) keys sorts every segment, one cumulative sum
     gives the class counts before every position, and the Gini is taken at
-    every boundary between distinct values that leaves at least min_leaf
-    rows on both sides.  A node's first minimum in (feature, threshold)
-    order wins, so ties break to the lowest feature, then the lowest
-    threshold."""
+    every boundary between distinct values.  A node's first minimum in
+    (feature, threshold) order wins, so ties break to the lowest feature,
+    then the lowest threshold."""
     n_nodes, k = feats.shape
     sizes = np.array([len(idx) for idx in idxs])
     rows = np.concatenate(idxs)
@@ -322,7 +299,7 @@ def _best_splits(XT, ranks, onehot, idxs, feats, min_leaf):
     # left_n: rows up to and including each position of its node
     left_n = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes) + 1
     n = sizes[node]
-    fits = (left_n >= min_leaf) & (left_n <= n - min_leaf)
+    fits = left_n < n
     # values laid out feature-major: the block of the t-th candidate
     # feature of every node, then the next t
     segment = np.arange(0, k * n_nodes, n_nodes)[:, None] + node
@@ -391,7 +368,6 @@ def _passes(step, k):
 
 @dataclass
 class RandomForest:
-    config: ForestConfig
     classes: list
     trees: list
 
@@ -446,7 +422,6 @@ class RandomForest:
     def to_json(self) -> dict:
         return {
             "format_version": MODEL_FORMAT_VERSION,
-            "config": asdict(self.config),
             "classes": [int(c) for c in self.classes],
             "trees": self.trees,
         }
@@ -457,11 +432,8 @@ class RandomForest:
         another shape, or a node that is neither a leaf with a count per
         class nor a split on a feature index below n_features with two
         child nodes, raises ValueError."""
-        keys = sorted(FOREST_CONFIG_FIELDS)
         need(doc, {
             "format_version": (lambda v: v == MODEL_FORMAT_VERSION, str(MODEL_FORMAT_VERSION)),
-            "config": (lambda v: isinstance(v, dict) and sorted(v) == keys,
-                       f"an object with exactly the keys {keys}"),
             "classes": (lambda v: type(v) is list and len(v) >= 2
                         and all(type(c) is int for c in v) and len(set(v)) == len(v),
                         "two or more distinct integers"),
@@ -482,8 +454,7 @@ class RandomForest:
                 need(node, leaf)
             else:
                 nodes += [need(node, split)["left"], node["right"]]
-        return cls(config=ForestConfig(**doc["config"]), classes=doc["classes"],
-                   trees=doc["trees"])
+        return cls(classes=doc["classes"], trees=doc["trees"])
 
 
 def _canonical_order(X, y_codes):
@@ -493,8 +464,12 @@ def _canonical_order(X, y_codes):
     return np.lexsort(keys)
 
 
-def train_forest(X, y, config: ForestConfig) -> RandomForest:
-    """Fit a random forest of Gini trees on bootstrap samples."""
+def train_forest(X, y, n_estimators: int, seed: int) -> RandomForest:
+    """Fit n_estimators Gini trees on bootstrap samples (Breiman 2001): each
+    grown until its leaves are pure or cannot be split, with ceil(sqrt(n
+    features)) candidate features per node."""
+    need({"n_estimators": n_estimators, "seed": seed},
+         {"n_estimators": at_least(1), "seed": SEED})
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     if len(X) != len(y) or len(X) < 2:
@@ -509,29 +484,26 @@ def train_forest(X, y, config: ForestConfig) -> RandomForest:
     ranks = _dense_ranks(XT)
     onehot = np.eye(len(classes), dtype=np.int32)[y_codes[order]]
     n_feat, n = XT.shape
-    k = min(config.features_per_split or math.ceil(math.sqrt(n_feat)), n_feat)
-    min_leaf, max_depth = config.min_samples_leaf, config.max_depth
+    k = math.ceil(math.sqrt(n_feat))
     trees, level = [], []
-    for t in range(config.n_estimators):
-        sample = _bootstrap(config.seed, t, n)
+    for t in range(n_estimators):
+        sample = _bootstrap(seed, t, n)
         trees.append({"leaf": True, "counts": onehot[sample].sum(axis=0).tolist()})
         level.append((sample, trees[-1], t))
     depth = 0
-    while max_depth is None or depth < max_depth:
-        # the leaves of this depth that may split, tree by tree, left to right
-        step = [(idx, node, t) for idx, node, t in level
-                if len(idx) >= 2 * min_leaf and max(node["counts"]) < len(idx)]
-        if not step:
-            break
+    # the impure leaves of this depth, tree by tree, left to right; an impure
+    # leaf holds two or more rows
+    while step := [(idx, node, t) for idx, node, t in level
+                   if max(node["counts"]) < len(idx)]:
         tree_of = np.array([t for *_, t in step])
         first = np.searchsorted(tree_of, tree_of)  # index of each tree's first node
-        feats = _feature_subsets(config.seed, depth, tree_of,
+        feats = _feature_subsets(seed, depth, tree_of,
                                  np.arange(len(step)) - first, n_feat, k)
         step = [(idx, node, t, f) for (idx, node, t), f in zip(step, feats)]
         level = []
         for batch in _passes(step, k):
             splits = _best_splits(XT, ranks, onehot, [idx for idx, *_ in batch],
-                                  np.array([f for *_, f in batch]), min_leaf)
+                                  np.array([f for *_, f in batch]))
             for (_, node, t, _), split in zip(batch, splits):
                 if split is None:
                     continue
@@ -543,7 +515,7 @@ def train_forest(X, y, config: ForestConfig) -> RandomForest:
                             left=left, right=right)
                 level += [(left_idx, left, t), (right_idx, right, t)]
         depth += 1
-    return RandomForest(config=config, classes=classes.tolist(), trees=trees)
+    return RandomForest(classes=classes.tolist(), trees=trees)
 
 
 def classify_two_stage(stage1: RandomForest, stage2: RandomForest, X) -> list:

@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import association, classifier, ingestion, mining, stats, timeutil
-from .errors import (INDEX, INTEGER, NON_NEGATIVE, NUMBER, PROBABILITY, TEXT,
+from .errors import (INDEX, INTEGER, NON_NEGATIVE, NUMBER, PROBABILITY, SEED, TEXT,
                      CapaMinerError, ConfigError, EmptyDataset, EmptyTable,
-                     MalformedInput, at_least, need, need_rows, or_null)
+                     MalformedInput, at_least, need, need_rows, only, or_null)
 from .mining import MINING_CONFIG_FIELDS, MiningConfig
 
 log = logging.getLogger(__name__)
@@ -80,10 +80,11 @@ class PipelineConfig:
 
 
 # {field: (test, requirement)} of a PipelineConfig, one per field; the
-# mining and forest fields take the rules of MiningConfig and ForestConfig
+# mining fields take the rules of MiningConfig, and seed and n_estimators
+# those of train_forest
 VALUE_CHECKS = {
     **dict.fromkeys(("metrics_path", "prs_path", "keywords_path", "out_dir"), TEXT),
-    "seed": classifier.FOREST_CONFIG_FIELDS["seed"],
+    "seed": SEED,
     "alpha": PROBABILITY,
     "window_days": NON_NEGATIVE,
     "min_count": at_least(1),
@@ -94,7 +95,7 @@ VALUE_CHECKS = {
     "max_len": MINING_CONFIG_FIELDS["max_len"],
     "match_threshold": or_null(MINING_CONFIG_FIELDS["match_threshold"]),
     "coverage_value": MINING_CONFIG_FIELDS["min_repo_fraction"],
-    "n_estimators": classifier.FOREST_CONFIG_FIELDS["n_estimators"],
+    "n_estimators": at_least(1),
     "train_ratio": PROBABILITY,
     "reference_instant": or_null(NUMBER),
 }
@@ -104,10 +105,8 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
     """The config at path, if any, with overrides; a bad one is a ConfigError."""
     doc = {} if path is None else _parse(
         Path(path), "config", lambda text: need(json.loads(text), {}), ConfigError)
-    unknown = set(doc) - set(PipelineConfig.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
+        only(doc, PipelineConfig.__dataclass_fields__, "config")
         return PipelineConfig(**{**doc, **(overrides or {})})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -410,13 +409,12 @@ def cmd_train(run: Run):
         if stage1 is classifier.StageOneLabel.CAPA:
             X2.append(x)
             y2.append(int(g["stage2"]))
-    fconf = classifier.ForestConfig(n_estimators=cfg.n_estimators, seed=cfg.seed)
     models, reports = [], []
     for stage, (X, y) in enumerate([(X1, y1), (X2, y2)], start=1):
         X = np.array(X)
         y = np.array(y)
         tr, te = classifier.split_train_test(X, y, cfg.train_ratio, cfg.seed)
-        forest = classifier.train_forest(X[tr], y[tr], fconf)
+        forest = classifier.train_forest(X[tr], y[tr], cfg.n_estimators, cfg.seed)
         models.append(forest)
         pred, _ = forest.predict(X[te])
         reports.append(classifier.report_to_json(classifier.compute_report(

@@ -25,6 +25,7 @@ INDEX = at_least(0)
 NUMBER = (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number")
 NON_NEGATIVE = (lambda v: NUMBER[0](v) and v >= 0, "a finite number >= 0")
 PROBABILITY = (lambda v: NUMBER[0](v) and 0 < v < 1, "a number in (0, 1)")
+SEED = (lambda v: type(v) is int and 0 <= v < 2**64, "an integer in [0, 2**64)")
 
 
 def need(doc, checks):
@@ -40,6 +41,15 @@ def need(doc, checks):
             ok = False
         if not ok:
             raise ValueError(f"{key} must be {want}, got {doc.get(key)!r}")
+    return doc
+
+
+def only(doc, known, what):
+    """doc, after checking that it has no key outside known; an unknown key
+    is the ValueError "unknown <what> keys: [...]"."""
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
     return doc
 
 

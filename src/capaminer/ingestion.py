@@ -26,6 +26,7 @@ from .errors import (
     AuthError,
     CapaMinerError,
     IncompleteRecord,
+    MalformedInput,
     MalformedLine,
     MissingColumn,
     NonFiniteValue,
@@ -52,7 +53,9 @@ def load_metrics_csv(path):
 
     Rows are grouped by repo and sorted by timestamp; out-of-order input is
     tolerated.  A value that does not parse as a finite number raises
-    NonFiniteValue with its 1-based data row number.
+    NonFiniteValue, and a row with fewer cells than the header or a
+    timestamp that is not RFC 3339 raises MalformedInput, each naming the
+    1-based data row.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -68,8 +71,15 @@ def load_metrics_csv(path):
         for row_no, row in enumerate(reader, start=1):
             if not row:
                 continue
-            repo = row[col["repo_id"]]
-            ts = timeutil.from_rfc3339(row[col["timestamp"]])
+            if len(row) < len(header):
+                raise MalformedInput(f"row {row_no} has {len(row)} cells, "
+                                     f"the header {len(header)}")
+            repo, stamp = row[col["repo_id"]], row[col["timestamp"]]
+            try:
+                ts = timeutil.from_rfc3339(stamp)
+            except ValueError:
+                raise MalformedInput(f"timestamp at row {row_no} is not an "
+                                     f"RFC 3339 date: {stamp!r}") from None
             vals = []
             for metric in METRIC_COLUMNS:
                 try:
@@ -97,6 +107,9 @@ def _record_from_obj(obj, line_no):
     if unknown:
         log.info("line %d: ignoring unknown fields %s", line_no, sorted(unknown))
     text = obj.get("text")
+    # the first id present, a null one being absent
+    pr_id = next((obj[k] for k in ("pr_id", "pull_request_number")
+                  if obj.get(k) is not None), line_no)
     try:
         if text in (None, ""):  # any other non-string is left for the record to reject
             parts = {k: obj[k] for k in ("title", "body") if obj.get(k) is not None}
@@ -104,7 +117,7 @@ def _record_from_obj(obj, line_no):
         return classifier.PullRequestRecord(
             repo_id=obj.get("repo_id", ""),
             creation_date=obj.get("creation_date"),
-            pr_id=str(obj.get("pr_id", obj.get("pull_request_number", line_no))),
+            pr_id=str(pr_id),
             text=text,
             fields={k: v for k, v in obj.items() if k in metrics},
         )
@@ -115,10 +128,11 @@ def _record_from_obj(obj, line_no):
 def load_prs_jsonl(path):
     """Load pull-request records from a JSON-lines file.
 
-    Unknown fields are ignored with a logged notice; a malformed line
-    raises MalformedLine with its 1-based line number.
+    Unknown fields are ignored with a logged notice; a malformed line, or
+    one whose (repo_id, pr_id) repeats an earlier line's, raises
+    MalformedLine with its 1-based line number.
     """
-    records = []
+    records, first_line = [], {}
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -129,7 +143,12 @@ def load_prs_jsonl(path):
                 raise MalformedLine(line_no) from None
             if not isinstance(obj, dict):
                 raise MalformedLine(line_no, f"line {line_no}: not a JSON object")
-            records.append(_record_from_obj(obj, line_no))
+            pr = _record_from_obj(obj, line_no)
+            first = first_line.setdefault((pr.repo_id, pr.pr_id), line_no)
+            if first != line_no:
+                raise MalformedLine(line_no, f"line {line_no}: pull request {pr.pr_id!r} "
+                                    f"of {pr.repo_id!r} repeats line {first}")
+            records.append(pr)
     return records
 
 

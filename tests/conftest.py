@@ -117,7 +117,7 @@ def naive_exhaustive_patterns(dataset, config):
     return keys
 
 
-def naive_best_split(X, y_codes, n_classes, feat_idx, min_leaf):
+def naive_best_split(X, y_codes, n_classes, feat_idx):
     """Best (weighted Gini, feature, threshold) over the candidate features
     of a node's rows X, searched one feature at a time with the same
     arithmetic as the forest's one-pass kernel: ties go to the lowest
@@ -132,12 +132,9 @@ def naive_best_split(X, y_codes, n_classes, feat_idx, min_leaf):
         cum = np.cumsum(onehot[order], axis=0)
         # split after position i: left = rows [0..i], i in [0, n-2]
         boundaries = np.flatnonzero(sv[:-1] < sv[1:])
-        left_n = boundaries + 1
-        keep = (left_n >= min_leaf) & (n - left_n >= min_leaf)
-        boundaries = boundaries[keep]
         if len(boundaries) == 0:
             continue
-        left_n = left_n[keep]
+        left_n = boundaries + 1
         right_n = n - left_n
         left_counts = cum[boundaries]
         right_counts = cum[-1] - left_counts
@@ -154,42 +151,42 @@ def naive_best_split(X, y_codes, n_classes, feat_idx, min_leaf):
     return best
 
 
-def naive_forest_trees(X, y, config):
-    """The trees of train_forest(X, y, config), grown one after another and
-    level by level with naive_best_split, as nested dicts.  Rows are put in
-    canonical order (by feature values, then label); each tree draws its
-    bootstrap sample, and each node that may split draws its candidate
-    features, from _draws keyed as the docstrings of _bootstrap and
-    _feature_subsets say, worked out here one node at a time."""
+def naive_forest_trees(X, y, n_estimators, seed):
+    """The trees of train_forest(X, y, n_estimators, seed), grown one after
+    another and level by level with naive_best_split, as nested dicts.  Rows
+    are put in canonical order (by feature values, then label); each tree
+    draws its bootstrap sample, and each impure leaf draws its ceil(sqrt(n
+    features)) candidate features, from _draws keyed as the docstrings of
+    _bootstrap and _feature_subsets say, worked out here one node at a
+    time."""
     from capaminer.classifier import _BOOTSTRAP, _FEATURES, _draws
 
     classes = np.unique(y)
     y_codes = np.searchsorted(classes, y)
     order = np.lexsort([y_codes] + [X[:, j] for j in range(X.shape[1] - 1, -1, -1)])
     X, y_codes = X[order], y_codes[order]
-    (n, n_feat), min_leaf = X.shape, config.min_samples_leaf
-    k = min(config.features_per_split or math.ceil(math.sqrt(n_feat)), n_feat)
+    n, n_feat = X.shape
+    k = math.ceil(math.sqrt(n_feat))
 
     def leaf(idx):
         return {"leaf": True,
                 "counts": np.bincount(y_codes[idx], minlength=len(classes)).tolist()}
 
     trees = []
-    for t in range(config.n_estimators):
-        words = _draws(config.seed, _BOOTSTRAP, t, 0, np.arange(n)).tolist()
+    for t in range(n_estimators):
+        words = _draws(seed, _BOOTSTRAP, t, 0, np.arange(n)).tolist()
         sample = np.array(sorted((w >> 32) * n >> 32 for w in words))
         trees.append(leaf(sample))
         level, depth = [(sample, trees[-1])], 0
-        while level and (config.max_depth is None or depth < config.max_depth):
-            splittable = [(idx, node) for idx, node in level
-                          if len(idx) >= 2 * min_leaf and max(node["counts"]) < len(idx)]
+        while level:
+            impure = [(idx, node) for idx, node in level
+                      if max(node["counts"]) < len(idx)]
             level = []
-            for position, (idx, node) in enumerate(splittable):
-                words = _draws(config.seed, _FEATURES, t, depth,
+            for position, (idx, node) in enumerate(impure):
+                words = _draws(seed, _FEATURES, t, depth,
                                position * n_feat + np.arange(n_feat)).tolist()
                 feat_idx = sorted(sorted(range(n_feat), key=lambda f: (words[f], f))[:k])
-                best = naive_best_split(X[idx], y_codes[idx], len(classes), feat_idx,
-                                        min_leaf)
+                best = naive_best_split(X[idx], y_codes[idx], len(classes), feat_idx)
                 if best is None:
                     continue
                 _, f, thr = best

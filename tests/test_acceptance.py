@@ -18,7 +18,6 @@ from capaminer.association import (
     qualifying_pairs,
 )
 from capaminer.classifier import (
-    ForestConfig,
     compute_report,
     split_train_test,
     train_forest,
@@ -223,14 +222,13 @@ def test_7_classifier_accuracy_and_determinism():
                    for c in range(1, 9)])
     y = np.repeat(np.arange(1, 9), 250)
     train, test = split_train_test(X, y, 0.8, seed=9)
-    cfg = ForestConfig(n_estimators=100, seed=9)
-    forest = train_forest(X[train], y[train], cfg)
+    forest = train_forest(X[train], y[train], 100, 9)
     pred, _ = forest.predict(X[test])
     acc = float(np.mean(pred == y[test]))
     assert acc >= 0.95
     # retrain on a permuted copy of the same rows: identical model bytes
     perm = rng.permutation(len(train))
-    again = train_forest(X[train][perm], y[train][perm], cfg)
+    again = train_forest(X[train][perm], y[train][perm], 100, 9)
     a = json.dumps(forest.to_json(), sort_keys=True)
     b = json.dumps(again.to_json(), sort_keys=True)
     assert a == b

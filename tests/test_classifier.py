@@ -12,7 +12,6 @@ from capaminer.classifier import (
     FEATURE_ORDER,
     MISSING,
     CapaLabel,
-    ForestConfig,
     PullRequestRecord,
     RandomForest,
     StageOneLabel,
@@ -183,6 +182,8 @@ class TestKeywordLabeling:
         {"non_capa": [""]},
         {"capa": {}},
         {"capa": {"refactoring": ["refactor"], "Refactoring": ["cleanup"]}},
+        # misspelled parts, which would leave the whole bundled map in place
+        {"non-capa": ["wip"], "Capa": {"coverage": ["x"]}},
     ])
     def test_keyword_map_of_wrong_shape_rejected(self, doc):
         with pytest.raises(ValueError):
@@ -241,71 +242,71 @@ class TestRandomForest:
     def test_separable_accuracy(self, rng):
         X, y = separable_data(rng)
         train, test = split_train_test(X, y, 0.8, seed=3)
-        forest = train_forest(X[train], y[train], ForestConfig(50, seed=3))
+        forest = train_forest(X[train], y[train], 50, 3)
         pred, _ = forest.predict(X[test])
         acc = np.mean(pred == y[test])
         assert acc >= 0.95
 
     def test_bitwise_deterministic(self, rng):
         X, y = separable_data(rng, n_per_class=20)
-        a = train_forest(X, y, ForestConfig(10, seed=5))
-        b = train_forest(X, y, ForestConfig(10, seed=5))
+        a = train_forest(X, y, 10, 5)
+        b = train_forest(X, y, 10, 5)
         assert json.dumps(a.to_json(), sort_keys=True) == \
             json.dumps(b.to_json(), sort_keys=True)
 
     def test_row_order_invariant(self, rng):
         X, y = separable_data(rng, n_per_class=20)
         perm = rng.permutation(len(y))
-        a = train_forest(X, y, ForestConfig(10, seed=5))
-        b = train_forest(X[perm], y[perm], ForestConfig(10, seed=5))
+        a = train_forest(X, y, 10, 5)
+        b = train_forest(X[perm], y[perm], 10, 5)
         assert json.dumps(a.to_json(), sort_keys=True) == \
             json.dumps(b.to_json(), sort_keys=True)
 
     def test_vote_tie_goes_to_lowest_class(self):
         tree_a = {"leaf": True, "counts": [5, 0]}
         tree_b = {"leaf": True, "counts": [0, 5]}
-        forest = RandomForest(ForestConfig(2), classes=[3, 7],
-                              trees=[tree_a, tree_b])
+        forest = RandomForest(classes=[3, 7], trees=[tree_a, tree_b])
         labels, fractions = forest.predict(np.zeros((1, 4)))
         assert labels.tolist() == [3]
         assert dict(zip(forest.classes, fractions[0].tolist())) == {3: 0.5, 7: 0.5}
 
-    def test_feature_subset_default(self, rng):
+    def test_feature_subset_default(self, rng, monkeypatch):
         # ceil(sqrt(27)) = 6 candidate features per node
         X, y = rng.normal(size=(80, 27)), rng.integers(1, 4, size=80)
-        trees = {k: train_forest(X, y, ForestConfig(4, features_per_split=k, seed=1)).trees
-                 for k in (None, 5, 6, 7)}
-        assert trees[None] == trees[6]
-        assert trees[None] != trees[5] and trees[None] != trees[7]
+        feature_subsets, drawn = classifier._feature_subsets, []
+
+        def spy(*args):
+            drawn.append(feature_subsets(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(classifier, "_feature_subsets", spy)
+        forest = train_forest(X, y, 4, 1)
+        assert {subsets.shape[1] for subsets in drawn} == {6}
+        # every split node drew one subset
+        assert sum(map(len, drawn)) >= sum(map(n_splits, forest.trees)) > 4
 
     @pytest.mark.parametrize("field, value", [
         ("seed", -1), ("seed", 2**64), ("seed", 1.5), ("n_estimators", 0),
-        ("min_samples_leaf", 0), ("max_depth", -1), ("features_per_split", 0),
     ])
     def test_config_out_of_range(self, rng, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be "):
-            ForestConfig(**{"n_estimators": 2, field: value})
         X, y = separable_data(rng, n_classes=2, n_per_class=15, n_features=4)
-        doc = train_forest(X, y, ForestConfig(3)).to_json()
-        doc["config"][field] = value
         with pytest.raises(ValueError, match=f"^{field} must be "):
-            RandomForest.from_json(doc, n_features=4)
+            train_forest(X, y, **{"n_estimators": 2, "seed": 0, field: value})
 
     def test_config_limits_accepted(self, rng):
         X, y = separable_data(rng, n_classes=2, n_per_class=15, n_features=4)
-        config = ForestConfig(2, max_depth=0, features_per_split=1, seed=2**64 - 1)
-        forest = train_forest(X, y, config)
-        assert all(tree["leaf"] for tree in forest.trees)
-        assert RandomForest.from_json(forest.to_json(), n_features=4).config == config
+        forest = train_forest(X, y, 1, 2**64 - 1)
+        assert len(forest.trees) == 1
+        assert RandomForest.from_json(forest.to_json(), n_features=4) == forest
 
     def test_single_class_raises(self, rng):
         X = rng.normal(size=(10, 3))
         with pytest.raises(DegenerateData):
-            train_forest(X, np.ones(10), ForestConfig(2))
+            train_forest(X, np.ones(10), 2, 0)
 
     def test_json_round_trip(self, rng):
         X, y = separable_data(rng, n_per_class=15)
-        forest = train_forest(X, y, ForestConfig(5, seed=2))
+        forest = train_forest(X, y, 5, 2)
         back = RandomForest.from_json(json.loads(json.dumps(forest.to_json())))
         probe = rng.normal(15, 8, size=(20, X.shape[1]))
         assert forest.predict(probe)[0].tolist() == back.predict(probe)[0].tolist()
@@ -314,14 +315,16 @@ class TestRandomForest:
         with pytest.raises(ValueError):
             RandomForest.from_json({"format_version": 99})
 
+    def test_format_1_rejected(self, rng):
+        # format 1 also stored the forest's settings in a config block
+        X, y = separable_data(rng, n_classes=2, n_per_class=15, n_features=4)
+        doc = train_forest(X, y, 3, 0).to_json()
+        doc.update(format_version=1, config={"n_estimators": 3, "seed": 0})
+        with pytest.raises(ValueError, match="^format_version must be 2, got 1$"):
+            RandomForest.from_json(doc, n_features=4)
+
     # explicit ids keep the test names stable when a message is reworded
     @pytest.mark.parametrize("edit, why", [
-        pytest.param(lambda d: d.pop("config"),
-                     r"^config must be an object with exactly the keys \[.*\], got None$",
-                     id="<lambda>-config must have exactly the keys0"),
-        pytest.param(lambda d: d["config"].pop("seed"),
-                     "^config must be an object with exactly the keys ",
-                     id="<lambda>-config must have exactly the keys1"),
         pytest.param(lambda d: d.update(classes=[1, 1]),
                      r"^classes must be two or more distinct integers, got \[1, 1\]$",
                      id="<lambda>-classes must be distinct integers0"),
@@ -355,11 +358,16 @@ class TestRandomForest:
     ])
     def test_malformed_model_rejected(self, rng, edit, why):
         X, y = separable_data(rng, n_classes=2, n_per_class=15, n_features=4)
-        doc = json.loads(json.dumps(train_forest(X, y, ForestConfig(3)).to_json()))
+        doc = json.loads(json.dumps(train_forest(X, y, 3, 0).to_json()))
         RandomForest.from_json(doc, n_features=4)
         edit(doc)
         with pytest.raises(ValueError, match=why):
             RandomForest.from_json(doc, n_features=4)
+
+
+def n_splits(tree):
+    """The number of split nodes of a nested-dict tree."""
+    return 0 if tree["leaf"] else 1 + n_splits(tree["left"]) + n_splits(tree["right"])
 
 
 def first_node(doc, leaf):
@@ -381,13 +389,12 @@ class TestTwoStage:
         X1 = np.vstack([rng.normal(0, 1, (40, 4)), rng.normal(30, 1, (40, 4))])
         y1 = np.array([int(StageOneLabel.CAPA)] * 40
                       + [int(StageOneLabel.NON_CAPA)] * 40)
-        stage1 = train_forest(X1, y1, ForestConfig(25, seed=1))
+        stage1 = train_forest(X1, y1, 25, 1)
         X2, y2 = [], []
         for cls in range(1, 8):
             X2.append(rng.normal(cls - 4.0, 0.2, (20, 4)))
             y2.extend([cls] * 20)
-        stage2 = train_forest(np.vstack(X2), np.array(y2),
-                              ForestConfig(25, seed=1))
+        stage2 = train_forest(np.vstack(X2), np.array(y2), 25, 1)
         got = classify_two_stage(stage1, stage2,
                                  [np.full(4, 30.0), np.full(4, -4 + 6.0)])
         assert got[0] is StageOneLabel.NON_CAPA
@@ -407,19 +414,19 @@ def random_node(rng, n_rows, n_classes, n_feat=9):
     return X, y, idx
 
 
-def kernel_splits(X, y, n_classes, nodes, min_leaf):
+def kernel_splits(X, y, n_classes, nodes):
     """_best_splits of the (idx, feat_idx) nodes of X, with the training
     arrays built as train_forest builds them."""
     XT = np.ascontiguousarray(X.T)
     return _best_splits(XT, _dense_ranks(XT), np.eye(n_classes, dtype=np.int32)[y],
                         [idx for idx, _ in nodes],
-                        np.array([feats for _, feats in nodes]), min_leaf)
+                        np.array([feats for _, feats in nodes]))
 
 
-def assert_split(X, y, n_classes, idx, feat_idx, min_leaf, got):
+def assert_split(X, y, n_classes, idx, feat_idx, got):
     """got is the naive split of the node, with its rows partitioned at the
     threshold and the class counts of each side."""
-    want = naive_best_split(X[idx], y[idx], n_classes, feat_idx, min_leaf)
+    want = naive_best_split(X[idx], y[idx], n_classes, feat_idx)
     if want is None:
         assert got is None
         return
@@ -433,16 +440,15 @@ def assert_split(X, y, n_classes, idx, feat_idx, min_leaf, got):
 
 
 class TestSplitKernel:
-    @pytest.mark.parametrize("min_leaf", [1, 3])
     @pytest.mark.parametrize("n_classes", [2, 3, 5, 7, 8])
-    def test_matches_per_feature_oracle(self, rng, n_classes, min_leaf):
+    def test_matches_per_feature_oracle(self, rng, n_classes):
         splits = 0
         for _ in range(60):
             X, y, idx = random_node(rng, int(rng.integers(2, 80)), n_classes)
             k = int(rng.integers(1, 6))
             feat_idx = np.sort(rng.choice(X.shape[1], size=k, replace=False))
-            got = kernel_splits(X, y, n_classes, [(idx, feat_idx)], min_leaf)[0]
-            assert_split(X, y, n_classes, idx, feat_idx, min_leaf, got)
+            got = kernel_splits(X, y, n_classes, [(idx, feat_idx)])[0]
+            assert_split(X, y, n_classes, idx, feat_idx, got)
             splits += got is not None
             # the same node amid others of other sizes scores the same
             nodes = [(np.sort(rng.integers(0, len(X), size=int(rng.integers(1, 60)))),
@@ -450,20 +456,20 @@ class TestSplitKernel:
                      for _ in range(3)]
             nodes.insert(int(rng.integers(0, 4)), (idx, feat_idx))
             for (node_idx, feats), got in zip(
-                    nodes, kernel_splits(X, y, n_classes, nodes, min_leaf)):
-                assert_split(X, y, n_classes, node_idx, feats, min_leaf, got)
+                    nodes, kernel_splits(X, y, n_classes, nodes)):
+                assert_split(X, y, n_classes, node_idx, feats, got)
         assert splits > 30
 
     def test_no_valid_split(self, rng):
         X, y, idx = random_node(rng, 40, 3)
         constant = np.array([7, 8])
-        assert kernel_splits(X, y, 3, [(idx, constant)], 1) == [None]
-        assert naive_best_split(X[idx], y[idx], 3, constant, 1) is None
-        # four distinct values cannot leave 3 rows on both sides
+        assert kernel_splits(X, y, 3, [(idx, constant)]) == [None]
+        assert naive_best_split(X[idx], y[idx], 3, constant) is None
+        # one row has no boundary, alone or beside a node that splits
         rows = np.array([0, 1, 2, 3])
-        got = kernel_splits(X, y, 3, [(rows, [0]), (rows, [0])], 3)
-        assert got == [None, None]
-        assert kernel_splits(X, y, 3, [(rows, [0])], 2)[0] is not None
+        assert kernel_splits(X, y, 3, [(rows[:1], [0])]) == [None]
+        got = kernel_splits(X, y, 3, [(rows[:1], [0]), (rows, [0])])
+        assert got[0] is None and got[1] is not None
 
     def test_midpoint_rounded_onto_the_upper_value(self):
         a, b = 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51
@@ -472,11 +478,11 @@ class TestSplitKernel:
         y = np.array([0, 0, 1, 1, 1, 1])
         rows = np.arange(6)
         # rows equal to the threshold go left, as at prediction time
-        got = kernel_splits(X, y, 2, [(rows, [0])], 1)[0]
-        assert_split(X, y, 2, rows, [0], 1, got)
+        got = kernel_splits(X, y, 2, [(rows, [0])])[0]
+        assert_split(X, y, 2, rows, [0], got)
         assert got[3][1] == [2, 2] and got[4][1] == [0, 2]
         # with nothing above b, the split would leave the right side empty
-        assert kernel_splits(X, y, 2, [(rows[:4], [0])], 1) == [None]
+        assert kernel_splits(X, y, 2, [(rows[:4], [0])]) == [None]
 
 
 def growth_data(rng, n_rows, n_classes):
@@ -492,44 +498,37 @@ class TestLockstepGrowth:
     naive_forest_trees, which grows them one by one."""
 
     @pytest.mark.parametrize("n_classes", [2, 4, 7])
-    @pytest.mark.parametrize("min_leaf, max_depth, per_split", [
-        (1, None, None), (3, None, 2), (1, 4, 5), (3, 7, None)])
-    def test_matches_recursive_oracle(self, rng, n_classes, min_leaf, max_depth,
-                                      per_split):
+    def test_matches_recursive_oracle(self, rng, n_classes):
         X, y = growth_data(rng, 120, n_classes)
-        config = ForestConfig(6, max_depth=max_depth, min_samples_leaf=min_leaf,
-                              features_per_split=per_split, seed=n_classes)
-        assert train_forest(X, y, config).trees == naive_forest_trees(X, y, config)
+        assert train_forest(X, y, 6, n_classes).trees == \
+            naive_forest_trees(X, y, 6, n_classes)
 
     def test_steps_larger_than_a_pass(self, rng):
-        # 900 rows x 4 features per root: one step of 4 trees holds more
-        # values than one pass scores
-        X, y = growth_data(rng, 900, 3)
-        config = ForestConfig(4, features_per_split=4, seed=1)
-        assert 4 * 900 * 4 > classifier._PASS_ELEMENTS
-        assert train_forest(X, y, config).trees == naive_forest_trees(X, y, config)
+        # 1025 rows x 2 candidate features (ceil(sqrt(4))) per root: one step
+        # of 4 trees holds more values than one pass scores
+        X, y = growth_data(rng, 1025, 3)
+        X = X[:, [0, 3, 6, 9]]  # continuous, tied, constant and adjacent floats
+        assert 4 * 1025 * 2 > classifier._PASS_ELEMENTS
+        assert train_forest(X, y, 4, 1).trees == naive_forest_trees(X, y, 4, 1)
 
     @pytest.mark.parametrize("cap", [1, 50, 400])
     def test_any_pass_size(self, rng, monkeypatch, cap):
         X, y = growth_data(rng, 150, 4)
-        config = ForestConfig(5, seed=3)
-        want = train_forest(X, y, config).trees
+        want = train_forest(X, y, 5, 3).trees
         monkeypatch.setattr(classifier, "_PASS_ELEMENTS", cap)
-        assert train_forest(X, y, config).trees == want == naive_forest_trees(X, y, config)
+        assert train_forest(X, y, 5, 3).trees == want == naive_forest_trees(X, y, 5, 3)
 
     def test_first_trees_of_a_larger_forest(self, rng):
         X, y = growth_data(rng, 120, 3)
-        small = train_forest(X, y, ForestConfig(3, seed=8)).trees
-        assert small == train_forest(X, y, ForestConfig(5, seed=8)).trees[:3]
-        assert small != train_forest(X, y, ForestConfig(3, seed=9)).trees
+        small = train_forest(X, y, 3, 8).trees
+        assert small == train_forest(X, y, 5, 8).trees[:3]
+        assert small != train_forest(X, y, 3, 9).trees
 
     def test_bad_training_values_rejected(self):
         X = np.arange(8.0).reshape(4, 2)
         y = np.array([1, 2, 1, 2])
         with pytest.raises(ValueError, match="finite"):
-            train_forest(np.where(X == 3, np.nan, X), y, ForestConfig(2))
-        with pytest.raises(ValueError, match="min_samples_leaf"):
-            train_forest(X, y, ForestConfig(2, min_samples_leaf=0))
+            train_forest(np.where(X == 3, np.nan, X), y, 2, 0)
 
 
 def reference_draw(seed, purpose, tree, depth, counter):
@@ -618,7 +617,7 @@ class TestBatchedPredict:
             X = rng.normal(size=(150, 5))
             X[:, 1] = np.round(X[:, 1])  # ties
             y = rng.integers(1, n_classes + 1, size=150)
-            forest = train_forest(X, y, ForestConfig(9, seed=n_classes))
+            forest = train_forest(X, y, 9, n_classes)
             probe = np.vstack([X[:40], rng.normal(size=(40, 5))])
             self.assert_matches_rows(forest, probe)
             # one-row batches give the same answer as the whole batch
@@ -627,23 +626,21 @@ class TestBatchedPredict:
                     for i in range(len(probe))] == labels.tolist()
 
     def test_vote_tie_and_one_row(self):
-        forest = RandomForest(ForestConfig(2), classes=[3, 7],
-                              trees=[{"leaf": True, "counts": [5, 0]},
-                                     {"leaf": True, "counts": [0, 5]}])
+        forest = RandomForest(classes=[3, 7], trees=[{"leaf": True, "counts": [5, 0]},
+                                                     {"leaf": True, "counts": [0, 5]}])
         self.assert_matches_rows(forest, np.zeros((1, 4)))
 
     def test_vector_rejected(self):
-        forest = RandomForest(ForestConfig(1), classes=[1, 2],
-                              trees=[{"leaf": True, "counts": [1, 0]}])
+        forest = RandomForest(classes=[1, 2], trees=[{"leaf": True, "counts": [1, 0]}])
         with pytest.raises(ValueError):
             forest.predict(np.zeros(4))
 
     def test_two_stage_matches_rows(self, rng):
         X1 = np.vstack([rng.normal(0, 1, (40, 4)), rng.normal(6, 1, (40, 4))])
         y1 = np.repeat([int(StageOneLabel.CAPA), int(StageOneLabel.NON_CAPA)], 40)
-        stage1 = train_forest(X1, y1, ForestConfig(7, seed=2))
+        stage1 = train_forest(X1, y1, 7, 2)
         X2 = rng.normal(0, 1, (60, 4))
-        stage2 = train_forest(X2, rng.integers(1, 8, size=60), ForestConfig(7, seed=2))
+        stage2 = train_forest(X2, rng.integers(1, 8, size=60), 7, 2)
         probe = rng.normal(3, 3, (50, 4))
         got = classify_two_stage(stage1, stage2, probe)
         assert got == [naive_classify_two_stage(stage1, stage2, x) for x in probe]
@@ -652,8 +649,8 @@ class TestBatchedPredict:
     def test_two_stage_with_no_capa_rows(self, rng):
         X1 = np.vstack([rng.normal(0, 1, (30, 3)), rng.normal(9, 1, (30, 3))])
         y1 = np.repeat([int(StageOneLabel.CAPA), int(StageOneLabel.NON_CAPA)], 30)
-        stage1 = train_forest(X1, y1, ForestConfig(5, seed=4))
-        stage2 = train_forest(X1, np.tile([1, 2, 3], 20), ForestConfig(5, seed=4))
+        stage1 = train_forest(X1, y1, 5, 4)
+        stage2 = train_forest(X1, np.tile([1, 2, 3], 20), 5, 4)
         probe = rng.normal(9, 1, (6, 3))
         assert classify_two_stage(stage1, stage2, probe) == \
             [StageOneLabel.NON_CAPA] * 6

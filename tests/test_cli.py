@@ -215,6 +215,50 @@ class TestExitCodes:
         assert main(["--config", str(cfg), "pipeline"]) == EXIT_DATA_ERROR
         assert f"error: line 1: {field} {why}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, why", [
+        (lambda cells: cells[:3], "row 6 has 3 cells, the header 5"),
+        (lambda cells: [cells[0], "notadate", *cells[2:]],
+         "timestamp at row 6 is not an RFC 3339 date: 'notadate'"),
+    ])
+    def test_malformed_metrics_row_is_a_data_error(self, tmp_path, capsys, edit, why):
+        lines = (FIXTURES / "metrics.csv").read_text().splitlines()
+        lines[6] = ",".join(edit(lines[6].split(",")))  # data row 6
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text("\n".join(lines) + "\n")
+        cfg, out = fixture_config(tmp_path, metrics_path=str(metrics))
+        out.mkdir()
+        for stage in ("mine", "pipeline"):
+            assert main(["--config", str(cfg), stage]) == EXIT_DATA_ERROR
+            assert capsys.readouterr().err == f"error: {why}\n"
+            assert list(out.iterdir()) == []
+
+    def test_null_pr_ids_fall_back_to_the_pull_request_number(self, tmp_path):
+        # each fixture pr_id is its pull_request_number, so nulling them all
+        # changes no artifact
+        lines = (FIXTURES / "prs.jsonl").read_text().splitlines()
+        prs = tmp_path / "prs.jsonl"
+        prs.write_text("".join(json.dumps({**json.loads(line), "pr_id": None}) + "\n"
+                               for line in lines))
+        runs = [fixture_config(tmp_path / name, **extra)
+                for name, extra in (("a", {}), ("b", {"prs_path": str(prs)}))]
+        for cfg, _ in runs:
+            assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
+        (_, a), (_, b) = runs
+        for name in ARTIFACTS:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_repeated_pr_id_is_a_data_error(self, tmp_path, capsys):
+        lines = (FIXTURES / "prs.jsonl").read_text().splitlines()
+        prs = tmp_path / "prs.jsonl"
+        prs.write_text("\n".join([*lines, lines[4]]) + "\n")
+        cfg, out = fixture_config(tmp_path, prs_path=str(prs))
+        assert main(["--config", str(cfg), "label"]) == EXIT_DATA_ERROR
+        first = json.loads(lines[4])
+        assert capsys.readouterr().err == (
+            f"error: line {len(lines) + 1}: pull request {first['pr_id']!r} of "
+            f"{first['repo_id']!r} repeats line 5\n")
+        assert not (out / "golden.jsonl").exists()
+
     def test_non_string_text_is_a_data_error(self, tmp_path, capsys):
         lines = (FIXTURES / "prs.jsonl").read_text().splitlines()
         lines[2] = json.dumps({**json.loads(lines[2]), "text": 5})
@@ -226,9 +270,11 @@ class TestExitCodes:
 
     # explicit ids keep the test names stable when a message is reworded
     @pytest.mark.parametrize("stage, edit, why", [
-        pytest.param(1, lambda doc: {"format_version": 1},
-                     "config must be an object with exactly the keys",
-                     id="1-<lambda>-config must have exactly the keys"),
+        # a model as format 1 wrote it, with the forest's settings beside its trees
+        pytest.param(1, lambda doc: {**doc, "format_version": 1,
+                                     "config": {"n_estimators": 100, "seed": 0}},
+                     "format_version must be 2, got 1",
+                     id="1-<lambda>-format 1 rejected"),
         (2, lambda doc: json.dumps(doc)[:-40], "line 1 column"),  # truncated
         (2, lambda doc: "[" * 100_000, "recursion depth"),
         pytest.param(2, lambda doc: with_split_feature(doc, 99),
@@ -692,6 +738,7 @@ class TestPipeline:
         '{"non_capa": [""]}',  # an empty phrase is in every text
         '{"capa": {}}',
         '{"capa": {"refactoring": ["refactor"], "Refactoring": ["cleanup"]}}',
+        '{"non-capa": ["wip"], "Capa": {"coverage": ["x"]}}',
         '{"capa": ',
     ])
     def test_bad_keyword_map_fails_before_any_write(self, tmp_path, capsys, text):

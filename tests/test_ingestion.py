@@ -12,6 +12,7 @@ from capaminer import ingestion
 from capaminer.errors import (
     AuthError,
     IncompleteRecord,
+    MalformedInput,
     MalformedLine,
     MissingColumn,
     NonFiniteValue,
@@ -75,6 +76,19 @@ class TestMetricsCsv:
             load_metrics_csv(p)
         assert exc.value.row == 2
 
+    def test_short_row_names_row(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text(GOOD_CSV + "org/a,2020-01-03T00:00:00Z,1.0\n")
+        with pytest.raises(MalformedInput, match="^row 4 has 3 cells, the header 5$"):
+            load_metrics_csv(p)
+
+    def test_bad_timestamp_names_row(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text(GOOD_CSV.replace("2020-01-01T00:00:00Z,7", "notadate,7"))
+        with pytest.raises(MalformedInput, match="^timestamp at row 3 is not an "
+                                                 "RFC 3339 date: 'notadate'$"):
+            load_metrics_csv(p)
+
     def test_nan_rejected(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text(
@@ -102,6 +116,32 @@ class TestPrsJsonl:
         # title/body concatenated when text absent; pr number fallback id
         assert records[1].text == "add feature"
         assert records[1].pr_id == "2"
+
+    def test_null_pr_id_is_absent(self, tmp_path):
+        p = tmp_path / "prs.jsonl"
+        base = {"repo_id": "org/a", "creation_date": "2020-01-01T00:00:00Z"}
+        p.write_text("".join(json.dumps({**base, **ids}) + "\n" for ids in [
+            {"pr_id": None, "pull_request_number": 7},
+            {"pr_id": None, "pull_request_number": None},
+            {"pr_id": None},
+            {"pr_id": "x", "pull_request_number": 9},
+        ]))
+        assert [r.pr_id for r in load_prs_jsonl(p)] == ["7", "2", "3", "x"]
+
+    @pytest.mark.parametrize("first, second", [
+        ({"pr_id": "5"}, {"pr_id": "5"}),
+        ({"pr_id": None, "pull_request_number": 5}, {"pr_id": "5"}),
+        ({"pull_request_number": 3}, {}),  # line 3 of a file without ids
+    ])
+    def test_repeated_pr_id_names_both_lines(self, tmp_path, first, second):
+        p = tmp_path / "prs.jsonl"
+        base = {"repo_id": "org/a", "creation_date": "2020-01-01T00:00:00Z"}
+        p.write_text("".join(json.dumps({**base, **ids}) + "\n" for ids in [
+            first, {"repo_id": "org/b", **first}, second]))
+        with pytest.raises(MalformedLine, match="^line 3: pull request '[35]' of "
+                                                "'org/a' repeats line 1$") as exc:
+            load_prs_jsonl(p)
+        assert exc.value.line_number == 3
 
     def test_unknown_fields_ignored(self, tmp_path, caplog):
         p = tmp_path / "prs.jsonl"
