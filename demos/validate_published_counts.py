@@ -36,10 +36,10 @@ for pt in sorted(sets):
         print(f"  pattern {pt}: actions {sorted(sets[pt])}")
 print(f"{len(pairs)} qualifying action pairs in total")
 
-results = pairwise_from_json(
+rows = pairwise_from_json(
     json.loads(bundled_data_path("reference_pairwise.json").read_text()))
 for alpha in (0.15, 0.05):
-    mapping = extract_mapping(results, alpha)
+    mapping = extract_mapping(rows, alpha)
     print(f"\nmapping at alpha = {alpha}:")
-    for pt, capa in mapping.tuples:
-        print(f"  pattern {pt} -> action {capa}")
+    for t in mapping["tuples"]:
+        print(f"  pattern {t['pattern']} -> action {t['capa']}")

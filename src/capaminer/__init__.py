@@ -5,9 +5,7 @@ validation of pattern-action associations."""
 __version__ = "0.1.0"
 
 from .association import (  # noqa: F401
-    CapaMapping,
     ContingencyTable,
-    PairwiseTestResult,
     build_contingency,
     extract_mapping,
     filter_relevant,

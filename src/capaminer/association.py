@@ -59,24 +59,6 @@ class ContingencyTable:
         return int(self.counts.sum())
 
 
-@dataclass(frozen=True)
-class PairwiseTestResult:
-    pattern_type: int
-    capa_i: int
-    capa_j: int
-    mean_i: float
-    mean_j: float
-    t_stat: float | None  # None in rows read without t or dof
-    dof: float | None
-    p_value: float
-
-
-@dataclass(frozen=True)
-class CapaMapping:
-    alpha: float
-    tuples: tuple  # ((pattern_type, capa), ...)
-
-
 def capa_id_from_class(class_id: int) -> int:
     """Association action id k corresponds to classifier class k+1."""
     return int(class_id) - 1
@@ -166,49 +148,50 @@ def occurrence_fraction_samples(joins):
 
 
 def pairwise_tests(joins, qualifying_sets):
-    """Welch tests between occurrence-level fraction samples of each
-    qualifying action pair of each pattern, in qualifying_pairs order.  A
-    pair with fewer than 2 samples on either side is skipped."""
+    """pairwise.json rows: Welch tests between occurrence-level fraction
+    samples of each qualifying action pair of each pattern, in
+    qualifying_pairs order.  A pair with fewer than 2 samples on either
+    side is skipped."""
     samples = occurrence_fraction_samples(joins)
-    results = []
+    rows = []
     for pt, ci, cj in qualifying_pairs(qualifying_sets):
         a = samples.get((pt, ci), [])
         b = samples.get((pt, cj), [])
         if len(a) < 2 or len(b) < 2:
             continue
         r = two_sample_t_test(a, b)
-        results.append(PairwiseTestResult(
-            pattern_type=pt, capa_i=ci, capa_j=cj,
-            mean_i=r.mean_a, mean_j=r.mean_b,
-            t_stat=r.t_stat, dof=r.dof, p_value=r.p_value))
-    return results
+        rows.append({"pattern": pt, "capa_i": ci, "capa_j": cj,
+                     "mean_i": r.mean_a, "mean_j": r.mean_b,
+                     "t": r.t_stat, "dof": r.dof, "p": r.p_value})
+    return rows
 
 
-def extract_mapping(results, alpha: float) -> CapaMapping:
-    """Map a pattern to the action dominating every other qualifying action
-    of that pattern: higher mean and p < alpha on each pairwise test.
+def extract_mapping(rows, alpha: float) -> dict:
+    """The mapping document: each pattern mapped to the action dominating
+    every other qualifying action of that pattern, with a higher mean and
+    p < alpha on each pairwise row.
 
-    Input row order does not matter; at most one action can dominate."""
+    Row order does not matter; at most one action can dominate."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
     per_pattern = {}
-    for r in results:
-        per_pattern.setdefault(r.pattern_type, []).append(r)
+    for r in rows:
+        per_pattern.setdefault(r["pattern"], []).append(r)
     tuples = []
     for pt in sorted(per_pattern):
-        rows = per_pattern[pt]
-        capas = sorted({r.capa_i for r in rows} | {r.capa_j for r in rows})
+        tests = per_pattern[pt]
+        capas = sorted({r["capa_i"] for r in tests} | {r["capa_j"] for r in tests})
         for q in capas:
             dominated = 0
-            for r in rows:
-                if q == r.capa_i and r.p_value < alpha and r.mean_i > r.mean_j:
+            for r in tests:
+                if q == r["capa_i"] and r["p"] < alpha and r["mean_i"] > r["mean_j"]:
                     dominated += 1
-                elif q == r.capa_j and r.p_value < alpha and r.mean_j > r.mean_i:
+                elif q == r["capa_j"] and r["p"] < alpha and r["mean_j"] > r["mean_i"]:
                     dominated += 1
             if dominated == len(capas) - 1:
-                tuples.append((pt, q))
+                tuples.append({"pattern": pt, "capa": q})
                 break
-    return CapaMapping(alpha=alpha, tuples=tuple(tuples))
+    return {"alpha": alpha, "tuples": tuples}
 
 
 def contingency_to_csv(table: ContingencyTable) -> str:
@@ -267,42 +250,17 @@ def contingency_from_csv(text: str) -> ContingencyTable:
     return table
 
 
-def pairwise_to_json(results) -> dict:
-    return {
-        "tests": [
-            {
-                "pattern": r.pattern_type,
-                "capa_i": r.capa_i,
-                "capa_j": r.capa_j,
-                "mean_i": r.mean_i,
-                "mean_j": r.mean_j,
-                "t": r.t_stat,
-                "dof": r.dof,
-                "p": r.p_value,
-            }
-            for r in results
-        ]
-    }
-
-
 _NUMBER_OR_NULL = (lambda v: v is None or type(v) in (int, float), "a number or null")
-# {field: (test, requirement)} of a pairwise row, in PairwiseTestResult order
+# {field: (test, requirement)} of a pairwise.json row, in its order
 PAIRWISE_FIELDS = {"pattern": INTEGER, "capa_i": INTEGER, "capa_j": INTEGER,
                    "mean_i": NUMBER, "mean_j": NUMBER,
                    "t": _NUMBER_OR_NULL, "dof": _NUMBER_OR_NULL, "p": NUMBER}
 
 
 def pairwise_from_json(doc) -> list:
-    """Rows as pairwise_to_json writes them, checked by need_rows against
-    PAIRWISE_FIELDS; t and dof, which published tables may omit, become
-    None."""
+    """The rows of a pairwise document, checked by need_rows against
+    PAIRWISE_FIELDS and cut to those keys; t and dof, which published tables
+    may omit, become None."""
     tests = [{"t": None, "dof": None, **e} for e in need_rows(doc, "tests", {})["tests"]]
     need_rows({"tests": tests}, "tests", PAIRWISE_FIELDS)
-    return [PairwiseTestResult(*(e[key] for key in PAIRWISE_FIELDS)) for e in tests]
-
-
-def mapping_to_json(mapping: CapaMapping) -> dict:
-    return {
-        "alpha": mapping.alpha,
-        "tuples": [{"pattern": pt, "capa": c} for pt, c in mapping.tuples],
-    }
+    return [{key: e[key] for key in PAIRWISE_FIELDS} for e in tests]

@@ -536,58 +536,29 @@ def _round2(value: float) -> float:
                                                rounding=ROUND_HALF_UP))
 
 
-@dataclass(frozen=True)
-class ClassReportRow:
-    label: object
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-    precision: float
-    recall: float
-    f1: float
-    precision_undefined: bool = False
-
-    def rounded(self):
-        return (_round2(self.precision), _round2(self.recall), _round2(self.f1))
-
-
-def report_row_from_counts(label, tp, tn, fp, fn) -> ClassReportRow:
-    """Precision/recall/F1 from one-vs-rest counts; an undefined precision
-    (no positive predictions) is reported as 0 with a flag."""
+def report_row_from_counts(label, tp, tn, fp, fn) -> dict:
+    """The class-report row of one-vs-rest counts, with precision, recall
+    and F1 rounded half-up to 2 decimals; an undefined precision (no
+    positive predictions) is reported as 0 with a flag."""
     undefined = (tp + fp) == 0
     pre = 0.0 if undefined else tp / (tp + fp)
     rec = 0.0 if (tp + fn) == 0 else tp / (tp + fn)
     f1 = 0.0 if (pre + rec) == 0 else 2 * pre * rec / (pre + rec)
-    return ClassReportRow(label, tp, tn, fp, fn, pre, rec, f1, undefined)
+    return {"label": int(label) if isinstance(label, (int, np.integer)) else label,
+            "tp": tp, "tn": tn, "fp": fp, "fn": fn, "precision": _round2(pre),
+            "recall": _round2(rec), "f1": _round2(f1), "precision_undefined": undefined}
 
 
-def compute_report(y_true, y_pred, classes) -> list:
-    """One-vs-rest counts and scores per class."""
-    y_true = list(y_true)
-    y_pred = list(y_pred)
-    if len(y_true) != len(y_pred):
+def compute_report(y_true, y_pred, classes) -> dict:
+    """The class-report document: one row of one-vs-rest counts and scores
+    per class."""
+    y_true, y_pred = np.asarray(y_true), np.asarray(y_pred)
+    if y_true.shape != y_pred.shape:
         raise ValueError("y_true and y_pred length mismatch")
     rows = []
     for cls in classes:
-        tp = sum(1 for t, p in zip(y_true, y_pred) if t == cls and p == cls)
-        fp = sum(1 for t, p in zip(y_true, y_pred) if t != cls and p == cls)
-        fn = sum(1 for t, p in zip(y_true, y_pred) if t == cls and p != cls)
-        tn = len(y_true) - tp - fp - fn
-        rows.append(report_row_from_counts(cls, tp, tn, fp, fn))
-    return rows
-
-
-def report_to_json(rows) -> dict:
-    return {
-        "rows": [
-            {
-                "label": int(r.label) if isinstance(r.label, (int, np.integer)) else r.label,
-                "tp": r.tp, "tn": r.tn, "fp": r.fp, "fn": r.fn,
-                **dict(zip(("precision", "recall", "f1"), r.rounded())),
-                "precision_undefined": r.precision_undefined,
-            }
-            for r in rows
-        ]
-    }
-
+        true, pred = y_true == cls, y_pred == cls
+        tp = int(np.count_nonzero(true & pred))
+        fp, fn = int(np.count_nonzero(pred)) - tp, int(np.count_nonzero(true)) - tp
+        rows.append(report_row_from_counts(cls, tp, len(y_true) - tp - fp - fn, fp, fn))
+    return {"rows": rows}

@@ -417,8 +417,7 @@ def cmd_train(run: Run):
         forest = classifier.train_forest(X[tr], y[tr], cfg.n_estimators, cfg.seed)
         models.append(forest)
         pred, _ = forest.predict(X[te])
-        reports.append(classifier.report_to_json(classifier.compute_report(
-            y[te].tolist(), pred.tolist(), sorted(set(y.tolist())))))
+        reports.append(classifier.compute_report(y[te], pred, sorted(set(y.tolist()))))
         _write_json(run.out / f"model_stage{stage}.json", forest.to_json(), cfg,
                     compact=True)
         _write_json(run.out / f"report_stage{stage}.json", reports[-1], cfg)
@@ -466,25 +465,24 @@ def cmd_validate(run: Run, contingency_path=None, pairwise_path=None):
                            "contingency table", association.contingency_from_csv,
                            MalformedInput)
     if pairwise_path:
-        results = _parse(Path(pairwise_path), "pairwise rows", lambda text:
-                         association.pairwise_from_json(json.loads(text)),
-                         MalformedInput)
+        rows = _parse(Path(pairwise_path), "pairwise rows", lambda text:
+                      association.pairwise_from_json(json.loads(text)),
+                      MalformedInput)
     else:
         qualifying = association.filter_relevant(run.table, cfg.min_count)
-        results = association.pairwise_tests(run.joins, qualifying)
+        rows = association.pairwise_tests(run.joins, qualifying)
         log.info("skipped %d action pairs with fewer than 2 occurrence samples",
-                 len(association.qualifying_pairs(qualifying)) - len(results))
+                 len(association.qualifying_pairs(qualifying)) - len(rows))
     try:
         chi2 = asdict(stats.chi2_independence(run.table.counts))
     except EmptyTable as exc:
         chi2 = {"statistic": None, "dof": None, "p_value": None, "note": str(exc)}
-    mapping = association.extract_mapping(results, cfg.alpha)
-    run.chi2, run.mapping = chi2, association.mapping_to_json(mapping)
-    _write_json(out / "chi2.json", run.chi2, cfg)
-    _write_json(out / "pairwise.json", association.pairwise_to_json(results), cfg)
+    run.chi2, run.mapping = chi2, association.extract_mapping(rows, cfg.alpha)
+    _write_json(out / "chi2.json", chi2, cfg)
+    _write_json(out / "pairwise.json", {"tests": rows}, cfg)
     _write_json(out / "mapping.json", run.mapping, cfg)
     log.info("chi2 p=%s; %d pairwise tests; %d mapping tuples",
-             chi2["p_value"], len(results), len(mapping.tuples))
+             chi2["p_value"], len(rows), len(run.mapping["tuples"]))
 
 
 def cmd_pipeline(cfg: PipelineConfig, out: Path):

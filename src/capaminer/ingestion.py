@@ -43,6 +43,7 @@ METRIC_COLUMNS = ["lines_added", "lines_deleted", "lines_changed"]
 CSV_HEADER = ["repo_id", "timestamp"] + METRIC_COLUMNS
 
 PR_KNOWN_EXTRA = {"repo_id", "pr_id", "text", "title", "body"}
+PR_ID = (lambda v: type(v) in (str, int), "a string or an integer")
 # counts GitHub returns only from GET /repos/{repo}/pulls/{number}
 PR_DETAIL_COUNTS = ("additions", "deletions", "commits", "changed_files",
                     "comments", "review_comments")
@@ -52,10 +53,13 @@ def load_metrics_csv(path):
     """Load the commit-metric CSV into one MetricSeries per (repo, metric).
 
     Rows are grouped by repo and sorted by timestamp; out-of-order input is
-    tolerated.  A value that does not parse as a finite number raises
-    NonFiniteValue, and a row with fewer cells than the header or a
-    timestamp that is not RFC 3339 raises MalformedInput, each naming the
-    1-based data row.
+    tolerated, but gaps are not filled.  A value that does not parse as a
+    finite number raises NonFiniteValue, and a row with more or fewer cells
+    than the header, a timestamp that is not RFC 3339, or a row that is not
+    one step after its repo's previous row raises MalformedInput, each
+    naming the 1-based data row.  The step, one for the whole file, is the
+    least positive time between two consecutive rows of a repo, so a
+    repeated instant or a gap is off it.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -71,7 +75,7 @@ def load_metrics_csv(path):
         for row_no, row in enumerate(reader, start=1):
             if not row:
                 continue
-            if len(row) < len(header):
+            if len(row) != len(header):
                 raise MalformedInput(f"row {row_no} has {len(row)} cells, "
                                      f"the header {len(header)}")
             repo, stamp = row[col["repo_id"]], row[col["timestamp"]]
@@ -89,10 +93,17 @@ def load_metrics_csv(path):
                 if not math.isfinite(v):
                     raise NonFiniteValue(row_no)
                 vals.append(v)
-            per_repo.setdefault(repo, []).append((ts, vals))
+            per_repo.setdefault(repo, []).append((ts, vals, row_no))
+    grids = {repo: sorted(per_repo[repo], key=lambda r: r[0]) for repo in sorted(per_repo)}
+    steps = [(repo, a, b) for repo, rows in grids.items() for a, b in zip(rows, rows[1:])]
+    step = min((b[0] - a[0] for _, a, b in steps if b[0] > a[0]), default=None)
+    want = f"the file's step of {step:.15g} s" if step else "a step above 0 s"
+    for repo, a, b in steps:
+        if b[0] - a[0] != step:
+            raise MalformedInput(f"row {b[2]} of {repo} is {b[0] - a[0]:.15g} s "
+                                 f"after row {a[2]}, not {want}")
     series = []
-    for repo in sorted(per_repo):
-        rows = sorted(per_repo[repo], key=lambda r: r[0])
+    for repo, rows in grids.items():
         ts = np.array([r[0] for r in rows])
         for mi, metric in enumerate(METRIC_COLUMNS):
             series.append(MetricSeries(
@@ -108,9 +119,10 @@ def _record_from_obj(obj, line_no):
         log.info("line %d: ignoring unknown fields %s", line_no, sorted(unknown))
     text = obj.get("text")
     # the first id present, a null one being absent
-    pr_id = next((obj[k] for k in ("pr_id", "pull_request_number")
-                  if obj.get(k) is not None), line_no)
+    id_key = next((k for k in ("pr_id", "pull_request_number")
+                   if obj.get(k) is not None), None)
     try:
+        pr_id = need(obj, {id_key: PR_ID})[id_key] if id_key else line_no
         if text in (None, ""):  # any other non-string is left for the record to reject
             parts = {k: obj[k] for k in ("title", "body") if obj.get(k) is not None}
             text = " ".join(need(parts, dict.fromkeys(parts, TEXT)).values()).strip()

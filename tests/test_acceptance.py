@@ -87,9 +87,10 @@ def test_1_report_reproduction():
         # one-vs-rest counts, then check the rounded scores
         y_true = [label] * (tp + fn) + [0] * (fp + tn)
         y_pred = ([label] * tp + [0] * fn + [label] * fp + [0] * tn)
-        row = compute_report(y_true, y_pred, [label])[0]
-        assert (row.tp, row.tn, row.fp, row.fn) == (tp, tn, fp, fn)
-        assert row.rounded() == (pre, rec, f1), (label, tp, tn, fp, fn)
+        row = compute_report(y_true, y_pred, [label])["rows"][0]
+        assert (row["tp"], row["tn"], row["fp"], row["fn"]) == (tp, tn, fp, fn)
+        assert (row["precision"], row["recall"], row["f1"]) == (pre, rec, f1), \
+            (label, tp, tn, fp, fn)
     assert time.time() - t0 < 1.0
     ok("report reproduction: 27/27 published rows exact at 2-decimal rounding")
 
@@ -149,12 +150,13 @@ def test_3_filter_consistency():
 
 def test_4_mapping_extraction():
     """extract_mapping reproduces the published tuples at both alphas."""
-    results = pairwise_from_json(
+    rows = pairwise_from_json(
         json.loads((DATA / "reference_pairwise.json").read_text()))
-    m15 = extract_mapping(results, alpha=0.15)
-    assert set(m15.tuples) == {(5, 0), (11, 1), (12, 0), (13, 0), (14, 1)}
-    m05 = extract_mapping(results, alpha=0.05)
-    assert set(m05.tuples) == {(11, 1), (12, 0), (14, 1)}
+    m15 = extract_mapping(rows, alpha=0.15)["tuples"]
+    assert {(t["pattern"], t["capa"]) for t in m15} == {
+        (5, 0), (11, 1), (12, 0), (13, 0), (14, 1)}
+    m05 = extract_mapping(rows, alpha=0.05)["tuples"]
+    assert {(t["pattern"], t["capa"]) for t in m05} == {(11, 1), (12, 0), (14, 1)}
     ok("mapping extraction: published tuples exact at alpha 0.15 and 0.05")
 
 

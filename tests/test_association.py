@@ -13,11 +13,9 @@ from capaminer.association import (
     contingency_to_csv,
     extract_mapping,
     filter_relevant,
-    mapping_to_json,
     occurrence_fraction_samples,
     pairwise_from_json,
     pairwise_tests,
-    pairwise_to_json,
     qualifying_pairs,
     temporal_join,
 )
@@ -177,12 +175,14 @@ class TestPairwise:
 
     def test_pairwise_on_samples(self):
         joins = self.make_joins()
-        results = pairwise_tests(joins, {0: {0, 1}})
-        assert len(results) == 1
-        r = results[0]
-        assert (r.pattern_type, r.capa_i, r.capa_j) == (0, 0, 1)
-        assert r.mean_i > r.mean_j
-        assert r.p_value < 0.01
+        rows = pairwise_tests(joins, {0: {0, 1}})
+        assert len(rows) == 1
+        r = rows[0]
+        assert list(r) == ["pattern", "capa_i", "capa_j", "mean_i", "mean_j",
+                           "t", "dof", "p"]
+        assert (r["pattern"], r["capa_i"], r["capa_j"]) == (0, 0, 1)
+        assert r["mean_i"] > r["mean_j"]
+        assert r["p"] < 0.01
 
     def test_insufficient_occurrences(self):
         joins = [JoinRecord(0, ("r", 0), "a", 0, 0.0),
@@ -196,28 +196,39 @@ class TestPairwise:
                 == pairwise_tests(self.make_joins(), {0: {0, 1}}))
 
     def test_json_round_trip(self):
-        results = pairwise_tests(self.make_joins(), {0: {0, 1}})
-        back = pairwise_from_json(json.loads(json.dumps(pairwise_to_json(results))))
-        assert back == results
+        rows = pairwise_tests(self.make_joins(), {0: {0, 1}})
+        assert pairwise_from_json(json.loads(json.dumps({"tests": rows}))) == rows
+
+    def test_read_rows_keep_only_their_fields(self):
+        # a published row may omit t and dof, and carry keys of its own
+        rows = pairwise_from_json({"tests": [
+            {"pattern": 1, "capa_i": 0, "capa_j": 2, "mean_i": 0.8,
+             "mean_j": 0.2, "p": 0.01, "note": "from the paper"}]})
+        assert rows == [{"pattern": 1, "capa_i": 0, "capa_j": 2, "mean_i": 0.8,
+                         "mean_j": 0.2, "t": None, "dof": None, "p": 0.01}]
 
 
 class TestExtractMapping:
-    def reference_results(self):
+    def reference_rows(self):
         doc = json.loads((DATA / "reference_pairwise.json").read_text())
         return pairwise_from_json(doc)
 
+    @staticmethod
+    def pairs(mapping):
+        return [(t["pattern"], t["capa"]) for t in mapping["tuples"]]
+
     def test_reference_mapping_alpha_015(self):
-        m = extract_mapping(self.reference_results(), alpha=0.15)
-        assert m.tuples == ((5, 0), (11, 1), (12, 0), (13, 0), (14, 1))
+        m = extract_mapping(self.reference_rows(), alpha=0.15)
+        assert self.pairs(m) == [(5, 0), (11, 1), (12, 0), (13, 0), (14, 1)]
 
     def test_reference_mapping_alpha_005(self):
-        m = extract_mapping(self.reference_results(), alpha=0.05)
-        assert m.tuples == ((11, 1), (12, 0), (14, 1))
+        m = extract_mapping(self.reference_rows(), alpha=0.05)
+        assert self.pairs(m) == [(11, 1), (12, 0), (14, 1)]
 
     def test_order_invariant(self):
-        results = self.reference_results()
-        m1 = extract_mapping(results, 0.15)
-        m2 = extract_mapping(list(reversed(results)), 0.15)
+        rows = self.reference_rows()
+        m1 = extract_mapping(rows, 0.15)
+        m2 = extract_mapping(list(reversed(rows)), 0.15)
         assert m1 == m2
 
     def test_dominance_must_cover_every_pair(self):
@@ -230,13 +241,15 @@ class TestExtractMapping:
             {"pattern": 1, "capa_i": 1, "capa_j": 2,
              "mean_i": 0.2, "mean_j": 0.5, "p": 0.05},
         ]})
-        assert extract_mapping(rows, 0.15).tuples == ()
+        assert extract_mapping(rows, 0.15) == {"alpha": 0.15, "tuples": []}
 
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
             extract_mapping([], 0.0)
 
     def test_mapping_json(self):
-        doc = mapping_to_json(extract_mapping(self.reference_results(), 0.15))
-        assert doc["alpha"] == 0.15
+        # the mapping is the mapping.json document, less its meta
+        doc = extract_mapping(self.reference_rows(), 0.15)
+        assert list(doc) == ["alpha", "tuples"] and doc["alpha"] == 0.15
+        assert all(list(t) == ["pattern", "capa"] for t in doc["tuples"])
         assert {"pattern": 11, "capa": 1} in doc["tuples"]

@@ -22,7 +22,6 @@ from capaminer.classifier import (
     label_by_keywords,
     load_keyword_map,
     report_row_from_counts,
-    report_to_json,
     split_train_test,
     train_forest,
     _BOOTSTRAP,
@@ -659,38 +658,50 @@ class TestBatchedPredict:
 
 
 class TestReport:
+    @staticmethod
+    def scores(row):
+        return row["precision"], row["recall"], row["f1"]
+
     def test_published_row_stage1(self):
         r = report_row_from_counts(1, tp=1174, tn=1380, fp=94, fn=10)
-        assert r.rounded() == (0.93, 0.99, 0.96)
+        assert self.scores(r) == (0.93, 0.99, 0.96)
 
     def test_published_row_stage2(self):
         r = report_row_from_counts(2, tp=200, tn=1180, fp=5, fn=15)
-        assert r.rounded() == (0.98, 0.93, 0.95)
+        assert self.scores(r) == (0.98, 0.93, 0.95)
 
     def test_half_up_rounding(self):
         r = report_row_from_counts(1, tp=1, tn=0, fp=7, fn=0)
-        # precision 0.125 rounds half-up to 0.13
-        assert r.rounded()[0] == 0.13
+        # precision 0.125 rounds half-up to 0.13, where round() gives 0.12
+        assert r["precision"] == 0.13
+        # the row is the report_stage document's row, rounded as written
+        assert r == {"label": 1, "tp": 1, "tn": 0, "fp": 7, "fn": 0,
+                     "precision": 0.13, "recall": 1.0, "f1": 0.22,
+                     "precision_undefined": False}
+        assert json.loads(json.dumps(r)) == r
 
     def test_undefined_precision_flagged(self):
         r = report_row_from_counts(1, tp=0, tn=5, fp=0, fn=3)
-        assert r.precision_undefined
-        assert r.precision == 0.0
-        assert r.f1 == 0.0
+        assert r["precision_undefined"]
+        assert r["precision"] == 0.0
+        assert r["f1"] == 0.0
 
     def test_counts_from_predictions(self):
         y_true = [1, 1, 2, 2, 2, 3]
         y_pred = [1, 2, 2, 2, 3, 3]
-        rows = compute_report(y_true, y_pred, classes=[1, 2, 3])
-        by = {r.label: r for r in rows}
-        assert (by[1].tp, by[1].fp, by[1].fn, by[1].tn) == (1, 0, 1, 4)
-        assert (by[2].tp, by[2].fp, by[2].fn, by[2].tn) == (2, 1, 1, 2)
-        assert (by[3].tp, by[3].fp, by[3].fn, by[3].tn) == (1, 1, 0, 4)
+        rows = compute_report(y_true, y_pred, classes=[1, 2, 3])["rows"]
+        by = {r["label"]: r for r in rows}
+        counts = [tuple(by[c][k] for k in ("tp", "fp", "fn", "tn")) for c in (1, 2, 3)]
+        assert counts == [(1, 0, 1, 4), (2, 1, 1, 2), (1, 1, 0, 4)]
         # one-vs-rest counts always sum to the sample count
         for r in rows:
-            assert r.tp + r.tn + r.fp + r.fn == 6
+            assert r["tp"] + r["tn"] + r["fp"] + r["fn"] == 6
 
     def test_report_json_rounds(self):
-        doc = report_to_json([report_row_from_counts(1, 1174, 1380, 94, 10)])
+        # predictions giving the published stage-1 counts for class 1
+        y_true = [1] * 1174 + [1] * 10 + [2] * 94 + [2] * 1380
+        y_pred = [1] * 1174 + [2] * 10 + [1] * 94 + [2] * 1380
+        doc = json.loads(json.dumps(compute_report(y_true, y_pred, classes=[1, 2])))
         row = doc["rows"][0]
+        assert (row["tp"], row["tn"], row["fp"], row["fn"]) == (1174, 1380, 94, 10)
         assert (row["precision"], row["recall"], row["f1"]) == (0.93, 0.99, 0.96)

@@ -426,6 +426,15 @@ class TestValidateStandalone:
         assert len(tests) == 14
         assert all(t["t"] is None and t["dof"] is None for t in tests)
 
+    def test_pairwise_row_keeps_only_its_fields(self, tmp_path):
+        doc = json.loads(bundled_data_path("reference_pairwise.json").read_text())
+        doc["tests"][3]["source"] = "table 7"
+        rc, out, _, _ = self.run_validate(tmp_path, pairwise=doc)
+        assert rc == EXIT_OK
+        tests = json.loads((out / "pairwise.json").read_text())["tests"]
+        assert set(tests[3]) == {"pattern", "capa_i", "capa_j", "mean_i",
+                                 "mean_j", "t", "dof", "p"}
+
     @pytest.mark.parametrize("edit, why", [
         (lambda row: row.pop("pattern"), "tests[3]: pattern must be an integer, got None"),
         (lambda row: row.update(p="x"), "tests[3]: p must be a finite number, got 'x'"),

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import threading
 import time
@@ -82,6 +83,43 @@ class TestMetricsCsv:
         with pytest.raises(MalformedInput, match="^row 4 has 3 cells, the header 5$"):
             load_metrics_csv(p)
 
+    def test_long_row_names_row(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text(GOOD_CSV + "org/a,2020-01-03T00:00:00Z,1,2,3,4\n")
+        with pytest.raises(MalformedInput, match="^row 4 has 6 cells, the header 5$"):
+            load_metrics_csv(p)
+
+    def test_repeated_instant_names_repo_and_row(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text(GOOD_CSV + "org/a,2020-01-01T00:00:00Z,3,2,5\n")
+        with pytest.raises(MalformedInput, match="^row 4 of org/a is 0 s after row 2, "
+                                                 "not the file's step of 86400 s$"):
+            load_metrics_csv(p)
+
+    def test_gap_names_repo_and_row(self, tmp_path):
+        # org/a steps one day, org/b two
+        p = tmp_path / "m.csv"
+        p.write_text(GOOD_CSV + "org/b,2020-01-03T00:00:00Z,1,1,2\n")
+        with pytest.raises(MalformedInput, match="^row 4 of org/b is 172800 s after "
+                                                 "row 3, not the file's step of 86400 s$"):
+            load_metrics_csv(p)
+
+    def test_repeated_instant_without_a_step(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text(GOOD_CSV.replace("01-02", "01-01"))
+        with pytest.raises(MalformedInput, match="^row 2 of org/a is 0 s after row 1, "
+                                                 "not a step above 0 s$"):
+            load_metrics_csv(p)
+
+    def test_one_step_out_of_order(self, tmp_path):
+        # out-of-order rows on one grid load; each repo may start anywhere
+        p = tmp_path / "m.csv"
+        p.write_text(GOOD_CSV + "org/b,2019-12-31T00:00:00Z,1,1,2\n"
+                     "org/a,2020-01-03T00:00:00Z,1,1,2\n")
+        by = {s.repo_id: s.timestamps for s in load_metrics_csv(p)}
+        assert np.diff(by["org/a"]).tolist() == [86400.0, 86400.0]
+        assert np.diff(by["org/b"]).tolist() == [86400.0]
+
     def test_bad_timestamp_names_row(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text(GOOD_CSV.replace("2020-01-01T00:00:00Z,7", "notadate,7"))
@@ -127,6 +165,21 @@ class TestPrsJsonl:
             {"pr_id": "x", "pull_request_number": 9},
         ]))
         assert [r.pr_id for r in load_prs_jsonl(p)] == ["7", "2", "3", "x"]
+
+    @pytest.mark.parametrize("ids, key", [
+        ({"pr_id": True}, "pr_id"), ({"pr_id": [1]}, "pr_id"),
+        ({"pr_id": 12.0}, "pr_id"),
+        ({"pr_id": None, "pull_request_number": 12.5}, "pull_request_number"),
+    ])
+    def test_pr_id_is_a_string_or_an_integer(self, tmp_path, ids, key):
+        p = tmp_path / "prs.jsonl"
+        line = {"repo_id": "org/a", "creation_date": "2020-01-01T00:00:00Z"}
+        p.write_text(json.dumps(line) + "\n" + json.dumps({**line, **ids}) + "\n")
+        value = next(v for v in ids.values() if v is not None)
+        with pytest.raises(MalformedLine, match=re.escape(
+                f"line 2: {key} must be a string or an integer, got {value!r}")) as exc:
+            load_prs_jsonl(p)
+        assert exc.value.line_number == 2
 
     @pytest.mark.parametrize("first, second", [
         ({"pr_id": "5"}, {"pr_id": "5"}),
