@@ -10,7 +10,6 @@ import numpy as np
 
 from capaminer.ingestion import load_metrics_csv
 from capaminer.mining import MiningConfig, default_match_threshold, mine_patterns
-from capaminer.timeutil import to_rfc3339
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -36,8 +35,7 @@ for metric in dict.fromkeys(s.metric_name for s in series):
         print(f"  pattern {p.pattern_id} from {p.source_repo} "
               f"offset {p.source_offset}, radius {p.radius:.3f}")
         print(f"    values {shape}")
-        for o in p.occurrences:
-            print(f"    match in {o.repo_id} "
-                  f"[{to_rfc3339(o.start_time)[:10]} .. "
-                  f"{to_rfc3339(o.end_time)[:10]}] "
-                  f"distance {o.distance:.3f}")
+        for o in p.occurrences:  # the rows of occurrences.jsonl
+            print(f"    match in {o['repo']} "
+                  f"[{o['start_time'][:10]} .. {o['end_time'][:10]}] "
+                  f"distance {o['distance']:.3f}")

@@ -27,7 +27,6 @@ from .classifier import (  # noqa: F401
 from .mining import (  # noqa: F401
     ConsensusPattern,
     MiningConfig,
-    PatternOccurrence,
     consensus_candidate,
     count_matches,
     mine_patterns,

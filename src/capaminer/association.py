@@ -7,24 +7,17 @@ from __future__ import annotations
 
 import io
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import INTEGER, NUMBER, need_rows
+from .errors import INDEX, NUMBER, UNIT_INTERVAL, need_rows, or_null
 from .stats import two_sample_t_test
+from .timeutil import from_rfc3339
 
 DEFAULT_WINDOW_SECONDS = 30 * 86400  # "plus one month", fixed at 30 days
 N_CAPAS = 7  # association-side action ids 0..6
-
-
-@dataclass(frozen=True)
-class JoinRecord:
-    pattern_type: int
-    occurrence_key: tuple  # (repo_id, start_index) of the attributed occurrence
-    pr_id: str
-    capa: int
-    lag_seconds: float
 
 
 @dataclass(frozen=True)
@@ -64,51 +57,48 @@ def capa_id_from_class(class_id: int) -> int:
     return int(class_id) - 1
 
 
-def temporal_join(occurrences, classified_prs, window_seconds: float = DEFAULT_WINDOW_SECONDS):
-    """Attribute each pull request to at most one pattern type.
+def temporal_join(occurrences, capa_prs, window_seconds: float = DEFAULT_WINDOW_SECONDS):
+    """(occurrence row, action id) of each pull request attributed to an
+    occurrence.
 
     A PR qualifies for an occurrence when its creation time lies in
     [occurrence start, occurrence end + window] and the repo matches.  Among
     qualifying occurrences the one whose start is nearest before the PR wins
     (ties to the lowest pattern id).
 
-    classified_prs: iterable of (pr_id, repo_id, creation_time, capa 0..6).
+    occurrences: occurrences.jsonl rows; capa_prs: iterable of (repo_id,
+    creation_time, action id 0..6), one per CAPA-classified PR.
     """
-    by_repo = {}
+    by_repo = {}  # repo -> [(start, end + window, occurrence row)]
     for occ in occurrences:
-        by_repo.setdefault(occ.repo_id, []).append(occ)
+        by_repo.setdefault(occ["repo"], []).append(
+            (from_rfc3339(occ["start_time"]),
+             from_rfc3339(occ["end_time"]) + window_seconds, occ))
     joins = []
-    for pr_id, repo_id, created, capa in classified_prs:
+    for repo_id, created, capa in capa_prs:
         if not 0 <= capa < N_CAPAS:
             raise ValueError(f"capa id {capa} out of range 0..{N_CAPAS - 1}")
-        best = None  # (start gap, pattern_id, occurrence)
-        for occ in by_repo.get(repo_id, ()):
-            if occ.start_time <= created <= occ.end_time + window_seconds:
-                key = (created - occ.start_time, occ.pattern_id)
+        best = None  # (start gap, pattern_id, occurrence row)
+        for start, until, occ in by_repo.get(repo_id, ()):
+            if start <= created <= until:
+                key = (created - start, occ["pattern_id"])
                 if best is None or key < best[:2]:
-                    best = (key[0], key[1], occ)
+                    best = (*key, occ)
         if best is not None:
-            lag, pattern_id, occ = best
-            joins.append(JoinRecord(
-                pattern_type=pattern_id,
-                occurrence_key=(occ.repo_id, occ.start_index),
-                pr_id=pr_id,
-                capa=capa,
-                lag_seconds=lag,
-            ))
+            joins.append((best[2], capa))
     return joins
 
 
 def build_contingency(joins) -> ContingencyTable:
     """Pattern-type by action count matrix: the joined pattern types in
     ascending order by every action id."""
-    rows = tuple(sorted({j.pattern_type for j in joins}))
+    rows = tuple(sorted({occ["pattern_id"] for occ, _ in joins}))
     cols = tuple(range(N_CAPAS))
     counts = np.zeros((len(rows), len(cols)), dtype=int)
     ri = {r: i for i, r in enumerate(rows)}
     ci = {c: i for i, c in enumerate(cols)}
-    for j in joins:
-        counts[ri[j.pattern_type], ci[j.capa]] += 1
+    for occ, capa in joins:
+        counts[ri[occ["pattern_id"]], ci[capa]] += 1
     return ContingencyTable(rows, cols, counts)
 
 
@@ -135,11 +125,11 @@ def occurrence_fraction_samples(joins):
     """Per (pattern, action): the fraction of each attributed occurrence's
     joined PRs labeled with that action, over occurrences with >= 1 join."""
     per_occ = {}
-    for j in joins:
-        key = (j.pattern_type, j.occurrence_key)
-        per_occ.setdefault(key, []).append(j.capa)
+    for occ, capa in joins:
+        key = (occ["pattern_id"], occ["repo"], occ["start_index"])
+        per_occ.setdefault(key, []).append(capa)
     samples = {}
-    for (pt, _), capas in sorted(per_occ.items()):
+    for (pt, *_), capas in sorted(per_occ.items()):
         total = len(capas)
         for c in range(N_CAPAS):
             frac = sum(1 for v in capas if v == c) / total
@@ -160,9 +150,12 @@ def pairwise_tests(joins, qualifying_sets):
         if len(a) < 2 or len(b) < 2:
             continue
         r = two_sample_t_test(a, b)
+        # constant unequal samples give t = +-inf, which JSON cannot hold;
+        # p = 0 and the means keep the row's meaning
+        t = r.t_stat if math.isfinite(r.t_stat) else None
         rows.append({"pattern": pt, "capa_i": ci, "capa_j": cj,
                      "mean_i": r.mean_a, "mean_j": r.mean_b,
-                     "t": r.t_stat, "dof": r.dof, "p": r.p_value})
+                     "t": t, "dof": r.dof, "p": r.p_value})
     return rows
 
 
@@ -250,17 +243,27 @@ def contingency_from_csv(text: str) -> ContingencyTable:
     return table
 
 
-_NUMBER_OR_NULL = (lambda v: v is None or type(v) in (int, float), "a number or null")
+ACTION = (lambda v: type(v) is int and v in range(N_CAPAS),
+          f"an action id in 0..{N_CAPAS - 1}")
 # {field: (test, requirement)} of a pairwise.json row, in its order
-PAIRWISE_FIELDS = {"pattern": INTEGER, "capa_i": INTEGER, "capa_j": INTEGER,
-                   "mean_i": NUMBER, "mean_j": NUMBER,
-                   "t": _NUMBER_OR_NULL, "dof": _NUMBER_OR_NULL, "p": NUMBER}
+PAIRWISE_FIELDS = {"pattern": INDEX, "capa_i": ACTION, "capa_j": ACTION,
+                   "mean_i": UNIT_INTERVAL, "mean_j": UNIT_INTERVAL,
+                   "t": or_null(NUMBER), "dof": or_null(NUMBER), "p": UNIT_INTERVAL}
 
 
 def pairwise_from_json(doc) -> list:
     """The rows of a pairwise document, checked by need_rows against
     PAIRWISE_FIELDS and cut to those keys; t and dof, which published tables
-    may omit, become None."""
+    may omit, become None.  A row must compare two different actions, and no
+    pair of actions may be compared twice for one pattern."""
     tests = [{"t": None, "dof": None, **e} for e in need_rows(doc, "tests", {})["tests"]]
     need_rows({"tests": tests}, "tests", PAIRWISE_FIELDS)
+    seen = set()
+    for n, e in enumerate(tests):
+        pair = (e["pattern"], frozenset((e["capa_i"], e["capa_j"])))
+        if len(pair[1]) == 1 or pair in seen:
+            raise ValueError(f"tests[{n}]: capa_i and capa_j must be two actions "
+                             f"no earlier row compares for pattern {e['pattern']}, "
+                             f"got {e['capa_i']} and {e['capa_j']}")
+        seen.add(pair)
     return [{key: e[key] for key in PAIRWISE_FIELDS} for e in tests]

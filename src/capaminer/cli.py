@@ -172,10 +172,7 @@ CLASS_REPORT_ROW_FIELDS = {
     **{score: NUMBER for score in ("precision", "recall", "f1")}}
 CHI2_FIELDS = {"statistic": NUMBER, "dof": INDEX, "p_value": NUMBER,
                "low_expected_cells": INDEX}
-MAPPING_TUPLE_FIELDS = {
-    "pattern": INDEX,
-    "capa": (lambda v: type(v) is int and v in range(association.N_CAPAS),
-             f"an action id in 0..{association.N_CAPAS - 1}")}
+MAPPING_TUPLE_FIELDS = {"pattern": INDEX, "capa": association.ACTION}
 
 
 def _golden_row(g):
@@ -264,9 +261,9 @@ class Run:
     artifact; a value this process has not produced is loaded from its input
     file or artifact.  So `pipeline` parses each input once and reads no
     artifact back, while a single subcommand reads the files it needs.
-    golden, classified, reports, chi2 and mapping are the dicts written to
-    disk, so the join parses creation_date from the same RFC 3339 text, and
-    the report renders the same values, either way.
+    occurrences, golden, classified, reports, chi2 and mapping are the dicts
+    written to disk, so the join parses the same RFC 3339 times, and the
+    report renders the same values, either way.
     """
 
     def __init__(self, cfg: PipelineConfig, out: Path):
@@ -322,7 +319,7 @@ class Run:
     @cached_property
     def occurrences(self):
         return self.load("occurrences.jsonl", lambda text: _read_jsonl(
-            text, lambda o: mining.occurrence_from_json(need(o, OCCURRENCE_FIELDS))))
+            text, lambda o: need(o, OCCURRENCE_FIELDS)))
 
     @cached_property
     def classified(self):
@@ -351,7 +348,7 @@ class Run:
     @cached_property
     def joins(self):
         return association.temporal_join(self.occurrences, [
-            (c["pr_id"], c["repo_id"], timeutil.from_rfc3339(c["creation_date"]),
+            (c["repo_id"], timeutil.from_rfc3339(c["creation_date"]),
              association.capa_id_from_class(c["capa_class"]))
             for c in self.classified if c["capa_class"] is not None],
             self.cfg.window_days * 86400)
@@ -369,7 +366,7 @@ def cmd_mine(run: Run):
     run.occurrences = [o for p in patterns for o in p.occurrences]
     _write_json(run.out / "patterns.json", mining.patterns_to_json(patterns), cfg)
     _write_jsonl(run.out / "occurrences.jsonl",
-                 [mining.occurrence_to_json_line(o) for o in run.occurrences], cfg)
+                 [json.dumps(o, sort_keys=True) for o in run.occurrences], cfg)
     log.info("mined %d patterns, %d occurrences", len(patterns),
              len(run.occurrences))
 

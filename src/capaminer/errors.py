@@ -25,6 +25,7 @@ INDEX = at_least(0)
 NUMBER = (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number")
 NON_NEGATIVE = (lambda v: NUMBER[0](v) and v >= 0, "a finite number >= 0")
 PROBABILITY = (lambda v: NUMBER[0](v) and 0 < v < 1, "a number in (0, 1)")
+UNIT_INTERVAL = (lambda v: NUMBER[0](v) and 0 <= v <= 1, "a number in [0, 1]")
 SEED = (lambda v: type(v) is int and 0 <= v < 2**64, "an integer in [0, 2**64)")
 
 

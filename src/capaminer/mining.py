@@ -11,13 +11,13 @@ of the repositories have a series it matches.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NON_NEGATIVE, NUMBER, EmptyDataset, NoValidWindow, at_least, need
+from .timeutil import to_rfc3339
 from .tsdist import (
     MetricSeries,
     direct_distances,
@@ -59,7 +59,7 @@ class ConsensusPattern:
     source_repo: str
     source_offset: int
     radius: float
-    occurrences: tuple = ()  # PatternOccurrence, filled in by mine_patterns
+    occurrences: tuple = ()  # count_matches rows, filled in by mine_patterns
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -68,17 +68,6 @@ class ConsensusPattern:
 
     def __len__(self):
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class PatternOccurrence:
-    pattern_id: int
-    repo_id: str
-    start_index: int
-    end_index: int
-    start_time: float
-    end_time: float
-    distance: float
 
 
 def _nearest_distance(z, other, m: int, excl: int = 0):
@@ -188,22 +177,22 @@ def greedy_matches(distances, m: int, tau: float):
 
 
 def count_matches(pattern: ConsensusPattern, series: MetricSeries, tau: float):
-    """Occurrences of the thresholded non-overlapping matches of pattern."""
+    """occurrences.jsonl rows of the thresholded non-overlapping matches."""
     if len(series) < len(pattern):
         raise ValueError("series shorter than pattern")
     profile = distance_profile(pattern.values, series)
     occs = []
     for off, dist in greedy_matches(profile, len(pattern), tau):
         end = off + len(pattern) - 1
-        occs.append(PatternOccurrence(
-            pattern_id=pattern.pattern_id,
-            repo_id=series.repo_id,
-            start_index=off,
-            end_index=end,
-            start_time=float(series.timestamps[off]),
-            end_time=float(series.timestamps[end]),
-            distance=dist,
-        ))
+        occs.append({
+            "pattern_id": pattern.pattern_id,
+            "repo": series.repo_id,
+            "start_index": off,
+            "end_index": end,
+            "start_time": to_rfc3339(series.timestamps[off]),
+            "end_time": to_rfc3339(series.timestamps[end]),
+            "distance": dist,
+        })
     return occs
 
 
@@ -237,7 +226,7 @@ def mine_patterns(dataset, config: MiningConfig):
                 continue
             occurrences = tuple(o for s in eligible for o in
                                 count_matches(cand, s, config.match_threshold))
-            covered = {o.repo_id for o in occurrences}
+            covered = {o["repo"] for o in occurrences}
             if len(covered) / n_repos >= config.min_repo_fraction:
                 accepted.append(replace(cand, occurrences=occurrences))
     return accepted
@@ -257,45 +246,3 @@ def patterns_to_json(patterns) -> dict:
             for p in patterns
         ]
     }
-
-
-def patterns_from_json(doc) -> list:
-    return [
-        ConsensusPattern(
-            pattern_id=e["pattern_id"],
-            values=np.array(e["values"], dtype=float),
-            metric_name=e["metric"],
-            source_repo=e["source"]["repo"],
-            source_offset=e["source"]["offset"],
-            radius=e["radius"],
-        )
-        for e in doc["patterns"]
-    ]
-
-
-def occurrence_to_json_line(occ: PatternOccurrence) -> str:
-    from .timeutil import to_rfc3339
-
-    return json.dumps({
-        "pattern_id": occ.pattern_id,
-        "repo": occ.repo_id,
-        "start_index": occ.start_index,
-        "end_index": occ.end_index,
-        "start_time": to_rfc3339(occ.start_time),
-        "end_time": to_rfc3339(occ.end_time),
-        "distance": occ.distance,
-    }, sort_keys=True)
-
-
-def occurrence_from_json(obj: dict) -> PatternOccurrence:
-    from .timeutil import from_rfc3339
-
-    return PatternOccurrence(
-        pattern_id=obj["pattern_id"],
-        repo_id=obj["repo"],
-        start_index=obj["start_index"],
-        end_index=obj["end_index"],
-        start_time=from_rfc3339(obj["start_time"]),
-        end_time=from_rfc3339(obj["end_time"]),
-        distance=obj["distance"],
-    )

@@ -6,7 +6,6 @@ import pytest
 
 from capaminer.association import (
     ContingencyTable,
-    JoinRecord,
     build_contingency,
     capa_id_from_class,
     contingency_from_csv,
@@ -19,53 +18,56 @@ from capaminer.association import (
     qualifying_pairs,
     temporal_join,
 )
-from capaminer.mining import PatternOccurrence
 from capaminer.stats import chi2_independence
+from capaminer.timeutil import to_rfc3339
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "capaminer" / "data"
 DAY = 86400.0
 
 
 def occ(pattern_id, repo, start_day, end_day):
-    return PatternOccurrence(pattern_id, repo, int(start_day), int(end_day),
-                             start_day * DAY, end_day * DAY, 0.5)
+    """The occurrences.jsonl row of a match from start_day to end_day."""
+    return {"pattern_id": pattern_id, "repo": repo,
+            "start_index": int(start_day), "end_index": int(end_day),
+            "start_time": to_rfc3339(start_day * DAY),
+            "end_time": to_rfc3339(end_day * DAY), "distance": 0.5}
 
 
 class TestTemporalJoin:
     def test_window_is_closed_on_both_ends(self):
         occs = [occ(0, "r", 10, 17)]
         prs = [
-            ("a", "r", 10 * DAY, 0),        # at occurrence start
-            ("b", "r", (17 + 30) * DAY, 1),  # exactly end + 30 days
-            ("c", "r", (17 + 30) * DAY + 1, 2),  # one second past
-            ("d", "r", 10 * DAY - 1, 3),     # one second early
+            ("r", 10 * DAY, 0),             # at occurrence start
+            ("r", (17 + 30) * DAY, 1),      # exactly end + 30 days
+            ("r", (17 + 30) * DAY + 1, 2),  # one second past
+            ("r", 10 * DAY - 1, 3),         # one second early
         ]
         joins = temporal_join(occs, prs)
-        assert {j.pr_id for j in joins} == {"a", "b"}
+        assert joins == [(occs[0], 0), (occs[0], 1)]
 
     def test_attribution_prefers_nearest_preceding_start(self):
         occs = [occ(0, "r", 10, 17), occ(1, "r", 20, 27)]
-        joins = temporal_join(occs, [("p", "r", 21 * DAY, 0)])
-        assert len(joins) == 1
-        assert joins[0].pattern_type == 1
+        joins = temporal_join(occs, [("r", 21 * DAY, 0)])
+        assert joins == [(occs[1], 0)]
 
     def test_attribution_tie_takes_lowest_pattern_id(self):
         occs = [occ(3, "r", 10, 17), occ(1, "r", 10, 14)]
-        joins = temporal_join(occs, [("p", "r", 12 * DAY, 0)])
-        assert joins[0].pattern_type == 1
+        joins = temporal_join(occs, [("r", 12 * DAY, 0)])
+        assert joins == [(occs[1], 0)]
 
     def test_repo_must_match(self):
         occs = [occ(0, "r1", 10, 17)]
-        assert temporal_join(occs, [("p", "r2", 12 * DAY, 0)]) == []
+        assert temporal_join(occs, [("r2", 12 * DAY, 0)]) == []
 
     def test_each_pr_joined_at_most_once(self):
         occs = [occ(0, "r", 5, 9), occ(1, "r", 6, 10), occ(2, "r", 7, 11)]
-        joins = temporal_join(occs, [("p", "r", 8 * DAY, 4)])
-        assert len(joins) == 1
+        joins = temporal_join(occs, [("r", 8 * DAY, 4), ("r", 9 * DAY, 5)])
+        # both start before the PRs; the latest start, pattern 2's, wins
+        assert joins == [(occs[2], 4), (occs[2], 5)]
 
     def test_capa_range_checked(self):
         with pytest.raises(ValueError):
-            temporal_join([occ(0, "r", 0, 5)], [("p", "r", DAY, 7)])
+            temporal_join([occ(0, "r", 0, 5)], [("r", DAY, 7)])
 
     def test_class_to_action_id(self):
         assert capa_id_from_class(1) == 0
@@ -74,12 +76,8 @@ class TestTemporalJoin:
 
 class TestContingency:
     def test_counts_and_totals(self):
-        joins = [
-            JoinRecord(0, ("r", 1), "a", 0, 0.0),
-            JoinRecord(0, ("r", 1), "b", 0, 0.0),
-            JoinRecord(0, ("r", 1), "c", 2, 0.0),
-            JoinRecord(1, ("r", 9), "d", 2, 0.0),
-        ]
+        a, b = occ(0, "r", 1, 8), occ(1, "r", 9, 16)
+        joins = [(a, 0), (a, 0), (a, 2), (b, 2)]
         t = build_contingency(joins)
         assert t.row_labels == (0, 1)
         assert t.col_labels == tuple(range(7))
@@ -160,11 +158,8 @@ class TestPairwise:
             [0, 0, 1, 0],   # 0.75 / 0.25
             [0, 0, 0, 0, 1, 1],  # 0.667 / 0.333
         ]
-        pr = 0
         for k, caps in enumerate(occurrence_caps):
-            for c in caps:
-                joins.append(JoinRecord(0, ("r", k * 10), f"p{pr}", c, 0.0))
-                pr += 1
+            joins += [(occ(0, "r", k * 10, k * 10 + 7), c) for c in caps]
         return joins
 
     def test_fraction_samples(self):
@@ -185,19 +180,30 @@ class TestPairwise:
         assert r["p"] < 0.01
 
     def test_insufficient_occurrences(self):
-        joins = [JoinRecord(0, ("r", 0), "a", 0, 0.0),
-                 JoinRecord(0, ("r", 0), "b", 1, 0.0)]
+        joins = [(occ(0, "r", 0, 7), 0), (occ(0, "r", 0, 7), 1)]
         # one occurrence gives one sample per action: the pair is skipped
         assert pairwise_tests(joins, {0: {0, 1}}) == []
         # beside a pattern with enough occurrences, only that pair is skipped
-        short = [JoinRecord(1, ("r", 0), "a", 0, 0.0),
-                 JoinRecord(1, ("r", 0), "b", 1, 0.0)]
+        short = [(occ(1, "r", 0, 7), 0), (occ(1, "r", 0, 7), 1)]
         assert (pairwise_tests(self.make_joins() + short, {0: {0, 1}, 1: {0, 1}})
                 == pairwise_tests(self.make_joins(), {0: {0, 1}}))
 
     def test_json_round_trip(self):
         rows = pairwise_tests(self.make_joins(), {0: {0, 1}})
         assert pairwise_from_json(json.loads(json.dumps({"tests": rows}))) == rows
+
+    def test_constant_unequal_samples_write_null_t(self):
+        # two occurrences, each joined by PRs with actions [0, 0, 1]: both
+        # samples are constant and unequal, so Welch's t is infinite
+        joins = [(occ(0, "r", start, start + 7), c)
+                 for start in (0, 20) for c in (0, 0, 1)]
+        rows = pairwise_tests(joins, filter_relevant(build_contingency(joins), 2))
+        assert [(r["pattern"], r["capa_i"], r["capa_j"], r["t"], r["p"])
+                for r in rows] == [(0, 0, 1, None, 0.0)]
+        text = json.dumps({"tests": rows}, allow_nan=False)
+        back = pairwise_from_json(json.loads(text))
+        assert back == rows
+        assert extract_mapping(back, 0.15)["tuples"] == [{"pattern": 0, "capa": 0}]
 
     def test_read_rows_keep_only_their_fields(self):
         # a published row may omit t and dof, and carry keys of its own

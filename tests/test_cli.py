@@ -26,7 +26,6 @@ from capaminer.cli import (
 )
 from capaminer.errors import ConfigError
 from capaminer.ingestion import load_metrics_csv
-from capaminer.mining import occurrence_from_json, patterns_from_json
 from capaminer.timeutil import from_rfc3339
 from capaminer.tsdist import znorm_distance
 
@@ -435,19 +434,40 @@ class TestValidateStandalone:
         assert set(tests[3]) == {"pattern", "capa_i", "capa_j", "mean_i",
                                  "mean_j", "t", "dof", "p"}
 
+    # rows[1] is pattern 9's: from p-negative on, each row would bend the
+    # mapping or make mapping.json or pairwise.json unreadable
     @pytest.mark.parametrize("edit, why", [
-        (lambda row: row.pop("pattern"), "tests[3]: pattern must be an integer, got None"),
-        (lambda row: row.update(p="x"), "tests[3]: p must be a finite number, got 'x'"),
-        (lambda row: row.update(capa_i=1.0), "capa_i must be an integer, got 1.0"),
-        (lambda row: row.update(pattern=True), "pattern must be an integer, got True"),
-        (lambda row: row.update(mean_j=None), "mean_j must be a finite number"),
-        (lambda row: row.update(t="2.1"), "t must be a number or null, got '2.1'"),
-        (lambda row: row.update(dof=[]), "dof must be a number or null, got []"),
+        (lambda rows: rows[3].pop("pattern"),
+         "tests[3]: pattern must be an integer >= 0, got None"),
+        (lambda rows: rows[3].update(p="x"), "tests[3]: p must be a number in [0, 1], got 'x'"),
+        (lambda rows: rows[3].update(capa_i=1.0),
+         "capa_i must be an action id in 0..6, got 1.0"),
+        (lambda rows: rows[3].update(pattern=True), "pattern must be an integer >= 0, got True"),
+        (lambda rows: rows[3].update(mean_j=None), "mean_j must be a number in [0, 1]"),
+        (lambda rows: rows[3].update(t="2.1"), "t must be null or a finite number, got '2.1'"),
+        (lambda rows: rows[3].update(dof=[]), "dof must be null or a finite number, got []"),
+        (lambda rows: rows[1].update(p=-3.0),
+         "tests[1]: p must be a number in [0, 1], got -3.0"),
+        (lambda rows: rows[1].update(t=float("nan")),
+         "tests[1]: t must be null or a finite number, got nan"),
+        (lambda rows: rows[1].update(capa_i=99),
+         "tests[1]: capa_i must be an action id in 0..6, got 99"),
+        (lambda rows: rows[1].update(pattern=-1),
+         "tests[1]: pattern must be an integer >= 0, got -1"),
+        (lambda rows: rows[1].update(capa_j=1, p=0.9),
+         "tests[1]: capa_i and capa_j must be two actions no earlier row "
+         "compares for pattern 9, got 1 and 1"),
+        (lambda rows: rows.extend(
+            {"pattern": 3, "capa_i": i, "capa_j": j, "mean_i": mi, "mean_j": mj,
+             "p": 0.01} for i, j, mi, mj in ((0, 2, 0.8, 0.2), (2, 0, 0.2, 0.8))),
+         "tests[15]: capa_i and capa_j must be two actions no earlier row "
+         "compares for pattern 3, got 2 and 0"),
     ], ids=["no-pattern", "p-text", "capa-float", "pattern-bool", "mean-null",
-            "t-text", "dof-list"])
+            "t-text", "dof-list", "p-negative", "t-nan", "action-99",
+            "pattern-negative", "self-pair", "repeated-pair"])
     def test_malformed_pairwise_row(self, tmp_path, capsys, edit, why):
         doc = json.loads(bundled_data_path("reference_pairwise.json").read_text())
-        edit(doc["tests"][3])
+        edit(doc["tests"])
         rc, out, _, rows = self.run_validate(tmp_path, pairwise=doc)
         assert rc == EXIT_DATA_ERROR
         err = capsys.readouterr().err
@@ -708,8 +728,8 @@ class TestPipeline:
         # pattern 0 has three occurrences, pattern 1 one: its pair is skipped
         caps = {(0, 0): [0, 0, 1], (0, 1): [0, 1, 1, 0], (0, 2): [0, 0, 0, 1],
                 (1, 0): [0, 1]}
-        joins = [association.JoinRecord(pt, ("r", k), f"p{pt}.{k}.{i}", c, 0.0)
-                 for (pt, k), cs in caps.items() for i, c in enumerate(cs)]
+        joins = [({"pattern_id": pt, "repo": "r", "start_index": k}, c)
+                 for (pt, k), cs in caps.items() for c in cs]
         run = Run(load_config(None, {"out_dir": str(tmp_path), "min_count": 1}),
                   tmp_path)
         run.joins = joins
@@ -778,27 +798,27 @@ class TestPipeline:
         metrics = ["lines_changed", "lines_added"]
         cfg, out = fixture_config(tmp_path, metrics=metrics)
         assert main(["--config", str(cfg), "mine"]) == EXIT_OK
-        patterns = patterns_from_json(json.loads((out / "patterns.json").read_text()))
-        names = [p.metric_name for p in patterns]
-        assert [p.pattern_id for p in patterns] == list(range(len(patterns)))
+        patterns = json.loads((out / "patterns.json").read_text())["patterns"]
+        names = [p["metric"] for p in patterns]
+        assert [p["pattern_id"] for p in patterns] == list(range(len(patterns)))
         assert set(names) == set(metrics)
         assert names == sorted(names, key=metrics.index)
 
     def test_occurrence_ids_name_patterns_of_their_metric(self, tmp_path):
         cfg, out = fixture_config(tmp_path)
         assert main(["--config", str(cfg), "mine"]) == EXIT_OK
-        patterns = {p.pattern_id: p for p in patterns_from_json(
-            json.loads((out / "patterns.json").read_text()))}
+        patterns = {p["pattern_id"]: p for p in json.loads(
+            (out / "patterns.json").read_text())["patterns"]}
         # ids run on across metrics
-        assert len({p.metric_name for p in patterns.values()}) > 1
+        assert len({p["metric"] for p in patterns.values()}) > 1
         series = {(s.repo_id, s.metric_name): s
                   for s in load_metrics_csv(FIXTURES / "metrics.csv")}
         lines = (out / "occurrences.jsonl").read_text().splitlines()[1:]
         assert lines
         for line in lines:
-            occ = occurrence_from_json(json.loads(line))
-            p = patterns[occ.pattern_id]
-            window = series[(occ.repo_id, p.metric_name)].values[
-                occ.start_index : occ.end_index + 1]
-            assert znorm_distance(p.values, window) == pytest.approx(
-                occ.distance, abs=1e-9)
+            occ = json.loads(line)
+            p = patterns[occ["pattern_id"]]
+            window = series[(occ["repo"], p["metric"])].values[
+                occ["start_index"] : occ["end_index"] + 1]
+            assert znorm_distance(p["values"], window) == pytest.approx(
+                occ["distance"], abs=1e-9)

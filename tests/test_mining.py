@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from capaminer import mining
-from capaminer.errors import EmptyDataset, NoValidWindow
+from capaminer.cli import OCCURRENCE_FIELDS
+from capaminer.errors import EmptyDataset, NoValidWindow, need
 from capaminer.mining import (
     ConsensusPattern,
     MiningConfig,
@@ -14,11 +15,9 @@ from capaminer.mining import (
     count_matches,
     greedy_matches,
     mine_patterns,
-    occurrence_from_json,
-    occurrence_to_json_line,
-    patterns_from_json,
     patterns_to_json,
 )
+from capaminer.timeutil import from_rfc3339, to_rfc3339
 from capaminer.tsdist import MetricSeries, distance_profile
 
 from conftest import (
@@ -280,12 +279,11 @@ class TestCountMatches:
         p = ConsensusPattern(3, np.array([0.0, 1.0, 0.0]), "m", "src", 0, 0.0)
         occs = count_matches(p, s, 0.1)
         assert len(occs) == 2
-        assert {o.start_index for o in occs} == {0, 4}
-        first = min(occs, key=lambda o: o.start_index)
-        assert first.pattern_id == 3
-        assert first.end_index == 2
-        assert first.start_time == 0.0
-        assert first.end_time == 200.0
+        assert {o["start_index"] for o in occs} == {0, 4}
+        first = min(occs, key=lambda o: o["start_index"])
+        assert (first["pattern_id"], first["repo"], first["end_index"]) == (3, "r", 2)
+        assert (first["start_time"], first["end_time"]) == \
+            ("1970-01-01T00:00:00Z", "1970-01-01T00:03:20Z")
 
     def test_series_shorter_than_pattern(self):
         s = MetricSeries("r", "m", [0.0, 1.0], [1.0, 2.0])
@@ -317,8 +315,8 @@ class TestMinePatterns:
         # matched window may sit shifted but must overlap the plant
         for r in range(4):
             for lo, hi in ((10, 17), (35, 42)):
-                hits = [o for o in occs if o.repo_id == f"r{r}"
-                        and o.start_index <= hi and o.end_index >= lo]
+                hits = [o for o in occs if o["repo"] == f"r{r}"
+                        and o["start_index"] <= hi and o["end_index"] >= lo]
                 assert hits, f"r{r} missed plant at [{lo}, {hi}]"
 
     def test_sequential_ids_and_determinism(self, rng):
@@ -391,7 +389,7 @@ class TestMinePatterns:
             for p in mine_patterns([s for s in dataset if s.metric_name == metric], cfg):
                 pid = len(expected)
                 expected.append(replace(p, pattern_id=pid, occurrences=tuple(
-                    replace(o, pattern_id=pid) for o in p.occurrences)))
+                    {**o, "pattern_id": pid} for o in p.occurrences)))
         got = mine_patterns(dataset, cfg)
         assert {p.metric_name for p in got} == {"b", "m"}
         assert len(got) == len(expected)
@@ -404,23 +402,29 @@ class TestMinePatterns:
 
 
 class TestSerialization:
-    def test_patterns_round_trip(self, rng):
+    def test_patterns_document(self, rng):
         pats = [ConsensusPattern(i, rng.normal(size=6), "m", f"r{i}", i * 2,
                                  float(rng.uniform(0, 2))) for i in range(3)]
         doc = json.loads(json.dumps(patterns_to_json(pats)))
-        back = patterns_from_json(doc)
-        assert len(back) == 3
-        for p, q in zip(pats, back):
-            assert (p.pattern_id, p.metric_name, p.source_repo,
-                    p.source_offset) == (q.pattern_id, q.metric_name,
-                                         q.source_repo, q.source_offset)
-            np.testing.assert_allclose(p.values, q.values)
-            assert p.radius == pytest.approx(q.radius)
+        assert [(e["pattern_id"], e["metric"], e["length"], e["source"], e["radius"])
+                for e in doc["patterns"]] == \
+            [(p.pattern_id, "m", 6, {"repo": p.source_repo, "offset": p.source_offset},
+              p.radius) for p in pats]
+        for p, e in zip(pats, doc["patterns"]):
+            assert e["values"] == p.values.tolist()
 
-    def test_occurrence_round_trip(self):
-        from capaminer.mining import PatternOccurrence
-
-        occ = PatternOccurrence(2, "org/repo1", 5, 12,
-                                1_600_000_000.0, 1_600_604_800.0, 1.25)
-        back = occurrence_from_json(json.loads(occurrence_to_json_line(occ)))
-        assert back == occ
+    def test_count_matches_rows_are_occurrence_lines(self, rng):
+        # each row is the occurrences.jsonl line that cmd_mine writes, with
+        # the series timestamps in RFC 3339
+        s = make_series(rng, "org/repo1", 40)
+        s = MetricSeries(s.repo_id, s.metric_name, s.timestamps + 0.25, s.values)
+        p = ConsensusPattern(2, s.values[5:13], "lines_changed", "org/repo1", 5, 0.0)
+        occs = count_matches(p, s, 4.0)
+        assert occs
+        for o in occs:
+            assert set(o) == set(OCCURRENCE_FIELDS)
+            need(o, OCCURRENCE_FIELDS)
+            assert o["start_time"] == to_rfc3339(s.timestamps[o["start_index"]])
+            assert o["end_time"] == to_rfc3339(s.timestamps[o["end_index"]])
+            assert from_rfc3339(o["end_time"]) == s.timestamps[o["end_index"]]
+            assert json.loads(json.dumps(o)) == o
