@@ -36,8 +36,9 @@ for pt in sorted(sets):
         print(f"  pattern {pt}: actions {sorted(sets[pt])}")
 print(f"{len(pairs)} qualifying action pairs in total")
 
+# each published row must test two actions that qualify for its pattern
 rows = pairwise_from_json(
-    json.loads(bundled_data_path("reference_pairwise.json").read_text()))
+    json.loads(bundled_data_path("reference_pairwise.json").read_text()), sets)
 for alpha in (0.15, 0.05):
     mapping = extract_mapping(rows, alpha)
     print(f"\nmapping at alpha = {alpha}:")

@@ -251,11 +251,13 @@ PAIRWISE_FIELDS = {"pattern": INDEX, "capa_i": ACTION, "capa_j": ACTION,
                    "t": or_null(NUMBER), "dof": or_null(NUMBER), "p": UNIT_INTERVAL}
 
 
-def pairwise_from_json(doc) -> list:
+def pairwise_from_json(doc, qualifying=None) -> list:
     """The rows of a pairwise document, checked by need_rows against
     PAIRWISE_FIELDS and cut to those keys; t and dof, which published tables
     may omit, become None.  A row must compare two different actions, and no
-    pair of actions may be compared twice for one pattern."""
+    pair of actions may be compared twice for one pattern.  Given the
+    filter_relevant sets of the table the rows test, each row's pattern
+    must be one of the table's and both its actions must qualify."""
     tests = [{"t": None, "dof": None, **e} for e in need_rows(doc, "tests", {})["tests"]]
     need_rows({"tests": tests}, "tests", PAIRWISE_FIELDS)
     seen = set()
@@ -266,4 +268,13 @@ def pairwise_from_json(doc) -> list:
                              f"no earlier row compares for pattern {e['pattern']}, "
                              f"got {e['capa_i']} and {e['capa_j']}")
         seen.add(pair)
+    for n, e in enumerate(tests if qualifying is not None else []):
+        if e["pattern"] not in qualifying:
+            raise ValueError(f"tests[{n}]: pattern must be a pattern of the table, "
+                             f"got {e['pattern']}")
+        if not {e["capa_i"], e["capa_j"]} <= qualifying[e["pattern"]]:
+            raise ValueError(f"tests[{n}]: capa_i and capa_j must be actions of "
+                             f"pattern {e['pattern']} seen at least min_count times, "
+                             f"{sorted(qualifying[e['pattern']])}, got {e['capa_i']} "
+                             f"and {e['capa_j']}")
     return [{key: e[key] for key in PAIRWISE_FIELDS} for e in tests]

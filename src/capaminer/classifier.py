@@ -9,10 +9,12 @@ function of where it is used.  Training rows are put into a canonical order
 first, so results do not depend on input row order or on how nodes are
 scheduled.
 
-Training grows all trees level-wise.  The nodes of one depth that may
-split, across all trees, draw their feature subsets in one keyed call, each
-keyed by its tree and its left-to-right position among that tree's such
-nodes, and are scored together in batched numpy passes (_best_splits).
+Training grows all trees level-wise, each depth held as flat arrays.  The
+nodes of one depth that may split, across all trees, draw their feature
+subsets in one keyed call, each keyed by its tree and its left-to-right
+position among that tree's such nodes, and are scored together in batched
+numpy passes (_best_splits); their rows go to the children by one
+comparison with the thresholds.
 """
 
 from __future__ import annotations
@@ -267,103 +269,165 @@ def split_train_test(rows, labels, ratio: float, seed: int):
 
 # The most (row, feature) values one split pass scores; a node with more
 # gets a pass of its own.  Bounds the working memory of training.
-_PASS_ELEMENTS = 8192
+_PASS_ELEMENTS = 32768
 
 
-def _dense_ranks(XT):
-    """Each value's rank among the distinct values of its feature row."""
-    return np.array([np.unique(col, return_inverse=True)[1] for col in XT])
+def _levels(XT):
+    """The distinct values of each feature row of XT: (ranks, values,
+    offsets).  values holds each feature's distinct values, ascending,
+    feature after feature, from offsets[f] to offsets[f + 1], and ranks[f, i]
+    is the position of XT[f, i] among its feature's."""
+    distinct = [np.unique(col, return_inverse=True) for col in XT]
+    offsets = np.cumsum([0] + [len(values) for values, _ in distinct])
+    return (np.array([ranks for _, ranks in distinct], dtype=np.int32),
+            np.concatenate([values for values, _ in distinct]), offsets)
 
 
-def _best_splits(XT, ranks, onehot, idxs, feats):
-    """Best split of every node of a batch, all scored in one pass.
+def _class_sums(terms):
+    """The column sums of a (classes x candidates) array, bit for bit those
+    of a sum over each candidate's row of class terms: numpy adds a row of
+    fewer than 8 values in order, as a sum over axis 0 does, and a longer
+    one pairwise."""
+    if len(terms) < 8:
+        return np.sum(terms, axis=0)
+    return np.sum(np.ascontiguousarray(terms.T), axis=1)
 
-    XT is the training matrix transposed (features x rows), ranks its
-    _dense_ranks and onehot its (rows x classes) label indicator.  Node j
-    holds the rows idxs[j] and has the ascending candidate features
-    feats[j], a (nodes x k) array.  Per node the result is None when no
-    candidate feature has a valid boundary, else (weighted Gini, feature,
-    threshold, left, right), each side its (rows, class counts): the rows
-    at or below the threshold go left.
 
-    Each (feature, node) pair is a segment of the node's values.  One
-    argsort of (segment, rank) keys sorts every segment, one cumulative sum
-    gives the class counts before every position, and the Gini is taken at
-    every boundary between distinct values.  A node's first minimum in
-    (feature, threshold) order wins, so ties break to the lowest feature,
-    then the lowest threshold."""
+def _best_splits(ranks, values, offsets, y, rows, sizes, feats, counts):
+    """Best split of every node of a pass, all scored together.
+
+    ranks, values and offsets are the _levels of the training matrix, and y
+    its class codes.  The nodes' rows are laid out node after node in rows,
+    node j holding sizes[j] of them, the class counts counts[j] and the
+    ascending candidate features feats[j].  Returns per node (weighted
+    Gini, feature, threshold, left class counts): the rows at or below the
+    threshold go left, and the feature is -1 where no candidate feature has
+    a valid boundary.
+
+    Each (feature, node) pair is a segment of the node's values, and its
+    distinct values, in ascending order, are its groups.  A segment whose
+    feature has at most as many distinct training values as the node has
+    rows takes its groups' class counts from one bincount over its values'
+    ranks, an exact histogram; the other segments are sorted by rank.  The
+    candidate cuts are the boundaries between consecutive groups of a
+    segment, less those inside a run of groups of one class in a node of
+    two or more classes (Fayyad & Irani, Machine Learning 8, 1992).  Along
+    such a run the weighted Gini is concave in the rows moved left, so an
+    inner cut scores above one of the run's end cuts, or ties with both;
+    a run that starts or ends its segment has one end cut, towards which
+    the Gini falls strictly.  A node's first minimum in (feature,
+    threshold) order wins, so ties break to the lowest feature, then the
+    lowest threshold, and a dropped cut is never that minimum."""
     n_nodes, k = feats.shape
-    sizes = np.array([len(idx) for idx in idxs])
-    rows = np.concatenate(idxs)
-    node = np.repeat(np.arange(n_nodes), sizes)
-    # left_n: rows up to and including each position of its node
-    left_n = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes) + 1
-    n = sizes[node]
-    fits = left_n < n
-    # values laid out feature-major: the block of the t-th candidate
-    # feature of every node, then the next t
-    segment = np.arange(0, k * n_nodes, n_nodes)[:, None] + node
-    key = (segment * ranks.shape[1] + ranks[feats.T[:, node], rows]).ravel()
-    # the order of equal values cannot change the counts at a boundary
-    # between distinct values, so the sort need not be stable
-    order = np.argsort(key)
-    key, sorted_rows = key[order], np.tile(rows, k)[order]
-    cum = np.zeros((len(key) + 1, onehot.shape[1]), dtype=np.int32)
-    np.cumsum(onehot[sorted_rows], axis=0, out=cum[1:])
-    # split after position p: its left_n rows of the segment go left; fits
-    # keeps p + 1 inside the segment
-    valid = np.tile(fits, k)
-    valid[:-1] &= key[:-1] < key[1:]
-    cand = np.flatnonzero(valid)
-    i = cand % len(rows)
-    start = cand + 1 - left_n[i]
-    left_counts = cum[cand + 1] - cum[start]
-    right_counts = cum[start + n[i]] - cum[cand + 1]
-    left_n, n = left_n[i], n[i]
+    n_classes, n_rows = counts.shape[1], ranks.shape[1]
+    # segment t * n_nodes + j is the t-th candidate feature of node j; a
+    # histogram segment has a bin per distinct value of its feature, and
+    # after all of those each sorted segment has a bin per row
+    n_values = np.diff(offsets)[feats.T]
+    hist = n_values <= sizes
+    hist_bins = np.where(hist, n_values, 0).ravel()
+    sort_bins = np.where(hist, 0, sizes).ravel()
+    n_hist = int(hist_bins.sum())
+    n_bins = n_hist + int(sort_bins.sum())
+    first_bin = np.where(hist.ravel(), np.cumsum(hist_bins) - hist_bins,
+                         n_hist + np.cumsum(sort_bins) - sort_bins).astype(np.int32)
+    # per value, its segment's first bin and its rank (np.repeat along the
+    # rows is an order of magnitude faster than indexing by node)
+    base = np.repeat(first_bin.reshape(k, n_nodes), sizes, axis=1)
+    rank = np.take(ranks, np.repeat(feats.T * n_rows, sizes, axis=1) + rows)
+    y = y[rows]
+    # each value's (class, bin) in a classes-major bincount
+    index = y.astype(np.int64) * n_bins + (base + rank)
+    # a sorted segment's values, ordered by (segment, rank, class): each
+    # one's bin is the place of the first value of its group
+    sort = np.flatnonzero(~np.repeat(hist, sizes, axis=1))
+    key = ((base.ravel()[sort].astype(np.int64) * n_rows + rank.ravel()[sort]) * n_classes
+           + y[sort % len(y)])
+    del base, rank
+    key.sort()
+    value = key // n_classes
+    place = np.arange(len(key))
+    place = np.maximum.accumulate(np.where(np.r_[True, value[1:] != value[:-1]], place, 0))
+    index.ravel()[sort] = (key - value * n_classes) * n_bins + n_hist + place
+    del sort, key, place
+    grouped = np.bincount(index.ravel(), minlength=n_classes * n_bins)
+    grouped = grouped.reshape(n_classes, n_bins)
+    del index
+    total = grouped.sum(axis=0)
+    present = np.flatnonzero(total)
+    # row counts and class counts, classes major, of the groups before each
+    cum_n = np.zeros(len(present) + 1, dtype=np.int32)
+    np.cumsum(total[present], out=cum_n[1:])
+    del total
+    cum = np.zeros((n_classes, len(present) + 1), dtype=np.int32)
+    for c in range(n_classes):  # a class at a time, to hold fewer copies
+        cum[c, 1:] = np.cumsum(np.take(grouped[c], present))
+    del grouped
+    # the segments in the order of their bins, and each group's place in it
+    layout = np.argsort(first_bin)
+    in_layout = np.searchsorted(first_bin[layout], present, "right") - 1
+    group_seg = layout[in_layout]
+    # drop the cuts inside a one-class run: two groups of one class together
+    one_class = np.max(cum[:, 2:] - cum[:, :-2], axis=0) == cum_n[2:] - cum_n[:-2]
+    mixed = (counts.max(axis=1) < sizes)[group_seg[:-1] % n_nodes]
+    cand = np.flatnonzero((in_layout[:-1] == in_layout[1:]) & ~(one_class & mixed))
+    del one_class, mixed
+    cand_seg = group_seg[cand]
+    start = np.searchsorted(in_layout, in_layout[cand])
+    cand_node = cand_seg % n_nodes
+    del in_layout, group_seg
+    # the cut after group c: groups start..c of the segment go left (take
+    # keeps classes major, where cum[:, index] would not)
+    left_counts = np.take(cum, cand + 1, axis=1) - np.take(cum, start, axis=1)
+    left_n = cum_n[cand + 1] - cum_n[start]
+    n = sizes[cand_node]
     right_n = n - left_n
-    p = left_counts / left_n[:, None]
-    gl = 1.0 - np.sum(p * p, axis=1)
-    p = right_counts / right_n[:, None]
-    gr = 1.0 - np.sum(p * p, axis=1)
+    p = left_counts / left_n
+    gl = 1.0 - _class_sums(p * p)
+    p = (np.take(counts, cand_node, axis=0).T - left_counts) / right_n
+    gr = 1.0 - _class_sums(p * p)
     g = (left_n * gl + right_n * gr) / n
-    # a node's candidates come in (feature, threshold) order, interleaved
-    # with other nodes', so its first minimum is its first hit
-    cand_node = node[i]
+    del left_counts, p, gl, gr
     best_g = np.full(n_nodes, np.inf)
     np.minimum.at(best_g, cand_node, g)
     hits = np.flatnonzero(g == best_g[cand_node])
-    hits = hits[np.unique(cand_node[hits], return_index=True)[1]]
-    c, lo, hi = cand[hits], start[hits], start[hits] + n[hits]
-    f = feats[cand_node[hits], c // len(rows)]
-    above = XT[f, sorted_rows[c + 1]]
-    thr = 0.5 * (XT[f, sorted_rows[c]] + above)
-    # rows at or below thr go left: a midpoint that rounds up onto the
-    # next value takes that value's rows too
-    mid = np.where(thr < above, c + 1, np.searchsorted(key, key[c + 1], "right"))
-    best = [None] * n_nodes
-    for j, gini, feature, threshold, a, b, z, left_counts, right_counts in zip(
-            cand_node[hits].tolist(), g[hits].tolist(), f.tolist(), thr.tolist(),
-            lo.tolist(), mid.tolist(), hi.tolist(),
-            (cum[mid] - cum[lo]).tolist(), (cum[hi] - cum[mid]).tolist()):
-        if b < z:  # else every row went left
-            best[j] = (gini, feature, threshold,
-                       (sorted_rows[a:b].copy(), left_counts),
-                       (sorted_rows[b:z].copy(), right_counts))
-    return best
+    # a node's first hit in (feature, threshold) order
+    hits = hits[np.lexsort((cand_seg[hits], cand_node[hits]))]
+    won, first = np.unique(cand_node[hits], return_index=True)
+    hits = hits[first]
+    c, lo, seg = cand[hits], start[hits], cand_seg[hits]
+    f = feats.T.ravel()[seg]
+    # the ranks of the values on either side of the cut, from their bins
+    bins = present[np.stack([c, c + 1])]
+    rank = bins - first_bin[seg]
+    by_sort = ~hist.ravel()[seg]
+    rank[:, by_sort] = (value[bins[:, by_sort] - n_hist]
+                        - first_bin[seg[by_sort]].astype(np.int64) * n_rows)
+    below, above = values[offsets[f] + rank]
+    thr = 0.5 * (below + above)
+    # a midpoint that rounds up onto the value above takes its rows left too
+    b = c + 1 + (thr >= above)
+    ok = cum_n[b] - cum_n[lo] < sizes[won]  # else every row went left
+    won = won[ok]
+    gini, feature = np.full(n_nodes, np.nan), np.full(n_nodes, -1)
+    threshold = np.zeros(n_nodes)
+    left = np.zeros((n_nodes, n_classes), dtype=np.int32)
+    gini[won], feature[won], threshold[won] = g[hits][ok], f[ok], thr[ok]
+    left[won] = (cum[:, b[ok]] - cum[:, lo[ok]]).T
+    return gini, feature, threshold, left
 
 
-def _passes(step, k):
-    """The entries of step, (idx, ...) each, cut into consecutive runs of
-    at most _PASS_ELEMENTS values to score."""
-    batch, size = [], 0
-    for entry in step:
-        if batch and size + k * len(entry[0]) > _PASS_ELEMENTS:
-            yield batch
-            batch, size = [], 0
-        batch.append(entry)
-        size += k * len(entry[0])
-    if batch:
-        yield batch
+def _passes(sizes, k):
+    """Consecutive runs [a, b) of the nodes of a depth, node j holding
+    sizes[j] rows, each run at most _PASS_ELEMENTS values (k per row) to
+    score; a node with more gets a pass of its own."""
+    ends = k * np.cumsum(sizes)
+    a = 0
+    while a < len(sizes):
+        b = max(int(np.searchsorted(ends, ends[a] - k * sizes[a] + _PASS_ELEMENTS,
+                                    "right")), a + 1)
+        yield a, b
+        a = b
 
 
 @dataclass
@@ -467,11 +531,22 @@ def _canonical_order(X, y_codes):
 def train_forest(X, y, n_estimators: int, seed: int) -> RandomForest:
     """Fit n_estimators Gini trees on bootstrap samples (Breiman 2001): each
     grown until its leaves are pure or cannot be split, with ceil(sqrt(n
-    features)) candidate features per node."""
+    features)) candidate features per node.
+
+    All trees grow a depth at a time.  A depth is flat arrays: the rows of
+    its impure nodes laid out node after node, and per node its tree, row
+    count, class counts and left-to-right rank.  Its nodes are scored in
+    passes of whole nodes (_passes, _best_splits), a split node's rows at or
+    below its threshold go to the left child, and the next depth holds
+    every left child, then every right child.  Only the nested-dict nodes
+    of the trees are made one at a time."""
     need({"n_estimators": n_estimators, "seed": seed},
          {"n_estimators": at_least(1), "seed": SEED})
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
+    if X.ndim != 2 or X.shape[1] == 0:
+        raise ValueError("expected a rows x features matrix with a feature or "
+                         f"more, got shape {X.shape}")
     if len(X) != len(y) or len(X) < 2:
         raise ValueError("need |X| == |y| >= 2")
     if not np.all(np.isfinite(X)):
@@ -481,39 +556,67 @@ def train_forest(X, y, n_estimators: int, seed: int) -> RandomForest:
         raise DegenerateData("training data has a single class")
     order = _canonical_order(X, y_codes)
     XT = np.ascontiguousarray(X[order].T)
-    ranks = _dense_ranks(XT)
-    onehot = np.eye(len(classes), dtype=np.int32)[y_codes[order]]
+    y_codes = y_codes[order].astype(np.int32)
+    ranks, values, offsets = _levels(XT)
     n_feat, n = XT.shape
     k = math.ceil(math.sqrt(n_feat))
-    trees, level = [], []
-    for t in range(n_estimators):
-        sample = _bootstrap(seed, t, n)
-        trees.append({"leaf": True, "counts": onehot[sample].sum(axis=0).tolist()})
-        level.append((sample, trees[-1], t))
-    depth = 0
-    # the impure leaves of this depth, tree by tree, left to right; an impure
-    # leaf holds two or more rows
-    while step := [(idx, node, t) for idx, node, t in level
-                   if max(node["counts"]) < len(idx)]:
-        tree_of = np.array([t for *_, t in step])
-        first = np.searchsorted(tree_of, tree_of)  # index of each tree's first node
-        feats = _feature_subsets(seed, depth, tree_of,
-                                 np.arange(len(step)) - first, n_feat, k)
-        step = [(idx, node, t, f) for (idx, node, t), f in zip(step, feats)]
-        level = []
-        for batch in _passes(step, k):
-            splits = _best_splits(XT, ranks, onehot, [idx for idx, *_ in batch],
-                                  np.array([f for *_, f in batch]))
-            for (_, node, t, _), split in zip(batch, splits):
-                if split is None:
-                    continue
-                _, f, thr, (left_idx, left_counts), (right_idx, right_counts) = split
-                left = {"leaf": True, "counts": left_counts}
-                right = {"leaf": True, "counts": right_counts}
-                node.clear()
-                node.update(leaf=False, feature=f, threshold=thr,
-                            left=left, right=right)
-                level += [(left_idx, left, t), (right_idx, right, t)]
+    # a depth is flat arrays: its nodes' rows node after node, and per node
+    # its tree, row count, class counts, left-to-right rank and dict
+    rows = np.concatenate([_bootstrap(seed, t, n) for t in range(n_estimators)])
+    rows = rows.astype(np.int32)
+    tree = np.arange(n_estimators)
+    sizes = np.full(n_estimators, n)
+    counts = np.bincount(np.repeat(tree, n) * len(classes) + y_codes[rows],
+                         minlength=n_estimators * len(classes))
+    counts = counts.reshape(n_estimators, -1).astype(np.int32)
+    rank = np.arange(n_estimators)
+    trees = [{"leaf": True, "counts": c} for c in counts.tolist()]
+    nodes, depth = trees, 0
+    while True:
+        # only an impure node, one of two or more rows, may split
+        impure = counts.max(axis=1) < sizes
+        rows = rows[np.repeat(impure, sizes)]
+        tree, sizes, counts, rank = tree[impure], sizes[impure], counts[impure], rank[impure]
+        nodes = [node for node, keep in zip(nodes, impure.tolist()) if keep]
+        if not nodes:
+            break
+        # each node's place among the depth's nodes, then among its tree's
+        rank[np.argsort(rank)] = np.arange(len(nodes))
+        position = rank - np.searchsorted(np.sort(tree), tree)
+        feats = _feature_subsets(seed, depth, tree, position, n_feat, k)
+        feature = np.empty(len(nodes), dtype=np.intp)
+        threshold = np.empty(len(nodes))
+        left = np.empty_like(counts)
+        go_left = np.empty(len(rows), dtype=bool)
+        ends = np.cumsum(sizes)
+        for a, b in _passes(sizes, k):
+            lo, hi = ends[a] - sizes[a], ends[b - 1]
+            _, feature[a:b], threshold[a:b], left[a:b] = _best_splits(
+                ranks, values, offsets, y_codes, rows[lo:hi], sizes[a:b],
+                feats[a:b], counts[a:b])
+            # (a node that does not split reads feature -1, and is left out)
+            go_left[lo:hi] = (
+                np.take(XT, np.repeat(feature[a:b] * n, sizes[a:b]) + rows[lo:hi])
+                <= np.repeat(threshold[a:b], sizes[a:b]))
+        split = feature >= 0
+        on_split = np.repeat(split, sizes)
+        # the next depth: every left child, then every right child
+        rows = np.concatenate([rows[on_split & go_left], rows[on_split & ~go_left]])
+        split_at = np.flatnonzero(split)
+        right = counts[split_at] - left[split_at]
+        lefts = [{"leaf": True, "counts": c} for c in left[split_at].tolist()]
+        rights = [{"leaf": True, "counts": c} for c in right.tolist()]
+        for j, f, thr, left_child, right_child in zip(
+                split_at.tolist(), feature[split_at].tolist(),
+                threshold[split_at].tolist(), lefts, rights):
+            nodes[j].clear()
+            nodes[j].update(leaf=False, feature=f, threshold=thr,
+                            left=left_child, right=right_child)
+        nodes = lefts + rights
+        counts = np.concatenate([left[split_at], right])
+        sizes = counts.sum(axis=1)
+        tree = np.tile(tree[split_at], 2)
+        rank = np.concatenate([2 * rank[split_at], 2 * rank[split_at] + 1])
         depth += 1
     return RandomForest(classes=classes.tolist(), trees=trees)
 

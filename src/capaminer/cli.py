@@ -461,12 +461,12 @@ def cmd_validate(run: Run, contingency_path=None, pairwise_path=None):
         run.table = _parse(Path(_require_file(contingency_path, "contingency table")),
                            "contingency table", association.contingency_from_csv,
                            MalformedInput)
+    qualifying = association.filter_relevant(run.table, cfg.min_count)
     if pairwise_path:
         rows = _parse(Path(pairwise_path), "pairwise rows", lambda text:
-                      association.pairwise_from_json(json.loads(text)),
+                      association.pairwise_from_json(json.loads(text), qualifying),
                       MalformedInput)
     else:
-        qualifying = association.filter_relevant(run.table, cfg.min_count)
         rows = association.pairwise_tests(run.joins, qualifying)
         log.info("skipped %d action pairs with fewer than 2 occurrence samples",
                  len(association.qualifying_pairs(qualifying)) - len(rows))

@@ -1,8 +1,11 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from capaminer import classifier
@@ -30,9 +33,9 @@ from capaminer.classifier import (
     _SPLIT,
     _best_splits,
     _bootstrap,
-    _dense_ranks,
     _draws,
     _feature_subsets,
+    _levels,
     _mix,
 )
 from capaminer.ingestion import load_prs_jsonl
@@ -415,11 +418,23 @@ def random_node(rng, n_rows, n_classes, n_feat=9):
 
 def kernel_splits(X, y, n_classes, nodes):
     """_best_splits of the (idx, feat_idx) nodes of X, with the training
-    arrays built as train_forest builds them."""
-    XT = np.ascontiguousarray(X.T)
-    return _best_splits(XT, _dense_ranks(XT), np.eye(n_classes, dtype=np.int32)[y],
-                        [idx for idx, _ in nodes],
-                        np.array([feats for _, feats in nodes]))
+    arrays built as train_forest builds them.  Each split is (Gini, feature,
+    threshold, left, right), each side its (rows, class counts): the rows
+    at or below the threshold go left."""
+    idxs = [np.asarray(idx) for idx, _ in nodes]
+    counts = np.array([np.bincount(y[idx], minlength=n_classes) for idx in idxs],
+                      dtype=np.int32)
+    gini, feature, threshold, left = _best_splits(
+        *_levels(np.ascontiguousarray(X.T)), y, np.concatenate(idxs).astype(np.int32),
+        np.array([len(idx) for idx in idxs]), np.array([f for _, f in nodes]), counts)
+    splits = []
+    for idx, node_counts, g, f, thr, left_counts in zip(
+            idxs, counts, gini.tolist(), feature.tolist(), threshold.tolist(), left):
+        below = X[idx, f] <= thr
+        splits.append(None if f < 0 else
+                      (g, f, thr, (idx[below], left_counts.tolist()),
+                       (idx[~below], (node_counts - left_counts).tolist())))
+    return splits
 
 
 def assert_split(X, y, n_classes, idx, feat_idx, got):
@@ -484,6 +499,75 @@ class TestSplitKernel:
         assert kernel_splits(X, y, 2, [(rows[:4], [0])]) == [None]
 
 
+@st.composite
+def training_sets(draw, max_rows=40):
+    """(X, y) for the forest oracles: columns of 1 to 4 integer values,
+    constant columns, adjacent floats and continuous values, rows that may
+    repeat, and labels of 2 to 8 classes, at least two of them present."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, max_rows))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["integer", "constant", "adjacent",
+                                               "continuous"]), min_size=1, max_size=6)):
+        if kind == "integer":
+            columns.append(rng.integers(0, draw(st.integers(1, 4)), size=n).astype(float))
+        elif kind == "constant":
+            columns.append(np.full(n, 3.0))
+        elif kind == "adjacent":
+            columns.append(1.0 + 2.0 ** -52 * rng.integers(0, 4, size=n))
+        else:
+            columns.append(rng.normal(size=n))
+    X = np.column_stack(columns)
+    if draw(st.booleans()):
+        X = X[rng.integers(0, n, size=n)]  # repeated rows
+    n_classes = draw(st.integers(2, 8))
+    y = rng.integers(0, n_classes, size=n)
+    if (y == y[0]).all():
+        y[0] = (y[0] + 1) % n_classes
+    return X, y, n_classes
+
+
+class TestGeneratedInputs:
+    """The split kernel and the forest against their oracles on generated
+    inputs heavy in ties, where the histogram rule and the dropped cuts
+    inside one-class runs matter most."""
+
+    @given(training_sets(), st.data())
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    def test_kernel_matches_per_feature_oracle(self, training, data):
+        X, y, n_classes = training
+        nodes = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            size = data.draw(st.integers(1, len(X)))
+            nodes.append(np.sort(data.draw(st.lists(st.integers(0, len(X) - 1),
+                                                    min_size=size, max_size=size))))
+        # a column with as many distinct values as the first node has rows,
+        # give or take one: its segment is on either side of the histogram rule
+        n_values = min(max(len(nodes[0]) + data.draw(st.integers(-1, 1)), 1), len(X))
+        column = np.random.default_rng(len(X)).permutation(len(X)) % n_values
+        X = np.column_stack([X, column * 0.5])
+        k = data.draw(st.integers(1, X.shape[1]))
+        feats = [sorted(data.draw(st.sets(st.integers(0, X.shape[1] - 1),
+                                          min_size=k, max_size=k))) for _ in nodes]
+        if X.shape[1] - 1 not in feats[0]:
+            feats[0][-1] = X.shape[1] - 1
+        for idx, f, got in zip(nodes, feats,
+                               kernel_splits(X, y, n_classes, list(zip(nodes, feats)))):
+            want = naive_best_split(X[idx], y[idx], n_classes, f)
+            if want is not None and np.all(X[idx, want[1]] <= want[2]):
+                # the best cut's midpoint rounds onto the top value
+                assert got is None
+            else:
+                assert_split(X, y, n_classes, idx, np.array(f), got)
+
+    @given(training_sets(), st.integers(1, 3), st.integers(0, 2**64 - 1))
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    def test_forest_matches_oracle(self, training, n_estimators, seed):
+        X, y, _ = training
+        assert train_forest(X, y, n_estimators, seed).trees == \
+            naive_forest_trees(X, y, n_estimators, seed)
+
+
 def growth_data(rng, n_rows, n_classes):
     """random_node's columns plus one of adjacent floats, some of whose
     midpoints round up onto the upper value, and random labels."""
@@ -503,11 +587,11 @@ class TestLockstepGrowth:
             naive_forest_trees(X, y, 6, n_classes)
 
     def test_steps_larger_than_a_pass(self, rng):
-        # 1025 rows x 2 candidate features (ceil(sqrt(4))) per root: one step
+        # 4097 rows x 2 candidate features (ceil(sqrt(4))) per root: one step
         # of 4 trees holds more values than one pass scores
-        X, y = growth_data(rng, 1025, 3)
+        X, y = growth_data(rng, 4097, 3)
         X = X[:, [0, 3, 6, 9]]  # continuous, tied, constant and adjacent floats
-        assert 4 * 1025 * 2 > classifier._PASS_ELEMENTS
+        assert 4 * 4097 * 2 > classifier._PASS_ELEMENTS
         assert train_forest(X, y, 4, 1).trees == naive_forest_trees(X, y, 4, 1)
 
     @pytest.mark.parametrize("cap", [1, 50, 400])
@@ -528,6 +612,14 @@ class TestLockstepGrowth:
         y = np.array([1, 2, 1, 2])
         with pytest.raises(ValueError, match="finite"):
             train_forest(np.where(X == 3, np.nan, X), y, 2, 0)
+
+    @pytest.mark.parametrize("X", [np.zeros((4, 0)), np.zeros(4), np.zeros((4, 2, 1))],
+                             ids=["no-features", "vector", "3-d"])
+    def test_matrix_without_features_rejected(self, X):
+        with pytest.raises(ValueError, match=rf"^expected a rows x features matrix "
+                                             rf"with a feature or more, got shape "
+                                             rf"{re.escape(str(X.shape))}$"):
+            train_forest(X, [0, 1, 0, 1], 2, 0)
 
 
 def reference_draw(seed, purpose, tree, depth, counter):

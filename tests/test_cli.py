@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -462,9 +463,18 @@ class TestValidateStandalone:
              "p": 0.01} for i, j, mi, mj in ((0, 2, 0.8, 0.2), (2, 0, 0.2, 0.8))),
          "tests[15]: capa_i and capa_j must be two actions no earlier row "
          "compares for pattern 3, got 2 and 0"),
+        # the table has patterns 5..14, and pattern 5 saw action 1 only twice
+        (lambda rows: rows.append({"pattern": 4, "capa_i": 0, "capa_j": 2,
+                                   "mean_i": 0.8, "mean_j": 0.2, "p": 0.01}),
+         "tests[14]: pattern must be a pattern of the table, got 4"),
+        (lambda rows: rows.append({"pattern": 5, "capa_i": 1, "capa_j": 2,
+                                   "mean_i": 0.8, "mean_j": 0.2, "p": 0.01}),
+         "tests[14]: capa_i and capa_j must be actions of pattern 5 seen at "
+         "least min_count times, [0, 2], got 1 and 2"),
     ], ids=["no-pattern", "p-text", "capa-float", "pattern-bool", "mean-null",
             "t-text", "dof-list", "p-negative", "t-nan", "action-99",
-            "pattern-negative", "self-pair", "repeated-pair"])
+            "pattern-negative", "self-pair", "repeated-pair", "pattern-not-in-table",
+            "action-not-qualifying"])
     def test_malformed_pairwise_row(self, tmp_path, capsys, edit, why):
         doc = json.loads(bundled_data_path("reference_pairwise.json").read_text())
         edit(doc["tests"])
@@ -692,6 +702,21 @@ class TestPipeline:
         assert sorted(args[1] for args in artifact_reads) == [
             "chi2.json", "contingency.csv", "mapping.json",
             "report_stage1.json", "report_stage2.json"]
+
+    def test_fixture_models_pinned(self, tmp_path):
+        # trees depend only on the features, labels, keyed draws and Gini
+        # arithmetic, so these digests hold on any platform; a change that
+        # grows other trees on purpose updates them and says why
+        cfg, out = fixture_config(tmp_path)
+        assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("model_stage1.json", "model_stage2.json")}
+        assert digests == {
+            "model_stage1.json":
+                "a3fd90ae57059fce663848a9e62abe5586d401f603275ceef441c18dfd276070",
+            "model_stage2.json":
+                "3c03ddc430767cfd5831aed0c0421a8750d783f0b4368ffcffaca78e466885e9",
+        }
 
     def test_pipeline_imports_no_random_or_masked_arrays(self, tmp_path):
         # numpy.random pulls in hashlib and OpenSSL, a plain np.unique pulls
