@@ -95,14 +95,16 @@ class StageOneLabel(IntEnum):
     NON_CAPA = 2
 
 
-def _coerce(name, value) -> float:
+def _coerce(name, raw) -> float:
     """One present PR field as a float, checked by its kind: a timestamp is
-    a number or RFC 3339 text, a boolean a real bool, a count a number >= 0."""
-    if name in TIMESTAMP_FIELDS and isinstance(value, str):
+    a number or RFC 3339 text in years 0001 to 9999 UTC, a boolean a real
+    bool, a count a number >= 0."""
+    value = raw
+    if name in TIMESTAMP_FIELDS and isinstance(raw, str):
         try:
-            return timeutil.from_rfc3339(value)
+            value = timeutil.from_rfc3339(raw)
         except ValueError:
-            raise ValueError(f"{name} is not an RFC 3339 date: {value!r}") from None
+            raise ValueError(f"{name} is not an RFC 3339 date: {raw!r}") from None
     is_boolean = name in BOOLEAN_FIELDS
     # only a boolean field takes a bool; the bound rejects NaN, inf and huge ints
     if (isinstance(value, bool) != is_boolean or not isinstance(value, _REAL)
@@ -111,6 +113,9 @@ def _coerce(name, value) -> float:
         raise ValueError(f"{name} must be {want}, got {value!r}")
     if name in COUNT_FIELDS and value < 0:
         raise ValueError(f"{name} must be non-negative, got {value}")
+    # the years that RFC 3339 writes, so that every time can be written back
+    if name in TIMESTAMP_FIELDS and not timeutil.FIRST <= value < timeutil.END:
+        raise ValueError(f"{name} must be a time in years 0001 to 9999 UTC, got {raw!r}")
     return float(value)
 
 
@@ -404,16 +409,16 @@ def _best_splits(ranks, values, offsets, y, rows, sizes, feats, counts):
     rank[:, by_sort] = (value[bins[:, by_sort] - n_hist]
                         - first_bin[seg[by_sort]].astype(np.int64) * n_rows)
     below, above = values[offsets[f] + rank]
-    thr = 0.5 * (below + above)
-    # a midpoint that rounds up onto the value above takes its rows left too
-    b = c + 1 + (thr >= above)
-    ok = cum_n[b] - cum_n[lo] < sizes[won]  # else every row went left
-    won = won[ok]
+    # halves add without overflow, and a midpoint that rounds onto the value
+    # above falls back to the value below, as scikit-learn's BestSplitter
+    # does, so the threshold separates the groups of the cut
+    thr = 0.5 * below + 0.5 * above
+    thr = np.where(thr < above, thr, below)
     gini, feature = np.full(n_nodes, np.nan), np.full(n_nodes, -1)
     threshold = np.zeros(n_nodes)
     left = np.zeros((n_nodes, n_classes), dtype=np.int32)
-    gini[won], feature[won], threshold[won] = g[hits][ok], f[ok], thr[ok]
-    left[won] = (cum[:, b[ok]] - cum[:, lo[ok]]).T
+    gini[won], feature[won], threshold[won] = g[hits], f, thr
+    left[won] = (cum[:, c + 1] - cum[:, lo]).T
     return gini, feature, threshold, left
 
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import association, classifier, ingestion, mining, stats, timeutil
 from .errors import (INDEX, INTEGER, NON_NEGATIVE, NUMBER, PROBABILITY, SEED, TEXT,
-                     CapaMinerError, ConfigError, EmptyDataset, EmptyTable,
-                     MalformedInput, at_least, need, need_rows, only, or_null)
+                     CapaMinerError, ConfigError, DegenerateData, EmptyDataset,
+                     EmptyTable, MalformedInput, at_least, need, need_rows, only, or_null)
 from .mining import MINING_CONFIG_FIELDS, MiningConfig
 
 log = logging.getLogger(__name__)
@@ -28,21 +28,32 @@ EXIT_OK = 0
 EXIT_DATA_ERROR = 1
 EXIT_CONFIG_ERROR = 2
 
-# {name: (what it is, the stage that writes it)}, in the order of the stages
+# {name: (what it is, the stage that computes it, its text from the run)}, in
+# stage order; the models are compact JSON, as indent makes json fall back to
+# its pure-Python encoder, ten times slower on a model of nested trees
 ARTIFACTS = {
-    "patterns.json": ("patterns", "mine"),
-    "occurrences.jsonl": ("occurrences", "mine"),
-    "golden.jsonl": ("golden standard", "label"),
-    "model_stage1.json": ("model", "train"),
-    "model_stage2.json": ("model", "train"),
-    "report_stage1.json": ("class report", "train"),
-    "report_stage2.json": ("class report", "train"),
-    "classified.jsonl": ("classified pull requests", "classify"),
-    "contingency.csv": ("contingency table", "associate"),
-    "chi2.json": ("chi-squared result", "validate"),
-    "pairwise.json": ("pairwise tests", "validate"),
-    "mapping.json": ("mapping", "validate"),
-    "report.md": ("report", "report"),
+    "patterns.json": ("patterns", "mine", lambda run: _json(run, run.patterns)),
+    "occurrences.jsonl": ("occurrences", "mine",
+                          lambda run: _jsonl(run, run.occurrences)),
+    "golden.jsonl": ("golden standard", "label", lambda run: _jsonl(run, run.golden)),
+    "model_stage1.json": ("model", "train",
+                          lambda run: _json(run, run.models[0].to_json(), compact=True)),
+    "model_stage2.json": ("model", "train",
+                          lambda run: _json(run, run.models[1].to_json(), compact=True)),
+    "report_stage1.json": ("class report", "train",
+                           lambda run: _json(run, run.reports[0])),
+    "report_stage2.json": ("class report", "train",
+                           lambda run: _json(run, run.reports[1])),
+    "classified.jsonl": ("classified pull requests", "classify",
+                         lambda run: _jsonl(run, run.classified)),
+    "contingency.csv": ("contingency table", "associate",
+                        lambda run: f"# seed={run.cfg.seed}\n"
+                        + association.contingency_to_csv(run.table)),
+    "chi2.json": ("chi-squared result", "validate", lambda run: _json(run, run.chi2)),
+    "pairwise.json": ("pairwise tests", "validate",
+                      lambda run: _json(run, {"tests": run.pairwise})),
+    "mapping.json": ("mapping", "validate", lambda run: _json(run, run.mapping)),
+    "report.md": ("report", "report", lambda run: run.report_md),
 }
 
 
@@ -130,29 +141,32 @@ def _parse(path: Path, what, parse, error):
         raise error(f"invalid {what} {path}: {exc}") from None
 
 
-def _write_text(path: Path, text: str):
-    """Write an artifact through a temp file in the same directory and
-    os.replace, so a failure partway leaves the previous file intact under
-    its final name."""
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def _write_json(path: Path, doc: dict, cfg, compact=False):
-    doc = {"meta": {"seed": cfg.seed}, **doc}
-    # indent makes json fall back to its pure-Python encoder, which takes
-    # ten times as long on a model of nested trees
+def _json(run, doc: dict, compact=False):
     layout = {"separators": (",", ":")} if compact else {"indent": 2}
-    _write_text(path, json.dumps(doc, sort_keys=True, **layout) + "\n")
+    return json.dumps({"meta": {"seed": run.cfg.seed}, **doc}, sort_keys=True,
+                      **layout) + "\n"
 
 
-def _write_jsonl(path: Path, lines, cfg):
-    head = json.dumps({"meta": {"seed": cfg.seed}}, sort_keys=True)
-    _write_text(path, "\n".join([head, *lines]) + "\n")
+def _jsonl(run, rows):
+    return "".join(json.dumps(row, sort_keys=True) + "\n"
+                   for row in [{"meta": {"seed": run.cfg.seed}}, *rows])
+
+
+def _write(run, stage=None):
+    """Write the artifacts of stage, or of every stage, from the run: each
+    rendered and written to a temp file in turn, then all renamed into
+    place, so a run that fails before the renames leaves the output
+    directory as it was."""
+    names = [name for name, (_, by, _) in ARTIFACTS.items() if stage in (None, by)]
+    tmps = [run.out / f".{name}.tmp" for name in names]
+    try:
+        for name, tmp in zip(names, tmps):
+            tmp.write_text(ARTIFACTS[name][2](run))
+        for name, tmp in zip(names, tmps):
+            os.replace(tmp, run.out / name)
+    finally:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
 
 
 # {key: (test, requirement)} of the artifact fields that later stages read
@@ -257,13 +271,13 @@ def _forest(doc, labels):
 class Run:
     """One invocation's inputs and stage results, built on first use.
 
-    A stage that produces a value stores it here as well as writing its
-    artifact; a value this process has not produced is loaded from its input
-    file or artifact.  So `pipeline` parses each input once and reads no
-    artifact back, while a single subcommand reads the files it needs.
-    occurrences, golden, classified, reports, chi2 and mapping are the dicts
-    written to disk, so the join parses the same RFC 3339 times, and the
-    report renders the same values, either way.
+    A stage stores the values it produces here, and _write renders the
+    artifacts from them; a value this process has not produced is loaded
+    from its input file or artifact.  So `pipeline` parses each input once
+    and reads no artifact back, while a single subcommand reads the files it
+    needs.  occurrences, golden, classified, reports, chi2 and mapping are
+    the dicts written to disk, so the join parses the same RFC 3339 times,
+    and the report renders the same values, either way.
     """
 
     def __init__(self, cfg: PipelineConfig, out: Path):
@@ -299,7 +313,7 @@ class Run:
         """parse(text) of the artifact name, checked for every field that its
         consumer reads; a missing artifact, or one that parse rejects, is a
         ConfigError naming it and, when missing, the stage that writes it."""
-        what, stage = ARTIFACTS[name]
+        what, stage, _ = ARTIFACTS[name]
         path = self.out / name
         if not path.exists():
             raise ConfigError(f"{what} not found: {path} (run {stage})")
@@ -363,10 +377,8 @@ def cmd_mine(run: Run):
     # mine_patterns numbers the patterns in the order of their metrics
     series = [s for metric in cfg.metrics for s in loaded if s.metric_name == metric]
     patterns = mining.mine_patterns(series, cfg.mining_config())
+    run.patterns = mining.patterns_to_json(patterns)
     run.occurrences = [o for p in patterns for o in p.occurrences]
-    _write_json(run.out / "patterns.json", mining.patterns_to_json(patterns), cfg)
-    _write_jsonl(run.out / "occurrences.jsonl",
-                 [json.dumps(o, sort_keys=True) for o in run.occurrences], cfg)
     log.info("mined %d patterns, %d occurrences", len(patterns),
              len(run.occurrences))
 
@@ -387,8 +399,6 @@ def cmd_label(run: Run):
             "stage2": int(stage2) if stage2 is not None else None,
         })
     run.golden = golden
-    _write_jsonl(run.out / "golden.jsonl",
-                 [json.dumps(g, sort_keys=True) for g in golden], run.cfg)
     log.info("labeled %d of %d pull requests", len(golden), len(prs))
 
 
@@ -406,44 +416,42 @@ def cmd_train(run: Run):
         if stage1 is classifier.StageOneLabel.CAPA:
             X2.append(x)
             y2.append(int(g["stage2"]))
-    models, reports = [], []
-    for stage, (X, y) in enumerate([(X1, y1), (X2, y2)], start=1):
-        X = np.array(X)
-        y = np.array(y)
+    # split_train_test needs two rows of each class, and a forest two classes
+    for stage, y in enumerate([y1, y2], start=1):
+        classes, sizes = np.unique(y, return_counts=True)
+        if len(classes) < 2:
+            raise DegenerateData(f"stage {stage}: training needs labeled pull requests "
+                                 f"of 2 classes or more, got {len(classes)}")
+        if sizes.min() < 2:
+            raise DegenerateData(f"stage {stage}: class {classes[sizes.argmin()]} has "
+                                 "1 labeled pull request, and training needs 2 of "
+                                 "each class")
+    run.models, run.reports = [], []
+    for X, labels in [(X1, y1), (X2, y2)]:
+        X, y = np.array(X), np.array(labels)
         tr, te = classifier.split_train_test(X, y, cfg.train_ratio, cfg.seed)
         forest = classifier.train_forest(X[tr], y[tr], cfg.n_estimators, cfg.seed)
-        models.append(forest)
+        run.models.append(forest)
         pred, _ = forest.predict(X[te])
-        reports.append(classifier.compute_report(y[te], pred, sorted(set(y.tolist()))))
-        _write_json(run.out / f"model_stage{stage}.json", forest.to_json(), cfg,
-                    compact=True)
-        _write_json(run.out / f"report_stage{stage}.json", reports[-1], cfg)
-    run.models, run.reports = models, reports
+        run.reports.append(classifier.compute_report(y[te], pred, sorted(set(labels))))
     log.info("trained stage-1 on %d rows, stage-2 on %d rows", len(X1), len(X2))
 
 
 def cmd_classify(run: Run):
     prs, (stage1, stage2) = run.prs, run.models
-    classified = []
     results = classifier.classify_two_stage(stage1, stage2, run.features)
-    for pr, result in zip(prs, results):
-        classified.append({
-            "pr_id": pr.pr_id,
-            "repo_id": pr.repo_id,
-            "creation_date": timeutil.to_rfc3339(pr.creation_date),
-            "capa_class": (None if result is classifier.StageOneLabel.NON_CAPA
-                           else int(result)),
-        })
-    run.classified = classified
-    _write_jsonl(run.out / "classified.jsonl",
-                 [json.dumps(c, sort_keys=True) for c in classified], run.cfg)
+    run.classified = [{
+        "pr_id": pr.pr_id,
+        "repo_id": pr.repo_id,
+        "creation_date": timeutil.to_rfc3339(pr.creation_date),
+        "capa_class": (None if result is classifier.StageOneLabel.NON_CAPA
+                       else int(result)),
+    } for pr, result in zip(prs, results)]
     log.info("classified %d pull requests", len(prs))
 
 
 def cmd_associate(run: Run):
     run.table = association.build_contingency(run.joins)
-    text = f"# seed={run.cfg.seed}\n" + association.contingency_to_csv(run.table)
-    _write_text(run.out / "contingency.csv", text)
     log.info("joined %d pull requests across %d pattern types",
              len(run.joins), len(run.table.row_labels))
 
@@ -453,15 +461,13 @@ def cmd_validate(run: Run, contingency_path=None, pairwise_path=None):
 
     The table comes from contingency_path and the pairwise rows from
     pairwise_path whenever they are given (e.g. when validating a standalone
-    table), and from the run otherwise.  All three documents are computed
-    before the first is written.
+    table), and from the run otherwise.
     """
-    cfg, out = run.cfg, run.out
     if contingency_path:
         run.table = _parse(Path(_require_file(contingency_path, "contingency table")),
                            "contingency table", association.contingency_from_csv,
                            MalformedInput)
-    qualifying = association.filter_relevant(run.table, cfg.min_count)
+    qualifying = association.filter_relevant(run.table, run.cfg.min_count)
     if pairwise_path:
         rows = _parse(Path(pairwise_path), "pairwise rows", lambda text:
                       association.pairwise_from_json(json.loads(text), qualifying),
@@ -471,31 +477,21 @@ def cmd_validate(run: Run, contingency_path=None, pairwise_path=None):
         log.info("skipped %d action pairs with fewer than 2 occurrence samples",
                  len(association.qualifying_pairs(qualifying)) - len(rows))
     try:
-        chi2 = asdict(stats.chi2_independence(run.table.counts))
+        run.chi2 = asdict(stats.chi2_independence(run.table.counts))
     except EmptyTable as exc:
-        chi2 = {"statistic": None, "dof": None, "p_value": None, "note": str(exc)}
-    run.chi2, run.mapping = chi2, association.extract_mapping(rows, cfg.alpha)
-    _write_json(out / "chi2.json", chi2, cfg)
-    _write_json(out / "pairwise.json", {"tests": rows}, cfg)
-    _write_json(out / "mapping.json", run.mapping, cfg)
+        run.chi2 = {"statistic": None, "dof": None, "p_value": None, "note": str(exc)}
+    run.pairwise, run.mapping = rows, association.extract_mapping(rows, run.cfg.alpha)
     log.info("chi2 p=%s; %d pairwise tests; %d mapping tuples",
-             chi2["p_value"], len(rows), len(run.mapping["tuples"]))
+             run.chi2["p_value"], len(rows), len(run.mapping["tuples"]))
 
 
 def cmd_pipeline(cfg: PipelineConfig, out: Path):
-    # every input is checked before the first stage writes, so a bad path
-    # or keyword map cannot leave artifacts of two runs side by side
-    _require_file(cfg.metrics_path, "metrics")
-    _require_file(cfg.prs_path, "pull requests")
     run = Run(cfg, out)
-    run.keywords  # parsed now; cmd_label reuses it
-    cmd_mine(run)
-    cmd_label(run)
-    cmd_train(run)
-    cmd_classify(run)
-    cmd_associate(run)
-    cmd_validate(run)
-    cmd_report(run)
+    for command in (cmd_mine, cmd_label, cmd_train, cmd_classify, cmd_associate,
+                    cmd_validate, cmd_report):
+        command(run)
+    del run.prs, run.features  # no artifact renders from them: free them for _write
+    _write(run)
 
 
 def cmd_report(run: Run):
@@ -544,7 +540,7 @@ def cmd_report(run: Run):
 
     if gaps:
         lines += ["## Missing artifacts", "", *(f"- {g}" for g in gaps), ""]
-    _write_text(run.out / "report.md", "\n".join(lines))
+    run.report_md = "\n".join(lines)
 
 
 # --- argument parsing --------------------------------------------------------
@@ -601,10 +597,13 @@ def main(argv=None) -> int:
         with OutputLock(out):
             if args.command == "pipeline":
                 cmd_pipeline(cfg, out)
-            elif args.command == "validate":
-                cmd_validate(Run(cfg, out), args.contingency, args.pairwise)
             else:
-                COMMANDS[args.command](Run(cfg, out))
+                run = Run(cfg, out)
+                if args.command == "validate":
+                    cmd_validate(run, args.contingency, args.pairwise)
+                else:
+                    COMMANDS[args.command](run)
+                _write(run, args.command)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 from datetime import datetime, timezone
 
+# POSIX seconds of 0001-01-01 and 10000-01-01 UTC: the times RFC 3339 writes
+FIRST, END = -62135596800, 253402300800
+
 
 def to_rfc3339(posix_seconds: float) -> str:
+    # isoformat pads the year to four digits, which strftime's %Y does not
+    # on every platform
     dt = datetime.fromtimestamp(float(posix_seconds), tz=timezone.utc)
-    if dt.microsecond:
-        return dt.strftime("%Y-%m-%dT%H:%M:%S.%fZ")
-    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+    return dt.isoformat().removesuffix("+00:00") + "Z"
 
 
 def from_rfc3339(text: str) -> float:

@@ -121,7 +121,9 @@ def naive_best_split(X, y_codes, n_classes, feat_idx):
     """Best (weighted Gini, feature, threshold) over the candidate features
     of a node's rows X, searched one feature at a time with the same
     arithmetic as the forest's one-pass kernel: ties go to the lowest
-    feature, then the lowest threshold; None when nothing can be split."""
+    feature, then the lowest threshold, and the threshold is the midpoint of
+    the values on either side of the cut, or the lower one where the
+    midpoint rounds onto the upper; None when nothing can be split."""
     n = len(y_codes)
     best = None
     onehot = np.eye(n_classes)[y_codes]
@@ -144,7 +146,10 @@ def naive_best_split(X, y_codes, n_classes, feat_idx):
         gr = 1.0 - np.sum(p * p, axis=1)
         g = (left_n * gl + right_n * gr) / n
         i = int(np.argmin(g))
-        thr = 0.5 * (sv[boundaries[i]] + sv[boundaries[i] + 1])
+        below, above = sv[boundaries[i]], sv[boundaries[i] + 1]
+        thr = 0.5 * below + 0.5 * above
+        if thr >= above:  # the midpoint rounded onto the value above
+            thr = below
         cand = (float(g[i]), int(f), float(thr))
         if best is None or cand < best:
             best = cand
@@ -191,8 +196,6 @@ def naive_forest_trees(X, y, n_estimators, seed):
                     continue
                 _, f, thr = best
                 mask = X[idx, f] <= thr
-                if mask.all():
-                    continue
                 left, right = leaf(idx[mask]), leaf(idx[~mask])
                 node.clear()
                 node.update(leaf=False, feature=f, threshold=thr, left=left, right=right)

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -39,7 +40,7 @@ from capaminer.classifier import (
     _mix,
 )
 from capaminer.ingestion import load_prs_jsonl
-from capaminer.timeutil import from_rfc3339
+from capaminer.timeutil import from_rfc3339, to_rfc3339
 
 from conftest import (naive_best_split, naive_classify_two_stage,
                       naive_forest_trees, naive_predict)
@@ -114,6 +115,28 @@ class TestFeatureEncoding:
             with pytest.raises(ValueError, match="number_of_commits must be a finite"):
                 PullRequestRecord(repo_id="org/r", creation_date=0.0,
                                   fields={"number_of_commits": bad})
+
+    @pytest.mark.parametrize("name", sorted(TIMESTAMP_FIELDS))
+    def test_timestamps_lie_in_years_1_to_9999(self, name):
+        # the range that RFC 3339 text, four digits of year, can write
+        def record(value):
+            if name == "creation_date":
+                return PullRequestRecord(repo_id="org/r", creation_date=value)
+            return PullRequestRecord(repo_id="org/r", creation_date=0.0,
+                                     fields={name: value})
+
+        for value, text in [(-62135596800, "0001-01-01T00:00:00Z"),
+                            (-6e10, "0068-09-03T13:20:00Z"),
+                            (253402300799.5, "9999-12-31T23:59:59.500000Z"),
+                            (math.nextafter(253402300800, 0),
+                             "9999-12-31T23:59:59.999969Z")]:
+            got = record(value).fields[name]
+            assert to_rfc3339(got) == text and from_rfc3339(text) == got
+        for value in [math.nextafter(-62135596800, -math.inf), 253402300800, 1e12,
+                      "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"]:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{name} must be a time in years 0001 to 9999 UTC, got {value!r}")):
+                record(value)
 
     def test_fixture_encoding_matches_per_field_reference(self):
         lines = (FIXTURES / "prs.jsonl").read_text().splitlines()
@@ -487,16 +510,17 @@ class TestSplitKernel:
 
     def test_midpoint_rounded_onto_the_upper_value(self):
         a, b = 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51
-        assert 0.5 * (a + b) == b  # the threshold between a and b is b
+        assert 0.5 * (a + b) == b  # the midpoint of a and b rounds onto b
         X = np.array([[a], [a], [b], [b], [2.0], [2.0]])
         y = np.array([0, 0, 1, 1, 1, 1])
         rows = np.arange(6)
-        # rows equal to the threshold go left, as at prediction time
-        got = kernel_splits(X, y, 2, [(rows, [0])])[0]
-        assert_split(X, y, 2, rows, [0], got)
-        assert got[3][1] == [2, 2] and got[4][1] == [0, 2]
-        # with nothing above b, the split would leave the right side empty
-        assert kernel_splits(X, y, 2, [(rows[:4], [0])]) == [None]
+        # the threshold falls back to a, so the cut still separates a from b,
+        # with or without a value above b
+        for node, right in ((rows, [0, 4]), (rows[:4], [0, 2])):
+            got = kernel_splits(X, y, 2, [(node, [0])])[0]
+            assert_split(X, y, 2, node, [0], got)
+            assert got[:3] == (0.0, 0, a)
+            assert got[3][1] == [2, 0] and got[4][1] == right
 
 
 @st.composite
@@ -553,12 +577,7 @@ class TestGeneratedInputs:
             feats[0][-1] = X.shape[1] - 1
         for idx, f, got in zip(nodes, feats,
                                kernel_splits(X, y, n_classes, list(zip(nodes, feats)))):
-            want = naive_best_split(X[idx], y[idx], n_classes, f)
-            if want is not None and np.all(X[idx, want[1]] <= want[2]):
-                # the best cut's midpoint rounds onto the top value
-                assert got is None
-            else:
-                assert_split(X, y, n_classes, idx, np.array(f), got)
+            assert_split(X, y, n_classes, idx, np.array(f), got)
 
     @given(training_sets(), st.integers(1, 3), st.integers(0, 2**64 - 1))
     @settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -566,6 +585,40 @@ class TestGeneratedInputs:
         X, y, _ = training
         assert train_forest(X, y, n_estimators, seed).trees == \
             naive_forest_trees(X, y, n_estimators, seed)
+
+
+def leaves(node):
+    """The class counts of the leaves of a nested-dict tree."""
+    if node["leaf"]:
+        return [node["counts"]]
+    return leaves(node["left"]) + leaves(node["right"])
+
+
+class TestSplitThreshold:
+    """A split's threshold is the midpoint of the values on either side of
+    its cut, or the lower value where the midpoint rounds onto the upper, so
+    it always separates the rows the cut was scored on."""
+
+    def test_adjacent_floats_split(self):
+        a, b = 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51
+        X = np.tile([[a], [a], [b], [b], [2.0], [2.0]], (3, 1))
+        y = np.tile([0, 0, 1, 1, 1, 1], 3)
+        forest = train_forest(X, y, 3, 0)
+        assert forest.trees == naive_forest_trees(X, y, 3, 0)
+        assert all(min(counts) == 0 for tree in forest.trees for counts in leaves(tree))
+        assert forest.predict([[a], [b], [2.0]])[0].tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize("low, high", [(1e308, 1.5e308), (-1.5e308, -1e308)],
+                             ids=["positive", "negative"])
+    def test_values_whose_sum_overflows(self, low, high):
+        X = np.array([[low], [high]] * 4)
+        y = np.array([0, 1] * 4)
+        forest = train_forest(X, y, 3, 0)
+        assert forest.trees == naive_forest_trees(X, y, 3, 0)
+        assert all(low <= tree["threshold"] < high for tree in forest.trees)
+        assert forest.predict([[low], [high]])[0].tolist() == [0, 1]
+        doc = json.loads(json.dumps(forest.to_json(), allow_nan=False))
+        assert RandomForest.from_json(doc, 1).trees == forest.trees
 
 
 def growth_data(rng, n_rows, n_classes):

@@ -19,7 +19,6 @@ from capaminer.cli import (
     OutputLock,
     PipelineConfig,
     Run,
-    _write_jsonl,
     bundled_data_path,
     cmd_validate,
     load_config,
@@ -34,6 +33,8 @@ from conftest import naive_classify_two_stage, naive_predict
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
+FIXTURE_KEYWORDS = classifier.load_keyword_map(
+    json.loads((FIXTURES / "keywords.json").read_text()))
 
 
 def fixture_config(tmp_path, **extra):
@@ -48,6 +49,41 @@ def fixture_config(tmp_path, **extra):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path, out
+
+
+def fixture_label(obj):
+    """The CapaLabel that the fixture keyword map gives the PR obj,
+    StageOneLabel.NON_CAPA, or None when no phrase matches."""
+    labels = classifier.label_by_keywords(obj["text"], *FIXTURE_KEYWORDS)
+    return labels and (labels[1] or labels[0])
+
+
+def fixture_prs(path, edit):
+    """The fixture PRs, as the list of objects that edit makes of theirs,
+    written to path."""
+    objs = [json.loads(line) for line in
+            (FIXTURES / "prs.jsonl").read_text().splitlines()]
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in edit(objs)))
+    return path
+
+
+def no_keyword(objs):
+    return [{**obj, "text": "no keyword here"} for obj in objs]
+
+
+def capa_only(objs):
+    non_capa = classifier.StageOneLabel.NON_CAPA
+    return [obj for obj in objs if fixture_label(obj) is not non_capa]
+
+
+def one_unused(objs):
+    unused = [obj for obj in objs if fixture_label(obj) is classifier.CapaLabel.UNUSED]
+    return [obj for obj in objs if obj not in unused[1:]]
+
+
+def with_creation_date(value):
+    """An edit that sets the first PR's creation_date to value."""
+    return lambda objs: [{**objs[0], "creation_date": value}, *objs[1:]]
 
 
 class TestConfig:
@@ -203,6 +239,8 @@ class TestExitCodes:
         ("number_of_comments", "Infinity", "must be a finite number"),
         ("number_of_comments", "-1", "must be non-negative"),
         ("creation_date", '"not a date"', "is not an RFC 3339 date"),
+        ("creation_date", "1e12", "must be a time in years 0001 to 9999 UTC"),
+        ("creation_date", "-62135596801", "must be a time in years 0001 to 9999 UTC"),
     ])
     def test_bad_pr_value_is_a_data_error(self, tmp_path, capsys, field, value, why):
         lines = (FIXTURES / "prs.jsonl").read_text().splitlines()
@@ -267,6 +305,24 @@ class TestExitCodes:
         cfg, _ = fixture_config(tmp_path, prs_path=str(prs))
         assert main(["--config", str(cfg), "label"]) == EXIT_DATA_ERROR
         assert "error: line 3: text must be a string, got 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, why", [
+        (no_keyword, "stage 1: training needs labeled pull requests of 2 classes "
+                     "or more, got 0"),
+        (capa_only, "stage 1: training needs labeled pull requests of 2 classes "
+                    "or more, got 1"),
+        (one_unused, "stage 2: class 7 has 1 labeled pull request, and training "
+                     "needs 2 of each class"),
+    ], ids=["no-keyword", "capa-only", "one-unused"])
+    def test_untrainable_labels_are_a_data_error(self, tmp_path, capsys, edit, why):
+        prs = fixture_prs(tmp_path / "prs.jsonl", edit)
+        cfg, out = fixture_config(tmp_path, prs_path=str(prs))
+        assert main(["--config", str(cfg), "label"]) == EXIT_OK
+        for command in ("train", "pipeline"):
+            before = {p.name: p.read_bytes() for p in out.iterdir()}
+            assert main(["--config", str(cfg), command]) == EXIT_DATA_ERROR
+            assert capsys.readouterr().err == f"error: {why}\n"
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     # explicit ids keep the test names stable when a message is reworded
     @pytest.mark.parametrize("stage, edit, why", [
@@ -605,17 +661,69 @@ class TestReportInputs:
         assert "## Actions near patterns" in text and "## Independence test" in text
 
 
+def malformed_line_at_length_9(tmp_path, out, monkeypatch):
+    prs = fixture_prs(tmp_path / "prs.jsonl",
+                      lambda objs: [*objs[:5], {"creation_date": "yesterday"}, *objs[6:]])
+    return ("pipeline", {"prs_path": str(prs), "min_len": 9, "max_len": 9},
+            EXIT_DATA_ERROR, "error: line 6: creation_date is not an RFC 3339 date: 'yesterday'\n")
+
+
+def no_keyword_match(tmp_path, out, monkeypatch):
+    prs = fixture_prs(tmp_path / "prs.jsonl", no_keyword)
+    return ("pipeline", {"prs_path": str(prs)}, EXIT_DATA_ERROR,
+            "error: stage 1: training needs labeled pull requests of 2 classes or "
+            "more, got 0\n")
+
+
+def class_with_one_labeled_pr(tmp_path, out, monkeypatch):
+    prs = fixture_prs(tmp_path / "prs.jsonl", one_unused)
+    return ("pipeline", {"prs_path": str(prs)}, EXIT_DATA_ERROR,
+            "error: stage 2: class 7 has 1 labeled pull request, and training needs "
+            "2 of each class\n")
+
+
+def creation_date_in_year_33658(tmp_path, out, monkeypatch):
+    prs = fixture_prs(tmp_path / "prs.jsonl", with_creation_date(1e12))
+    return ("pipeline", {"prs_path": str(prs)}, EXIT_DATA_ERROR,
+            "error: line 1: creation_date must be a time in years 0001 to 9999 UTC, "
+            "got 1000000000000.0\n")
+
+
+def truncated_model(tmp_path, out, monkeypatch):
+    path = out / "model_stage2.json"
+    path.write_text(path.read_text()[:-40])
+    return "classify", {}, EXIT_CONFIG_ERROR, f"error: invalid model {path}: "
+
+
+def unencodable_last_artifact(tmp_path, out, monkeypatch):
+    # a lone surrogate cannot be encoded, so the last temp file fails
+    # after every other one is written; another seed changes every other
+    # artifact, so a rename before the failure would show
+    what, stage, _ = ARTIFACTS["report.md"]
+    monkeypatch.setitem(ARTIFACTS, "report.md", (what, stage, lambda run: "\ud800"))
+    return "pipeline", {"seed": 8}, None, None
+
+
 class TestAtomicWrites:
-    def test_failed_write_keeps_previous_artifact(self, tmp_path):
-        cfg = load_config(None, {"out_dir": str(tmp_path)})
-        path = tmp_path / "golden.jsonl"
-        _write_jsonl(path, ['{"pr_id": 1}'], cfg)
-        before = path.read_bytes()
-        # a lone surrogate cannot be encoded, so the write fails partway
-        with pytest.raises(UnicodeEncodeError):
-            _write_jsonl(path, ['{"pr_id": 2}', "\ud800"], cfg)
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["golden.jsonl"]
+    @pytest.mark.parametrize("case", [
+        malformed_line_at_length_9, no_keyword_match, class_with_one_labeled_pr,
+        creation_date_in_year_33658, truncated_model, unencodable_last_artifact],
+        ids=lambda case: case.__name__)
+    def test_failed_run_keeps_every_byte(self, tmp_path, capsys, monkeypatch, case):
+        cfg, out = fixture_config(tmp_path)
+        assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
+        command, extra, code, err = case(tmp_path, out, monkeypatch)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        cfg, _ = fixture_config(tmp_path, **extra)
+        capsys.readouterr()
+        if code is None:
+            with pytest.raises(UnicodeEncodeError):
+                main(["--config", str(cfg), command])
+        else:
+            assert main(["--config", str(cfg), command]) == code
+            got = capsys.readouterr().err
+            assert got.startswith(err) and "Traceback" not in got
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def with_fields(line, **fields):
@@ -758,15 +866,13 @@ class TestPipeline:
         run = Run(load_config(None, {"out_dir": str(tmp_path), "min_count": 1}),
                   tmp_path)
         run.joins = joins
-        (tmp_path / "contingency.csv").write_text(association.contingency_to_csv(
-            association.build_contingency(joins)))
+        run.table = association.build_contingency(joins)
         with caplog.at_level("INFO", logger="capaminer.cli"):
             cmd_validate(run)
         skipped = [r.args[0] for r in caplog.records
                    if r.msg.startswith("skipped %d action pairs")]
-        tested = json.loads((tmp_path / "pairwise.json").read_text())["tests"]
         assert skipped == [1]
-        assert [(t["pattern"], t["capa_i"], t["capa_j"]) for t in tested] == \
+        assert [(t["pattern"], t["capa_i"], t["capa_j"]) for t in run.pairwise] == \
             [(0, 0, 1)]
 
     @pytest.mark.parametrize("key", ["metrics_path", "prs_path", "keywords_path"])
@@ -803,6 +909,17 @@ class TestPipeline:
             assert main(["--config", str(cfg), command]) == EXIT_CONFIG_ERROR
             assert f"error: invalid keyword map {kw}: " in capsys.readouterr().err
             assert list(out.iterdir()) == []
+
+    def test_creation_date_before_year_1000_round_trips(self, tmp_path):
+        prs = fixture_prs(tmp_path / "prs.jsonl", with_creation_date(-6e10))
+        cfg, out = fixture_config(tmp_path, prs_path=str(prs))
+        assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
+        first = json.loads((out / "classified.jsonl").read_text().splitlines()[1])
+        assert first["creation_date"] == "0068-09-03T13:20:00Z"
+        contingency = (out / "contingency.csv").read_bytes()
+        # a lone associate parses the date back from classified.jsonl
+        assert main(["--config", str(cfg), "associate"]) == EXIT_OK
+        assert (out / "contingency.csv").read_bytes() == contingency
 
     def test_report_counts_low_expected_cells(self, tmp_path):
         cfg, out = fixture_config(tmp_path)
