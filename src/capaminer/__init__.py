@@ -14,12 +14,10 @@ from .association import (  # noqa: F401
 )
 from .classifier import (  # noqa: F401
     CapaLabel,
-    PullRequestRecord,
     RandomForest,
     StageOneLabel,
     classify_two_stage,
     compute_report,
-    encode_features,
     label_by_keywords,
     split_train_test,
     train_forest,

@@ -23,7 +23,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import IntEnum
 from pathlib import Path
@@ -31,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import timeutil
-from .errors import (NUMBER, PROBABILITY, SEED, TEXT, DegenerateData,
-                     MissingCreationDate, at_least, need, need_rows, only)
+from .errors import (NUMBER, PROBABILITY, SEED, DegenerateData, at_least, need,
+                     need_rows, only)
 
 MODEL_FORMAT_VERSION = 2
 
@@ -113,47 +113,23 @@ def _coerce(name, raw) -> float:
         raise ValueError(f"{name} must be {want}, got {value!r}")
     if name in COUNT_FIELDS and value < 0:
         raise ValueError(f"{name} must be non-negative, got {value}")
-    # the years that RFC 3339 writes, so that every time can be written back
-    if name in TIMESTAMP_FIELDS and not timeutil.FIRST <= value < timeutil.END:
-        raise ValueError(f"{name} must be a time in years 0001 to 9999 UTC, got {raw!r}")
+    if name in TIMESTAMP_FIELDS and not timeutil.WRITABLE[0](value):
+        raise ValueError(f"{name} must be {timeutil.WRITABLE[1]}, got {raw!r}")
     return float(value)
 
 
-@dataclass
-class PullRequestRecord:
-    """One pull request with the 27 tabled metrics plus joining fields.
-
-    fields maps each present metric to a float checked by _coerce; a None
-    is absent and left out.  creation_date is mandatory.  Timestamps are
-    POSIX seconds; text carries title/body for keyword labeling.
-    """
-
-    repo_id: str
-    creation_date: float
-    pr_id: str = ""
-    text: str = ""
-    fields: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.creation_date is None:
-            raise MissingCreationDate("creation_date missing")
-        need(vars(self), {"repo_id": TEXT, "text": TEXT})
-        raw = {**self.fields, "creation_date": self.creation_date}
-        unknown = set(raw) - set(FEATURE_ORDER)
-        if unknown:
-            raise ValueError(f"unknown metric fields: {sorted(unknown)}")
-        # keyed by the FEATURE_ORDER strings, which every record shares
-        self.fields = {name: _coerce(name, value) for name in FEATURE_ORDER
-                       if (value := raw.get(name)) is not None}
-        self.creation_date = self.fields["creation_date"]
+_TIMESTAMP_COLUMNS = np.array([name in TIMESTAMP_FIELDS for name in FEATURE_ORDER])
 
 
-def encode_features(pr: PullRequestRecord, reference_instant: float) -> np.ndarray:
-    """Fixed-order 27-vector: counts as-is, booleans as 0/1, timestamps as
-    seconds relative to reference_instant, absences as the -1 sentinel."""
-    offset = dict.fromkeys(TIMESTAMP_FIELDS, float(reference_instant))
-    out = np.array([pr.fields[name] - offset.get(name, 0.0) if name in pr.fields
-                    else MISSING for name in FEATURE_ORDER])
+def encode(values, reference_instant=None) -> np.ndarray:
+    """The feature rows of a rows x 27 matrix of checked PR fields in
+    FEATURE_ORDER, NaN where absent: counts as-is, booleans as 0/1,
+    timestamps as seconds relative to reference_instant (by default the
+    earliest creation_date), absences as the -1 sentinel."""
+    if reference_instant is None:
+        reference_instant = values[:, FEATURE_ORDER.index("creation_date")].min()
+    offset = np.where(_TIMESTAMP_COLUMNS, float(reference_instant), 0.0)
+    out = np.where(np.isnan(values), MISSING, values - offset)
     if not np.all(np.isfinite(out)):
         raise ValueError("non-finite feature value")
     return out

@@ -302,12 +302,9 @@ class Run:
                       ConfigError)
 
     @cached_property
-    def features(self):
-        """One feature row per PR, all relative to one reference instant."""
-        ref = self.cfg.reference_instant
-        if ref is None:
-            ref = min(pr.creation_date for pr in self.prs)
-        return np.array([classifier.encode_features(pr, ref) for pr in self.prs])
+    def X(self):
+        """The feature rows of prs, all relative to one reference instant."""
+        return classifier.encode(self.prs.values, self.cfg.reference_instant)
 
     def load(self, name, parse):
         """parse(text) of the artifact name, checked for every field that its
@@ -387,14 +384,14 @@ def cmd_label(run: Run):
     prs = run.prs
     kmap, non_capa = run.keywords
     golden = []
-    for pr in prs:
-        labels = classifier.label_by_keywords(pr.text, kmap, non_capa)
+    for repo_id, pr_id, text in zip(prs.repo_ids, prs.pr_ids, prs.texts):
+        labels = classifier.label_by_keywords(text, kmap, non_capa)
         if labels is None:
             continue
         stage1, stage2 = labels
         golden.append({
-            "pr_id": pr.pr_id,
-            "repo_id": pr.repo_id,
+            "pr_id": pr_id,
+            "repo_id": repo_id,
             "stage1": stage1.name.lower(),
             "stage2": int(stage2) if stage2 is not None else None,
         })
@@ -406,8 +403,8 @@ def cmd_train(run: Run):
     cfg, prs = run.cfg, run.prs
     golden = {(g["repo_id"], g["pr_id"]): g for g in run.golden}
     X1, y1, X2, y2 = [], [], [], []
-    for pr, x in zip(prs, run.features):
-        g = golden.get((pr.repo_id, pr.pr_id))
+    for repo_id, pr_id, x in zip(prs.repo_ids, prs.pr_ids, run.X):
+        g = golden.get((repo_id, pr_id))
         if g is None:
             continue
         stage1 = classifier.StageOneLabel[g["stage1"].upper()]
@@ -439,14 +436,16 @@ def cmd_train(run: Run):
 
 def cmd_classify(run: Run):
     prs, (stage1, stage2) = run.prs, run.models
-    results = classifier.classify_two_stage(stage1, stage2, run.features)
+    results = classifier.classify_two_stage(stage1, stage2, run.X)
+    created = prs.values[:, classifier.FEATURE_ORDER.index("creation_date")]
     run.classified = [{
-        "pr_id": pr.pr_id,
-        "repo_id": pr.repo_id,
-        "creation_date": timeutil.to_rfc3339(pr.creation_date),
+        "pr_id": pr_id,
+        "repo_id": repo_id,
+        "creation_date": timeutil.to_rfc3339(t),
         "capa_class": (None if result is classifier.StageOneLabel.NON_CAPA
                        else int(result)),
-    } for pr, result in zip(prs, results)]
+    } for pr_id, repo_id, t, result in zip(prs.pr_ids, prs.repo_ids,
+                                           created.tolist(), results)]
     log.info("classified %d pull requests", len(prs))
 
 
@@ -490,7 +489,7 @@ def cmd_pipeline(cfg: PipelineConfig, out: Path):
     for command in (cmd_mine, cmd_label, cmd_train, cmd_classify, cmd_associate,
                     cmd_validate, cmd_report):
         command(run)
-    del run.prs, run.features  # no artifact renders from them: free them for _write
+    del run.prs, run.X  # no artifact renders from them: free them for _write
     _write(run)
 
 

@@ -81,10 +81,6 @@ class EmptyDataset(CapaMinerError):
     """An input dataset holds no records."""
 
 
-class MissingCreationDate(CapaMinerError):
-    """A pull-request record lacks its mandatory creation date."""
-
-
 class DegenerateData(CapaMinerError):
     """Training data contains a single class."""
 

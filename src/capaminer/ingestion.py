@@ -24,7 +24,6 @@ from . import classifier, timeutil
 from .errors import (
     TEXT,
     AuthError,
-    CapaMinerError,
     IncompleteRecord,
     MalformedInput,
     MalformedLine,
@@ -56,10 +55,11 @@ def load_metrics_csv(path):
     tolerated, but gaps are not filled.  A value that does not parse as a
     finite number raises NonFiniteValue, and a row with more or fewer cells
     than the header, a timestamp that is not RFC 3339, or a row that is not
-    one step after its repo's previous row raises MalformedInput, each
-    naming the 1-based data row.  The step, one for the whole file, is the
-    least positive time between two consecutive rows of a repo, so a
-    repeated instant or a gap is off it.
+    one step after its repo's previous row, or a timestamp outside the years
+    0001 to 9999 UTC, raises MalformedInput, each naming the 1-based data
+    row.  The step, one for the whole file, is the least positive time
+    between two consecutive rows of a repo, so a repeated instant or a gap
+    is off it.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -84,6 +84,9 @@ def load_metrics_csv(path):
             except ValueError:
                 raise MalformedInput(f"timestamp at row {row_no} is not an "
                                      f"RFC 3339 date: {stamp!r}") from None
+            if not timeutil.WRITABLE[0](ts):
+                raise MalformedInput(f"timestamp at row {row_no} must be "
+                                     f"{timeutil.WRITABLE[1]}, got {stamp!r}")
             vals = []
             for metric in METRIC_COLUMNS:
                 try:
@@ -112,56 +115,75 @@ def load_metrics_csv(path):
     return series
 
 
-def _record_from_obj(obj, line_no):
-    metrics = set(classifier.FEATURE_ORDER)
-    unknown = set(obj) - metrics - PR_KNOWN_EXTRA
-    if unknown:
-        log.info("line %d: ignoring unknown fields %s", line_no, sorted(unknown))
-    text = obj.get("text")
-    # the first id present, a null one being absent
-    id_key = next((k for k in ("pr_id", "pull_request_number")
-                   if obj.get(k) is not None), None)
-    try:
-        pr_id = need(obj, {id_key: PR_ID})[id_key] if id_key else line_no
-        if text in (None, ""):  # any other non-string is left for the record to reject
-            parts = {k: obj[k] for k in ("title", "body") if obj.get(k) is not None}
-            text = " ".join(need(parts, dict.fromkeys(parts, TEXT)).values()).strip()
-        return classifier.PullRequestRecord(
-            repo_id=obj.get("repo_id", ""),
-            creation_date=obj.get("creation_date"),
-            pr_id=str(pr_id),
-            text=text,
-            fields={k: v for k, v in obj.items() if k in metrics},
-        )
-    except (ValueError, CapaMinerError) as exc:
-        raise MalformedLine(line_no, f"line {line_no}: {exc}") from None
+@dataclass
+class PullRequests:
+    """Pull requests as columns: lists of repo ids, PR ids and texts, and a
+    rows x 27 matrix of values in classifier.FEATURE_ORDER, NaN where absent."""
+
+    repo_ids: list
+    pr_ids: list
+    texts: list
+    values: np.ndarray
+
+    def __len__(self):
+        return len(self.pr_ids)
+
+
+def pull_requests(numbered, noun="line"):
+    """The PullRequests of (n, object) pairs, each object checked as it
+    comes, so the first defect in the input is the one reported: a metric
+    of the wrong kind (classifier._coerce), no creation_date, or a (repo_id,
+    pr_id) seen before raises MalformedLine(n, "<noun> <n>: ...").  pr_id
+    defaults to pull_request_number, then n, and text to title and body
+    joined; unknown fields are ignored with a logged notice."""
+    names = classifier.FEATURE_ORDER
+    known = set(names) | PR_KNOWN_EXTRA
+    first, texts, rows = {}, [], []  # first: {(repo_id, pr_id): n}, in order
+    for n, obj in numbered:
+        where = f"{noun} {n}"
+        if not isinstance(obj, dict):
+            raise MalformedLine(n, f"{where}: not a JSON object")
+        unknown = set(obj) - known
+        if unknown:
+            log.info("%s: ignoring unknown fields %s", where, sorted(unknown))
+        # the first id present, a null one being absent
+        id_key = next((k for k in ("pr_id", "pull_request_number")
+                       if obj.get(k) is not None), None)
+        text, repo_id = obj.get("text"), obj.get("repo_id", "")
+        try:
+            pr_id = str(need(obj, {id_key: PR_ID})[id_key] if id_key else n)
+            if text in (None, ""):  # any other non-string is rejected below
+                parts = {k: obj[k] for k in ("title", "body") if obj.get(k) is not None}
+                text = " ".join(need(parts, dict.fromkeys(parts, TEXT)).values()).strip()
+            if obj.get("creation_date") is None:
+                raise ValueError("creation_date missing")
+            need({"repo_id": repo_id, "text": text}, {"repo_id": TEXT, "text": TEXT})
+            rows.append([math.nan if (v := obj.get(name)) is None
+                         else classifier._coerce(name, v) for name in names])
+        except ValueError as exc:
+            raise MalformedLine(n, f"{where}: {exc}") from None
+        if (earlier := first.setdefault((repo_id, pr_id), n)) != n:
+            raise MalformedLine(n, f"{where}: pull request {pr_id!r} of {repo_id!r} "
+                                f"repeats {noun} {earlier}")
+        texts.append(text)
+    return PullRequests([r for r, _ in first], [p for _, p in first], texts,
+                        np.array(rows, dtype=float).reshape(len(rows), len(names)))
 
 
 def load_prs_jsonl(path):
-    """Load pull-request records from a JSON-lines file.
-
-    Unknown fields are ignored with a logged notice; a malformed line, or
-    one whose (repo_id, pr_id) repeats an earlier line's, raises
-    MalformedLine with its 1-based line number.
-    """
-    records, first_line = [], {}
-    with open(path) as fh:
+    """The PullRequests of a JSON-lines file, one object per non-blank
+    line; a line that is not JSON, or the first that pull_requests rejects,
+    raises MalformedLine with its 1-based line number."""
+    def objects(fh):
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                raise MalformedLine(line_no) from None
-            if not isinstance(obj, dict):
-                raise MalformedLine(line_no, f"line {line_no}: not a JSON object")
-            pr = _record_from_obj(obj, line_no)
-            first = first_line.setdefault((pr.repo_id, pr.pr_id), line_no)
-            if first != line_no:
-                raise MalformedLine(line_no, f"line {line_no}: pull request {pr.pr_id!r} "
-                                    f"of {pr.repo_id!r} repeats line {first}")
-            records.append(pr)
-    return records
+            if line.strip():
+                try:
+                    yield line_no, json.loads(line)
+                except json.JSONDecodeError:
+                    raise MalformedLine(line_no) from None
+
+    with open(path) as fh:
+        return pull_requests(objects(fh))
 
 
 @dataclass(frozen=True)
@@ -207,7 +229,8 @@ class SourceAdapter:
 
 
 class FixtureAdapter(SourceAdapter):
-    """Serves a pre-loaded dataset to the radar; used by tests."""
+    """Serves a pre-loaded dataset to the radar; used by tests.  prs are
+    pull-request objects as a prs.jsonl line holds them."""
 
     name = "fixture"
 
@@ -216,14 +239,16 @@ class FixtureAdapter(SourceAdapter):
         self._prs = list(prs or [])
         if repos is None:
             repos = sorted({s.repo_id for s in self._series}
-                           | {p.repo_id for p in self._prs})
+                           | {p["repo_id"] for p in self._prs})
         self._repos = list(repos)
 
     def fetch_commit_metrics(self, repo_id):
         return [s for s in self._series if s.repo_id == repo_id]
 
     def fetch_pull_requests(self, repo_id):
-        return [p for p in self._prs if p.repo_id == repo_id]
+        """A defect names its object's place among repo_id's, from 1."""
+        return pull_requests(enumerate(
+            (p for p in self._prs if p["repo_id"] == repo_id), start=1), "pull request")
 
 
 @dataclass
@@ -464,37 +489,39 @@ class LiveGitHubAdapter(SourceAdapter):
         ]
 
     def fetch_pull_requests(self, repo_id):
+        """The PullRequests of repo_id, by pull-request number; a defect
+        names its pull request's number."""
         pulls = list(self._paginate(f"{self._base}/repos/{repo_id}/pulls",
                                     {"state": "all"}))
         pulls.sort(key=lambda p: p.get("number", 0))
-        records = []
-        for p in pulls:
-            # the list endpoint omits the counts; the single-PR endpoint has them
-            detail = self._get(
-                f"{self._base}/repos/{repo_id}/pulls/{p['number']}").json()
-            missing = sorted(k for k in PR_DETAIL_COUNTS if detail.get(k) is None)
-            if missing:
-                raise IncompleteRecord(
-                    f"{repo_id}: pull request {p['number']} has no {', '.join(missing)}")
-            obj = {
-                "repo_id": repo_id,
-                "title": p.get("title"),
-                "body": p.get("body"),
-                "creation_date": p.get("created_at"),
-                "closure_date": p.get("closed_at"),
-                "merged_date": p.get("merged_at"),
-                "update_date": p.get("updated_at"),
-                "locked_state": p.get("locked", False),
-                "merged_state": p.get("merged_at") is not None,
-                "pull_request_state": p.get("state") == "open",
-                "pull_request_number": p.get("number"),
-                "number_of_additions": detail["additions"],
-                "number_of_deletions": detail["deletions"],
-                "number_of_commits": detail["commits"],
-                "number_of_files": detail["changed_files"],
-                "number_of_file_changes": detail["changed_files"],
-                "number_of_comments": detail["comments"],
-                "number_of_review_comments": detail["review_comments"],
-            }
-            records.append(_record_from_obj(obj, p.get("number", 0)))
-        return records
+        return pull_requests(((p["number"], self._pull_request(repo_id, p))
+                              for p in pulls), "pull request")
+
+    def _pull_request(self, repo_id, p):
+        """The prs.jsonl object of the listed pull request p."""
+        # the list endpoint omits the counts; the single-PR endpoint has them
+        detail = self._get(f"{self._base}/repos/{repo_id}/pulls/{p['number']}").json()
+        missing = sorted(k for k in PR_DETAIL_COUNTS if detail.get(k) is None)
+        if missing:
+            raise IncompleteRecord(
+                f"{repo_id}: pull request {p['number']} has no {', '.join(missing)}")
+        return {
+            "repo_id": repo_id,
+            "title": p.get("title"),
+            "body": p.get("body"),
+            "creation_date": p.get("created_at"),
+            "closure_date": p.get("closed_at"),
+            "merged_date": p.get("merged_at"),
+            "update_date": p.get("updated_at"),
+            "locked_state": p.get("locked", False),
+            "merged_state": p.get("merged_at") is not None,
+            "pull_request_state": p.get("state") == "open",
+            "pull_request_number": p.get("number"),
+            "number_of_additions": detail["additions"],
+            "number_of_deletions": detail["deletions"],
+            "number_of_commits": detail["commits"],
+            "number_of_files": detail["changed_files"],
+            "number_of_file_changes": detail["changed_files"],
+            "number_of_comments": detail["comments"],
+            "number_of_review_comments": detail["review_comments"],
+        }

@@ -6,6 +6,9 @@ from datetime import datetime, timezone
 
 # POSIX seconds of 0001-01-01 and 10000-01-01 UTC: the times RFC 3339 writes
 FIRST, END = -62135596800, 253402300800
+# the (test, requirement) atom of a time that both loaders accept, so that
+# every time read can be written back
+WRITABLE = (lambda t: FIRST <= t < END, "a time in years 0001 to 9999 UTC")
 
 
 def to_rfc3339(posix_seconds: float) -> str:

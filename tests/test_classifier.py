@@ -10,19 +10,18 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from capaminer import classifier
-from capaminer.errors import DegenerateData, MissingCreationDate
+from capaminer.errors import DegenerateData, MalformedLine
 from capaminer.classifier import (
     BOOLEAN_FIELDS,
     FEATURE_ORDER,
     MISSING,
     CapaLabel,
-    PullRequestRecord,
     RandomForest,
     StageOneLabel,
     TIMESTAMP_FIELDS,
     classify_two_stage,
     compute_report,
-    encode_features,
+    encode,
     label_by_keywords,
     load_keyword_map,
     report_row_from_counts,
@@ -39,7 +38,7 @@ from capaminer.classifier import (
     _levels,
     _mix,
 )
-from capaminer.ingestion import load_prs_jsonl
+from capaminer.ingestion import load_prs_jsonl, pull_requests
 from capaminer.timeutil import from_rfc3339, to_rfc3339
 
 from conftest import (naive_best_split, naive_classify_two_stage,
@@ -75,11 +74,9 @@ class TestFeatureEncoding:
         assert len(BOOLEAN_FIELDS) == 5
 
     def test_encoding_rules(self):
-        pr = PullRequestRecord(
-            repo_id="org/r", creation_date=1000.0,
-            fields={"number_of_comments": 4, "merged_state": True,
-                    "locked_state": False, "closure_date": 5000.0})
-        x = encode_features(pr, reference_instant=1000.0)
+        prs = one_pr(creation_date=1000.0, number_of_comments=4, merged_state=True,
+                     locked_state=False, closure_date=5000.0)
+        x = encode(prs.values, reference_instant=1000.0)[0]
         assert len(x) == 27
         assert x[FEATURE_ORDER.index("number_of_comments")] == 4.0
         assert x[FEATURE_ORDER.index("merged_state")] == 1.0
@@ -91,50 +88,44 @@ class TestFeatureEncoding:
         assert x[FEATURE_ORDER.index("number_of_additions")] == MISSING
 
     def test_missing_creation_date(self):
-        with pytest.raises(MissingCreationDate):
-            PullRequestRecord(repo_id="org/r", creation_date=None)
+        with pytest.raises(MalformedLine, match="^line 1: creation_date missing$"):
+            one_pr(creation_date=None)
 
     @pytest.mark.parametrize("name, value", [
         ("repo_id", 5), ("repo_id", None), ("text", 5), ("text", ["fix ci"])])
     def test_text_and_repo_id_must_be_strings(self, name, value):
-        args = {"repo_id": "org/r", "creation_date": 0.0, "text": "", name: value}
-        with pytest.raises(ValueError, match=f"^{name} must be a string"):
-            PullRequestRecord(**args)
+        with pytest.raises(MalformedLine, match=f"^line 1: {name} must be a string"):
+            one_pr(**{"creation_date": 0.0, "text": "", name: value})
 
     def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            PullRequestRecord(repo_id="org/r", creation_date=0.0,
-                              fields={"number_of_commits": -2})
+        with pytest.raises(MalformedLine,
+                           match="^line 1: number_of_commits must be non-negative"):
+            one_pr(creation_date=0.0, number_of_commits=-2)
 
     def test_numpy_counts_accepted_nan_rejected(self):
-        pr = PullRequestRecord(repo_id="org/r", creation_date=np.float64(2.0),
-                               fields={"number_of_commits": np.int64(3)})
-        assert pr.fields == {"number_of_commits": 3.0, "creation_date": 2.0}
-        assert type(pr.creation_date) is float
+        prs = one_pr(creation_date=np.float64(2.0), number_of_commits=np.int64(3))
+        assert prs.values.dtype == np.float64
+        assert present(prs) == {"number_of_commits": 3.0, "creation_date": 2.0}
         for bad in (float("nan"), 10**400):
-            with pytest.raises(ValueError, match="number_of_commits must be a finite"):
-                PullRequestRecord(repo_id="org/r", creation_date=0.0,
-                                  fields={"number_of_commits": bad})
+            with pytest.raises(MalformedLine, match="number_of_commits must be a finite"):
+                one_pr(creation_date=0.0, number_of_commits=bad)
 
     @pytest.mark.parametrize("name", sorted(TIMESTAMP_FIELDS))
     def test_timestamps_lie_in_years_1_to_9999(self, name):
         # the range that RFC 3339 text, four digits of year, can write
         def record(value):
-            if name == "creation_date":
-                return PullRequestRecord(repo_id="org/r", creation_date=value)
-            return PullRequestRecord(repo_id="org/r", creation_date=0.0,
-                                     fields={name: value})
+            return one_pr(**{"creation_date": 0.0, name: value})
 
         for value, text in [(-62135596800, "0001-01-01T00:00:00Z"),
                             (-6e10, "0068-09-03T13:20:00Z"),
                             (253402300799.5, "9999-12-31T23:59:59.500000Z"),
                             (math.nextafter(253402300800, 0),
                              "9999-12-31T23:59:59.999969Z")]:
-            got = record(value).fields[name]
+            got = present(record(value))[name]
             assert to_rfc3339(got) == text and from_rfc3339(text) == got
         for value in [math.nextafter(-62135596800, -math.inf), 253402300800, 1e12,
                       "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"]:
-            with pytest.raises(ValueError, match=re.escape(
+            with pytest.raises(MalformedLine, match=re.escape(
                     f"{name} must be a time in years 0001 to 9999 UTC, got {value!r}")):
                 record(value)
 
@@ -143,15 +134,28 @@ class TestFeatureEncoding:
         objs = [json.loads(line) for line in lines]
         prs = load_prs_jsonl(FIXTURES / "prs.jsonl")
         earliest = min(from_rfc3339(o["creation_date"]) for o in objs)
+        # the reference instant defaults to the earliest creation date
+        assert encode(prs.values).tobytes() == encode(prs.values, earliest).tobytes()
         for ref in (earliest, 0.0, 1234.5):
-            for obj, pr in zip(objs, prs, strict=True):
-                got = encode_features(pr, ref)
-                assert got.tobytes() == reference_encoding(obj, ref).tobytes()
+            want = np.array([reference_encoding(obj, ref) for obj in objs])
+            assert encode(prs.values, ref).tobytes() == want.tobytes()
 
-    def test_unknown_field_rejected(self):
-        with pytest.raises(ValueError):
-            PullRequestRecord(repo_id="org/r", creation_date=0.0,
-                              fields={"number_of_bananas": 1})
+    def test_unknown_field_left_out(self, caplog):
+        with caplog.at_level("INFO", logger="capaminer.ingestion"):
+            prs = one_pr(creation_date=0.0, number_of_bananas=1)
+        assert "number_of_bananas" in caplog.text
+        assert present(prs) == {"creation_date": 0.0}
+
+
+def one_pr(**obj):
+    """The table of one pull request of org/r, given as its JSON object."""
+    return pull_requests([(1, {"repo_id": "org/r", **obj})])
+
+
+def present(prs):
+    """{field: value} of the first pull request's present fields."""
+    return {name: v for name, v in zip(FEATURE_ORDER, prs.values[0].tolist())
+            if not math.isnan(v)}
 
 
 class TestKeywordLabeling:

@@ -257,6 +257,10 @@ class TestExitCodes:
         (lambda cells: cells[:3], "row 6 has 3 cells, the header 5"),
         (lambda cells: [cells[0], "notadate", *cells[2:]],
          "timestamp at row 6 is not an RFC 3339 date: 'notadate'"),
+        # before 0001-01-01 UTC, which no RFC 3339 time can write
+        (lambda cells: [cells[0], "0001-01-01T00:00:00+23:00", *cells[2:]],
+         "timestamp at row 6 must be a time in years 0001 to 9999 UTC, "
+         "got '0001-01-01T00:00:00+23:00'"),
     ])
     def test_malformed_metrics_row_is_a_data_error(self, tmp_path, capsys, edit, why):
         lines = (FIXTURES / "metrics.csv").read_text().splitlines()
@@ -794,13 +798,14 @@ class TestPipeline:
         n_prs = len((FIXTURES / "prs.jsonl").read_text().splitlines())
         loads = count_calls(monkeypatch, ingestion, "load_prs_jsonl")
         joins = count_calls(monkeypatch, association, "temporal_join")
-        encodes = count_calls(monkeypatch, classifier, "encode_features")
+        encodes = count_calls(monkeypatch, classifier, "encode")
         model_reads = count_calls(monkeypatch, classifier.RandomForest, "from_json")
         artifact_reads = count_calls(monkeypatch, Run, "load")
         cfg, _ = fixture_config(tmp_path)
         assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
         assert len(loads) == len(joins) == 1
-        assert len(encodes) == len({id(args[0]) for args in encodes}) == n_prs
+        # one encoding of the whole table, not one per pull request
+        assert len(encodes) == 1 and encodes[0][0].shape == (n_prs, 27)
         assert model_reads == [] and artifact_reads == []
         # a single stage still reads its inputs from the files
         assert main(["--config", str(cfg), "classify"]) == EXIT_OK
@@ -846,7 +851,8 @@ class TestPipeline:
         for stage in ("label", "train"):
             assert main(["--config", str(cfg), stage]) == EXIT_OK
         run = Run(load_config(cfg), out)
-        (stage1, stage2), X = run.models, run.features
+        stage1, stage2 = run.models
+        X = classifier.encode(ingestion.load_prs_jsonl(FIXTURES / "prs.jsonl").values)
         for forest in (stage1, stage2):
             labels, fractions = forest.predict(X)
             for x, label, frac in zip(X, labels.tolist(), fractions.tolist()):

@@ -3,12 +3,13 @@ import re
 import sys
 import threading
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from capaminer.classifier import FEATURE_ORDER, PullRequestRecord, encode_features
+from capaminer.classifier import FEATURE_ORDER, encode
 from capaminer import ingestion
 from capaminer.errors import (
     AuthError,
@@ -32,11 +33,15 @@ from capaminer.ingestion import (
     load_metrics_csv,
     load_prs_jsonl,
 )
+from capaminer.timeutil import from_rfc3339
 from capaminer.tsdist import MetricSeries
 
+FIXTURE_PRS = Path(__file__).resolve().parent.parent / "fixtures" / "prs.jsonl"
 
+
+CSV_HEADER_LINE = "repo_id,timestamp,lines_added,lines_deleted,lines_changed\n"
 GOOD_CSV = (
-    "repo_id,timestamp,lines_added,lines_deleted,lines_changed\n"
+    CSV_HEADER_LINE +
     "org/a,2020-01-02T00:00:00Z,5,1,6\n"
     "org/a,2020-01-01T00:00:00Z,3,2,5\n"
     "org/b,2020-01-01T00:00:00Z,7,0,7\n"
@@ -127,6 +132,24 @@ class TestMetricsCsv:
                                                  "RFC 3339 date: 'notadate'$"):
             load_metrics_csv(p)
 
+    @pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+23:00",
+                                       "9999-12-31T23:59:59-01:00"])
+    def test_timestamp_outside_years_1_to_9999_names_row(self, tmp_path, stamp):
+        # the times that RFC 3339 writes back, as for pull-request dates
+        p = tmp_path / "m.csv"
+        p.write_text(GOOD_CSV.replace("2020-01-01T00:00:00Z,7", f"{stamp},7"))
+        with pytest.raises(MalformedInput, match=re.escape(
+                f"timestamp at row 3 must be a time in years 0001 to 9999 UTC, "
+                f"got {stamp!r}")):
+            load_metrics_csv(p)
+
+    def test_timestamps_of_years_1_and_9999_load(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text(CSV_HEADER_LINE + "org/a,0001-01-01T00:00:00Z,1,2,3\n"
+                     "org/b,9999-12-31T23:59:59Z,1,2,3\n")
+        by = {s.repo_id: s.timestamps.tolist() for s in load_metrics_csv(p)}
+        assert by == {"org/a": [-62135596800.0], "org/b": [253402300799.0]}
+
     def test_nan_rejected(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text(
@@ -147,13 +170,13 @@ class TestPrsJsonl:
             + json.dumps({"repo_id": "org/a", "pull_request_number": 2,
                           "title": "add", "body": "feature",
                           "creation_date": "2020-01-02T00:00:00Z"}) + "\n")
-        records = load_prs_jsonl(p)
-        assert len(records) == 2
-        assert records[0].fields["number_of_commits"] == 3
-        assert records[0].text == "fix build"
+        prs = load_prs_jsonl(p)
+        assert len(prs) == 2
+        assert prs.values[0, FEATURE_ORDER.index("number_of_commits")] == 3
+        assert prs.texts[0] == "fix build"
         # title/body concatenated when text absent; pr number fallback id
-        assert records[1].text == "add feature"
-        assert records[1].pr_id == "2"
+        assert prs.texts[1] == "add feature"
+        assert prs.pr_ids[1] == "2"
 
     def test_null_pr_id_is_absent(self, tmp_path):
         p = tmp_path / "prs.jsonl"
@@ -164,7 +187,7 @@ class TestPrsJsonl:
             {"pr_id": None},
             {"pr_id": "x", "pull_request_number": 9},
         ]))
-        assert [r.pr_id for r in load_prs_jsonl(p)] == ["7", "2", "3", "x"]
+        assert load_prs_jsonl(p).pr_ids == ["7", "2", "3", "x"]
 
     @pytest.mark.parametrize("ids, key", [
         ({"pr_id": True}, "pr_id"), ({"pr_id": [1]}, "pr_id"),
@@ -202,9 +225,9 @@ class TestPrsJsonl:
             "repo_id": "org/a", "creation_date": "2020-01-01T00:00:00Z",
             "mystery_field": 9}) + "\n")
         with caplog.at_level("INFO", logger="capaminer.ingestion"):
-            records = load_prs_jsonl(p)
-        assert len(records) == 1
-        assert "mystery_field" in caplog.text
+            prs = load_prs_jsonl(p)
+        assert len(prs) == 1
+        assert "line 1: ignoring unknown fields ['mystery_field']" in caplog.text
 
     def test_bad_json_names_line(self, tmp_path):
         p = tmp_path / "prs.jsonl"
@@ -247,7 +270,7 @@ class TestPrsJsonl:
         p = tmp_path / "prs.jsonl"
         p.write_text(json.dumps({"repo_id": "org/a",
                                  "creation_date": "2020-01-01T00:00:00Z", **parts}) + "\n")
-        assert load_prs_jsonl(p)[0].text == text
+        assert load_prs_jsonl(p).texts == [text]
 
     @pytest.mark.parametrize("field, value", [
         ("title", 5), ("title", False), ("body", ["fix ci"]), ("body", 0),
@@ -268,6 +291,36 @@ class TestPrsJsonl:
         with pytest.raises(MalformedLine):
             load_prs_jsonl(p)
 
+    @pytest.mark.parametrize("defects", [
+        {2: '{"repo_id": "org/a", "number_of_commits": -1, '
+            '"creation_date": "2020-01-01T00:00:00Z"}', 4: "{oops"},
+        {2: "{oops", 4: '{"repo_id": "org/a", "number_of_commits": -1, '
+                        '"creation_date": "2020-01-01T00:00:00Z"}'},
+    ], ids=["bad-count-first", "bad-json-first"])
+    def test_the_earlier_of_two_defects_is_reported(self, tmp_path, defects):
+        good = {"repo_id": "org/a", "creation_date": "2020-01-01T00:00:00Z"}
+        p = tmp_path / "prs.jsonl"
+        p.write_text("".join(defects.get(n, json.dumps({**good, "pr_id": str(n)}))
+                             + "\n" for n in range(1, 6)))
+        with pytest.raises(MalformedLine) as exc:
+            load_prs_jsonl(p)
+        assert exc.value.line_number == 2
+
+    def test_fixture_table_matches_its_lines(self):
+        lines = FIXTURE_PRS.read_text().splitlines()
+        prs = load_prs_jsonl(FIXTURE_PRS)
+        assert len(prs) == len(lines) == prs.values.shape[0]
+        assert prs.values.shape[1] == len(FEATURE_ORDER)
+        created = prs.values[:, FEATURE_ORDER.index("creation_date")]
+        assert created.tolist() == [
+            from_rfc3339(json.loads(line)["creation_date"]) for line in lines]
+
+    def test_fixture_adapter_objects_are_checked(self):
+        adapter = FixtureAdapter(prs=[{"repo_id": "org/a", "creation_date": "x"}])
+        with pytest.raises(MalformedLine, match="^pull request 1: creation_date is not "
+                                                "an RFC 3339 date: 'x'$"):
+            adapter.fetch_pull_requests("org/a")
+
 
 def fixture_adapter(n_repos=3):
     series = []
@@ -276,8 +329,8 @@ def fixture_adapter(n_repos=3):
         repo = f"org/r{i}"
         series.append(MetricSeries(repo, "lines_added",
                                    np.arange(5.0), np.arange(5.0) + i))
-        prs.append(PullRequestRecord(repo_id=repo, creation_date=100.0 * i,
-                                     pr_id=f"{i}", text="fix build"))
+        prs.append({"repo_id": repo, "creation_date": 100.0 * i,
+                    "pr_id": f"{i}", "text": "fix build"})
     return FixtureAdapter(series=series, prs=prs)
 
 
@@ -576,10 +629,10 @@ class TestLiveAdapter:
             FakeResponse(200, []),
         ] + [FakeResponse(200, pull_detail(i)) for i in range(200)])
         adapter = LiveGitHubAdapter("tok", ["org/a"], session=session)
-        records = adapter.fetch_pull_requests("org/a")
-        assert len(records) == 200
-        assert records[0].pr_id == "0"
-        assert records[-1].pr_id == "199"
+        prs = adapter.fetch_pull_requests("org/a")
+        assert len(prs) == 200
+        assert prs.pr_ids[0] == "0"
+        assert prs.pr_ids[-1] == "199"
         pages = [p["page"] for _, p in session.requests if "page" in p]
         assert pages == [1, 2, 3]
 
@@ -593,17 +646,17 @@ class TestLiveAdapter:
             FakeResponse(200, pull_detail(8)),
         ])
         adapter = LiveGitHubAdapter("tok", ["org/a"], session=session)
-        records = adapter.fetch_pull_requests("org/a")
+        prs = adapter.fetch_pull_requests("org/a")
         assert [url for url, _ in session.requests[1:]] == [
             "https://api.github.com/repos/org/a/pulls/3",
             "https://api.github.com/repos/org/a/pulls/8"]
-        x = encode_features(records[0], 0.0)
+        x = encode(prs.values, 0.0)[0]
         by = dict(zip(FEATURE_ORDER, x.tolist()))
         assert (by["number_of_additions"], by["number_of_deletions"],
                 by["number_of_commits"], by["number_of_files"],
                 by["number_of_file_changes"], by["number_of_comments"],
                 by["number_of_review_comments"]) == (7, 4, 2, 0, 0, 1, 5)
-        assert records[1].fields["number_of_additions"] == 10
+        assert prs.values[1, FEATURE_ORDER.index("number_of_additions")] == 10
 
     def test_pull_request_detail_without_counts_raises(self):
         listed = [{"number": 4, "created_at": "2020-01-01T00:00:00Z"}]
@@ -614,6 +667,16 @@ class TestLiveAdapter:
         adapter = LiveGitHubAdapter("tok", ["org/a"], session=session)
         with pytest.raises(IncompleteRecord, match="4 has no commits, review_comments"):
             adapter.fetch_pull_requests("org/a")
+
+    def test_pull_request_defect_names_its_number(self):
+        listed = [{"number": 4, "title": "fix ci"}]  # no created_at
+        session = FakeSession([FakeResponse(200, listed),
+                               FakeResponse(200, pull_detail(4))])
+        adapter = LiveGitHubAdapter("tok", ["org/a"], session=session)
+        with pytest.raises(MalformedLine,
+                           match="^pull request 4: creation_date missing$") as exc:
+            adapter.fetch_pull_requests("org/a")
+        assert exc.value.line_number == 4
 
     def test_repo_announcement_is_incremental(self):
         adapter = LiveGitHubAdapter("tok", ["org/a", "org/b"],
