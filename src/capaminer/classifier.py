@@ -14,12 +14,11 @@ nodes of one depth that may split, across all trees, draw their feature
 subsets in one keyed call, each keyed by its tree and its left-to-right
 position among that tree's such nodes, and are scored together in batched
 numpy passes (_best_splits); their rows go to the children by one
-comparison with the thresholds.
+comparison with the thresholds.  A forest is its node arrays.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
@@ -31,10 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from . import timeutil
-from .errors import (NUMBER, PROBABILITY, SEED, DegenerateData, at_least, need,
-                     need_rows, only)
+from .errors import PROBABILITY, SEED, DegenerateData, at_least, need, only
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 # The 27 pull-request metrics, in fixed table order.
 FEATURE_ORDER = [
@@ -208,11 +206,12 @@ def _draws(seed, purpose, tree, depth, counter):
     return _mix(key + _GAMMA * (counter + np.uint64(1)))
 
 
-def _bootstrap(seed, tree, n):
-    """The bootstrap sample of tree number tree: n integers in [0, n),
-    ascending, each from the high 32 bits of a draw by multiply-shift."""
-    high = _draws(seed, _BOOTSTRAP, tree, 0, np.arange(n)) >> np.uint64(32)
-    return np.sort((high * np.uint64(n) >> np.uint64(32)).astype(np.intp))
+def _bootstrap(seed, trees, n):
+    """The bootstrap samples of the trees numbered trees, one row per tree:
+    n integers in [0, n), ascending, each from the high 32 bits of a draw
+    by multiply-shift."""
+    high = _draws(seed, _BOOTSTRAP, np.asarray(trees)[:, None], 0, np.arange(n)) >> np.uint64(32)
+    return np.sort((high * np.uint64(n) >> np.uint64(32)).astype(np.intp), axis=1)
 
 
 def _feature_subsets(seed, depth, trees, positions, n_feat, k):
@@ -411,10 +410,34 @@ def _passes(sizes, k):
         a = b
 
 
-@dataclass
+def _entries(doc, key, kinds, lo, hi, size):
+    """doc[key] as an array, after checking that it is a list of size
+    entries, each of a type in kinds and in [lo, hi]; else a ValueError
+    naming the length, or the first entry that is not."""
+    entries = need(doc, {key: (lambda v: type(v) is list, "a list")})[key]
+    if len(entries) != size:
+        raise ValueError(f"{key} must hold {size} entries, got {len(entries)}")
+    if set(map(type, entries)) <= kinds and (not entries or lo <= min(entries)
+                                             and max(entries) <= hi):
+        array = np.array(entries, dtype=float if float in kinds else np.intp)
+        if np.all(np.isfinite(array)):  # min and max may pass over a NaN
+            return array
+    i = next(i for i, v in enumerate(entries) if not (type(v) in kinds and lo <= v <= hi))
+    want = "a finite number" if float in kinds else f"an integer in [{lo}, {hi}]"
+    raise ValueError(f"{key}[{i}] must be {want}, got {entries[i]!r}")
+
+
+@dataclass(eq=False)
 class RandomForest:
+    """A forest as node arrays, node t the root of tree t: split feature (-1
+    at a leaf), threshold, left child (-1 at a leaf; the right child is left
+    + 1) and class counts, nodes x classes.  Children follow their parent."""
     classes: list
-    trees: list
+    n_trees: int
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    counts: np.ndarray
 
     def predict(self, X):
         """Majority vote over trees for each row of X; ties break to the
@@ -425,81 +448,71 @@ class RandomForest:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError(f"expected a rows x features matrix, got shape {X.shape}")
-        feature, threshold, left, right, code = self._nodes
-        n, n_trees = len(X), len(self.trees)
-        rows = np.repeat(np.arange(n), n_trees)
-        node = np.tile(np.arange(n_trees), n)  # tree t's root is node t
+        feature, threshold, left, n_trees = self.feature, self.threshold, self.left, self.n_trees
+        rows, node = np.divmod(np.arange(len(X) * n_trees), n_trees)
         # every (row, tree) pair descends one level per step
-        active = np.flatnonzero(code[node] < 0)
+        active = np.flatnonzero(left[node] >= 0)
         while len(active):
             nd = node[active]
-            go_left = X[rows[active], feature[nd]] <= threshold[nd]
-            node[active] = np.where(go_left, left[nd], right[nd])
-            active = active[code[node[active]] < 0]
+            node[active] = left[nd] + ~(X[rows[active], feature[nd]] <= threshold[nd])
+            active = active[left[node[active]] >= 0]
         n_classes = len(self.classes)
-        votes = np.bincount(rows * n_classes + code[node],
-                            minlength=n * n_classes).reshape(n, n_classes)
+        # a leaf's class is the argmax of its counts, ties -> lowest class index
+        code = np.argmax(self.counts, axis=1)[node]
+        votes = np.bincount(rows * n_classes + code,
+                            minlength=len(X) * n_classes).reshape(len(X), n_classes)
         labels = np.asarray(self.classes)[np.argmax(votes, axis=1)]
         return labels, votes / n_trees
 
-    @functools.cached_property
-    def _nodes(self):
-        """The trees as parallel node arrays: feature, threshold, left and
-        right child, and leaf class code (-1 at a split).  The roots come
-        first, then children in the order they are reached."""
-        nodes, left, right = list(self.trees), [], []
-        for node in nodes:  # visits the children appended below as well
-            if node["leaf"]:
-                left.append(-1)
-                right.append(-1)
-            else:
-                left.append(len(nodes))
-                right.append(len(nodes) + 1)
-                nodes += [node["left"], node["right"]]
-        # argmax of the leaf counts, ties -> lowest class index
-        code = [n["counts"].index(max(n["counts"])) if n["leaf"] else -1
-                for n in nodes]
-        return (np.array([n.get("feature", 0) for n in nodes], dtype=np.intp),
-                np.array([n.get("threshold", 0.0) for n in nodes], dtype=float),
-                np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
-                np.array(code, dtype=np.intp))
+    @property
+    def trees(self):
+        """The trees as nested dicts ({"leaf", "counts"} or {"leaf", "feature",
+        "threshold", "left", "right"}), rendered on each read and never
+        stored: a view for the tests' oracles and perfbench's node counter."""
+        nodes = [{"leaf": True, "counts": c} for c in self.counts.tolist()]
+        for node, f, thr, child in zip(nodes, self.feature.tolist(),
+                                       self.threshold.tolist(), self.left.tolist()):
+            if child >= 0:
+                del node["counts"]
+                node.update(leaf=False, feature=f, threshold=thr, left=nodes[child],
+                            right=nodes[child + 1])
+        return nodes[:self.n_trees]
 
     def to_json(self) -> dict:
-        return {
-            "format_version": MODEL_FORMAT_VERSION,
-            "classes": [int(c) for c in self.classes],
-            "trees": self.trees,
-        }
+        return {"format_version": MODEL_FORMAT_VERSION,
+                "classes": [int(c) for c in self.classes], "n_trees": self.n_trees,
+                **{key: getattr(self, key).ravel().tolist()
+                   for key in ("feature", "threshold", "left", "counts")}}
 
     @classmethod
-    def from_json(cls, doc: dict, n_features=None) -> "RandomForest":
-        """The forest of a to_json document, checked by need: a document of
-        another shape, or a node that is neither a leaf with a count per
-        class nor a split on a feature index below n_features with two
-        child nodes, raises ValueError."""
+    def from_json(cls, doc: dict, n_features: int) -> "RandomForest":
+        """The forest of a to_json document, checked: another shape, a leaf
+        with a child, a child before its split, or a node other than a root
+        not the child of exactly one split raises ValueError."""
         need(doc, {
             "format_version": (lambda v: v == MODEL_FORMAT_VERSION, str(MODEL_FORMAT_VERSION)),
             "classes": (lambda v: type(v) is list and len(v) >= 2
                         and all(type(c) is int for c in v) and len(set(v)) == len(v),
                         "two or more distinct integers"),
-            "trees": (lambda v: type(v) is list and len(v) > 0, "a non-empty list")})
-        n_classes = len(doc["classes"])
-        child = (lambda v: isinstance(v, dict), "a tree node")
-        leaf = {"counts": (lambda v: type(v) is list and len(v) == n_classes
-                           and all(type(c) is int and c >= 0 for c in v),
-                           f"a list of {n_classes} integers >= 0")}
-        split = {"leaf": (lambda v: v is False, "true or false"),
-                 "feature": (lambda v: type(v) is int and v >= 0
-                             and (n_features is None or v < n_features),
-                             f"an index below {n_features}"),
-                 "threshold": NUMBER, "left": child, "right": child}
-        nodes = list(need_rows(doc, "trees", {})["trees"])
-        for node in nodes:  # visits the children appended below as well
-            if node.get("leaf") is True:
-                need(node, leaf)
-            else:
-                nodes += [need(node, split)["left"], node["right"]]
-        return cls(classes=doc["classes"], trees=doc["trees"])
+            "feature": (lambda v: type(v) is list, "a list")})
+        n, n_classes = len(doc["feature"]), len(doc["classes"])
+        n_trees = need(doc, {"n_trees": (lambda v: type(v) is int and 1 <= v <= n,
+                                         f"an integer in [1, {n}]")})["n_trees"]
+        feature, threshold, left, counts = (_entries(doc, key, *spec) for key, spec in {
+            "feature": ({int}, -1, n_features - 1, n),
+            "threshold": ({int, float}, -sys.float_info.max, sys.float_info.max, n),
+            "left": ({int}, -1, n - 2, n),
+            "counts": ({int}, 0, 2**31 - 1, n * n_classes)}.items())
+        node, split = np.arange(n), feature >= 0
+        for i in np.flatnonzero(np.where(split, left <= node, left != -1))[:1]:
+            want = "a node after its split" if split[i] else "-1 at a leaf"
+            raise ValueError(f"left[{i}] must be {want}, got {left[i]}")
+        parents = np.bincount(np.concatenate([left[split], left[split] + 1]), minlength=n)
+        for i in np.flatnonzero(parents != (node >= n_trees))[:1]:
+            want = "no" if i < n_trees else "one split"
+            raise ValueError(f"node {i} must be the child of {want} node, got {parents[i]}")
+        return cls(doc["classes"], n_trees, feature, threshold, left,
+                   counts.reshape(n, n_classes))
 
 
 def _canonical_order(X, y_codes):
@@ -516,11 +529,12 @@ def train_forest(X, y, n_estimators: int, seed: int) -> RandomForest:
 
     All trees grow a depth at a time.  A depth is flat arrays: the rows of
     its impure nodes laid out node after node, and per node its tree, row
-    count, class counts and left-to-right rank.  Its nodes are scored in
-    passes of whole nodes (_passes, _best_splits), a split node's rows at or
-    below its threshold go to the left child, and the next depth holds
-    every left child, then every right child.  Only the nested-dict nodes
-    of the trees are made one at a time."""
+    count and class counts.  Its nodes are scored in passes of whole nodes
+    (_passes, _best_splits), and a split node's rows at or below its
+    threshold go to the left child.  Node ids follow the depths: a depth's
+    nodes take the ids after the last depth's, a split node's children in
+    the order of its id, left child first, so a depth's nodes, in id order,
+    are its trees' nodes from left to right, tree after tree."""
     need({"n_estimators": n_estimators, "seed": seed},
          {"n_estimators": at_least(1), "seed": SEED})
     X = np.asarray(X, dtype=float)
@@ -542,64 +556,49 @@ def train_forest(X, y, n_estimators: int, seed: int) -> RandomForest:
     n_feat, n = XT.shape
     k = math.ceil(math.sqrt(n_feat))
     # a depth is flat arrays: its nodes' rows node after node, and per node
-    # its tree, row count, class counts, left-to-right rank and dict
-    rows = np.concatenate([_bootstrap(seed, t, n) for t in range(n_estimators)])
-    rows = rows.astype(np.int32)
+    # its tree, row count and class counts, the nodes in id order
     tree = np.arange(n_estimators)
+    rows = _bootstrap(seed, tree, n).astype(np.int32).ravel()
     sizes = np.full(n_estimators, n)
     counts = np.bincount(np.repeat(tree, n) * len(classes) + y_codes[rows],
                          minlength=n_estimators * len(classes))
     counts = counts.reshape(n_estimators, -1).astype(np.int32)
-    rank = np.arange(n_estimators)
-    trees = [{"leaf": True, "counts": c} for c in counts.tolist()]
-    nodes, depth = trees, 0
+    # per depth, its nodes' split feature, threshold and class counts
+    arrays, depth = [], 0
     while True:
+        node_feature, node_threshold = np.full(len(counts), -1), np.zeros(len(counts))
+        arrays.append((node_feature, node_threshold, counts))
         # only an impure node, one of two or more rows, may split
         impure = counts.max(axis=1) < sizes
         rows = rows[np.repeat(impure, sizes)]
-        tree, sizes, counts, rank = tree[impure], sizes[impure], counts[impure], rank[impure]
-        nodes = [node for node, keep in zip(nodes, impure.tolist()) if keep]
-        if not nodes:
+        tree, sizes, counts = tree[impure], sizes[impure], counts[impure]
+        if not len(tree):
             break
-        # each node's place among the depth's nodes, then among its tree's
-        rank[np.argsort(rank)] = np.arange(len(nodes))
-        position = rank - np.searchsorted(np.sort(tree), tree)
+        # each node's place among its tree's, left to right
+        position = np.arange(len(tree)) - np.searchsorted(tree, tree)
         feats = _feature_subsets(seed, depth, tree, position, n_feat, k)
-        feature = np.empty(len(nodes), dtype=np.intp)
-        threshold = np.empty(len(nodes))
-        left = np.empty_like(counts)
-        go_left = np.empty(len(rows), dtype=bool)
         ends = np.cumsum(sizes)
-        for a, b in _passes(sizes, k):
-            lo, hi = ends[a] - sizes[a], ends[b - 1]
-            _, feature[a:b], threshold[a:b], left[a:b] = _best_splits(
-                ranks, values, offsets, y_codes, rows[lo:hi], sizes[a:b],
-                feats[a:b], counts[a:b])
-            # (a node that does not split reads feature -1, and is left out)
-            go_left[lo:hi] = (
-                np.take(XT, np.repeat(feature[a:b] * n, sizes[a:b]) + rows[lo:hi])
-                <= np.repeat(threshold[a:b], sizes[a:b]))
-        split = feature >= 0
-        on_split = np.repeat(split, sizes)
-        # the next depth: every left child, then every right child
-        rows = np.concatenate([rows[on_split & go_left], rows[on_split & ~go_left]])
-        split_at = np.flatnonzero(split)
-        right = counts[split_at] - left[split_at]
-        lefts = [{"leaf": True, "counts": c} for c in left[split_at].tolist()]
-        rights = [{"leaf": True, "counts": c} for c in right.tolist()]
-        for j, f, thr, left_child, right_child in zip(
-                split_at.tolist(), feature[split_at].tolist(),
-                threshold[split_at].tolist(), lefts, rights):
-            nodes[j].clear()
-            nodes[j].update(leaf=False, feature=f, threshold=thr,
-                            left=left_child, right=right_child)
-        nodes = lefts + rights
-        counts = np.concatenate([left[split_at], right])
+        _, feature, threshold, left = map(np.concatenate, zip(*(
+            _best_splits(ranks, values, offsets, y_codes, rows[ends[a] - sizes[a]:ends[b - 1]],
+                         sizes[a:b], feats[a:b], counts[a:b]) for a, b in _passes(sizes, k))))
+        node_feature[impure], node_threshold[impure] = feature, threshold
+        # (a node that does not split reads feature -1, and is left out below)
+        go_left = np.take(XT, np.repeat(feature * n, sizes) + rows) <= np.repeat(threshold, sizes)
+        # the next depth, in id order: per split node, its rows that go left,
+        # then its other rows
+        split = np.flatnonzero(feature >= 0)
+        on_split = np.repeat(feature >= 0, sizes)
+        child = np.repeat(2 * np.arange(len(tree)), sizes) + ~go_left
+        rows = rows[on_split][np.argsort(child[on_split], kind="stable")]
+        counts = np.stack([left[split], counts[split] - left[split]], 1).reshape(-1, len(classes))
         sizes = counts.sum(axis=1)
-        tree = np.tile(tree[split_at], 2)
-        rank = np.concatenate([2 * rank[split_at], 2 * rank[split_at] + 1])
+        tree = np.repeat(tree[split], 2)
         depth += 1
-    return RandomForest(classes=classes.tolist(), trees=trees)
+    feature, threshold, counts = map(np.concatenate, zip(*arrays))
+    # ids go by depth, so the j-th split node's children are the j-th pair after the roots
+    split = feature >= 0
+    left = np.where(split, n_estimators + 2 * np.cumsum(split) - 2, -1)
+    return RandomForest(classes.tolist(), n_estimators, feature, threshold, left, counts)
 
 
 def classify_two_stage(stage1: RandomForest, stage2: RandomForest, X) -> list:

@@ -29,8 +29,8 @@ EXIT_DATA_ERROR = 1
 EXIT_CONFIG_ERROR = 2
 
 # {name: (what it is, the stage that computes it, its text from the run)}, in
-# stage order; the models are compact JSON, as indent makes json fall back to
-# its pure-Python encoder, ten times slower on a model of nested trees
+# stage order; the models are compact JSON, as indent would give each entry
+# of their node arrays a line and make json use its pure-Python encoder
 ARTIFACTS = {
     "patterns.json": ("patterns", "mine", lambda run: _json(run, run.patterns)),
     "occurrences.jsonl": ("occurrences", "mine",

@@ -204,28 +204,33 @@ def naive_forest_trees(X, y, n_estimators, seed):
     return trees
 
 
-def naive_predict(forest, x):
-    """One row walked down each nested-dict tree; the majority vote with
-    ties to the lowest class, as (label, {class: vote fraction})."""
-    votes = np.zeros(len(forest.classes))
-    for node in forest.trees:
-        while not node["leaf"]:
-            go_left = x[node["feature"]] <= node["threshold"]
-            node = node["left"] if go_left else node["right"]
-        votes[int(np.argmax(node["counts"]))] += 1
-    fractions = votes / votes.sum()
-    label = forest.classes[int(np.argmax(votes))]
-    return label, dict(zip(forest.classes, fractions.tolist()))
+def naive_predict(forest, X):
+    """Each row of X walked down each nested-dict tree of forest.trees; per
+    row the majority vote with ties to the lowest class, as (label, {class:
+    vote fraction})."""
+    trees, out = forest.trees, []
+    for x in X:
+        votes = np.zeros(len(forest.classes))
+        for node in trees:
+            while not node["leaf"]:
+                go_left = x[node["feature"]] <= node["threshold"]
+                node = node["left"] if go_left else node["right"]
+            votes[int(np.argmax(node["counts"]))] += 1
+        fractions = votes / votes.sum()
+        label = forest.classes[int(np.argmax(votes))]
+        out.append((label, dict(zip(forest.classes, fractions.tolist()))))
+    return out
 
 
-def naive_classify_two_stage(stage1, stage2, x):
-    """Per-row two-stage classification: stage 2 only when stage 1 says
-    CAPA."""
+def naive_classify_two_stage(stage1, stage2, X):
+    """Per-row two-stage classification: a row's stage-2 label only when
+    stage 1 says CAPA."""
     from capaminer.classifier import CapaLabel, StageOneLabel
 
-    if StageOneLabel(naive_predict(stage1, x)[0]) is StageOneLabel.NON_CAPA:
-        return StageOneLabel.NON_CAPA
-    return CapaLabel(naive_predict(stage2, x)[0])
+    return [StageOneLabel.NON_CAPA
+            if StageOneLabel(first) is StageOneLabel.NON_CAPA else CapaLabel(second)
+            for (first, _), (second, _) in zip(naive_predict(stage1, X),
+                                              naive_predict(stage2, X))]
 
 
 @pytest.fixture

@@ -292,9 +292,7 @@ class TestRandomForest:
             json.dumps(b.to_json(), sort_keys=True)
 
     def test_vote_tie_goes_to_lowest_class(self):
-        tree_a = {"leaf": True, "counts": [5, 0]}
-        tree_b = {"leaf": True, "counts": [0, 5]}
-        forest = RandomForest(classes=[3, 7], trees=[tree_a, tree_b])
+        forest = leaf_forest([3, 7], [5, 0], [0, 5])
         labels, fractions = forest.predict(np.zeros((1, 4)))
         assert labels.tolist() == [3]
         assert dict(zip(forest.classes, fractions[0].tolist())) == {3: 0.5, 7: 0.5}
@@ -312,7 +310,7 @@ class TestRandomForest:
         forest = train_forest(X, y, 4, 1)
         assert {subsets.shape[1] for subsets in drawn} == {6}
         # every split node drew one subset
-        assert sum(map(len, drawn)) >= sum(map(n_splits, forest.trees)) > 4
+        assert sum(map(len, drawn)) >= np.count_nonzero(forest.feature >= 0) > 4
 
     @pytest.mark.parametrize("field, value", [
         ("seed", -1), ("seed", 2**64), ("seed", 1.5), ("n_estimators", 0),
@@ -325,8 +323,9 @@ class TestRandomForest:
     def test_config_limits_accepted(self, rng):
         X, y = separable_data(rng, n_classes=2, n_per_class=15, n_features=4)
         forest = train_forest(X, y, 1, 2**64 - 1)
-        assert len(forest.trees) == 1
-        assert RandomForest.from_json(forest.to_json(), n_features=4) == forest
+        assert forest.n_trees == len(forest.trees) == 1
+        back = RandomForest.from_json(forest.to_json(), n_features=4)
+        assert back.to_json() == forest.to_json()
 
     def test_single_class_raises(self, rng):
         X = rng.normal(size=(10, 3))
@@ -336,23 +335,35 @@ class TestRandomForest:
     def test_json_round_trip(self, rng):
         X, y = separable_data(rng, n_per_class=15)
         forest = train_forest(X, y, 5, 2)
-        back = RandomForest.from_json(json.loads(json.dumps(forest.to_json())))
+        back = RandomForest.from_json(json.loads(json.dumps(forest.to_json())), X.shape[1])
+        assert back.trees == forest.trees
         probe = rng.normal(15, 8, size=(20, X.shape[1]))
         assert forest.predict(probe)[0].tolist() == back.predict(probe)[0].tolist()
 
     def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError):
-            RandomForest.from_json({"format_version": 99})
+        with pytest.raises(ValueError, match="^format_version must be 3, got 99$"):
+            RandomForest.from_json({"format_version": 99}, n_features=4)
 
     def test_format_1_rejected(self, rng):
-        # format 1 also stored the forest's settings in a config block
+        # format 1 held nested trees and the forest's settings in a config block
         X, y = separable_data(rng, n_classes=2, n_per_class=15, n_features=4)
-        doc = train_forest(X, y, 3, 0).to_json()
-        doc.update(format_version=1, config={"n_estimators": 3, "seed": 0})
-        with pytest.raises(ValueError, match="^format_version must be 2, got 1$"):
+        forest = train_forest(X, y, 3, 0)
+        doc = {"format_version": 1, "classes": forest.classes, "trees": forest.trees,
+               "config": {"n_estimators": 3, "seed": 0}}
+        with pytest.raises(ValueError, match="^format_version must be 3, got 1$"):
             RandomForest.from_json(doc, n_features=4)
 
-    # explicit ids keep the test names stable when a message is reworded
+    def test_format_2_rejected(self, rng):
+        # format 2 held the trees as nested dicts: retrain, there is no converter
+        X, y = separable_data(rng, n_classes=2, n_per_class=15, n_features=4)
+        forest = train_forest(X, y, 3, 0)
+        doc = {"format_version": 2, "classes": forest.classes, "trees": forest.trees}
+        with pytest.raises(ValueError, match="^format_version must be 3, got 2$"):
+            RandomForest.from_json(doc, n_features=4)
+
+    # explicit ids keep the test names stable when a message is reworded; the
+    # model of three one-split trees has splits 0, 1 and 2 (children 3 and 4,
+    # 5 and 6, 7 and 8) and 9 x 2 counts
     @pytest.mark.parametrize("edit, why", [
         pytest.param(lambda d: d.update(classes=[1, 1]),
                      r"^classes must be two or more distinct integers, got \[1, 1\]$",
@@ -360,55 +371,88 @@ class TestRandomForest:
         pytest.param(lambda d: d.update(classes=[1, True]),
                      r"^classes must be two or more distinct integers, got \[1, True\]$",
                      id="<lambda>-classes must be distinct integers1"),
-        (lambda d: d.update(trees=[]), "trees must be a non-empty list"),
-        pytest.param(lambda d: d["trees"].append("leaf"),
-                     r"^trees\[3\]: not a JSON object$", id="<lambda>-boolean leaf0"),
-        pytest.param(lambda d: first_node(d, True).update(leaf=1),
-                     "^leaf must be true or false, got 1$", id="<lambda>-boolean leaf1"),
-        pytest.param(lambda d: first_node(d, True).update(counts=[3]),
-                     r"^counts must be a list of 2 integers >= 0, got \[3\]$",
-                     id="<lambda>-leaf counts0"),
-        pytest.param(lambda d: first_node(d, True).update(counts=[3, -1]),
-                     r"^counts must be a list of 2 integers >= 0, got \[3, -1\]$",
+        pytest.param(lambda d: d.update(n_trees=0),
+                     r"^n_trees must be an integer in \[1, 9\], got 0$",
+                     id="<lambda>-trees must be a non-empty list"),
+        pytest.param(lambda d: d.update(feature=[], threshold=[], left=[], counts=[]),
+                     r"^n_trees must be an integer in \[1, 0\], got 3$", id="no nodes"),
+        pytest.param(lambda d: d["feature"].__setitem__(3, "leaf"),
+                     r"^feature\[3\] must be an integer in \[-1, 3\], got 'leaf'$",
+                     id="<lambda>-boolean leaf0"),
+        pytest.param(lambda d: d["left"].__setitem__(3, True),
+                     r"^left\[3\] must be an integer in \[-1, 7\], got True$",
+                     id="<lambda>-boolean leaf1"),
+        pytest.param(lambda d: d["counts"].pop(),
+                     "^counts must hold 18 entries, got 17$", id="<lambda>-leaf counts0"),
+        pytest.param(lambda d: d["counts"].__setitem__(7, -1),
+                     r"^counts\[7\] must be an integer in \[0, 2147483647\], got -1$",
                      id="<lambda>-leaf counts1"),
-        pytest.param(lambda d: first_node(d, False).update(feature=-1),
-                     "^feature must be an index below 4, got -1$", id="<lambda>-split feature0"),
-        pytest.param(lambda d: first_node(d, False).update(feature=4),
-                     "^feature must be an index below 4, got 4$", id="<lambda>-split feature1"),
-        pytest.param(lambda d: first_node(d, False).update(feature=1.0),
-                     "^feature must be an index below 4, got 1.0$",
+        pytest.param(lambda d: d["counts"].__setitem__(0, 2**31),
+                     r"^counts\[0\] must be an integer in \[0, 2147483647\], "
+                     "got 2147483648$", id="counts past int32"),
+        pytest.param(lambda d: d["feature"].__setitem__(1, -1),
+                     r"^left\[1\] must be -1 at a leaf, got 5$",
+                     id="<lambda>-split feature0"),
+        pytest.param(lambda d: d["feature"].__setitem__(0, 4),
+                     r"^feature\[0\] must be an integer in \[-1, 3\], got 4$",
+                     id="<lambda>-split feature1"),
+        pytest.param(lambda d: d["feature"].__setitem__(0, 1.0),
+                     r"^feature\[0\] must be an integer in \[-1, 3\], got 1.0$",
                      id="<lambda>-split feature2"),
-        pytest.param(lambda d: first_node(d, False).update(threshold="0.5"),
-                     "^threshold must be a finite number, got '0.5'$",
+        pytest.param(lambda d: d["feature"].__setitem__(4, 0),
+                     r"^left\[4\] must be a node after its split, got -1$",
+                     id="leaf with a feature"),
+        pytest.param(lambda d: d["threshold"].__setitem__(0, "0.5"),
+                     r"^threshold\[0\] must be a finite number, got '0.5'$",
                      id="<lambda>-split threshold"),
-        pytest.param(lambda d: first_node(d, False).pop("right"),
-                     "^right must be a tree node, got None$",
+        pytest.param(lambda d: d["threshold"].__setitem__(2, math.nan),
+                     r"^threshold\[2\] must be a finite number, got nan$", id="NaN threshold"),
+        pytest.param(lambda d: d["threshold"].__setitem__(2, 10**400),
+                     r"^threshold\[2\] must be a finite number, got 1000", id="huge threshold"),
+        pytest.param(lambda d: d["threshold"].pop(),
+                     "^threshold must hold 9 entries, got 8$", id="short threshold"),
+        pytest.param(lambda d: d["left"].__setitem__(2, 8),
+                     r"^left\[2\] must be an integer in \[-1, 7\], got 8$",
                      id="<lambda>-a left and a right child"),
+        pytest.param(lambda d: d.pop("left"), "^left must be a list, got None$",
+                     id="no left children"),
+        pytest.param(lambda d: d["left"].__setitem__(1, 1),
+                     r"^left\[1\] must be a node after its split, got 1$", id="own child"),
+        pytest.param(lambda d: d["left"].__setitem__(2, 1),
+                     r"^left\[2\] must be a node after its split, got 1$",
+                     id="earlier child"),
+        pytest.param(lambda d: d["left"].__setitem__(1, 3),
+                     "^node 3 must be the child of one split node, got 2$",
+                     id="repeated child"),
+        pytest.param(lambda d: d.update(n_trees=2),
+                     "^node 2 must be the child of one split node, got 0$",
+                     id="orphan root"),
+        pytest.param(lambda d: d.update(n_trees=4),
+                     "^node 3 must be the child of no node, got 1$", id="root as a child"),
+        # node 1 is the one parent of nodes 1 and 2, and no tree reaches them
+        pytest.param(lambda d: d.update(n_trees=1, feature=[-1, 0, -1], threshold=[0.0] * 3,
+                                        left=[-1, 1, -1], counts=[1, 0] * 3),
+                     r"^left\[1\] must be a node after its split, got 1$",
+                     id="a cycle outside the trees"),
     ])
     def test_malformed_model_rejected(self, rng, edit, why):
         X, y = separable_data(rng, n_classes=2, n_per_class=15, n_features=4)
         doc = json.loads(json.dumps(train_forest(X, y, 3, 0).to_json()))
+        assert doc["feature"][3:] == [-1] * 6 and doc["left"] == [3, 5, 7] + [-1] * 6
         RandomForest.from_json(doc, n_features=4)
         edit(doc)
         with pytest.raises(ValueError, match=why):
             RandomForest.from_json(doc, n_features=4)
 
 
-def n_splits(tree):
-    """The number of split nodes of a nested-dict tree."""
-    return 0 if tree["leaf"] else 1 + n_splits(tree["left"]) + n_splits(tree["right"])
-
-
-def first_node(doc, leaf):
-    """The first leaf (or split) node of a model document, in pre-order."""
-    nodes = list(reversed(doc["trees"]))
-    while nodes:
-        node = nodes.pop()
-        if node["leaf"] is leaf:
-            return node
-        if not node["leaf"]:
-            nodes += [node["right"], node["left"]]
-    raise AssertionError("no such node")
+def leaf_forest(classes, *leaf_counts):
+    """A forest of one-leaf trees with these class counts, read from its
+    model document."""
+    n = len(leaf_counts)
+    return RandomForest.from_json({
+        "format_version": 3, "classes": classes, "n_trees": n, "feature": [-1] * n,
+        "threshold": [0.0] * n, "left": [-1] * n,
+        "counts": [c for counts in leaf_counts for c in counts]}, n_features=4)
 
 
 class TestTwoStage:
@@ -721,11 +765,21 @@ class TestKeyedDraws:
 
     def test_bootstrap_uniform(self):
         n = 40
-        samples = [_bootstrap(3, t, n) for t in range(300)]
+        samples = _bootstrap(3, np.arange(300), n)
         assert all(len(s) == n and (np.diff(s) >= 0).all() for s in samples)
         counts = np.bincount(np.concatenate(samples), minlength=n)
         assert len(counts) == n
         assert stats.chisquare(counts).pvalue > 1e-3
+
+    @pytest.mark.parametrize("n, trees", [(1, [0]), (2, [1, 0]), (40, [5, 0, 3]),
+                                          (257, range(9))])
+    def test_bootstrap_batched_equals_per_tree(self, n, trees):
+        batched = _bootstrap(7, np.array(trees), n)
+        assert batched.shape == (len(trees), n)
+        for t, sample in zip(trees, batched.tolist()):
+            assert sample == _bootstrap(7, np.array([t]), n)[0].tolist()
+            words = (reference_draw(7, _BOOTSTRAP, t, 0, c) for c in range(n))
+            assert sample == sorted((w >> 32) * n >> 32 for w in words)
 
     def test_feature_subsets_uniform(self):
         n_nodes, n_feat, k = 4000, 27, 6
@@ -755,10 +809,9 @@ class TestBatchedPredict:
         labels, fractions = forest.predict(X)
         assert labels.shape == (len(X),)
         assert fractions.shape == (len(X), len(forest.classes))
-        for x, label, frac in zip(X, labels.tolist(), fractions.tolist()):
-            want_label, want_frac = naive_predict(forest, x)
-            assert label == want_label
-            assert dict(zip(forest.classes, frac)) == want_frac
+        for label, frac, want in zip(labels.tolist(), fractions.tolist(),
+                                     naive_predict(forest, X), strict=True):
+            assert (label, dict(zip(forest.classes, frac))) == want
 
     def test_random_forests(self, rng):
         for n_classes in (2, 4, 7):
@@ -774,12 +827,11 @@ class TestBatchedPredict:
                     for i in range(len(probe))] == labels.tolist()
 
     def test_vote_tie_and_one_row(self):
-        forest = RandomForest(classes=[3, 7], trees=[{"leaf": True, "counts": [5, 0]},
-                                                     {"leaf": True, "counts": [0, 5]}])
+        forest = leaf_forest([3, 7], [5, 0], [0, 5])
         self.assert_matches_rows(forest, np.zeros((1, 4)))
 
     def test_vector_rejected(self):
-        forest = RandomForest(classes=[1, 2], trees=[{"leaf": True, "counts": [1, 0]}])
+        forest = leaf_forest([1, 2], [1, 0])
         with pytest.raises(ValueError):
             forest.predict(np.zeros(4))
 
@@ -791,7 +843,7 @@ class TestBatchedPredict:
         stage2 = train_forest(X2, rng.integers(1, 8, size=60), 7, 2)
         probe = rng.normal(3, 3, (50, 4))
         got = classify_two_stage(stage1, stage2, probe)
-        assert got == [naive_classify_two_stage(stage1, stage2, x) for x in probe]
+        assert got == naive_classify_two_stage(stage1, stage2, probe)
         assert {type(g) for g in got} == {StageOneLabel, CapaLabel}
 
     def test_two_stage_with_no_capa_rows(self, rng):

@@ -1,6 +1,9 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capaminer import association, classifier, ingestion
 from capaminer.cli import (
@@ -331,14 +336,17 @@ class TestExitCodes:
     # explicit ids keep the test names stable when a message is reworded
     @pytest.mark.parametrize("stage, edit, why", [
         # a model as format 1 wrote it, with the forest's settings beside its trees
-        pytest.param(1, lambda doc: {**doc, "format_version": 1,
+        pytest.param(1, lambda doc: {**older_format(doc, 1),
                                      "config": {"n_estimators": 100, "seed": 0}},
-                     "format_version must be 2, got 1",
+                     "format_version must be 3, got 1",
                      id="1-<lambda>-format 1 rejected"),
+        # a model as format 2 wrote it, with its trees as nested dicts
+        pytest.param(2, lambda doc: older_format(doc, 2),
+                     "format_version must be 3, got 2", id="format 2 rejected"),
         (2, lambda doc: json.dumps(doc)[:-40], "line 1 column"),  # truncated
         (2, lambda doc: "[" * 100_000, "recursion depth"),
         pytest.param(2, lambda doc: with_split_feature(doc, 99),
-                     "feature must be an index below 27, got 99",
+                     "feature[0] must be an integer in [-1, 26], got 99",
                      id="2-<lambda>-split feature must be an index below 27"),
         (1, lambda doc: {**doc, "classes": [1, 5]}, "not all StageOneLabel values"),
     ])
@@ -444,6 +452,87 @@ class TestExitCodes:
         assert main(["--out", str(out), "report"]) == EXIT_OK
         assert not (out / ".lock").exists()
         assert main(["--out", str(out), "report"]) == EXIT_OK
+
+
+@pytest.fixture(scope="module")
+def trained_fixture(tmp_path_factory):
+    """The config and output directory of a fixture run through label and
+    train."""
+    cfg, out = fixture_config(tmp_path_factory.mktemp("trained"))
+    for step in ("label", "train"):
+        assert main(["--config", str(cfg), step]) == EXIT_OK
+    return cfg, out
+
+
+# values that no node array holds: null, bool, string and nested lists
+NOT_AN_ENTRY = [None, True, "0", [0], []]
+# per node array, more values that no valid model holds there: floats,
+# negatives and out-of-range indices
+MODEL_DEFECTS = {
+    "feature": [1.5, -2, 27, "leaf"],
+    "threshold": [math.nan, math.inf, -math.inf, 10**400],
+    "left": [1.5, -2, "itself", "earlier", "past the end", "right past the end",
+             "repeated"],
+    "counts": [1.5, -1, 2**31],
+}
+# the named defects, put at split node i: -1 makes it a leaf with children,
+# and the others point its left child at itself, at an earlier node, past
+# the last node, at the last node (so its right child is past it), or at
+# the left child of another split
+AT_A_SPLIT = {
+    "leaf": lambda doc, i: -1,
+    "itself": lambda doc, i: i,
+    "earlier": lambda doc, i: i - 1,
+    "past the end": lambda doc, i: len(doc["left"]),
+    "right past the end": lambda doc, i: len(doc["left"]) - 1,
+    "repeated": lambda doc, i: next(c for c in doc["left"] if c not in (-1, doc["left"][i])),
+}
+
+
+def damaged_model(doc, key, defect, position):
+    """doc with one entry of doc[key] replaced by defect, or with doc[key]
+    cut short; position picks the entry, or the length left."""
+    entries = doc[key]
+    if defect == "cut":
+        del entries[position % len(entries):]
+    elif isinstance(defect, str) and defect in AT_A_SPLIT:
+        splits = [i for i, f in enumerate(doc["feature"]) if f >= 0]
+        i = splits[position % len(splits)]
+        entries[i] = AT_A_SPLIT[defect](doc, i)
+    else:
+        entries[position % len(entries)] = defect
+    return doc
+
+
+class TestModelFileContract:
+    """A model file damaged in one entry of one node array, or cut short, is
+    a config error of a lone classify: exit 2, the error naming the file, no
+    traceback, and the output directory as it was."""
+
+    @pytest.mark.parametrize("key, defect", [
+        pytest.param(key, defect, id=f"{key}-" + ("10**400" if defect == 10**400
+                                                   else repr(defect)))
+        for key, defects in MODEL_DEFECTS.items()
+        for defect in [*NOT_AN_ENTRY, *defects, "cut"]])
+    @given(st.sampled_from([1, 2]), st.integers(0, 2**16))
+    @settings(derandomize=True, deadline=None, database=None, max_examples=2)
+    def test_damaged_model_is_a_config_error(self, trained_fixture, key, defect, stage,
+                                             position):
+        cfg, out = trained_fixture
+        path = out / f"model_stage{stage}.json"
+        text = path.read_text()
+        path.write_text(json.dumps(damaged_model(json.loads(text), key, defect, position)))
+        try:
+            before = {p.name: p.read_bytes() for p in out.iterdir()}
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["--config", str(cfg), "classify"])
+            assert code == EXIT_CONFIG_ERROR, err.getvalue()
+            assert err.getvalue().startswith(f"error: invalid model {path}: ")
+            assert "Traceback" not in err.getvalue()
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        finally:
+            path.write_text(text)
 
 
 class TestValidateStandalone:
@@ -742,8 +831,17 @@ def without(line, key):
 
 def with_split_feature(doc, feature):
     """doc with the root split of its first tree on feature."""
-    doc["trees"][0]["feature"] = feature
+    assert doc["feature"][0] >= 0
+    doc["feature"][0] = feature
     return doc
+
+
+def older_format(doc, version):
+    """The model document doc as format 1 or 2 held its forest: nested
+    trees."""
+    forest = classifier.RandomForest.from_json(doc, len(classifier.FEATURE_ORDER))
+    return {"meta": doc["meta"], "format_version": version, "classes": doc["classes"],
+            "trees": forest.trees}
 
 
 def count_calls(monkeypatch, owner, name):
@@ -819,16 +917,18 @@ class TestPipeline:
     def test_fixture_models_pinned(self, tmp_path):
         # trees depend only on the features, labels, keyed draws and Gini
         # arithmetic, so these digests hold on any platform; a change that
-        # grows other trees on purpose updates them and says why
+        # grows other trees on purpose updates them and says why; the digests
+        # changed with model format 3 (node arrays, not nested trees), whose
+        # trees are those of format 2
         cfg, out = fixture_config(tmp_path)
         assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in ("model_stage1.json", "model_stage2.json")}
         assert digests == {
             "model_stage1.json":
-                "a3fd90ae57059fce663848a9e62abe5586d401f603275ceef441c18dfd276070",
+                "799d64ce0da0826808232e6b0c7688bbb43ecc5467ec36f41be3064b0e347f68",
             "model_stage2.json":
-                "3c03ddc430767cfd5831aed0c0421a8750d783f0b4368ffcffaca78e466885e9",
+                "60ae83a30d87d7ff2bea2cc8a5e880b18ebd41e36739052dc8202fd55529801b",
         }
 
     def test_pipeline_imports_no_random_or_masked_arrays(self, tmp_path):
@@ -855,11 +955,11 @@ class TestPipeline:
         X = classifier.encode(ingestion.load_prs_jsonl(FIXTURES / "prs.jsonl").values)
         for forest in (stage1, stage2):
             labels, fractions = forest.predict(X)
-            for x, label, frac in zip(X, labels.tolist(), fractions.tolist()):
-                assert (label, dict(zip(forest.classes, frac))) == \
-                    naive_predict(forest, x)
+            for label, frac, want in zip(labels.tolist(), fractions.tolist(),
+                                         naive_predict(forest, X), strict=True):
+                assert (label, dict(zip(forest.classes, frac))) == want
         got = classifier.classify_two_stage(stage1, stage2, X)
-        assert got == [naive_classify_two_stage(stage1, stage2, x) for x in X]
+        assert got == naive_classify_two_stage(stage1, stage2, X)
         assert classifier.StageOneLabel.NON_CAPA in got
         assert any(isinstance(g, classifier.CapaLabel) for g in got)
 
