@@ -161,7 +161,7 @@ _KEYWORD_MAP_PARTS = {
              f"an object naming one or more distinct labels of {list(_LABELS)}"),
     "non_capa": _PHRASES}
 _BUNDLED_KEYWORD_MAP = json.loads(
-    (Path(__file__).parent / "data" / "default_keywords.json").read_text())
+    (Path(__file__).parent / "data" / "default_keywords.json").read_text(encoding="utf-8"))
 
 
 def load_keyword_map(doc: dict):

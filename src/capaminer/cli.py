@@ -114,8 +114,8 @@ VALUE_CHECKS = {
 
 def load_config(path=None, overrides=None) -> PipelineConfig:
     """The config at path, if any, with overrides; a bad one is a ConfigError."""
-    doc = {} if path is None else _parse(
-        Path(path), "config", lambda text: need(json.loads(text), {}), ConfigError)
+    doc = {} if path is None else _read(
+        path, "config", _text(lambda text: need(json.loads(text), {})), ConfigError)
     try:
         only(doc, PipelineConfig.__dataclass_fields__, "config")
         return PipelineConfig(**{**doc, **(overrides or {})})
@@ -123,22 +123,24 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _require_file(path, what):
+def _read(path, what, load, error, _hint=""):
+    """load(path), the one way a command reads a file: no path, or no file
+    there, is a ConfigError, and a file that load cannot open, decode or
+    parse raises error, which names what and the path."""
     if not path:
         raise ConfigError(f"no {what} path configured")
-    if not os.path.exists(path):
-        raise ConfigError(f"{what} file not found: {path}")
-    return path
-
-
-def _parse(path: Path, what, parse, error):
-    """parse(text) of the file at path; a file that parse cannot read
-    raises error, which names what and the path."""
     try:
-        return parse(path.read_text())
+        return load(path)
+    except (FileNotFoundError, NotADirectoryError):
+        raise ConfigError(f"{what} file not found: {path}{_hint}") from None
     # invalid JSON is a ValueError, JSON nested too deep a RecursionError
     except (OSError, IndexError, TypeError, ValueError, RecursionError) as exc:
         raise error(f"invalid {what} {path}: {exc}") from None
+
+
+def _text(parse):
+    """The load of _read that parses the file's UTF-8 text."""
+    return lambda path: parse(Path(path).read_text(encoding="utf-8"))
 
 
 def _json(run, doc: dict, compact=False):
@@ -161,7 +163,7 @@ def _write(run, stage=None):
     tmps = [run.out / f".{name}.tmp" for name in names]
     try:
         for name, tmp in zip(names, tmps):
-            tmp.write_text(ARTIFACTS[name][2](run))
+            tmp.write_text(ARTIFACTS[name][2](run), encoding="utf-8")
         for name, tmp in zip(names, tmps):
             os.replace(tmp, run.out / name)
     finally:
@@ -227,7 +229,7 @@ class OutputLock:
             fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
             try:
-                pid = self.path.read_text().strip()
+                pid = self.path.read_text(encoding="utf-8").strip()
             except OSError:  # released meanwhile
                 pid = ""
             if pid.isdigit() and not _pid_running(int(pid)):
@@ -286,7 +288,8 @@ class Run:
 
     @cached_property
     def prs(self):
-        prs = ingestion.load_prs_jsonl(_require_file(self.cfg.prs_path, "pull requests"))
+        prs = _read(self.cfg.prs_path, "pull requests", ingestion.load_prs_jsonl,
+                    MalformedInput)
         if not prs:
             raise EmptyDataset(f"no pull requests in {self.cfg.prs_path}")
         return prs
@@ -297,9 +300,8 @@ class Run:
         path = self.cfg.keywords_path
         if not path:
             return classifier.DEFAULT_KEYWORDS, classifier.DEFAULT_NON_CAPA_KEYWORDS
-        return _parse(Path(_require_file(path, "keyword map")), "keyword map",
-                      lambda text: classifier.load_keyword_map(json.loads(text)),
-                      ConfigError)
+        return _read(path, "keyword map", _text(
+            lambda text: classifier.load_keyword_map(json.loads(text))), ConfigError)
 
     @cached_property
     def X(self):
@@ -311,10 +313,7 @@ class Run:
         consumer reads; a missing artifact, or one that parse rejects, is a
         ConfigError naming it and, when missing, the stage that writes it."""
         what, stage, _ = ARTIFACTS[name]
-        path = self.out / name
-        if not path.exists():
-            raise ConfigError(f"{what} not found: {path} (run {stage})")
-        return _parse(path, what, parse, ConfigError)
+        return _read(self.out / name, what, _text(parse), ConfigError, f" (run {stage})")
 
     @cached_property
     def golden(self):
@@ -367,10 +366,9 @@ class Run:
 
 def cmd_mine(run: Run):
     cfg = run.cfg
-    path = _require_file(cfg.metrics_path, "metrics")
-    loaded = ingestion.load_metrics_csv(path)
+    loaded = _read(cfg.metrics_path, "metrics", ingestion.load_metrics_csv, MalformedInput)
     if not loaded:
-        raise EmptyDataset(f"no metric series in {path}")
+        raise EmptyDataset(f"no metric series in {cfg.metrics_path}")
     # mine_patterns numbers the patterns in the order of their metrics
     series = [s for metric in cfg.metrics for s in loaded if s.metric_name == metric]
     patterns = mining.mine_patterns(series, cfg.mining_config())
@@ -463,14 +461,13 @@ def cmd_validate(run: Run, contingency_path=None, pairwise_path=None):
     table), and from the run otherwise.
     """
     if contingency_path:
-        run.table = _parse(Path(_require_file(contingency_path, "contingency table")),
-                           "contingency table", association.contingency_from_csv,
-                           MalformedInput)
+        run.table = _read(contingency_path, "contingency table",
+                          _text(association.contingency_from_csv), MalformedInput)
     qualifying = association.filter_relevant(run.table, run.cfg.min_count)
     if pairwise_path:
-        rows = _parse(Path(pairwise_path), "pairwise rows", lambda text:
-                      association.pairwise_from_json(json.loads(text), qualifying),
-                      MalformedInput)
+        rows = _read(pairwise_path, "pairwise rows", _text(
+            lambda text: association.pairwise_from_json(json.loads(text), qualifying)),
+            MalformedInput)
     else:
         rows = association.pairwise_tests(run.joins, qualifying)
         log.info("skipped %d action pairs with fewer than 2 occurrence samples",
@@ -484,15 +481,6 @@ def cmd_validate(run: Run, contingency_path=None, pairwise_path=None):
              run.chi2["p_value"], len(rows), len(run.mapping["tuples"]))
 
 
-def cmd_pipeline(cfg: PipelineConfig, out: Path):
-    run = Run(cfg, out)
-    for command in (cmd_mine, cmd_label, cmd_train, cmd_classify, cmd_associate,
-                    cmd_validate, cmd_report):
-        command(run)
-    del run.prs, run.X  # no artifact renders from them: free them for _write
-    _write(run)
-
-
 def cmd_report(run: Run):
     """Render report.md from the run's contingency table, class reports,
     chi-squared result and mapping; one that the run does not hold and that
@@ -501,12 +489,16 @@ def cmd_report(run: Run):
     gaps = []
 
     def held(attr, *names):
-        """run.attr, or None when the run does not hold it and one of names
-        is not on disk; those names are gaps."""
-        missing = [] if attr in vars(run) else [
-            n for n in names if not (run.out / n).exists()]
+        """run.attr, or None when it cannot be read because one of names,
+        the artifacts it is read from, is not on disk; those names are gaps."""
+        try:
+            return getattr(run, attr)
+        except ConfigError:
+            missing = [n for n in names if not (run.out / n).exists()]
+            if not missing:
+                raise
         gaps.extend(missing)
-        return None if missing else getattr(run, attr)
+        return None
 
     if (table := held("table", "contingency.csv")) is not None:
         lines += ["## Actions near patterns", "", "```",
@@ -542,6 +534,20 @@ def cmd_report(run: Run):
     run.report_md = "\n".join(lines)
 
 
+# the stages in order, each a subcommand of the same name
+STAGES = {"mine": cmd_mine, "label": cmd_label, "train": cmd_train,
+          "classify": cmd_classify, "associate": cmd_associate,
+          "validate": cmd_validate, "report": cmd_report}
+
+
+def cmd_pipeline(cfg: PipelineConfig, out: Path):
+    run = Run(cfg, out)
+    for name in STAGES:  # by name at call time, so that a tracer's wrappers run
+        globals()[f"cmd_{name}"](run)
+    del run.prs, run.X  # no artifact renders from them: free them for _write
+    _write(run)
+
+
 # --- argument parsing --------------------------------------------------------
 
 def build_parser():
@@ -556,25 +562,13 @@ def build_parser():
     parser.add_argument("--window-days", type=float, metavar="N")
     parser.add_argument("--min-count", type=int, metavar="N")
     sub = parser.add_subparsers(dest="command")
-    for name in ("mine", "label", "train", "classify", "associate",
-                 "pipeline", "report"):
+    for name in [*STAGES, "pipeline"]:
         sub.add_parser(name)
-    validate = sub.add_parser("validate")
-    validate.add_argument("--contingency", metavar="PATH",
-                          help="validate a standalone contingency table")
-    validate.add_argument("--pairwise", metavar="PATH",
-                          help="precomputed pairwise test rows (JSON)")
+    sub.choices["validate"].add_argument(
+        "--contingency", metavar="PATH", help="validate a standalone contingency table")
+    sub.choices["validate"].add_argument(
+        "--pairwise", metavar="PATH", help="precomputed pairwise test rows (JSON)")
     return parser
-
-
-COMMANDS = {
-    "mine": cmd_mine,
-    "label": cmd_label,
-    "train": cmd_train,
-    "classify": cmd_classify,
-    "associate": cmd_associate,
-    "report": cmd_report,
-}
 
 
 def main(argv=None) -> int:
@@ -601,7 +595,7 @@ def main(argv=None) -> int:
                 if args.command == "validate":
                     cmd_validate(run, args.contingency, args.pairwise)
                 else:
-                    COMMANDS[args.command](run)
+                    STAGES[args.command](run)
                 _write(run, args.command)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

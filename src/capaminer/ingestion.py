@@ -54,49 +54,53 @@ def load_metrics_csv(path):
     Rows are grouped by repo and sorted by timestamp; out-of-order input is
     tolerated, but gaps are not filled.  A value that does not parse as a
     finite number raises NonFiniteValue, and a row with more or fewer cells
-    than the header, a timestamp that is not RFC 3339, or a row that is not
-    one step after its repo's previous row, or a timestamp outside the years
-    0001 to 9999 UTC, raises MalformedInput, each naming the 1-based data
-    row.  The step, one for the whole file, is the least positive time
-    between two consecutive rows of a repo, so a repeated instant or a gap
-    is off it.
+    than the header, a timestamp that is not RFC 3339 or lies outside the
+    years 0001 to 9999 UTC, a row that is not one step after its repo's
+    previous row, or a row that csv cannot split (a cell past
+    csv.field_size_limit()) raises MalformedInput, each naming the 1-based
+    data row, or the header.  The step, one for the whole file, is the least
+    positive time between two consecutive rows of a repo, so a repeated
+    instant or a gap is off it.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader, header, row_no = csv.reader(fh), None, 0  # row_no: the last row read
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumn("empty file, no header") from None
-        missing = [c for c in CSV_HEADER if c not in header]
-        if missing:
-            raise MissingColumn(f"missing column(s): {', '.join(missing)}")
-        col = {name: header.index(name) for name in CSV_HEADER}
-        per_repo = {}
-        for row_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise MalformedInput(f"row {row_no} has {len(row)} cells, "
-                                     f"the header {len(header)}")
-            repo, stamp = row[col["repo_id"]], row[col["timestamp"]]
-            try:
-                ts = timeutil.from_rfc3339(stamp)
-            except ValueError:
-                raise MalformedInput(f"timestamp at row {row_no} is not an "
-                                     f"RFC 3339 date: {stamp!r}") from None
-            if not timeutil.WRITABLE[0](ts):
-                raise MalformedInput(f"timestamp at row {row_no} must be "
-                                     f"{timeutil.WRITABLE[1]}, got {stamp!r}")
-            vals = []
-            for metric in METRIC_COLUMNS:
+            header = next(reader, None)
+            if header is None:
+                raise MissingColumn("empty file, no header")
+            missing = [c for c in CSV_HEADER if c not in header]
+            if missing:
+                raise MissingColumn(f"missing column(s): {', '.join(missing)}")
+            col = {name: header.index(name) for name in CSV_HEADER}
+            per_repo = {}
+            for row_no, row in enumerate(reader, start=1):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise MalformedInput(f"row {row_no} has {len(row)} cells, "
+                                         f"the header {len(header)}")
+                repo, stamp = row[col["repo_id"]], row[col["timestamp"]]
                 try:
-                    v = float(row[col[metric]])
+                    ts = timeutil.from_rfc3339(stamp)
                 except ValueError:
-                    raise NonFiniteValue(row_no) from None
-                if not math.isfinite(v):
-                    raise NonFiniteValue(row_no)
-                vals.append(v)
-            per_repo.setdefault(repo, []).append((ts, vals, row_no))
+                    raise MalformedInput(f"timestamp at row {row_no} is not an "
+                                         f"RFC 3339 date: {stamp!r}") from None
+                if not timeutil.WRITABLE[0](ts):
+                    raise MalformedInput(f"timestamp at row {row_no} must be "
+                                         f"{timeutil.WRITABLE[1]}, got {stamp!r}")
+                vals = []
+                for metric in METRIC_COLUMNS:
+                    try:
+                        v = float(row[col[metric]])
+                    except ValueError:
+                        raise NonFiniteValue(row_no) from None
+                    if not math.isfinite(v):
+                        raise NonFiniteValue(row_no)
+                    vals.append(v)
+                per_repo.setdefault(repo, []).append((ts, vals, row_no))
+        except csv.Error as exc:  # a cell past csv.field_size_limit(), say
+            where = "the header" if header is None else f"row {row_no + 1}"
+            raise MalformedInput(f"{where}: {exc}") from None
     grids = {repo: sorted(per_repo[repo], key=lambda r: r[0]) for repo in sorted(per_repo)}
     steps = [(repo, a, b) for repo, rows in grids.items() for a, b in zip(rows, rows[1:])]
     step = min((b[0] - a[0] for _, a, b in steps if b[0] > a[0]), default=None)
@@ -179,10 +183,10 @@ def load_prs_jsonl(path):
             if line.strip():
                 try:
                     yield line_no, json.loads(line)
-                except json.JSONDecodeError:
+                except (json.JSONDecodeError, RecursionError):  # nested too deep
                     raise MalformedLine(line_no) from None
 
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return pull_requests(objects(fh))
 
 

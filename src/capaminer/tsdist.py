@@ -68,10 +68,12 @@ def znormalize(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if len(x) < 2:
         raise ValueError("need at least two points to z-normalize")
-    std = x.std()  # population (1/n) std
+    d = x - x.mean()
+    d -= d.mean()  # the mean's own rounding, which ulp(mean) can't hold
+    std = np.sqrt(np.mean(d * d))  # population (1/n) std
     if std < EPS_VAR:
         raise ZeroVariance(f"window std {std:.3e} below {EPS_VAR:.0e}")
-    return (x - x.mean()) / std
+    return d / std
 
 
 def znorm_distance(q, w) -> float:
@@ -92,19 +94,21 @@ def znormalized_windows(t, m: int):
     """Z-normalize every length-m window of t.
 
     Returns (Z, valid): Z has constant windows zeroed out, valid marks the
-    non-constant ones.  Means and population stds are taken two-pass over a
-    strided window view: O(n*m) but numerically identical to normalizing
-    each window directly, which the cumsum trick is not for near-constant
-    windows.
+    non-constant ones.  Each window is centred twice and its population std
+    taken from the centred values, over a strided window view: O(n*m) but
+    numerically identical to normalizing each window directly, which the
+    cumsum trick is not for near-constant windows.
     """
     t = np.asarray(t, dtype=float)
     if not 1 <= m <= len(t):
         raise ValueError("window length out of range")
     w = np.lib.stride_tricks.sliding_window_view(t, m)
-    mean, std = w.mean(axis=1), w.std(axis=1)
+    d = w - w.mean(axis=1)[:, None]
+    d -= d.mean(axis=1)[:, None]
+    std = np.sqrt(np.mean(d * d, axis=1))
     valid = std >= EPS_VAR
     safe = np.where(valid, std, 1.0)
-    z = (w - mean[:, None]) / safe[:, None]
+    z = d / safe[:, None]
     z[~valid] = 0.0
     return z, valid
 

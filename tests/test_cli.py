@@ -401,6 +401,21 @@ class TestExitCodes:
         if name.endswith(".jsonl"):
             assert f"line {line + 1}" in err
 
+    @pytest.mark.parametrize("missing, what", [
+        ("contingency", "contingency table"), ("pairwise", "pairwise rows")])
+    def test_missing_standalone_table_is_a_config_error(self, tmp_path, capsys,
+                                                         missing, what):
+        paths = {"contingency": bundled_data_path("reference_capa_counts.csv"),
+                 "pairwise": bundled_data_path("reference_pairwise.json"),
+                 missing: tmp_path / "nope"}
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "validate", "--contingency",
+                     str(paths["contingency"]), "--pairwise",
+                     str(paths["pairwise"])]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {what} file not found: {tmp_path / 'nope'}\n")
+        assert list(out.iterdir()) == []
+
     def test_pr_line_must_be_an_object(self, tmp_path, capsys):
         prs = tmp_path / "prs.jsonl"
         prs.write_text((FIXTURES / "prs.jsonl").read_text() + "5\n")
@@ -782,6 +797,22 @@ def creation_date_in_year_33658(tmp_path, out, monkeypatch):
             "got 1000000000000.0\n")
 
 
+def undecodable_pr_line(tmp_path, out, monkeypatch):
+    prs = tmp_path / "prs.jsonl"
+    prs.write_bytes((FIXTURES / "prs.jsonl").read_bytes().replace(b"{", b"\xff{", 1))
+    return ("pipeline", {"prs_path": str(prs)}, EXIT_DATA_ERROR,
+            f"error: invalid pull requests {prs}: 'utf-8' codec can't decode byte 0xff")
+
+
+def undecodable_metrics_row(tmp_path, out, monkeypatch):
+    metrics = tmp_path / "metrics.csv"
+    lines = (FIXTURES / "metrics.csv").read_bytes().splitlines(keepends=True)
+    lines[6] = b"\xff" + lines[6]
+    metrics.write_bytes(b"".join(lines))
+    return ("pipeline", {"metrics_path": str(metrics)}, EXIT_DATA_ERROR,
+            f"error: invalid metrics {metrics}: 'utf-8' codec can't decode byte 0xff")
+
+
 def truncated_model(tmp_path, out, monkeypatch):
     path = out / "model_stage2.json"
     path.write_text(path.read_text()[:-40])
@@ -800,7 +831,8 @@ def unencodable_last_artifact(tmp_path, out, monkeypatch):
 class TestAtomicWrites:
     @pytest.mark.parametrize("case", [
         malformed_line_at_length_9, no_keyword_match, class_with_one_labeled_pr,
-        creation_date_in_year_33658, truncated_model, unencodable_last_artifact],
+        creation_date_in_year_33658, undecodable_pr_line, undecodable_metrics_row,
+        truncated_model, unencodable_last_artifact],
         ids=lambda case: case.__name__)
     def test_failed_run_keeps_every_byte(self, tmp_path, capsys, monkeypatch, case):
         cfg, out = fixture_config(tmp_path)
@@ -946,6 +978,33 @@ class TestPipeline:
         assert child.stdout.strip() == "[]"
         assert (out / "model_stage2.json").exists()
 
+    def test_inputs_are_read_as_utf8_whatever_the_locale(self, tmp_path):
+        # under the C locale, with UTF-8 mode and locale coercion off,
+        # Python's default encoding is ASCII; and an open that falls back to
+        # the locale's encoding is an EncodingWarning, here an error
+        objs = [json.loads(line) for line in
+                (FIXTURES / "prs.jsonl").read_text().splitlines()]
+        objs[0]["text"] = "Überarbeitung: " + objs[0]["text"]
+        prs = tmp_path / "prs.jsonl"
+        prs.write_text("".join(json.dumps(obj, ensure_ascii=False) + "\n"
+                               for obj in objs), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        script = "import sys; from capaminer.cli import main; sys.exit(main(sys.argv[1:]))"
+        outs = []
+        for name, locale in (("utf8", {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"}),
+                             ("ascii", {"LC_ALL": "C", "PYTHONUTF8": "0",
+                                        "PYTHONCOERCECLOCALE": "0"})):
+            cfg, out = fixture_config(tmp_path / name, prs_path=str(prs))
+            child = subprocess.run(
+                [sys.executable, "-X", "warn_default_encoding", "-W",
+                 "error::EncodingWarning", "-c", script, "--config", str(cfg), "pipeline"],
+                env={**env, **locale}, capture_output=True, text=True, encoding="utf-8")
+            assert child.returncode == EXIT_OK, child.stderr
+            outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(outs[0]) == sorted(ARTIFACTS)
+        assert outs[0] == outs[1]
+
     def test_fixture_models_predict_as_per_row_walk(self, tmp_path):
         cfg, out = fixture_config(tmp_path)
         for stage in ("label", "train"):
@@ -988,13 +1047,18 @@ class TestPipeline:
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         assert sorted(before) == sorted(ARTIFACTS)
         # a re-run at another length must not replace the patterns before
-        # the missing input stops it
-        missing = tmp_path / "missing"
-        cfg, _ = fixture_config(tmp_path, min_len=9, max_len=9,
-                                **{key: str(missing)})
-        assert main(["--config", str(cfg), "pipeline"]) == EXIT_CONFIG_ERROR
-        assert str(missing) in capsys.readouterr().err
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        # the missing input stops it; nor may a directory, which cannot be
+        # read: a data error of the data inputs, a config error of the map
+        directory = tmp_path / "directory"
+        directory.mkdir()
+        unreadable = EXIT_CONFIG_ERROR if key == "keywords_path" else EXIT_DATA_ERROR
+        for path, code in ((tmp_path / "missing", EXIT_CONFIG_ERROR),
+                           (directory, unreadable)):
+            cfg, _ = fixture_config(tmp_path, min_len=9, max_len=9, **{key: str(path)})
+            assert main(["--config", str(cfg), "pipeline"]) == code
+            err = capsys.readouterr().err
+            assert str(path) in err and "Traceback" not in err
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("text", [
         '{"capa": {"refactoring": "refactor"}}',  # phrases must be a list

@@ -94,6 +94,18 @@ class TestMetricsCsv:
         with pytest.raises(MalformedInput, match="^row 4 has 6 cells, the header 5$"):
             load_metrics_csv(p)
 
+    @pytest.mark.parametrize("lines, where", [
+        ([GOOD_CSV, f"{'r' * 200_000},2020-01-03T00:00:00Z,1,2,3\n"], "row 4"),
+        ([CSV_HEADER_LINE.replace("repo_id", "r" * 200_000)], "the header"),
+    ], ids=["row", "header"])
+    def test_cell_past_the_field_limit_names_row(self, tmp_path, lines, where):
+        # csv rejects a cell longer than csv.field_size_limit(), 131072
+        p = tmp_path / "m.csv"
+        p.write_text("".join(lines))
+        with pytest.raises(MalformedInput, match=f"^{where}: field larger than "
+                                                 r"field limit \(131072\)$"):
+            load_metrics_csv(p)
+
     def test_repeated_instant_names_repo_and_row(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text(GOOD_CSV + "org/a,2020-01-01T00:00:00Z,3,2,5\n")
@@ -236,6 +248,14 @@ class TestPrsJsonl:
         with pytest.raises(MalformedLine) as exc:
             load_prs_jsonl(p)
         assert exc.value.line_number == 2
+
+    def test_deeply_nested_json_names_line(self, tmp_path):
+        # json.loads ends in a RecursionError long before the array closes
+        p = tmp_path / "prs.jsonl"
+        p.write_text('{"repo_id": "org/a", "creation_date": '
+                     '"2020-01-01T00:00:00Z"}\n' + "[" * 100_000 + "\n")
+        with pytest.raises(MalformedLine, match="^malformed JSON at line 2$"):
+            load_prs_jsonl(p)
 
     @pytest.mark.parametrize("field, value", [
         # booleans take only true/false
