@@ -3,7 +3,10 @@ the fields of a document read from outside: the config, the keyword map, a
 model, an artifact, a published pairwise table or a pull-request record.  A
 spec {key: (test, requirement)} fails at its first missing or failing key
 with the ValueError "<key> must be <requirement>, got <value>", which
-need_rows prefixes with "<list>[n]: "; the caller names the file."""
+need_rows prefixes with "<list>[n]: ".  A defect in the content of an input
+file, found here or by a loader, is only ever a ValueError; cli._read, the
+one step through which a command reads a file, turns it into the command's
+error, naming the file."""
 
 import math
 
@@ -90,27 +93,8 @@ class EmptyTable(CapaMinerError):
 
 
 class MalformedInput(CapaMinerError):
-    """An input file does not have the expected layout."""
-
-
-class MissingColumn(CapaMinerError):
-    """A required CSV column is absent."""
-
-
-class NonFiniteValue(CapaMinerError):
-    """A metric value failed to parse as a finite number."""
-
-    def __init__(self, row, message=None):
-        self.row = row
-        super().__init__(message or f"non-finite value at row {row}")
-
-
-class MalformedLine(CapaMinerError):
-    """A JSON-lines record failed to parse."""
-
-    def __init__(self, line_number, message=None):
-        self.line_number = line_number
-        super().__init__(message or f"malformed JSON at line {line_number}")
+    """A data file, the metrics, the pull requests or a standalone table,
+    cannot be read, decoded or parsed; the message names the file."""
 
 
 class RadarError(CapaMinerError):

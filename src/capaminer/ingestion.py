@@ -25,10 +25,6 @@ from .errors import (
     TEXT,
     AuthError,
     IncompleteRecord,
-    MalformedInput,
-    MalformedLine,
-    MissingColumn,
-    NonFiniteValue,
     NotFound,
     RadarError,
     RateLimited,
@@ -52,63 +48,63 @@ def load_metrics_csv(path):
     """Load the commit-metric CSV into one MetricSeries per (repo, metric).
 
     Rows are grouped by repo and sorted by timestamp; out-of-order input is
-    tolerated, but gaps are not filled.  A value that does not parse as a
-    finite number raises NonFiniteValue, and a row with more or fewer cells
-    than the header, a timestamp that is not RFC 3339 or lies outside the
-    years 0001 to 9999 UTC, a row that is not one step after its repo's
+    tolerated, but gaps are not filled.  A missing header or column, a row
+    with more or fewer cells than the header, a timestamp that is not RFC
+    3339 or lies outside the years 0001 to 9999 UTC, a value that does not
+    parse as a finite number, a row that is not one step after its repo's
     previous row, or a row that csv cannot split (a cell past
-    csv.field_size_limit()) raises MalformedInput, each naming the 1-based
-    data row, or the header.  The step, one for the whole file, is the least
-    positive time between two consecutive rows of a repo, so a repeated
-    instant or a gap is off it.
+    csv.field_size_limit()) raises ValueError, naming the 1-based data row,
+    or the header.  The step, one for the whole file, is the least positive
+    time between two consecutive rows of a repo, so a repeated instant or a
+    gap is off it.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader, header, row_no = csv.reader(fh), None, 0  # row_no: the last row read
         try:
             header = next(reader, None)
             if header is None:
-                raise MissingColumn("empty file, no header")
+                raise ValueError("empty file, no header")
             missing = [c for c in CSV_HEADER if c not in header]
             if missing:
-                raise MissingColumn(f"missing column(s): {', '.join(missing)}")
+                raise ValueError(f"missing column(s): {', '.join(missing)}")
             col = {name: header.index(name) for name in CSV_HEADER}
             per_repo = {}
             for row_no, row in enumerate(reader, start=1):
                 if not row:
                     continue
                 if len(row) != len(header):
-                    raise MalformedInput(f"row {row_no} has {len(row)} cells, "
-                                         f"the header {len(header)}")
+                    raise ValueError(f"row {row_no} has {len(row)} cells, "
+                                     f"the header {len(header)}")
                 repo, stamp = row[col["repo_id"]], row[col["timestamp"]]
                 try:
                     ts = timeutil.from_rfc3339(stamp)
                 except ValueError:
-                    raise MalformedInput(f"timestamp at row {row_no} is not an "
-                                         f"RFC 3339 date: {stamp!r}") from None
+                    raise ValueError(f"timestamp at row {row_no} is not an "
+                                     f"RFC 3339 date: {stamp!r}") from None
                 if not timeutil.WRITABLE[0](ts):
-                    raise MalformedInput(f"timestamp at row {row_no} must be "
-                                         f"{timeutil.WRITABLE[1]}, got {stamp!r}")
+                    raise ValueError(f"timestamp at row {row_no} must be "
+                                     f"{timeutil.WRITABLE[1]}, got {stamp!r}")
                 vals = []
                 for metric in METRIC_COLUMNS:
                     try:
                         v = float(row[col[metric]])
                     except ValueError:
-                        raise NonFiniteValue(row_no) from None
+                        v = math.nan
                     if not math.isfinite(v):
-                        raise NonFiniteValue(row_no)
+                        raise ValueError(f"non-finite value at row {row_no}")
                     vals.append(v)
                 per_repo.setdefault(repo, []).append((ts, vals, row_no))
         except csv.Error as exc:  # a cell past csv.field_size_limit(), say
             where = "the header" if header is None else f"row {row_no + 1}"
-            raise MalformedInput(f"{where}: {exc}") from None
+            raise ValueError(f"{where}: {exc}") from None
     grids = {repo: sorted(per_repo[repo], key=lambda r: r[0]) for repo in sorted(per_repo)}
     steps = [(repo, a, b) for repo, rows in grids.items() for a, b in zip(rows, rows[1:])]
     step = min((b[0] - a[0] for _, a, b in steps if b[0] > a[0]), default=None)
     want = f"the file's step of {step:.15g} s" if step else "a step above 0 s"
     for repo, a, b in steps:
         if b[0] - a[0] != step:
-            raise MalformedInput(f"row {b[2]} of {repo} is {b[0] - a[0]:.15g} s "
-                                 f"after row {a[2]}, not {want}")
+            raise ValueError(f"row {b[2]} of {repo} is {b[0] - a[0]:.15g} s "
+                             f"after row {a[2]}, not {want}")
     series = []
     for repo, rows in grids.items():
         ts = np.array([r[0] for r in rows])
@@ -137,7 +133,7 @@ def pull_requests(numbered, noun="line"):
     """The PullRequests of (n, object) pairs, each object checked as it
     comes, so the first defect in the input is the one reported: a metric
     of the wrong kind (classifier._coerce), no creation_date, or a (repo_id,
-    pr_id) seen before raises MalformedLine(n, "<noun> <n>: ...").  pr_id
+    pr_id) seen before raises the ValueError "<noun> <n>: ...".  pr_id
     defaults to pull_request_number, then n, and text to title and body
     joined; unknown fields are ignored with a logged notice."""
     names = classifier.FEATURE_ORDER
@@ -146,7 +142,7 @@ def pull_requests(numbered, noun="line"):
     for n, obj in numbered:
         where = f"{noun} {n}"
         if not isinstance(obj, dict):
-            raise MalformedLine(n, f"{where}: not a JSON object")
+            raise ValueError(f"{where}: not a JSON object")
         unknown = set(obj) - known
         if unknown:
             log.info("%s: ignoring unknown fields %s", where, sorted(unknown))
@@ -165,10 +161,10 @@ def pull_requests(numbered, noun="line"):
             rows.append([math.nan if (v := obj.get(name)) is None
                          else classifier._coerce(name, v) for name in names])
         except ValueError as exc:
-            raise MalformedLine(n, f"{where}: {exc}") from None
+            raise ValueError(f"{where}: {exc}") from None
         if (earlier := first.setdefault((repo_id, pr_id), n)) != n:
-            raise MalformedLine(n, f"{where}: pull request {pr_id!r} of {repo_id!r} "
-                                f"repeats {noun} {earlier}")
+            raise ValueError(f"{where}: pull request {pr_id!r} of {repo_id!r} "
+                             f"repeats {noun} {earlier}")
         texts.append(text)
     return PullRequests([r for r, _ in first], [p for _, p in first], texts,
                         np.array(rows, dtype=float).reshape(len(rows), len(names)))
@@ -176,15 +172,16 @@ def pull_requests(numbered, noun="line"):
 
 def load_prs_jsonl(path):
     """The PullRequests of a JSON-lines file, one object per non-blank
-    line; a line that is not JSON, or the first that pull_requests rejects,
-    raises MalformedLine with its 1-based line number."""
+    line.  A line that is not JSON raises the ValueError "malformed JSON at
+    line <n>", n from 1, and the first line that pull_requests rejects
+    raises its ValueError "line <n>: ..."."""
     def objects(fh):
         for line_no, line in enumerate(fh, start=1):
             if line.strip():
                 try:
                     yield line_no, json.loads(line)
                 except (json.JSONDecodeError, RecursionError):  # nested too deep
-                    raise MalformedLine(line_no) from None
+                    raise ValueError(f"malformed JSON at line {line_no}") from None
 
     with open(path, encoding="utf-8") as fh:
         return pull_requests(objects(fh))

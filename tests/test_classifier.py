@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from capaminer import classifier
-from capaminer.errors import DegenerateData, MalformedLine
+from capaminer.errors import DegenerateData
 from capaminer.classifier import (
     BOOLEAN_FIELDS,
     FEATURE_ORDER,
@@ -88,17 +88,17 @@ class TestFeatureEncoding:
         assert x[FEATURE_ORDER.index("number_of_additions")] == MISSING
 
     def test_missing_creation_date(self):
-        with pytest.raises(MalformedLine, match="^line 1: creation_date missing$"):
+        with pytest.raises(ValueError, match="^line 1: creation_date missing$"):
             one_pr(creation_date=None)
 
     @pytest.mark.parametrize("name, value", [
         ("repo_id", 5), ("repo_id", None), ("text", 5), ("text", ["fix ci"])])
     def test_text_and_repo_id_must_be_strings(self, name, value):
-        with pytest.raises(MalformedLine, match=f"^line 1: {name} must be a string"):
+        with pytest.raises(ValueError, match=f"^line 1: {name} must be a string"):
             one_pr(**{"creation_date": 0.0, "text": "", name: value})
 
     def test_negative_count_rejected(self):
-        with pytest.raises(MalformedLine,
+        with pytest.raises(ValueError,
                            match="^line 1: number_of_commits must be non-negative"):
             one_pr(creation_date=0.0, number_of_commits=-2)
 
@@ -107,7 +107,7 @@ class TestFeatureEncoding:
         assert prs.values.dtype == np.float64
         assert present(prs) == {"number_of_commits": 3.0, "creation_date": 2.0}
         for bad in (float("nan"), 10**400):
-            with pytest.raises(MalformedLine, match="number_of_commits must be a finite"):
+            with pytest.raises(ValueError, match="number_of_commits must be a finite"):
                 one_pr(creation_date=0.0, number_of_commits=bad)
 
     @pytest.mark.parametrize("name", sorted(TIMESTAMP_FIELDS))
@@ -125,7 +125,7 @@ class TestFeatureEncoding:
             assert to_rfc3339(got) == text and from_rfc3339(text) == got
         for value in [math.nextafter(-62135596800, -math.inf), 253402300800, 1e12,
                       "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"]:
-            with pytest.raises(MalformedLine, match=re.escape(
+            with pytest.raises(ValueError, match=re.escape(
                     f"{name} must be a time in years 0001 to 9999 UTC, got {value!r}")):
                 record(value)
 

@@ -256,7 +256,8 @@ class TestExitCodes:
         prs.write_text("\n".join(lines) + "\n")
         cfg, _ = fixture_config(tmp_path, prs_path=str(prs))
         assert main(["--config", str(cfg), "pipeline"]) == EXIT_DATA_ERROR
-        assert f"error: line 1: {field} {why}" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"error: invalid pull requests {prs}: line 1: {field} {why}")
 
     @pytest.mark.parametrize("edit, why", [
         (lambda cells: cells[:3], "row 6 has 3 cells, the header 5"),
@@ -276,7 +277,7 @@ class TestExitCodes:
         out.mkdir()
         for stage in ("mine", "pipeline"):
             assert main(["--config", str(cfg), stage]) == EXIT_DATA_ERROR
-            assert capsys.readouterr().err == f"error: {why}\n"
+            assert capsys.readouterr().err == f"error: invalid metrics {metrics}: {why}\n"
             assert list(out.iterdir()) == []
 
     def test_null_pr_ids_fall_back_to_the_pull_request_number(self, tmp_path):
@@ -302,8 +303,8 @@ class TestExitCodes:
         assert main(["--config", str(cfg), "label"]) == EXIT_DATA_ERROR
         first = json.loads(lines[4])
         assert capsys.readouterr().err == (
-            f"error: line {len(lines) + 1}: pull request {first['pr_id']!r} of "
-            f"{first['repo_id']!r} repeats line 5\n")
+            f"error: invalid pull requests {prs}: line {len(lines) + 1}: pull request "
+            f"{first['pr_id']!r} of {first['repo_id']!r} repeats line 5\n")
         assert not (out / "golden.jsonl").exists()
 
     def test_non_string_text_is_a_data_error(self, tmp_path, capsys):
@@ -313,7 +314,8 @@ class TestExitCodes:
         prs.write_text("\n".join(lines) + "\n")
         cfg, _ = fixture_config(tmp_path, prs_path=str(prs))
         assert main(["--config", str(cfg), "label"]) == EXIT_DATA_ERROR
-        assert "error: line 3: text must be a string, got 5" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: invalid pull requests {prs}: line 3: text must be a string, got 5\n")
 
     @pytest.mark.parametrize("edit, why", [
         (no_keyword, "stage 1: training needs labeled pull requests of 2 classes "
@@ -773,7 +775,8 @@ def malformed_line_at_length_9(tmp_path, out, monkeypatch):
     prs = fixture_prs(tmp_path / "prs.jsonl",
                       lambda objs: [*objs[:5], {"creation_date": "yesterday"}, *objs[6:]])
     return ("pipeline", {"prs_path": str(prs), "min_len": 9, "max_len": 9},
-            EXIT_DATA_ERROR, "error: line 6: creation_date is not an RFC 3339 date: 'yesterday'\n")
+            EXIT_DATA_ERROR, f"error: invalid pull requests {prs}: line 6: creation_date is "
+                             "not an RFC 3339 date: 'yesterday'\n")
 
 
 def no_keyword_match(tmp_path, out, monkeypatch):
@@ -793,8 +796,8 @@ def class_with_one_labeled_pr(tmp_path, out, monkeypatch):
 def creation_date_in_year_33658(tmp_path, out, monkeypatch):
     prs = fixture_prs(tmp_path / "prs.jsonl", with_creation_date(1e12))
     return ("pipeline", {"prs_path": str(prs)}, EXIT_DATA_ERROR,
-            "error: line 1: creation_date must be a time in years 0001 to 9999 UTC, "
-            "got 1000000000000.0\n")
+            f"error: invalid pull requests {prs}: line 1: creation_date must be a time "
+            "in years 0001 to 9999 UTC, got 1000000000000.0\n")
 
 
 def undecodable_pr_line(tmp_path, out, monkeypatch):
@@ -811,6 +814,56 @@ def undecodable_metrics_row(tmp_path, out, monkeypatch):
     metrics.write_bytes(b"".join(lines))
     return ("pipeline", {"metrics_path": str(metrics)}, EXIT_DATA_ERROR,
             f"error: invalid metrics {metrics}: 'utf-8' codec can't decode byte 0xff")
+
+
+def defective(name, edit, why):
+    """A case of test_failed_run_keeps_every_byte: the pipeline on the
+    fixture file name with its lines edited, which must exit 1 naming the
+    file, then why."""
+    what, key = {"metrics.csv": ("metrics", "metrics_path"),
+                 "prs.jsonl": ("pull requests", "prs_path")}[name]
+
+    def case(tmp_path, out, monkeypatch):
+        lines = (FIXTURES / name).read_text().splitlines()
+        path = tmp_path / name
+        path.write_text("".join(line + "\n" for line in edit(lines)))
+        return ("pipeline", {key: str(path)}, EXIT_DATA_ERROR,
+                f"error: invalid {what} {path}: {why}\n")
+
+    case.__name__ = f"{name}-{edit.__name__}"
+    return case
+
+
+def cut_column(lines):
+    return [lines[0].replace("lines_changed", "lines_total"), *lines[1:]]
+
+
+def short_row(lines):
+    return [*lines[:6], ",".join(lines[6].split(",")[:3]), *lines[7:]]
+
+
+def infinite_cell(lines):
+    return [*lines[:6], lines[6].rsplit(",", 1)[0] + ",inf", *lines[7:]]
+
+
+def repeated_row(lines):
+    return [*lines[:7], *lines[6:]]
+
+
+def bad_timestamp(lines):
+    return [*lines[:6], lines[6].replace("2020-09-18T12:26:40Z", "notadate"), *lines[7:]]
+
+
+def not_json(lines):
+    return [*lines[:5], "{oops", *lines[6:]]
+
+
+def string_count(lines):
+    return [*lines[:5], with_fields(lines[5], number_of_comments="3"), *lines[6:]]
+
+
+def repeated_pr(lines):
+    return [*lines[:5], with_fields(lines[5], pr_id="105"), *lines[6:]]
 
 
 def truncated_model(tmp_path, out, monkeypatch):
@@ -832,7 +885,20 @@ class TestAtomicWrites:
     @pytest.mark.parametrize("case", [
         malformed_line_at_length_9, no_keyword_match, class_with_one_labeled_pr,
         creation_date_in_year_33658, undecodable_pr_line, undecodable_metrics_row,
-        truncated_model, unencodable_last_artifact],
+        truncated_model, unencodable_last_artifact,
+        # each loader defect names the file, then its row or line
+        defective("metrics.csv", cut_column, "missing column(s): lines_changed"),
+        defective("metrics.csv", short_row, "row 6 has 3 cells, the header 5"),
+        defective("metrics.csv", infinite_cell, "non-finite value at row 6"),
+        defective("metrics.csv", repeated_row,
+                  "row 7 of org/repo0 is 0 s after row 6, not the file's step of 86400 s"),
+        defective("metrics.csv", bad_timestamp,
+                  "timestamp at row 6 is not an RFC 3339 date: 'notadate'"),
+        defective("prs.jsonl", not_json, "malformed JSON at line 6"),
+        defective("prs.jsonl", string_count,
+                  "line 6: number_of_comments must be a finite number, got '3'"),
+        defective("prs.jsonl", repeated_pr,
+                  "line 6: pull request '105' of 'org/repo0' repeats line 5")],
         ids=lambda case: case.__name__)
     def test_failed_run_keeps_every_byte(self, tmp_path, capsys, monkeypatch, case):
         cfg, out = fixture_config(tmp_path)

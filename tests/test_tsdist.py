@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -40,6 +41,21 @@ class TestZnormalize:
             znormalize([1.0])
 
 
+def exact_znorm_distance(q, w):
+    """The distance of the z-normalized float64 inputs q and w, computed
+    in decimal at 60 digits."""
+    def z(x):
+        x = [decimal.Decimal(float(v)) for v in x]
+        mean = sum(x) / len(x)
+        d = [v - mean for v in x]
+        std = (sum(v * v for v in d) / len(d)).sqrt()
+        return [v / std for v in d]
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        return float(sum((a - b) ** 2 for a, b in zip(z(q), z(w))).sqrt())
+
+
 class TestZnormDistance:
     def test_affine_copy_is_zero(self):
         assert znorm_distance([1, 2, 3], [2, 4, 6]) == pytest.approx(0, abs=1e-9)
@@ -63,14 +79,27 @@ class TestZnormDistance:
         with pytest.raises(ZeroVariance):
             znorm_distance([1, 1, 1], [1, 2, 3])
 
-    @given(st.lists(st.floats(-100, 100), min_size=4, max_size=30),
-           st.floats(0.1, 10), st.floats(-50, 50))
+    # vals and b on a 2**-10 grid, a a power of two: every a*q + b is exact
+    # in float64, so the inputs are affine copies and their distance is 0
+    @given(st.lists(st.integers(-100 * 2**10, 100 * 2**10).map(lambda k: k / 2**10),
+                    min_size=4, max_size=30),
+           st.integers(-3, 3).map(lambda e: 2.0**e),
+           st.integers(-50 * 2**10, 50 * 2**10).map(lambda k: k / 2**10))
     @settings(max_examples=200, deadline=None)
     def test_affine_invariance(self, vals, a, b):
         q = np.asarray(vals)
         if q.std() < 1e-6:
             return
         assert znorm_distance(a * q + b, q) == pytest.approx(0, abs=1e-9)
+
+    def test_rounded_affine_copy_keeps_its_distance(self):
+        # 0.1*q + 32 rounds in float64, so the inputs are no longer affine
+        # copies: their exact distance is about 1.0084e-9, which the kernel
+        # meets within 4.3e-17
+        q = np.array([0, 0, 0, 6.103515625e-05, 1.192092896e-07])
+        w = 0.1 * q + 32
+        assert znorm_distance(w, q) == pytest.approx(exact_znorm_distance(w, q),
+                                                     rel=0, abs=1e-15)
 
     @given(st.integers(0, 2**32 - 1), st.integers(3, 40))
     @settings(max_examples=200, deadline=None)
