@@ -28,35 +28,6 @@ EXIT_OK = 0
 EXIT_DATA_ERROR = 1
 EXIT_CONFIG_ERROR = 2
 
-# {name: (what it is, the stage that computes it, its text from the run)}, in
-# stage order; the models are compact JSON, as indent would give each entry
-# of their node arrays a line and make json use its pure-Python encoder
-ARTIFACTS = {
-    "patterns.json": ("patterns", "mine", lambda run: _json(run, run.patterns)),
-    "occurrences.jsonl": ("occurrences", "mine",
-                          lambda run: _jsonl(run, run.occurrences)),
-    "golden.jsonl": ("golden standard", "label", lambda run: _jsonl(run, run.golden)),
-    "model_stage1.json": ("model", "train",
-                          lambda run: _json(run, run.models[0].to_json(), compact=True)),
-    "model_stage2.json": ("model", "train",
-                          lambda run: _json(run, run.models[1].to_json(), compact=True)),
-    "report_stage1.json": ("class report", "train",
-                           lambda run: _json(run, run.reports[0])),
-    "report_stage2.json": ("class report", "train",
-                           lambda run: _json(run, run.reports[1])),
-    "classified.jsonl": ("classified pull requests", "classify",
-                         lambda run: _jsonl(run, run.classified)),
-    "contingency.csv": ("contingency table", "associate",
-                        lambda run: f"# seed={run.cfg.seed}\n"
-                        + association.contingency_to_csv(run.table)),
-    "chi2.json": ("chi-squared result", "validate", lambda run: _json(run, run.chi2)),
-    "pairwise.json": ("pairwise tests", "validate",
-                      lambda run: _json(run, {"tests": run.pairwise})),
-    "mapping.json": ("mapping", "validate", lambda run: _json(run, run.mapping)),
-    "report.md": ("report", "report", lambda run: run.report_md),
-}
-
-
 @dataclass
 class PipelineConfig:
     metrics_path: str = ""
@@ -133,8 +104,10 @@ def _read(path, what, load, error, _hint=""):
         return load(path)
     except (FileNotFoundError, NotADirectoryError):
         raise ConfigError(f"{what} file not found: {path}{_hint}") from None
-    # invalid JSON is a ValueError, JSON nested too deep a RecursionError
-    except (OSError, IndexError, TypeError, ValueError, RecursionError) as exc:
+    # invalid JSON is a ValueError, JSON nested too deep a RecursionError; an
+    # AttributeError must not leave Run.__getattr__, as a missing attribute
+    except (OSError, IndexError, TypeError, ValueError, RecursionError,
+            AttributeError) as exc:
         raise error(f"invalid {what} {path}: {exc}") from None
 
 
@@ -152,23 +125,6 @@ def _json(run, doc: dict, compact=False):
 def _jsonl(run, rows):
     return "".join(json.dumps(row, sort_keys=True) + "\n"
                    for row in [{"meta": {"seed": run.cfg.seed}}, *rows])
-
-
-def _write(run, stage=None):
-    """Write the artifacts of stage, or of every stage, from the run: each
-    rendered and written to a temp file in turn, then all renamed into
-    place, so a run that fails before the renames leaves the output
-    directory as it was."""
-    names = [name for name, (_, by, _) in ARTIFACTS.items() if stage in (None, by)]
-    tmps = [run.out / f".{name}.tmp" for name in names]
-    try:
-        for name, tmp in zip(names, tmps):
-            tmp.write_text(ARTIFACTS[name][2](run), encoding="utf-8")
-        for name, tmp in zip(names, tmps):
-            os.replace(tmp, run.out / name)
-    finally:
-        for tmp in tmps:
-            tmp.unlink(missing_ok=True)
 
 
 # {key: (test, requirement)} of the artifact fields that later stages read
@@ -196,8 +152,9 @@ def _golden_row(g):
     return need(g, {"stage2": _CAPA}) if g["stage1"] == "capa" else g
 
 
-def _chi2(doc):
+def _chi2(text):
     """A chi-squared document: a test result, or the note why there is none."""
+    doc = json.loads(text)
     untested = isinstance(doc, dict) and doc.get("statistic") is None
     return need(doc, {"note": TEXT} if untested else CHI2_FIELDS)
 
@@ -214,6 +171,83 @@ def _read_jsonl(text, parse_row):
         except ValueError as exc:
             raise ValueError(f"line {n}: {exc}") from None
     return rows
+
+
+def _forest(doc, labels):
+    """The forest of a model document, whose classes must be labels values."""
+    forest = classifier.RandomForest.from_json(doc, len(classifier.FEATURE_ORDER))
+    if not set(forest.classes) <= set(labels):
+        raise ValueError(f"classes {forest.classes} are not all "
+                         f"{labels.__name__} values")
+    return forest
+
+
+def _model(run, forest):
+    return _json(run, forest.to_json(), compact=True)
+
+
+def _class_report(text):
+    return need_rows(json.loads(text), "rows", CLASS_REPORT_ROW_FIELDS)
+
+
+# {name: (what it is, the stage that computes it, the Run attribute that holds
+# it, render(run, value) of its text, parse(text) of its value or None where
+# no stage reads it back)}, in stage order; rows that share an attribute hold
+# the items of its list in table order.  The one rule: a value the run did not
+# compute is read through its rows.  The models are compact JSON, as indent
+# would give each entry of their node arrays a line and make json use its
+# pure-Python encoder
+ARTIFACTS = {
+    "patterns.json": ("patterns", "mine", "patterns", _json, None),
+    "occurrences.jsonl": ("occurrences", "mine", "occurrences", _jsonl, lambda text:
+                          _read_jsonl(text, lambda o: need(o, OCCURRENCE_FIELDS))),
+    "golden.jsonl": ("golden standard", "label", "golden", _jsonl,
+                     lambda text: _read_jsonl(text, _golden_row)),
+    "model_stage1.json": ("model", "train", "models", _model, lambda text:
+                          _forest(json.loads(text), classifier.StageOneLabel)),
+    "model_stage2.json": ("model", "train", "models", _model, lambda text:
+                          _forest(json.loads(text), classifier.CapaLabel)),
+    "report_stage1.json": ("class report", "train", "reports", _json, _class_report),
+    "report_stage2.json": ("class report", "train", "reports", _json, _class_report),
+    "classified.jsonl": ("classified pull requests", "classify", "classified", _jsonl,
+                         lambda text: _read_jsonl(text, lambda c: need(
+                             c, CLASSIFIED_FIELDS))),
+    "contingency.csv": ("contingency table", "associate", "table", lambda run, table:
+                        f"# seed={run.cfg.seed}\n" + association.contingency_to_csv(table),
+                        association.contingency_from_csv),
+    "chi2.json": ("chi-squared result", "validate", "chi2", _json, _chi2),
+    "pairwise.json": ("pairwise tests", "validate", "pairwise",
+                      lambda run, rows: _json(run, {"tests": rows}), None),
+    "mapping.json": ("mapping", "validate", "mapping", _json, lambda text: need_rows(
+        need(json.loads(text), {"alpha": NUMBER}), "tuples", MAPPING_TUPLE_FIELDS)),
+    "report.md": ("report", "report", "report_md", lambda run, text: text, None),
+}
+
+
+def _rows(attr):
+    """The names of the artifacts that hold the Run attribute attr."""
+    return [name for name, row in ARTIFACTS.items() if row[2] == attr]
+
+
+def _write(run, stage=None):
+    """Write the artifacts of stage, or of every stage, from the run: each
+    rendered and written to a temp file in turn, then all renamed into
+    place, so a run that fails before the renames leaves the output
+    directory as it was."""
+    names = [name for name, row in ARTIFACTS.items() if stage in (None, row[1])]
+    tmps = [run.out / f".{name}.tmp" for name in names]
+    try:
+        for name, tmp in zip(names, tmps):
+            _, _, attr, render, _ = ARTIFACTS[name]
+            value, rows = getattr(run, attr), _rows(attr)
+            if len(rows) > 1:
+                value = value[rows.index(name)]
+            tmp.write_text(render(run, value), encoding="utf-8")
+        for name, tmp in zip(names, tmps):
+            os.replace(tmp, run.out / name)
+    finally:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
 
 
 class OutputLock:
@@ -259,27 +293,19 @@ def bundled_data_path(name: str) -> Path:
     return Path(__file__).parent / "data" / name
 
 
-def _forest(doc, labels):
-    """The forest of a model document, whose classes must be labels values."""
-    forest = classifier.RandomForest.from_json(doc, len(classifier.FEATURE_ORDER))
-    if not set(forest.classes) <= set(labels):
-        raise ValueError(f"classes {forest.classes} are not all "
-                         f"{labels.__name__} values")
-    return forest
-
-
 # --- subcommand bodies -------------------------------------------------------
 
 class Run:
     """One invocation's inputs and stage results, built on first use.
 
-    A stage stores the values it produces here, and _write renders the
-    artifacts from them; a value this process has not produced is loaded
-    from its input file or artifact.  So `pipeline` parses each input once
-    and reads no artifact back, while a single subcommand reads the files it
-    needs.  occurrences, golden, classified, reports, chi2 and mapping are
-    the dicts written to disk, so the join parses the same RFC 3339 times,
-    and the report renders the same values, either way.
+    A stage stores the values it computes here, and _write renders the
+    artifacts from them.  The one rule: a value the run did not compute is
+    read through its ARTIFACTS rows, and an input from its file.  So
+    `pipeline` parses each input once and reads no artifact back, while a
+    single subcommand reads the files it needs.  occurrences, golden,
+    classified, reports, chi2 and mapping are the dicts written to disk, so
+    the join parses the same RFC 3339 times, and the report renders the same
+    values, either way.
     """
 
     def __init__(self, cfg: PipelineConfig, out: Path):
@@ -308,52 +334,22 @@ class Run:
         """The feature rows of prs, all relative to one reference instant."""
         return classifier.encode(self.prs.values, self.cfg.reference_instant)
 
-    def load(self, name, parse):
-        """parse(text) of the artifact name, checked for every field that its
-        consumer reads; a missing artifact, or one that parse rejects, is a
-        ConfigError naming it and, when missing, the stage that writes it."""
-        what, stage, _ = ARTIFACTS[name]
+    def __getattr__(self, attr):
+        """attr, which the run does not hold, read through its ARTIFACTS rows:
+        the list of their values in table order when there are several."""
+        names = _rows(attr)
+        if not names or ARTIFACTS[names[0]][4] is None:
+            raise AttributeError(f"'Run' object has no attribute {attr!r}")
+        values = [self.load(name) for name in names]
+        value = self.__dict__[attr] = values if len(names) > 1 else values[0]
+        return value
+
+    def load(self, name):
+        """The value of the artifact name, checked for every field that its
+        consumer reads; a missing artifact, or one that its parse rejects, is
+        a ConfigError naming it and, when missing, the stage that writes it."""
+        what, stage, _, _, parse = ARTIFACTS[name]
         return _read(self.out / name, what, _text(parse), ConfigError, f" (run {stage})")
-
-    @cached_property
-    def golden(self):
-        return self.load("golden.jsonl", lambda text: _read_jsonl(text, _golden_row))
-
-    @cached_property
-    def models(self):
-        return [self.load(f"model_stage{stage}.json",
-                          lambda text: _forest(json.loads(text), labels))
-                for stage, labels in ((1, classifier.StageOneLabel),
-                                      (2, classifier.CapaLabel))]
-
-    @cached_property
-    def occurrences(self):
-        return self.load("occurrences.jsonl", lambda text: _read_jsonl(
-            text, lambda o: need(o, OCCURRENCE_FIELDS)))
-
-    @cached_property
-    def classified(self):
-        return self.load("classified.jsonl", lambda text: _read_jsonl(
-            text, lambda c: need(c, CLASSIFIED_FIELDS)))
-
-    @cached_property
-    def reports(self):
-        """The class-report documents of stages 1 and 2."""
-        return [self.load(f"report_stage{stage}.json", lambda text: need_rows(
-            json.loads(text), "rows", CLASS_REPORT_ROW_FIELDS)) for stage in (1, 2)]
-
-    @cached_property
-    def table(self):
-        return self.load("contingency.csv", association.contingency_from_csv)
-
-    @cached_property
-    def chi2(self):
-        return self.load("chi2.json", lambda text: _chi2(json.loads(text)))
-
-    @cached_property
-    def mapping(self):
-        return self.load("mapping.json", lambda text: need_rows(need(
-            json.loads(text), {"alpha": NUMBER}), "tuples", MAPPING_TUPLE_FIELDS))
 
     @cached_property
     def joins(self):
@@ -488,24 +484,24 @@ def cmd_report(run: Run):
     lines = ["<!-- seed=%d -->" % run.cfg.seed, "# Pipeline report", ""]
     gaps = []
 
-    def held(attr, *names):
-        """run.attr, or None when it cannot be read because one of names,
-        the artifacts it is read from, is not on disk; those names are gaps."""
-        try:
+    def held(attr):
+        """run.attr; or, when a file it is read from is not on disk, None,
+        with those files listed as gaps once each of the others has read."""
+        names = [] if attr in vars(run) else _rows(attr)
+        missing = [name for name in names if not (run.out / name).exists()]
+        if not missing:
             return getattr(run, attr)
-        except ConfigError:
-            missing = [n for n in names if not (run.out / n).exists()]
-            if not missing:
-                raise
+        for name in names:
+            if name not in missing:
+                run.load(name)
         gaps.extend(missing)
         return None
 
-    if (table := held("table", "contingency.csv")) is not None:
+    if (table := held("table")) is not None:
         lines += ["## Actions near patterns", "", "```",
                   *association.contingency_to_csv(table).splitlines(), "```", ""]
 
-    for stage, doc in enumerate(held("reports", "report_stage1.json",
-                                     "report_stage2.json") or [], start=1):
+    for stage, doc in enumerate(held("reports") or [], start=1):
         lines += [f"## Classification report, stage {stage}", "",
                   "| label | TP | TN | FP | FN | PRE | REC | F1 |",
                   "|---|---|---|---|---|---|---|---|"]
@@ -514,7 +510,7 @@ def cmd_report(run: Run):
                   for r in doc["rows"]]
         lines.append("")
 
-    if (chi2 := held("chi2", "chi2.json")) is not None:
+    if (chi2 := held("chi2")) is not None:
         lines += ["## Independence test", ""]
         if chi2["statistic"] is None:
             lines += [f"not computed: {chi2['note']}", ""]
@@ -523,7 +519,7 @@ def cmd_report(run: Run):
                       f"dof {chi2['dof']}, p-value {chi2['p_value']:.4g}", "",
                       f"Expected cells below 5: {chi2['low_expected_cells']}", ""]
 
-    if (mapping := held("mapping", "mapping.json")) is not None:
+    if (mapping := held("mapping")) is not None:
         lines += ["## Recommended actions (alpha = %g)" % mapping["alpha"], ""]
         lines += [f"- Pattern {t['pattern']} -> CAPA {t['capa']}"
                   for t in mapping["tuples"]] or ["- none"]

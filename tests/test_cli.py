@@ -770,6 +770,81 @@ class TestReportInputs:
         assert text.endswith("## Missing artifacts\n\n- report_stage2.json\n")
         assert "## Actions near patterns" in text and "## Independence test" in text
 
+    def test_malformed_class_report_is_an_error_beside_a_missing_one(self, tmp_path,
+                                                                     capsys):
+        cfg, out = fixture_config(tmp_path)
+        assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
+        report = (out / "report.md").read_bytes()
+        path = out / "report_stage1.json"
+        path.write_text(json.dumps({"rows": 5}))
+        (out / "report_stage2.json").unlink()
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "report"]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == \
+            f"error: invalid class report {path}: rows must be a list, got 5\n"
+        assert (out / "report.md").read_bytes() == report
+
+
+# the artifacts that a stage reads back
+PARSED = [name for name, row in ARTIFACTS.items() if row[4] is not None]
+
+
+@pytest.fixture(scope="module", params=["fixture", "numeric-dates"])
+def pipeline_out(request, tmp_path_factory):
+    """The config and output directory of a pipeline on the fixture, and on
+    its PRs with numeric creation dates."""
+    tmp = tmp_path_factory.mktemp(request.param)
+    prs = FIXTURES / "prs.jsonl" if request.param == "fixture" else \
+        numeric_date_prs(tmp / "prs.jsonl")
+    cfg, out = fixture_config(tmp, prs_path=str(prs))
+    assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
+    return load_config(cfg), out
+
+
+class TestArtifactTable:
+    @pytest.mark.parametrize("name", PARSED)
+    def test_render_of_the_parse_is_the_file(self, pipeline_out, name):
+        cfg, out = pipeline_out
+        run = Run(cfg, out)
+        text = ARTIFACTS[name][3](run, run.load(name))
+        assert text.encode("utf-8") == (out / name).read_bytes()
+
+    @pytest.mark.parametrize("name", PARSED)
+    def test_damaged_or_deleted_artifact_is_a_config_error(self, pipeline_out, tmp_path,
+                                                           name):
+        cfg, out = pipeline_out
+        what, stage = ARTIFACTS[name][:2]
+        path = tmp_path / name
+        path.write_bytes((out / name).read_bytes()[:-2])  # cuts the last line's end
+        with pytest.raises(ConfigError) as damaged:
+            Run(cfg, tmp_path).load(name)
+        assert str(damaged.value).startswith(f"invalid {what} {path}: ")
+        path.unlink()
+        with pytest.raises(ConfigError) as deleted:
+            Run(cfg, tmp_path).load(name)
+        assert str(deleted.value) == f"{what} file not found: {path} (run {stage})"
+
+    def test_only_parsed_artifacts_are_read_back(self, pipeline_out):
+        cfg, out = pipeline_out
+        run = Run(cfg, out)
+        for attr in ("patterns", "pairwise", "report_md", "no_such_value"):
+            with pytest.raises(AttributeError, match=f"no attribute '{attr}'"):
+                getattr(run, attr)
+        # rows that share an attribute hold its list, in table order
+        assert run.reports == [json.loads((out / f"report_stage{stage}.json").read_text())
+                               for stage in (1, 2)]
+
+    def test_attribute_error_of_a_parse_names_the_file(self, pipeline_out, monkeypatch):
+        # else Run.joins, which reads the occurrences, would report itself missing
+        def parse(text):
+            raise AttributeError("'list' object has no attribute 'get'")
+        cfg, out = pipeline_out
+        what, stage, attr, render, _ = ARTIFACTS["occurrences.jsonl"]
+        monkeypatch.setitem(ARTIFACTS, "occurrences.jsonl",
+                            (what, stage, attr, render, parse))
+        with pytest.raises(ConfigError, match="^invalid occurrences .*: 'list' object"):
+            Run(cfg, out).joins
+
 
 def malformed_line_at_length_9(tmp_path, out, monkeypatch):
     prs = fixture_prs(tmp_path / "prs.jsonl",
@@ -876,8 +951,9 @@ def unencodable_last_artifact(tmp_path, out, monkeypatch):
     # a lone surrogate cannot be encoded, so the last temp file fails
     # after every other one is written; another seed changes every other
     # artifact, so a rename before the failure would show
-    what, stage, _ = ARTIFACTS["report.md"]
-    monkeypatch.setitem(ARTIFACTS, "report.md", (what, stage, lambda run: "\ud800"))
+    what, stage, attr, _, parse = ARTIFACTS["report.md"]
+    monkeypatch.setitem(ARTIFACTS, "report.md",
+                        (what, stage, attr, lambda run, text: "\ud800", parse))
     return "pipeline", {"seed": 8}, None, None
 
 
