@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import timeutil
-from .errors import PROBABILITY, SEED, DegenerateData, at_least, need, only
+from .errors import NUMBER, PROBABILITY, SEED, DegenerateData, at_least, need, only
 
 MODEL_FORMAT_VERSION = 3
 
@@ -75,7 +75,6 @@ BOOLEAN_FIELDS = {
 COUNT_FIELDS = set(FEATURE_ORDER) - TIMESTAMP_FIELDS - BOOLEAN_FIELDS
 
 MISSING = -1.0  # sentinel for absent optional fields
-_REAL = (int, float, np.integer, np.floating)  # bool and numpy scalars too
 
 
 class CapaLabel(IntEnum):
@@ -94,26 +93,25 @@ class StageOneLabel(IntEnum):
 
 
 def _coerce(name, raw) -> float:
-    """One present PR field as a float, checked by its kind: a timestamp is
-    a number or RFC 3339 text in years 0001 to 9999 UTC, a boolean a real
-    bool, a count a number >= 0."""
-    value = raw
+    """One present PR field as a float, checked by its kind: a boolean a
+    real bool, a timestamp RFC 3339 text (timeutil.from_rfc3339) or a number
+    (errors.NUMBER) in years 0001 to 9999 UTC, a count a number >= 0."""
+    if name in BOOLEAN_FIELDS:
+        if not isinstance(raw, bool):
+            raise ValueError(f"{name} must be true or false, got {raw!r}")
+        return float(raw)
     if name in TIMESTAMP_FIELDS and isinstance(raw, str):
         try:
-            value = timeutil.from_rfc3339(raw)
-        except ValueError:
-            raise ValueError(f"{name} is not an RFC 3339 date: {raw!r}") from None
-    is_boolean = name in BOOLEAN_FIELDS
-    # only a boolean field takes a bool; the bound rejects NaN, inf and huge ints
-    if (isinstance(value, bool) != is_boolean or not isinstance(value, _REAL)
-            or not abs(value) <= sys.float_info.max):
-        want = "true or false" if is_boolean else "a finite number"
-        raise ValueError(f"{name} must be {want}, got {value!r}")
-    if name in COUNT_FIELDS and value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
-    if name in TIMESTAMP_FIELDS and not timeutil.WRITABLE[0](value):
+            return timeutil.from_rfc3339(raw)
+        except ValueError as exc:
+            raise ValueError(f"{name} {exc}") from None
+    if not NUMBER[0](raw):
+        raise ValueError(f"{name} must be {NUMBER[1]}, got {raw!r}")
+    if name in COUNT_FIELDS and raw < 0:
+        raise ValueError(f"{name} must be non-negative, got {raw}")
+    if name in TIMESTAMP_FIELDS and not timeutil.WRITABLE[0](raw):
         raise ValueError(f"{name} must be {timeutil.WRITABLE[1]}, got {raw!r}")
-    return float(value)
+    return float(raw)
 
 
 _TIMESTAMP_COLUMNS = np.array([name in TIMESTAMP_FIELDS for name in FEATURE_ORDER])

@@ -104,10 +104,11 @@ def _read(path, what, load, error, _hint=""):
         return load(path)
     except (FileNotFoundError, NotADirectoryError):
         raise ConfigError(f"{what} file not found: {path}{_hint}") from None
-    # invalid JSON is a ValueError, JSON nested too deep a RecursionError; an
-    # AttributeError must not leave Run.__getattr__, as a missing attribute
-    except (OSError, IndexError, TypeError, ValueError, RecursionError,
-            AttributeError) as exc:
+    # invalid JSON is a ValueError, JSON nested too deep a RecursionError, a
+    # table count past int64 an OverflowError; an AttributeError must not
+    # leave Run.__getattr__, as a missing attribute
+    except (OSError, IndexError, TypeError, ValueError, OverflowError,
+            RecursionError, AttributeError) as exc:
         raise error(f"invalid {what} {path}: {exc}") from None
 
 

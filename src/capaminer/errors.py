@@ -6,9 +6,11 @@ with the ValueError "<key> must be <requirement>, got <value>", which
 need_rows prefixes with "<list>[n]: ".  A defect in the content of an input
 file, found here or by a loader, is only ever a ValueError; cli._read, the
 one step through which a command reads a file, turns it into the command's
-error, naming the file."""
+error, naming the file.  NUMBER is the one rule of a finite number."""
 
-import math
+import sys
+
+import numpy as np
 
 
 def at_least(n):
@@ -25,7 +27,10 @@ def or_null(atom):
 TEXT = (lambda v: isinstance(v, str), "a string")
 INTEGER = (lambda v: type(v) is int, "an integer")
 INDEX = at_least(0)
-NUMBER = (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number")
+# a real but not a bool, compared with the float range: NaN, inf and huge ints fail
+_REALS, _MAX = (int, float, np.integer, np.floating), sys.float_info.max
+NUMBER = (lambda v: isinstance(v, _REALS) and not isinstance(v, bool) and -_MAX <= v <= _MAX,
+          "a finite number")
 NON_NEGATIVE = (lambda v: NUMBER[0](v) and v >= 0, "a finite number >= 0")
 PROBABILITY = (lambda v: NUMBER[0](v) and 0 < v < 1, "a number in (0, 1)")
 UNIT_INTERVAL = (lambda v: NUMBER[0](v) and 0 <= v <= 1, "a number in [0, 1]")

@@ -202,8 +202,8 @@ def default_match_threshold(m: int) -> float:
 
 
 def mine_patterns(dataset, config: MiningConfig):
-    """Mine accepted consensus patterns of each metric of the dataset, in
-    order of first appearance, for every length in [min_len, max_len].
+    """Mine accepted consensus patterns of each metric of the dataset, in order
+    of first appearance, for each length in [min_len, max_len] its longest series holds.
 
     Coverage counts the repositories with a series of the pattern's metric.
     Ids run from 0 across metrics.  Each pattern carries its thresholded
@@ -217,7 +217,7 @@ def mine_patterns(dataset, config: MiningConfig):
     accepted = []
     for series in by_metric.values():
         n_repos = len({s.repo_id for s in series})
-        for m in range(config.min_len, config.max_len + 1):
+        for m in range(config.min_len, min(config.max_len, max(map(len, series))) + 1):
             eligible = [s for s in series if len(s) >= m]
             try:
                 cand = replace(consensus_candidate(eligible, m),

@@ -1,14 +1,11 @@
-"""RFC 3339 UTC timestamp helpers over POSIX seconds."""
+"""RFC 3339 UTC timestamps over POSIX seconds; from_rfc3339 is the one rule of a text time."""
 
 from __future__ import annotations
 
 from datetime import datetime, timezone
 
-# POSIX seconds of 0001-01-01 and 10000-01-01 UTC: the times RFC 3339 writes
-FIRST, END = -62135596800, 253402300800
-# the (test, requirement) atom of a time that both loaders accept, so that
-# every time read can be written back
-WRITABLE = (lambda t: FIRST <= t < END, "a time in years 0001 to 9999 UTC")
+# the (test, requirement) atom of the POSIX seconds that RFC 3339 writes
+WRITABLE = (lambda t: -62135596800 <= t < 253402300800, "a time in years 0001 to 9999 UTC")
 
 
 def to_rfc3339(posix_seconds: float) -> str:
@@ -19,10 +16,16 @@ def to_rfc3339(posix_seconds: float) -> str:
 
 
 def from_rfc3339(text: str) -> float:
+    """The POSIX seconds of RFC 3339 text; text that does not parse, or a time
+    outside WRITABLE, is a ValueError, which the caller prefixes with its place."""
     s = text.strip()
     if s.endswith(("Z", "z")):
         s = s[:-1] + "+00:00"
-    dt = datetime.fromisoformat(s)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.timestamp()
+    try:
+        dt = datetime.fromisoformat(s)
+    except ValueError:
+        raise ValueError(f"is not an RFC 3339 date: {text!r}") from None
+    t = (dt if dt.tzinfo else dt.replace(tzinfo=timezone.utc)).timestamp()  # naive: UTC
+    if not WRITABLE[0](t):
+        raise ValueError(f"must be {WRITABLE[1]}, got {text!r}")
+    return t

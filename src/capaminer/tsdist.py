@@ -61,19 +61,15 @@ class MetricSeries:
 
 
 def znormalize(x) -> np.ndarray:
-    """Rescale x to mean 0 and population standard deviation 1.
-
-    Raises ZeroVariance when the population std is below EPS_VAR.
-    """
+    """Rescale x to mean 0 and population std 1: the one row of
+    znormalized_windows(x, len(x)), or ZeroVariance when it is constant."""
     x = np.asarray(x, dtype=float)
     if len(x) < 2:
         raise ValueError("need at least two points to z-normalize")
-    d = x - x.mean()
-    d -= d.mean()  # the mean's own rounding, which ulp(mean) can't hold
-    std = np.sqrt(np.mean(d * d))  # population (1/n) std
-    if std < EPS_VAR:
-        raise ZeroVariance(f"window std {std:.3e} below {EPS_VAR:.0e}")
-    return d / std
+    z, valid = znormalized_windows(x, len(x))
+    if not valid[0]:
+        raise ZeroVariance(f"window std below {EPS_VAR:.0e}")
+    return z[0]
 
 
 def znorm_distance(q, w) -> float:

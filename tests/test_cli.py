@@ -150,12 +150,16 @@ class TestConfig:
         ("match_threshold", float("nan")),
         ("reference_instant", float("nan")),
         ("out_dir", 5),
+        # an int too large for a float, which math.isfinite cannot take
+        *(pytest.param(key, 10**400, id=f"{key}-huge") for key in (
+            "alpha", "window_days", "match_threshold", "coverage_value",
+            "reference_instant")),
     ])
     def test_bad_value_exits_before_any_write(self, tmp_path, capsys, key, value):
         cfg, out = fixture_config(tmp_path, **{key: value})
         out.mkdir()
         assert main(["--config", str(cfg), "pipeline"]) == EXIT_CONFIG_ERROR
-        assert key in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {key} must be ")
         assert list(out.iterdir()) == []
 
     def test_unknown_metric_names_the_known_ones(self, tmp_path):
@@ -372,10 +376,16 @@ class TestExitCodes:
          "pattern_id must be an integer >= 0, got '0'"),
         ("occurrences.jsonl", "associate", 1, lambda ln: without(ln, "distance"),
          "distance must be a finite number, got None"),
+        ("occurrences.jsonl", "associate", 1,
+         lambda ln: with_fields(ln, distance=10**400), "distance must be a finite number"),
         ("classified.jsonl", "associate", 2, lambda ln: with_fields(ln, capa_class=9),
          "capa_class must be null or a CAPA class in 1..7, got 9"),
         ("classified.jsonl", "associate", 1, lambda ln: with_fields(ln, creation_date=5),
          "creation_date must be an RFC 3339 date, got 5"),
+        # 0000-12-31T23:00:00 UTC, which no RFC 3339 time can write back
+        ("classified.jsonl", "associate", 1,
+         lambda ln: with_fields(ln, creation_date="0001-01-01T00:00:00+01:00"),
+         "creation_date must be an RFC 3339 date, got '0001-01-01T00:00:00+01:00'"),
         ("golden.jsonl", "train", 1, lambda ln: with_fields(ln, stage1="CAPA"),
          "stage1 must be capa or non_capa, got 'CAPA'"),
         ("golden.jsonl", "train", 1,
@@ -611,6 +621,8 @@ class TestValidateStandalone:
          "capa_i must be an action id in 0..6, got 1.0"),
         (lambda rows: rows[3].update(pattern=True), "pattern must be an integer >= 0, got True"),
         (lambda rows: rows[3].update(mean_j=None), "mean_j must be a number in [0, 1]"),
+        (lambda rows: rows[3].update(mean_i=10**400),
+         "tests[3]: mean_i must be a number in [0, 1], got 1000"),
         (lambda rows: rows[3].update(t="2.1"), "t must be null or a finite number, got '2.1'"),
         (lambda rows: rows[3].update(dof=[]), "dof must be null or a finite number, got []"),
         (lambda rows: rows[1].update(p=-3.0),
@@ -637,7 +649,7 @@ class TestValidateStandalone:
                                    "mean_i": 0.8, "mean_j": 0.2, "p": 0.01}),
          "tests[14]: capa_i and capa_j must be actions of pattern 5 seen at "
          "least min_count times, [0, 2], got 1 and 2"),
-    ], ids=["no-pattern", "p-text", "capa-float", "pattern-bool", "mean-null",
+    ], ids=["no-pattern", "p-text", "capa-float", "pattern-bool", "mean-null", "mean-huge",
             "t-text", "dof-list", "p-negative", "t-nan", "action-99",
             "pattern-negative", "self-pair", "repeated-pair", "pattern-not-in-table",
             "action-not-qualifying"])
@@ -668,8 +680,13 @@ class TestValidateStandalone:
         (lambda text: text.rsplit("Total,", 1)[0], "and a Total row"),
         (lambda text: text.replace("CAPA 1,", "CAPA x,"), "line 1: invalid literal for int()"),
         (lambda text: text.replace("Pattern 6,", ","), "line 3: invalid literal for int()"),
+        # a count past int64, with totals that agree
+        (lambda text: "Pattern type,CAPA 0,CAPA 1,Total\n"
+         f"Pattern 0,{10**29},1,{10**29 + 1}\nTotal,{10**29},1,{10**29 + 1}\n",
+         "too large"),
     ], ids=["cell-text", "short-row", "negative-cell", "repeated-row", "repeated-column",
-            "row-total", "total-row", "extra-cell", "no-total-row", "bad-header", "empty-label"])
+            "row-total", "total-row", "extra-cell", "no-total-row", "bad-header", "empty-label",
+            "count-past-int64"])
     def test_malformed_contingency_table(self, tmp_path, capsys, edit, why):
         text = bundled_data_path("reference_capa_counts.csv").read_text()
         rc, out, table, _ = self.run_validate(tmp_path, contingency=edit(text))

@@ -373,6 +373,24 @@ class TestMinePatterns:
         with pytest.raises(EmptyDataset):
             mine_patterns([], MiningConfig(3, 3, 1.0))
 
+    def test_lengths_stop_at_the_longest_series(self, rng, monkeypatch):
+        dataset = [make_series(rng, f"r{i}", n, metric="m")
+                   for i, n in enumerate((9, 12, 11, 12))]
+        lengths = []
+
+        def recorded(series, m):
+            lengths.append(m)
+            return consensus_candidate(series, m)
+
+        monkeypatch.setattr(mining, "consensus_candidate", recorded)
+        longest = mine_patterns(dataset, MiningConfig(8, 12, 3.0))
+        past = mine_patterns(dataset, MiningConfig(8, 12 + 50, 3.0))
+        assert lengths and max(lengths) == 12
+        assert [(p.pattern_id, p.source_repo, p.source_offset, p.radius, len(p),
+                 p.occurrences) for p in past] == \
+            [(p.pattern_id, p.source_repo, p.source_offset, p.radius, len(p),
+              p.occurrences) for p in longest]
+
     def test_mixed_metrics_equal_per_metric_calls(self, rng):
         # metric "b" appears first, in two of the six repositories, so its
         # coverage counts those two and not all six

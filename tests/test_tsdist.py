@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from capaminer.errors import ZeroVariance
 from capaminer.tsdist import (
+    EPS_VAR,
     MetricSeries,
     distance_profile,
     znorm_distance,
@@ -15,7 +16,7 @@ from capaminer.tsdist import (
     znormalized_windows,
 )
 
-from conftest import naive_distance_profile
+from conftest import naive_distance_profile, naive_znormalize
 
 
 class TestZnormalize:
@@ -171,3 +172,57 @@ class TestMetricSeries:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             MetricSeries("r", "lines_added", [0, 1], [1.0, float("nan")])
+
+
+@st.composite
+def affine_copies(draw, min_size=2, max_size=40):
+    """(x, base, a): x an exact copy a * base + offset of base, small
+    multiples of 1/8 or small integers, that the naive oracles compute well.
+    x is a series with plateaus, one offset by 1e9 or 1e12, one of adjacent
+    floats (constant within EPS_VAR at 1.0, not at 2**20), or a constant."""
+    n = draw(st.integers(min_size, max_size))
+    kind = draw(st.sampled_from(["plateau", "offset", "adjacent", "constant"]))
+    base = np.array(draw(st.lists(st.integers(-800, 800), min_size=n, max_size=n))) / 8
+    a, offset = 1.0, 0.0
+    if kind == "plateau":
+        i = draw(st.integers(0, n - 1))
+        base[i:i + draw(st.integers(1, n - i))] = base[i]
+    elif kind == "offset":
+        offset = draw(st.sampled_from([1e9, -1e9, 1e12, -1e12]))
+    elif kind == "adjacent":
+        base = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), float)
+        offset = draw(st.sampled_from([1.0, 2.0**20]))
+        a = float(np.spacing(offset))
+    else:
+        base[:] = base[0]
+        offset = draw(st.sampled_from([0.0, 0.1, 1e12]))
+    return a * base + offset, base, a
+
+
+class TestNaiveOracles:
+    """znormalize and distance_profile on generated affine copies against
+    the naive definitions applied to the well-conditioned originals."""
+
+    @given(affine_copies())
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    def test_znormalize(self, copy):
+        x, base, a = copy
+        if a * base.std() < EPS_VAR:
+            with pytest.raises(ZeroVariance):
+                znormalize(x)
+        else:
+            np.testing.assert_allclose(znormalize(x), naive_znormalize(base),
+                                       rtol=0, atol=1e-9)
+
+    @given(affine_copies(max_size=12), affine_copies(min_size=12, max_size=60))
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    def test_distance_profile(self, query, series):
+        (q, qbase, qa), (t, tbase, ta) = query, series
+        if qa * qbase.std() < EPS_VAR:
+            with pytest.raises(ZeroVariance):
+                distance_profile(q, t)
+            return
+        expected = naive_distance_profile(qbase, tbase)
+        stds = np.lib.stride_tricks.sliding_window_view(tbase, len(q)).std(axis=1)
+        expected[ta * stds < EPS_VAR] = np.nan
+        np.testing.assert_allclose(distance_profile(q, t), expected, rtol=0, atol=1e-9)
