@@ -113,8 +113,8 @@ def _read(path, what, load, error, _hint=""):
 
 
 def _text(parse):
-    """The load of _read that parses the file's UTF-8 text."""
-    return lambda path: parse(Path(path).read_text(encoding="utf-8"))
+    """The load of _read that parses the file's UTF-8 text, a leading byte-order mark dropped."""
+    return lambda path: parse(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _json(run, doc: dict, compact=False):

@@ -58,7 +58,7 @@ def load_metrics_csv(path):
     time between two consecutive rows of a repo, so a repeated instant or a
     gap is off it.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader, header, row_no = csv.reader(fh), None, 0  # row_no: the last row read
         try:
             header = next(reader, None)
@@ -179,7 +179,7 @@ def load_prs_jsonl(path):
                 except (json.JSONDecodeError, RecursionError):  # nested too deep
                     raise ValueError(f"malformed JSON at line {line_no}") from None
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return pull_requests(objects(fh))
 
 

@@ -1,11 +1,14 @@
-"""RFC 3339 UTC timestamps over POSIX seconds; from_rfc3339 is the one rule of a text time."""
+"""RFC 3339 §5.6 date-time over POSIX seconds: T, t or a space; any fraction; Z, z or ±HH:MM."""
 
 from __future__ import annotations
 
+import re
 from datetime import datetime, timezone
 
 # the (test, requirement) atom of the POSIX seconds that RFC 3339 writes
 WRITABLE = (lambda t: -62135596800 <= t < 253402300800, "a time in years 0001 to 9999 UTC")
+_DATE_TIME = re.compile(r"(\d{4}-\d\d-\d\d)[Tt ](\d\d:\d\d:\d\d)(?:\.(\d{1,6})\d*)?"
+                        r"(?:[Zz]|([+-]\d\d:[0-5]\d))", re.ASCII)
 
 
 def to_rfc3339(posix_seconds: float) -> str:
@@ -16,16 +19,13 @@ def to_rfc3339(posix_seconds: float) -> str:
 
 
 def from_rfc3339(text: str) -> float:
-    """The POSIX seconds of RFC 3339 text; text that does not parse, or a time
-    outside WRITABLE, is a ValueError, which the caller prefixes with its place."""
-    s = text.strip()
-    if s.endswith(("Z", "z")):
-        s = s[:-1] + "+00:00"
-    try:
-        dt = datetime.fromisoformat(s)
-    except ValueError:
+    """The POSIX seconds of a text time, by this one rule; text off the grammar, the calendar
+    or the clock, or a time outside WRITABLE, is a ValueError, prefixed by the caller's place."""
+    m = _DATE_TIME.fullmatch(text.strip())
+    try:  # the match as one text, fraction cut to 6 digits, that every Python reads alike
+        dt = datetime.fromisoformat(f"{m[1]}T{m[2]}.{m[3] or '':0<6}{m[4] or '+00:00'}")
+    except (TypeError, ValueError):  # TypeError: no match, m is None
         raise ValueError(f"is not an RFC 3339 date: {text!r}") from None
-    t = (dt if dt.tzinfo else dt.replace(tzinfo=timezone.utc)).timestamp()  # naive: UTC
-    if not WRITABLE[0](t):
+    if not WRITABLE[0](t := dt.timestamp()):
         raise ValueError(f"must be {WRITABLE[1]}, got {text!r}")
     return t

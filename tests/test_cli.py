@@ -1164,6 +1164,25 @@ class TestPipeline:
         assert sorted(outs[0]) == sorted(ARTIFACTS)
         assert outs[0] == outs[1]
 
+    def test_inputs_with_a_byte_order_mark_read_as_without(self, tmp_path):
+        # the UTF-8 mark that Excel and PowerShell write before the text
+        marked = {}
+        for name in ("metrics.csv", "prs.jsonl", "keywords.json"):
+            marked[name] = tmp_path / name
+            marked[name].write_bytes(b"\xef\xbb\xbf" + (FIXTURES / name).read_bytes())
+        outs = []
+        for name, paths in (("plain", {}), ("marked", {
+                "metrics_path": str(marked["metrics.csv"]),
+                "prs_path": str(marked["prs.jsonl"]),
+                "keywords_path": str(marked["keywords.json"])})):
+            cfg, out = fixture_config(tmp_path / name, **paths)
+            if paths:
+                cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+            assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
+            outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(outs[0]) == sorted(ARTIFACTS)
+        assert outs[0] == outs[1]
+
     def test_fixture_models_predict_as_per_row_walk(self, tmp_path):
         cfg, out = fixture_config(tmp_path)
         for stage in ("label", "train"):

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 from scipy import stats as scipy_stats
@@ -45,6 +47,15 @@ class TestIncompleteGamma:
             x = float(rng.uniform(0, 80))
             assert gammainc_lower(a, x) + gammainc_upper(a, x) == pytest.approx(
                 1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("a", [1e4, 1e5])
+    @pytest.mark.parametrize("ratio", [0.999, 1.0, 1.001])
+    def test_series_sums_to_convergence(self, a, ratio):
+        # near x = a the series needs about 8.5 sqrt(a) terms, past any
+        # fixed cap of a few hundred
+        x = a * ratio
+        assert gammainc_upper(a, x) == pytest.approx(sp.gammaincc(a, x), abs=1e-9)
+        assert gammainc_lower(a, x) == pytest.approx(sp.gammainc(a, x), abs=1e-9)
 
 
 class TestIncompleteBeta:
@@ -203,3 +214,46 @@ class TestTwoSampleTTest:
         dof = float(r.uniform(1, 100))
         assert student_t_sf_two_tailed(t, dof) == pytest.approx(
             2 * scipy_stats.t.sf(abs(t), dof), abs=1e-10)
+
+
+# shape parameters from 1e-2 to 1e5, log-uniform, and arguments within
+# 12 standard deviations of each distribution's mean, where the tails are
+# neither 0 nor 1
+LOG_SHAPE = st.floats(-2, 5)
+Z = st.floats(-12, 12)
+
+
+class TestSpecialFunctionOracle:
+    """The special functions against scipy over the whole shape range."""
+
+    @given(LOG_SHAPE, Z)
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    def test_gammainc_upper(self, log_a, z):
+        a = 10 ** log_a
+        x = max(0.0, a + math.sqrt(a) * z)
+        assert gammainc_upper(a, x) == pytest.approx(sp.gammaincc(a, x), abs=1e-9)
+
+    @given(LOG_SHAPE, LOG_SHAPE, Z)
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    def test_betainc(self, log_a, log_b, z):
+        a, b = 10 ** log_a, 10 ** log_b
+        sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)))
+        x = min(1.0, max(0.0, a / (a + b) + sd * z))
+        assert betainc(a, b, x) == pytest.approx(sp.betainc(a, b, x), abs=1e-9)
+
+    @given(LOG_SHAPE, Z)
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    def test_chi2_sf(self, log_half_dof, z):
+        dof = 2 * 10 ** log_half_dof
+        x = max(0.0, dof + math.sqrt(2 * dof) * z)
+        assert chi2_sf(x, dof) == pytest.approx(scipy_stats.chi2.sf(x, dof), abs=1e-9)
+
+    @given(LOG_SHAPE, st.floats(-40, 40))
+    # at tiny t, dof / (dof + t * t) is within an ulp of 1, so 1 - x must
+    # come from t itself
+    @example(log_dof=2.0, t=1.192092896e-07)
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    def test_student_t_sf_two_tailed(self, log_dof, t):
+        dof = 10 ** log_dof
+        assert student_t_sf_two_tailed(t, dof) == pytest.approx(
+            2 * scipy_stats.t.sf(abs(t), dof), abs=1e-9)
