@@ -131,19 +131,15 @@ def encode(values, reference_instant=None) -> np.ndarray:
     return out
 
 
-def label_by_keywords(pr_text: str, keyword_map=None, non_capa_keywords=None):
-    """Case-insensitive phrase containment.  The first matching label in
-    ascending label order wins; returns None when nothing matches."""
-    keyword_map = keyword_map if keyword_map is not None else DEFAULT_KEYWORDS
-    if not keyword_map:
-        raise ValueError("keyword map must be non-empty")
+def label_by_keywords(pr_text: str, keyword_map, non_capa_keywords):
+    """Case-insensitive phrase containment, with a map of load_keyword_map.
+    The first matching label in ascending label order wins; returns None
+    when nothing matches."""
     text = pr_text.lower()
     for label in sorted(keyword_map):
         if any(phrase.lower() in text for phrase in keyword_map[label]):
             return (StageOneLabel.CAPA, CapaLabel(label))
-    non_capa = (non_capa_keywords if non_capa_keywords is not None
-                else DEFAULT_NON_CAPA_KEYWORDS)
-    if any(phrase.lower() in text for phrase in non_capa):
+    if any(phrase.lower() in text for phrase in non_capa_keywords):
         return (StageOneLabel.NON_CAPA, None)
     return None
 
@@ -170,9 +166,6 @@ def load_keyword_map(doc: dict):
     doc = need({**_BUNDLED_KEYWORD_MAP, **doc}, _KEYWORD_MAP_PARTS)
     capa = need(doc["capa"], dict.fromkeys(doc["capa"], _PHRASES))
     return {_LABELS[name.lower()]: phrases for name, phrases in capa.items()}, doc["non_capa"]
-
-
-DEFAULT_KEYWORDS, DEFAULT_NON_CAPA_KEYWORDS = load_keyword_map({})
 
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)

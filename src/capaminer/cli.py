@@ -193,23 +193,24 @@ def _class_report(text):
 
 # {name: (what it is, the stage that computes it, the Run attribute that holds
 # it, render(run, value) of its text, parse(text) of its value or None where
-# no stage reads it back)}, in stage order; rows that share an attribute hold
-# the items of its list in table order.  The one rule: a value the run did not
-# compute is read through its rows.  The models are compact JSON, as indent
-# would give each entry of their node arrays a line and make json use its
-# pure-Python encoder
+# no stage reads it back)}, in stage order, each row with an attribute of its
+# own.  The one rule: a value the run did not compute is read from its file.
+# The models are compact JSON, as indent would give each entry of their node
+# arrays a line and make json use its pure-Python encoder
 ARTIFACTS = {
     "patterns.json": ("patterns", "mine", "patterns", _json, None),
     "occurrences.jsonl": ("occurrences", "mine", "occurrences", _jsonl, lambda text:
                           _read_jsonl(text, lambda o: need(o, OCCURRENCE_FIELDS))),
     "golden.jsonl": ("golden standard", "label", "golden", _jsonl,
                      lambda text: _read_jsonl(text, _golden_row)),
-    "model_stage1.json": ("model", "train", "models", _model, lambda text:
+    "model_stage1.json": ("model", "train", "model_stage1", _model, lambda text:
                           _forest(json.loads(text), classifier.StageOneLabel)),
-    "model_stage2.json": ("model", "train", "models", _model, lambda text:
+    "model_stage2.json": ("model", "train", "model_stage2", _model, lambda text:
                           _forest(json.loads(text), classifier.CapaLabel)),
-    "report_stage1.json": ("class report", "train", "reports", _json, _class_report),
-    "report_stage2.json": ("class report", "train", "reports", _json, _class_report),
+    "report_stage1.json": ("class report", "train", "report_stage1", _json,
+                           _class_report),
+    "report_stage2.json": ("class report", "train", "report_stage2", _json,
+                           _class_report),
     "classified.jsonl": ("classified pull requests", "classify", "classified", _jsonl,
                          lambda text: _read_jsonl(text, lambda c: need(
                              c, CLASSIFIED_FIELDS))),
@@ -225,9 +226,8 @@ ARTIFACTS = {
 }
 
 
-def _rows(attr):
-    """The names of the artifacts that hold the Run attribute attr."""
-    return [name for name, row in ARTIFACTS.items() if row[2] == attr]
+# {Run attribute: the artifact it is read from} of the artifacts a stage reads back
+_READ_BACK = {row[2]: name for name, row in ARTIFACTS.items() if row[4] is not None}
 
 
 def _write(run, stage=None):
@@ -240,10 +240,7 @@ def _write(run, stage=None):
     try:
         for name, tmp in zip(names, tmps):
             _, _, attr, render, _ = ARTIFACTS[name]
-            value, rows = getattr(run, attr), _rows(attr)
-            if len(rows) > 1:
-                value = value[rows.index(name)]
-            tmp.write_text(render(run, value), encoding="utf-8")
+            tmp.write_text(render(run, getattr(run, attr)), encoding="utf-8")
         for name, tmp in zip(names, tmps):
             os.replace(tmp, run.out / name)
     finally:
@@ -301,12 +298,12 @@ class Run:
 
     A stage stores the values it computes here, and _write renders the
     artifacts from them.  The one rule: a value the run did not compute is
-    read through its ARTIFACTS rows, and an input from its file.  So
-    `pipeline` parses each input once and reads no artifact back, while a
-    single subcommand reads the files it needs.  occurrences, golden,
-    classified, reports, chi2 and mapping are the dicts written to disk, so
-    the join parses the same RFC 3339 times, and the report renders the same
-    values, either way.
+    read from the artifact whose ARTIFACTS row names it, and an input from
+    its file.  So `pipeline` parses each input once and reads no artifact
+    back, while a single subcommand reads the files it needs.  occurrences,
+    golden, classified, report_stage1, report_stage2, chi2 and mapping are
+    the dicts written to disk, so the join parses the same RFC 3339 times,
+    and the report renders the same values, either way.
     """
 
     def __init__(self, cfg: PipelineConfig, out: Path):
@@ -326,7 +323,7 @@ class Run:
         """(keyword map, non-CAPA phrases) of keywords_path, or the bundled ones."""
         path = self.cfg.keywords_path
         if not path:
-            return classifier.DEFAULT_KEYWORDS, classifier.DEFAULT_NON_CAPA_KEYWORDS
+            return classifier.load_keyword_map({})
         return _read(path, "keyword map", _text(
             lambda text: classifier.load_keyword_map(json.loads(text))), ConfigError)
 
@@ -336,13 +333,10 @@ class Run:
         return classifier.encode(self.prs.values, self.cfg.reference_instant)
 
     def __getattr__(self, attr):
-        """attr, which the run does not hold, read through its ARTIFACTS rows:
-        the list of their values in table order when there are several."""
-        names = _rows(attr)
-        if not names or ARTIFACTS[names[0]][4] is None:
+        """attr, which the run does not hold, read from its artifact."""
+        if attr not in _READ_BACK:
             raise AttributeError(f"'Run' object has no attribute {attr!r}")
-        values = [self.load(name) for name in names]
-        value = self.__dict__[attr] = values if len(names) > 1 else values[0]
+        value = self.__dict__[attr] = self.load(_READ_BACK[attr])
         return value
 
     def load(self, name):
@@ -418,20 +412,23 @@ def cmd_train(run: Run):
             raise DegenerateData(f"stage {stage}: class {classes[sizes.argmin()]} has "
                                  "1 labeled pull request, and training needs 2 of "
                                  "each class")
-    run.models, run.reports = [], []
-    for X, labels in [(X1, y1), (X2, y2)]:
+
+    def fit(X, labels):
+        """A stage's forest, and its class report on the held-out rows."""
         X, y = np.array(X), np.array(labels)
         tr, te = classifier.split_train_test(X, y, cfg.train_ratio, cfg.seed)
         forest = classifier.train_forest(X[tr], y[tr], cfg.n_estimators, cfg.seed)
-        run.models.append(forest)
         pred, _ = forest.predict(X[te])
-        run.reports.append(classifier.compute_report(y[te], pred, sorted(set(labels))))
+        return forest, classifier.compute_report(y[te], pred, sorted(set(labels)))
+
+    run.model_stage1, run.report_stage1 = fit(X1, y1)
+    run.model_stage2, run.report_stage2 = fit(X2, y2)
     log.info("trained stage-1 on %d rows, stage-2 on %d rows", len(X1), len(X2))
 
 
 def cmd_classify(run: Run):
-    prs, (stage1, stage2) = run.prs, run.models
-    results = classifier.classify_two_stage(stage1, stage2, run.X)
+    prs = run.prs
+    results = classifier.classify_two_stage(run.model_stage1, run.model_stage2, run.X)
     created = prs.values[:, classifier.FEATURE_ORDER.index("creation_date")]
     run.classified = [{
         "pr_id": pr_id,
@@ -486,30 +483,26 @@ def cmd_report(run: Run):
     gaps = []
 
     def held(attr):
-        """run.attr; or, when a file it is read from is not on disk, None,
-        with those files listed as gaps once each of the others has read."""
-        names = [] if attr in vars(run) else _rows(attr)
-        missing = [name for name in names if not (run.out / name).exists()]
-        if not missing:
+        """run.attr; or, when the run does not hold it and its file is not
+        on disk, None, with the file listed as a gap."""
+        if attr in vars(run) or (run.out / _READ_BACK[attr]).exists():
             return getattr(run, attr)
-        for name in names:
-            if name not in missing:
-                run.load(name)
-        gaps.extend(missing)
+        gaps.append(_READ_BACK[attr])
         return None
 
     if (table := held("table")) is not None:
         lines += ["## Actions near patterns", "", "```",
                   *association.contingency_to_csv(table).splitlines(), "```", ""]
 
-    for stage, doc in enumerate(held("reports") or [], start=1):
-        lines += [f"## Classification report, stage {stage}", "",
-                  "| label | TP | TN | FP | FN | PRE | REC | F1 |",
-                  "|---|---|---|---|---|---|---|---|"]
-        lines += ["| {label} | {tp} | {tn} | {fp} | {fn} | "
-                  "{precision:.2f} | {recall:.2f} | {f1:.2f} |".format(**r)
-                  for r in doc["rows"]]
-        lines.append("")
+    for stage in (1, 2):
+        if (doc := held(f"report_stage{stage}")) is not None:
+            lines += [f"## Classification report, stage {stage}", "",
+                      "| label | TP | TN | FP | FN | PRE | REC | F1 |",
+                      "|---|---|---|---|---|---|---|---|"]
+            lines += ["| {label} | {tp} | {tn} | {fp} | {fn} | "
+                      "{precision:.2f} | {recall:.2f} | {f1:.2f} |".format(**r)
+                      for r in doc["rows"]]
+            lines.append("")
 
     if (chi2 := held("chi2")) is not None:
         lines += ["## Independence test", ""]

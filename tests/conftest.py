@@ -29,10 +29,22 @@ def naive_distance_profile(q, t):
     return out
 
 
-def naive_consensus(series_list, m):
-    """Exhaustive minimax-radius consensus over all (series, offset)
-    windows; mirrors the acceptance rule but with no vectorization."""
+def naive_first_minimum(radii):
+    """The first of radii, tuples led by a radius, whose radius is below
+    every earlier one by more than 1e-12; None when radii is empty."""
     best = None
+    for cand in radii:
+        if best is None or cand[0] < best[0] - 1e-12:
+            best = cand
+    return best
+
+
+def naive_consensus_radii(series_list, m):
+    """(radius, series, offset) of every window of series_list, in (series,
+    offset) order, that is not constant and has a non-constant window in
+    every other series; the radius is the max over the other series of the
+    min distance to their windows."""
+    out = []
     for si, s in enumerate(series_list):
         vals = np.asarray(s.values, dtype=float)
         for off in range(len(vals) - m + 1):
@@ -49,16 +61,23 @@ def naive_consensus(series_list, m):
                     ok = False
                     break
                 radius = max(radius, np.nanmin(prof))
-            if ok and (best is None or radius < best[0] - 1e-12):
-                best = (radius, si, off)
-    return best
+            if ok:
+                out.append((radius, si, off))
+    return out
 
 
-def naive_self_consensus(series, m, excl=None):
-    """Single-series variant with a trivial-match exclusion zone."""
+def naive_consensus(series_list, m):
+    """Exhaustive minimax-radius consensus over all (series, offset)
+    windows; mirrors the acceptance rule but with no vectorization."""
+    return naive_first_minimum(naive_consensus_radii(series_list, m))
+
+
+def naive_self_consensus_radii(series, m, excl=None):
+    """(radius, offset) of every non-constant window of a single series
+    with a non-constant window outside its trivial-match exclusion zone."""
     vals = np.asarray(series.values, dtype=float)
     excl = excl if excl is not None else math.ceil(m / 2)
-    best = None
+    out = []
     for off in range(len(vals) - m + 1):
         q = vals[off : off + m]
         if q.std() < 1e-12:
@@ -71,9 +90,14 @@ def naive_self_consensus(series, m, excl=None):
             if w.std() < 1e-12:
                 continue
             radius = min(radius, naive_znorm_distance(q, w))
-        if np.isfinite(radius) and (best is None or radius < best[0] - 1e-12):
-            best = (radius, off)
-    return best
+        if np.isfinite(radius):
+            out.append((radius, off))
+    return out
+
+
+def naive_self_consensus(series, m, excl=None):
+    """Single-series variant with a trivial-match exclusion zone."""
+    return naive_first_minimum(naive_self_consensus_radii(series, m, excl))
 
 
 def naive_greedy_matches(profile, m, tau):

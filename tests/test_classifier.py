@@ -158,30 +158,34 @@ def present(prs):
             if not math.isnan(v)}
 
 
+# the bundled (keyword map, non-CAPA phrases)
+BUNDLED_KEYWORDS = load_keyword_map({})
+
+
 class TestKeywordLabeling:
     def test_capa_examples(self):
-        assert label_by_keywords("Add eslint config") == (
+        assert label_by_keywords("Add eslint config", *BUNDLED_KEYWORDS) == (
             StageOneLabel.CAPA, CapaLabel.ADD_LINTER)
-        assert label_by_keywords("raise branch COVERAGE") == (
+        assert label_by_keywords("raise branch COVERAGE", *BUNDLED_KEYWORDS) == (
             StageOneLabel.CAPA, CapaLabel.COVERAGE)
-        assert label_by_keywords("drop dead code paths") == (
+        assert label_by_keywords("drop dead code paths", *BUNDLED_KEYWORDS) == (
             StageOneLabel.CAPA, CapaLabel.UNUSED)
 
     def test_first_match_in_ascending_label_order(self):
         # hits both linter (1) and refactor (5): label 1 wins
-        got = label_by_keywords("refactor the pylint setup")
+        got = label_by_keywords("refactor the pylint setup", *BUNDLED_KEYWORDS)
         assert got == (StageOneLabel.CAPA, CapaLabel.ADD_LINTER)
 
     def test_non_capa(self):
-        assert label_by_keywords("hotfix for crash") == (
+        assert label_by_keywords("hotfix for crash", *BUNDLED_KEYWORDS) == (
             StageOneLabel.NON_CAPA, None)
 
     def test_unmatched_is_none(self):
-        assert label_by_keywords("weekly sync notes") is None
+        assert label_by_keywords("weekly sync notes", *BUNDLED_KEYWORDS) is None
 
     def test_empty_map_rejected(self):
-        with pytest.raises(ValueError):
-            label_by_keywords("x", keyword_map={})
+        with pytest.raises(ValueError, match="^capa must be an object naming one or more"):
+            load_keyword_map({"capa": {}})
 
     def test_load_keyword_map(self):
         kmap, non_capa = load_keyword_map(
@@ -194,7 +198,7 @@ class TestKeywordLabeling:
     def test_defaults_are_the_bundled_map(self):
         bundled = json.loads((Path(classifier.__file__).parent / "data"
                               / "default_keywords.json").read_text())
-        kmap, non_capa = classifier.DEFAULT_KEYWORDS, classifier.DEFAULT_NON_CAPA_KEYWORDS
+        kmap, non_capa = load_keyword_map({})
         assert (kmap, non_capa) == load_keyword_map(bundled)
         assert sorted(kmap) == list(CapaLabel) and non_capa
         # a part left out of a map falls back to the bundled one

@@ -787,6 +787,16 @@ class TestReportInputs:
         assert text.endswith("## Missing artifacts\n\n- report_stage2.json\n")
         assert "## Actions near patterns" in text and "## Independence test" in text
 
+    def test_present_class_report_is_rendered_beside_a_missing_one(self, tmp_path):
+        cfg, out = fixture_config(tmp_path)
+        assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
+        (out / "report_stage1.json").unlink()
+        assert main(["--config", str(cfg), "report"]) == EXIT_OK
+        text = (out / "report.md").read_text()
+        assert "## Classification report, stage 2" in text
+        assert "## Classification report, stage 1" not in text
+        assert text.endswith("## Missing artifacts\n\n- report_stage1.json\n")
+
     def test_malformed_class_report_is_an_error_beside_a_missing_one(self, tmp_path,
                                                                      capsys):
         cfg, out = fixture_config(tmp_path)
@@ -847,9 +857,9 @@ class TestArtifactTable:
         for attr in ("patterns", "pairwise", "report_md", "no_such_value"):
             with pytest.raises(AttributeError, match=f"no attribute '{attr}'"):
                 getattr(run, attr)
-        # rows that share an attribute hold its list, in table order
-        assert run.reports == [json.loads((out / f"report_stage{stage}.json").read_text())
-                               for stage in (1, 2)]
+        # each row has an attribute of its own
+        assert run.report_stage1 == json.loads((out / "report_stage1.json").read_text())
+        assert run.report_stage2 == json.loads((out / "report_stage2.json").read_text())
 
     def test_attribute_error_of_a_parse_names_the_file(self, pipeline_out, monkeypatch):
         # else Run.joins, which reads the occurrences, would report itself missing
@@ -1188,7 +1198,7 @@ class TestPipeline:
         for stage in ("label", "train"):
             assert main(["--config", str(cfg), stage]) == EXIT_OK
         run = Run(load_config(cfg), out)
-        stage1, stage2 = run.models
+        stage1, stage2 = run.model_stage1, run.model_stage2
         X = classifier.encode(ingestion.load_prs_jsonl(FIXTURES / "prs.jsonl").values)
         for forest in (stage1, stage2):
             labels, fractions = forest.predict(X)

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capaminer import mining
 from capaminer.cli import OCCURRENCE_FIELDS
@@ -22,9 +24,12 @@ from capaminer.tsdist import MetricSeries, distance_profile
 
 from conftest import (
     naive_consensus,
+    naive_consensus_radii,
     naive_exhaustive_patterns,
+    naive_first_minimum,
     naive_greedy_matches,
     naive_self_consensus,
+    naive_self_consensus_radii,
 )
 
 
@@ -417,6 +422,87 @@ class TestMinePatterns:
                 (q.pattern_id, q.metric_name, q.source_repo, q.source_offset,
                  q.radius, q.occurrences)
             np.testing.assert_array_equal(p.values, q.values)
+
+
+@st.composite
+def series_sets(draw):
+    """(series, m) for the kernel oracles: m in 3..7 and 1 to 4 series of
+    length m + 4 to 24, each of continuous, integer or one-decimal values,
+    a constant, or adjacent floats at 1.0, maybe with a plateau of m + 2
+    points, and maybe with a window that is an exact or a power-of-two
+    affine copy of a window of itself or an earlier one.  Adjacent floats
+    are constant within EPS_VAR at 1.0; at larger offsets the oracles'
+    one-pass centring could not resolve them (see test_tsdist)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(3, 7))
+    series = []
+    for i in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(m + 4, 24))
+        kind = draw(st.sampled_from(4 * ["continuous"] + 3 * ["integer", "decimal"]
+                                    + ["constant", "adjacent"]))
+        if kind == "continuous":
+            vals = rng.normal(10, 3, n)
+        elif kind == "integer":
+            vals = rng.integers(0, draw(st.integers(2, 5)), size=n).astype(float)
+        elif kind == "decimal":
+            vals = np.round(rng.normal(0, 2, n), 1)
+        elif kind == "constant":
+            vals = np.full(n, 3.0)
+        else:
+            vals = 1.0 + 2.0 ** -52 * rng.integers(0, 4, size=n)
+        if draw(st.booleans()):
+            start = draw(st.integers(0, n - m - 2))
+            vals[start : start + m + 2] = vals[start]
+        if draw(st.booleans()):
+            src = vals if not series or draw(st.booleans()) else \
+                draw(st.sampled_from(series)).values
+            a = 2.0 ** draw(st.integers(-3, 3)) if draw(st.booleans()) else 1.0
+            b = draw(st.integers(-8, 8)) if a != 1.0 else 0.0
+            j = draw(st.integers(0, len(src) - m))
+            at = draw(st.integers(0, n - m))
+            vals[at : at + m] = a * src[j : j + m] + b
+        series.append(MetricSeries(f"r{i}", "m", np.arange(float(n)), vals))
+    return series, m
+
+
+class TestKernelOracles:
+    """consensus_candidate and mine_patterns on generated series against
+    the exhaustive naive oracles."""
+
+    @given(series_sets())
+    @settings(derandomize=True, deadline=None, database=None, max_examples=250)
+    def test_consensus_candidate(self, drawn):
+        series, m = drawn
+        if len(series) == 1:
+            radii = [(r, 0, off) for r, off in naive_self_consensus_radii(series[0], m)]
+        else:
+            radii = naive_consensus_radii(series, m)
+        if not radii:
+            with pytest.raises(NoValidWindow):
+                consensus_candidate(series, m)
+            return
+        cand = consensus_candidate(series, m)
+        # naive_consensus, or naive_self_consensus, of the radii
+        radius, si, off = naive_first_minimum(radii)
+        assert abs(cand.radius - radius) <= 1e-9
+        # the lowest (series, offset) wins a tie, but a tie within rounding
+        # may go either way
+        ranked = sorted(r for r, *_ in radii)
+        if len(ranked) == 1 or ranked[1] - radius > 1e-9:
+            assert (cand.source_repo, cand.source_offset) == (series[si].repo_id, off)
+
+    @given(series_sets(), st.lists(st.integers(0, 3), min_size=4, max_size=4),
+           st.integers(0, 2), st.floats(0.05, 1.0), st.sampled_from([0.25, 0.5, 1.0]))
+    @settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    def test_mine_patterns_accepts_exhaustive_windows(self, drawn, repos, extra, share,
+                                                      fraction):
+        # coverage counts repositories, and two series may share one
+        series, m = drawn
+        series = [replace(s, repo_id=f"r{r}") for s, r in zip(series, repos)]
+        cfg = MiningConfig(m, m + extra, share * 2 * math.sqrt(m), fraction)
+        accepted = {(p.source_repo, p.source_offset, len(p))
+                    for p in mine_patterns(series, cfg)}
+        assert accepted <= naive_exhaustive_patterns(series, cfg)
 
 
 class TestSerialization:
