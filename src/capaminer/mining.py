@@ -1,12 +1,13 @@
 """Consensus pattern mining over repository metric series.
 
-A candidate window is scored by its radius: the maximum over the other
-series of the minimum z-normalized distance to any window.  The window with
-the smallest radius is the consensus candidate for its length; ties go to
-the lowest (series order, offset).  The search abandons a window as soon as
-its radius over the series scored so far passes the best radius found
-(Ostinato, Kamgar et al., ICDM 2019).  A candidate is accepted when enough
-of the repositories have a series it matches.
+A candidate window is scored by its radius: the maximum over its targets,
+the other series or a lone series' own windows, of the minimum z-normalized
+distance to any window.  The window with the smallest radius is the
+consensus candidate for its length; ties go to the lowest (series order,
+offset).  The search abandons a window as soon as its radius over the
+targets scored so far passes the best radius found (Ostinato, Kamgar et
+al., ICDM 2019).  A candidate is accepted when enough of the repositories
+have a series it matches.
 """
 
 from __future__ import annotations
@@ -70,87 +71,63 @@ class ConsensusPattern:
         return len(self.values)
 
 
-def _nearest_distance(z, other, m: int, excl: int = 0):
-    """Distance from each row of z to its nearest valid window of other.
+def _nearest_distance(q, rows, other, m: int, excl: int):
+    """Distance from each query row q, the windows at offsets rows, to its
+    nearest valid window of other.
 
     other is a (Z, valid) pair from znormalized_windows.  excl > 0 means
-    other holds z's own windows: pairs fewer than excl offsets apart are
-    trivial self-matches and are skipped.  Rows with nothing to compare
+    other holds the query's own windows: pairs fewer than excl offsets apart
+    are trivial self-matches and are skipped.  Rows with nothing to compare
     against get +inf.  The max dot product is taken before the one sqrt per
     row; sqrt(2(m - dot)) falls as dot grows, so this is the min distance.
     """
     zo, vo = other
-    dots = z @ zo[vo].T
+    dots = q @ zo[vo].T
     if excl:
-        offs = np.arange(len(z))
-        dots[np.abs(offs[:, None] - np.flatnonzero(vo)[None, :]) < excl] = -np.inf
+        dots[np.abs(rows[:, None] - np.flatnonzero(vo)[None, :]) < excl] = -np.inf
     best = dots.max(axis=1, initial=-np.inf)
     return np.sqrt(2.0 * np.maximum(m - best, 0.0))
 
 
-def _direct_radius(qz, targets) -> float:
-    """Max over the (Z, mask) targets of the min direct ||qz - w|| over the
-    windows w that the mask admits; each mask admits at least one."""
-    return max(float(np.nanmin(direct_distances(qz, t))) for t in targets)
+def consensus_candidate(series_set, m: int) -> ConsensusPattern:
+    """Window minimizing the max over its targets of the min distance.
 
-
-def _ostinato(zs, m: int):
-    """(radius, series_idx, offset) of the consensus window of two or more
-    series of (Z, valid) windows.
-
-    A series' windows are scored one other series at a time, and a window
-    is dropped once its running max, a lower bound on its radius, is
-    strictly above the best radius of the earlier series.  The survivors
-    are ranked by the dot form; the best is measured with the direct norm,
-    which gives equal windows equal bits whatever rows a product held, and
-    must beat the best so far strictly, so ties go to the lowest (series,
-    offset).
+    A series' targets are the other series or, when it is alone, its own
+    windows, with trivial matches within ceil(m/2) offsets excluded.  The
+    windows of a series are scored one target at a time, and a window is
+    dropped once its running max, a lower bound on its radius, is strictly
+    above the best radius of the earlier series.  The survivors are ranked
+    by the dot form; the best is measured with the direct norm ||qz - wz||
+    over the same targets, which gives equal windows equal bits whatever
+    rows a product held, and must beat the best so far strictly, so ties go
+    to the lowest (series order, offset).  pattern_id is -1: mine_patterns
+    numbers the accepted ones.
     """
+    zs = [znormalized_windows(s.values, m) for s in series_set]
+    excl = math.ceil(m / 2) if len(zs) == 1 else 0
     best = None
     for si, (z, valid) in enumerate(zs):
-        others = zs[:si] + zs[si + 1:]
+        targets = zs[:si] + zs[si + 1:] or zs
         rows = np.flatnonzero(valid)
         q, radii = z[rows], np.zeros(len(rows))
-        for other in others:
+        for target in targets:
             if not len(rows):
                 break
-            radii = np.maximum(radii, _nearest_distance(q, other, m))
+            radii = np.maximum(radii, _nearest_distance(q, rows, target, m, excl))
             if best is not None:
                 alive = radii <= best[0]
                 rows, q, radii = rows[alive], q[alive], radii[alive]
         if len(rows) and np.isfinite(radii.min()):
             off = int(rows[np.argmin(radii)])
-            radius = _direct_radius(z[off], others)
+            if excl:
+                targets = [(z, valid & (np.abs(np.arange(len(z)) - off) >= excl))]
+            radius = max(float(np.nanmin(direct_distances(z[off], t))) for t in targets)
             if best is None or radius < best[0]:
                 best = (radius, si, off)
     if best is None:
-        raise NoValidWindow("all windows constant")
-    return best
-
-
-def consensus_candidate(series_set, m: int) -> ConsensusPattern:
-    """Window minimizing the max over the other series of the min distance.
-
-    Several series go through the Ostinato search (_ostinato).  A single
-    series is scored against its own windows, with trivial matches within
-    ceil(m/2) offsets excluded.  Ties break to the lowest (series order,
-    offset).  The radius is the direct norm ||qz - wz||, whatever was
-    pruned.  pattern_id is -1: mine_patterns numbers the accepted ones.
-    """
-    if any(len(s) < m for s in series_set):
-        raise ValueError("every series must be at least as long as m")
-    zs = [znormalized_windows(s.values, m) for s in series_set]
-    if len(zs) == 1:
-        excl = math.ceil(m / 2)
-        z, valid = zs[0]
-        radii = np.where(valid, _nearest_distance(z, zs[0], m, excl), np.inf)
-        si, off = 0, int(np.argmin(radii))
-        if not np.isfinite(radii[off]):
-            raise NoValidWindow("all windows constant")
-        far = np.abs(np.arange(len(z)) - off) >= excl
-        radius = _direct_radius(z[off], [(z, valid & far)])
-    else:
-        radius, si, off = _ostinato(zs, m)
+        raise NoValidWindow("no non-constant window has a non-constant window "
+                            "to compare with in every target")
+    radius, si, off = best
     s = series_set[si]
     return ConsensusPattern(-1, s.values[off : off + m], s.metric_name,
                             s.repo_id, off, radius)
@@ -178,8 +155,6 @@ def greedy_matches(distances, m: int, tau: float):
 
 def count_matches(pattern: ConsensusPattern, series: MetricSeries, tau: float):
     """occurrences.jsonl rows of the thresholded non-overlapping matches."""
-    if len(series) < len(pattern):
-        raise ValueError("series shorter than pattern")
     profile = distance_profile(pattern.values, series)
     occs = []
     for off, dist in greedy_matches(profile, len(pattern), tau):

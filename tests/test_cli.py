@@ -1075,23 +1075,33 @@ def numeric_date_prs(path):
 
 class TestPipeline:
     def test_pipeline_equals_subcommand_composition(self, tmp_path):
-        inputs = [FIXTURES / "prs.jsonl",
-                  numeric_date_prs(tmp_path / "prs_numeric.jsonl")]
-        for prs in inputs:
-            cfg_a, out_a = fixture_config(tmp_path / prs.stem / "a",
-                                          prs_path=str(prs))
+        # in the one-repository cut every metric is a lone series
+        lines = (FIXTURES / "metrics.csv").read_text().splitlines(keepends=True)
+        one_repo = tmp_path / "one_repo.csv"
+        one_repo.write_text("".join(
+            [lines[0]] + [ln for ln in lines if ln.startswith("org/repo3,")]))
+        inputs = {
+            "fixture": {},
+            "numeric": {"prs_path": str(numeric_date_prs(tmp_path / "prs_numeric.jsonl"))},
+            "one_repo": {"metrics_path": str(one_repo)},
+        }
+        for label, extra in inputs.items():
+            cfg_a, out_a = fixture_config(tmp_path / label / "a", **extra)
             assert main(["--config", str(cfg_a), "pipeline"]) == EXIT_OK
             for name in ARTIFACTS:
                 assert (out_a / name).exists(), name
 
-            cfg_b, out_b = fixture_config(tmp_path / prs.stem / "b",
-                                          prs_path=str(prs))
+            cfg_b, out_b = fixture_config(tmp_path / label / "b", **extra)
             for step in ("mine", "label", "train", "classify", "associate",
                          "validate", "report"):
                 assert main(["--config", str(cfg_b), step]) == EXIT_OK, step
             for name in ARTIFACTS:
                 assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), \
-                    (prs.name, name)
+                    (label, name)
+        # out_a holds the one-repository run, the last input
+        patterns = json.loads((out_a / "patterns.json").read_text())["patterns"]
+        assert [(p["source"]["repo"], p["source"]["offset"]) for p in patterns] == \
+            [("org/repo3", 36), ("org/repo3", 79), ("org/repo3", 24)]
 
     def test_pipeline_parses_encodes_and_joins_once(self, tmp_path, monkeypatch):
         n_prs = len((FIXTURES / "prs.jsonl").read_text().splitlines())

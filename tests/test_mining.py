@@ -60,6 +60,8 @@ def planted_shape_series(rng, offsets, n):
     return series
 
 
+NOTHING_TO_COMPARE = "^no non-constant window has a non-constant window to compare with"
+
 SPIKES = np.array([0.0, 1.0, 0.0, 5.0, 0.0, 1.0, 0.0, 9.0])
 
 
@@ -204,7 +206,7 @@ class TestConsensusCandidate:
         b = make_series(rng, "r1", 30, metric="m")
         for series in ([a, flat], [flat, a], [a, b, flat], [a, flat, b]):
             assert naive_consensus(series, 5) is None
-            with pytest.raises(NoValidWindow):
+            with pytest.raises(NoValidWindow, match=NOTHING_TO_COMPARE):
                 consensus_candidate(series, 5)
         assert mine_patterns([a, b, flat], MiningConfig(5, 5, 10.0)) == []
 
@@ -214,9 +216,9 @@ class TestConsensusCandidate:
         rows = []
         nearest = mining._nearest_distance
 
-        def counted(z, other, m, excl=0):
-            rows.append(len(z))
-            return nearest(z, other, m, excl)
+        def counted(q, offsets, other, m, excl):
+            rows.append(len(q))
+            return nearest(q, offsets, other, m, excl)
 
         monkeypatch.setattr(mining, "_nearest_distance", counted)
         cand = consensus_candidate(series, m)
@@ -240,8 +242,14 @@ class TestConsensusCandidate:
 
     def test_all_constant_raises(self):
         s = MetricSeries("r0", "m", np.arange(6.0), np.full(6, 3.0))
-        with pytest.raises(NoValidWindow):
+        with pytest.raises(NoValidWindow, match=NOTHING_TO_COMPARE):
             consensus_candidate([s], 3)
+        # not constant, but every other window lies within the ceil(4/2)
+        # offsets of the trivial-match zone
+        s = MetricSeries("r", "m", np.arange(5.0), [1.0, 4.0, 2.0, 8.0, 3.0])
+        assert naive_self_consensus(s, 4) is None
+        with pytest.raises(NoValidWindow, match=NOTHING_TO_COMPARE):
+            consensus_candidate([s], 4)
 
 
 class TestGreedyMatches:
