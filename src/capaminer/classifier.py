@@ -32,7 +32,7 @@ import numpy as np
 from . import timeutil
 from .errors import NUMBER, PROBABILITY, SEED, DegenerateData, at_least, need, only
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 
 # The 27 pull-request metrics, in fixed table order.
 FEATURE_ORDER = [
@@ -420,15 +420,19 @@ def _entries(doc, key, kinds, lo, hi, size):
 
 @dataclass(eq=False)
 class RandomForest:
-    """A forest as node arrays, node t the root of tree t: split feature (-1
-    at a leaf), threshold, left child (-1 at a leaf; the right child is left
-    + 1) and class counts, nodes x classes.  Children follow their parent."""
+    """A forest as node arrays: split feature (-1 at a leaf), threshold and
+    class counts, nodes x classes.  Node t is the root of tree t, then come
+    the splits' children, a pair per split in split order, so left (-1 at a
+    leaf; the right child is left + 1) follows from the split features."""
     classes: list
     n_trees: int
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
     counts: np.ndarray
+
+    def __post_init__(self):
+        split = self.feature >= 0
+        self.left = np.where(split, self.n_trees + 2 * np.cumsum(split) - 2, -1)
 
     def predict(self, X):
         """Majority vote over trees for each row of X; ties break to the
@@ -473,13 +477,13 @@ class RandomForest:
         return {"format_version": MODEL_FORMAT_VERSION,
                 "classes": [int(c) for c in self.classes], "n_trees": self.n_trees,
                 **{key: getattr(self, key).ravel().tolist()
-                   for key in ("feature", "threshold", "left", "counts")}}
+                   for key in ("feature", "threshold", "counts")}}
 
     @classmethod
     def from_json(cls, doc: dict, n_features: int) -> "RandomForest":
-        """The forest of a to_json document, checked: another shape, a leaf
-        with a child, a child before its split, or a node other than a root
-        not the child of exactly one split raises ValueError."""
+        """The forest of a to_json document, checked: another shape, other than
+        n_trees nodes and two per split, or a split after its children raises
+        ValueError, so each node but a root is the child of one earlier split."""
         need(doc, {
             "format_version": (lambda v: v == MODEL_FORMAT_VERSION, str(MODEL_FORMAT_VERSION)),
             "classes": (lambda v: type(v) is list and len(v) >= 2
@@ -489,21 +493,16 @@ class RandomForest:
         n, n_classes = len(doc["feature"]), len(doc["classes"])
         n_trees = need(doc, {"n_trees": (lambda v: type(v) is int and 1 <= v <= n,
                                          f"an integer in [1, {n}]")})["n_trees"]
-        feature, threshold, left, counts = (_entries(doc, key, *spec) for key, spec in {
+        feature, threshold, counts = (_entries(doc, key, *spec) for key, spec in {
             "feature": ({int}, -1, n_features - 1, n),
             "threshold": ({int, float}, -sys.float_info.max, sys.float_info.max, n),
-            "left": ({int}, -1, n - 2, n),
             "counts": ({int}, 0, 2**31 - 1, n * n_classes)}.items())
-        node, split = np.arange(n), feature >= 0
-        for i in np.flatnonzero(np.where(split, left <= node, left != -1))[:1]:
-            want = "a node after its split" if split[i] else "-1 at a leaf"
-            raise ValueError(f"left[{i}] must be {want}, got {left[i]}")
-        parents = np.bincount(np.concatenate([left[split], left[split] + 1]), minlength=n)
-        for i in np.flatnonzero(parents != (node >= n_trees))[:1]:
-            want = "no" if i < n_trees else "one split"
-            raise ValueError(f"node {i} must be the child of {want} node, got {parents[i]}")
-        return cls(doc["classes"], n_trees, feature, threshold, left,
-                   counts.reshape(n, n_classes))
+        forest = cls(doc["classes"], n_trees, feature, threshold, counts.reshape(n, n_classes))
+        if n != (want := n_trees + 2 * int(np.count_nonzero(feature >= 0))):
+            raise ValueError(f"feature must hold n_trees + 2 per split = {want} entries, got {n}")
+        for i in np.flatnonzero((feature >= 0) & (forest.left <= np.arange(n)))[:1]:
+            raise ValueError(f"split {i} must come before its left child, got {forest.left[i]}")
+        return forest
 
 
 def _canonical_order(X, y_codes):
@@ -585,11 +584,8 @@ def train_forest(X, y, n_estimators: int, seed: int) -> RandomForest:
         sizes = counts.sum(axis=1)
         tree = np.repeat(tree[split], 2)
         depth += 1
-    feature, threshold, counts = map(np.concatenate, zip(*arrays))
-    # ids go by depth, so the j-th split node's children are the j-th pair after the roots
-    split = feature >= 0
-    left = np.where(split, n_estimators + 2 * np.cumsum(split) - 2, -1)
-    return RandomForest(classes.tolist(), n_estimators, feature, threshold, left, counts)
+    # ids go by depth, which is RandomForest's layout
+    return RandomForest(classes.tolist(), n_estimators, *map(np.concatenate, zip(*arrays)))
 
 
 def classify_two_stage(stage1: RandomForest, stage2: RandomForest, X) -> list:

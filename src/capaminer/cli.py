@@ -450,19 +450,19 @@ def cmd_associate(run: Run):
 def cmd_validate(run: Run, contingency_path=None, pairwise_path=None):
     """Chi-squared on the contingency table, pairwise tests, and mapping.
 
-    The table comes from contingency_path and the pairwise rows from
-    pairwise_path whenever they are given (e.g. when validating a standalone
-    table), and from the run otherwise.
+    The table and the pairwise rows come from the run, or, to validate a
+    standalone table, both from files: contingency_path and pairwise_path,
+    which main takes together.
     """
-    if contingency_path:
+    if contingency_path is not None:
         run.table = _read(contingency_path, "contingency table",
                           _text(association.contingency_from_csv), MalformedInput)
-    qualifying = association.filter_relevant(run.table, run.cfg.min_count)
-    if pairwise_path:
+        qualifying = association.filter_relevant(run.table, run.cfg.min_count)
         rows = _read(pairwise_path, "pairwise rows", _text(
             lambda text: association.pairwise_from_json(json.loads(text), qualifying)),
             MalformedInput)
     else:
+        qualifying = association.filter_relevant(run.table, run.cfg.min_count)
         rows = association.pairwise_tests(run.joins, qualifying)
         log.info("skipped %d action pairs with fewer than 2 occurrence samples",
                  len(association.qualifying_pairs(qualifying)) - len(rows))
@@ -565,6 +565,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "validate" and (args.contingency is None) != (args.pairwise is None):
+            parser.error("validate takes --contingency and --pairwise together, or neither")
     except SystemExit as exc:
         return EXIT_CONFIG_ERROR if exc.code not in (0, None) else EXIT_OK
     if args.command is None:

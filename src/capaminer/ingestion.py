@@ -48,15 +48,15 @@ def load_metrics_csv(path):
     """Load the commit-metric CSV into one MetricSeries per (repo, metric).
 
     Rows are grouped by repo and sorted by timestamp; out-of-order input is
-    tolerated, but gaps are not filled.  A missing header or column, a row
-    with more or fewer cells than the header, a timestamp that is not RFC
-    3339 or lies outside the years 0001 to 9999 UTC, a value that does not
-    parse as a finite number, a row that is not one step after its repo's
-    previous row, or a row that csv cannot split (a cell past
-    csv.field_size_limit()) raises ValueError, naming the 1-based data row,
-    or the header.  The step, one for the whole file, is the least positive
-    time between two consecutive rows of a repo, so a repeated instant or a
-    gap is off it.
+    tolerated, but gaps are not filled.  A missing header, a missing or
+    repeated column, a row with more or fewer cells than the header, a
+    timestamp that is not RFC 3339 or lies outside the years 0001 to 9999
+    UTC, a value that does not parse as a finite number, a row that is not
+    one step after its repo's previous row, or a row that csv cannot split
+    (a cell past csv.field_size_limit()) raises ValueError, naming the
+    1-based data row, or the header.  The step, one for the whole file, is
+    the least positive time between two consecutive rows of a repo, so a
+    repeated instant or a gap is off it.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader, header, row_no = csv.reader(fh), None, 0  # row_no: the last row read
@@ -64,9 +64,10 @@ def load_metrics_csv(path):
             header = next(reader, None)
             if header is None:
                 raise ValueError("empty file, no header")
-            missing = [c for c in CSV_HEADER if c not in header]
-            if missing:
+            if missing := [c for c in CSV_HEADER if c not in header]:
                 raise ValueError(f"missing column(s): {', '.join(missing)}")
+            if repeated := [c for c in CSV_HEADER if header.count(c) > 1]:
+                raise ValueError(f"the header: repeated column(s): {', '.join(repeated)}")
             col = {name: header.index(name) for name in CSV_HEADER}
             per_repo = {}
             for row_no, row in enumerate(reader, start=1):

@@ -345,7 +345,7 @@ class TestRandomForest:
         assert forest.predict(probe)[0].tolist() == back.predict(probe)[0].tolist()
 
     def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError, match="^format_version must be 3, got 99$"):
+        with pytest.raises(ValueError, match="^format_version must be 4, got 99$"):
             RandomForest.from_json({"format_version": 99}, n_features=4)
 
     def test_format_1_rejected(self, rng):
@@ -354,7 +354,7 @@ class TestRandomForest:
         forest = train_forest(X, y, 3, 0)
         doc = {"format_version": 1, "classes": forest.classes, "trees": forest.trees,
                "config": {"n_estimators": 3, "seed": 0}}
-        with pytest.raises(ValueError, match="^format_version must be 3, got 1$"):
+        with pytest.raises(ValueError, match="^format_version must be 4, got 1$"):
             RandomForest.from_json(doc, n_features=4)
 
     def test_format_2_rejected(self, rng):
@@ -362,7 +362,16 @@ class TestRandomForest:
         X, y = separable_data(rng, n_classes=2, n_per_class=15, n_features=4)
         forest = train_forest(X, y, 3, 0)
         doc = {"format_version": 2, "classes": forest.classes, "trees": forest.trees}
-        with pytest.raises(ValueError, match="^format_version must be 3, got 2$"):
+        with pytest.raises(ValueError, match="^format_version must be 4, got 2$"):
+            RandomForest.from_json(doc, n_features=4)
+
+    def test_format_3_rejected(self, rng):
+        # format 3 stored each split's left child, which format 4 derives from
+        # the layout: the trees are the same, so retrain
+        X, y = separable_data(rng, n_classes=2, n_per_class=15, n_features=4)
+        forest = train_forest(X, y, 3, 0)
+        doc = {**forest.to_json(), "format_version": 3, "left": forest.left.tolist()}
+        with pytest.raises(ValueError, match="^format_version must be 4, got 3$"):
             RandomForest.from_json(doc, n_features=4)
 
     # explicit ids keep the test names stable when a message is reworded; the
@@ -378,13 +387,13 @@ class TestRandomForest:
         pytest.param(lambda d: d.update(n_trees=0),
                      r"^n_trees must be an integer in \[1, 9\], got 0$",
                      id="<lambda>-trees must be a non-empty list"),
-        pytest.param(lambda d: d.update(feature=[], threshold=[], left=[], counts=[]),
+        pytest.param(lambda d: d.update(feature=[], threshold=[], counts=[]),
                      r"^n_trees must be an integer in \[1, 0\], got 3$", id="no nodes"),
         pytest.param(lambda d: d["feature"].__setitem__(3, "leaf"),
                      r"^feature\[3\] must be an integer in \[-1, 3\], got 'leaf'$",
                      id="<lambda>-boolean leaf0"),
-        pytest.param(lambda d: d["left"].__setitem__(3, True),
-                     r"^left\[3\] must be an integer in \[-1, 7\], got True$",
+        pytest.param(lambda d: d["feature"].__setitem__(3, True),
+                     r"^feature\[3\] must be an integer in \[-1, 3\], got True$",
                      id="<lambda>-boolean leaf1"),
         pytest.param(lambda d: d["counts"].pop(),
                      "^counts must hold 18 entries, got 17$", id="<lambda>-leaf counts0"),
@@ -395,7 +404,7 @@ class TestRandomForest:
                      r"^counts\[0\] must be an integer in \[0, 2147483647\], "
                      "got 2147483648$", id="counts past int32"),
         pytest.param(lambda d: d["feature"].__setitem__(1, -1),
-                     r"^left\[1\] must be -1 at a leaf, got 5$",
+                     r"^feature must hold n_trees \+ 2 per split = 7 entries, got 9$",
                      id="<lambda>-split feature0"),
         pytest.param(lambda d: d["feature"].__setitem__(0, 4),
                      r"^feature\[0\] must be an integer in \[-1, 3\], got 4$",
@@ -404,7 +413,7 @@ class TestRandomForest:
                      r"^feature\[0\] must be an integer in \[-1, 3\], got 1.0$",
                      id="<lambda>-split feature2"),
         pytest.param(lambda d: d["feature"].__setitem__(4, 0),
-                     r"^left\[4\] must be a node after its split, got -1$",
+                     r"^feature must hold n_trees \+ 2 per split = 11 entries, got 9$",
                      id="leaf with a feature"),
         pytest.param(lambda d: d["threshold"].__setitem__(0, "0.5"),
                      r"^threshold\[0\] must be a finite number, got '0.5'$",
@@ -415,35 +424,31 @@ class TestRandomForest:
                      r"^threshold\[2\] must be a finite number, got 1000", id="huge threshold"),
         pytest.param(lambda d: d["threshold"].pop(),
                      "^threshold must hold 9 entries, got 8$", id="short threshold"),
-        pytest.param(lambda d: d["left"].__setitem__(2, 8),
-                     r"^left\[2\] must be an integer in \[-1, 7\], got 8$",
-                     id="<lambda>-a left and a right child"),
-        pytest.param(lambda d: d.pop("left"), "^left must be a list, got None$",
-                     id="no left children"),
-        pytest.param(lambda d: d["left"].__setitem__(1, 1),
-                     r"^left\[1\] must be a node after its split, got 1$", id="own child"),
-        pytest.param(lambda d: d["left"].__setitem__(2, 1),
-                     r"^left\[2\] must be a node after its split, got 1$",
-                     id="earlier child"),
-        pytest.param(lambda d: d["left"].__setitem__(1, 3),
-                     "^node 3 must be the child of one split node, got 2$",
-                     id="repeated child"),
+        # the layout gives the one split, node 2, the children 2 and 3, so
+        # predict would loop at node 2 for ever
+        pytest.param(lambda d: d.update(n_trees=2, feature=[-1, -1, 0, -1],
+                                        threshold=[0.0] * 4, counts=[1, 0] * 4),
+                     "^split 2 must come before its left child, got 2$", id="own child"),
+        pytest.param(lambda d: d.update(n_trees=1, feature=[-1, -1, 0],
+                                        threshold=[0.0] * 3, counts=[1, 0] * 3),
+                     "^split 2 must come before its left child, got 1$", id="earlier child"),
         pytest.param(lambda d: d.update(n_trees=2),
-                     "^node 2 must be the child of one split node, got 0$",
+                     r"^feature must hold n_trees \+ 2 per split = 8 entries, got 9$",
                      id="orphan root"),
         pytest.param(lambda d: d.update(n_trees=4),
-                     "^node 3 must be the child of no node, got 1$", id="root as a child"),
+                     r"^feature must hold n_trees \+ 2 per split = 10 entries, got 9$",
+                     id="root as a child"),
         # node 1 is the one parent of nodes 1 and 2, and no tree reaches them
         pytest.param(lambda d: d.update(n_trees=1, feature=[-1, 0, -1], threshold=[0.0] * 3,
-                                        left=[-1, 1, -1], counts=[1, 0] * 3),
-                     r"^left\[1\] must be a node after its split, got 1$",
+                                        counts=[1, 0] * 3),
+                     "^split 1 must come before its left child, got 1$",
                      id="a cycle outside the trees"),
     ])
     def test_malformed_model_rejected(self, rng, edit, why):
         X, y = separable_data(rng, n_classes=2, n_per_class=15, n_features=4)
         doc = json.loads(json.dumps(train_forest(X, y, 3, 0).to_json()))
-        assert doc["feature"][3:] == [-1] * 6 and doc["left"] == [3, 5, 7] + [-1] * 6
-        RandomForest.from_json(doc, n_features=4)
+        assert doc["feature"][3:] == [-1] * 6 and "left" not in doc
+        assert RandomForest.from_json(doc, n_features=4).left.tolist() == [3, 5, 7] + [-1] * 6
         edit(doc)
         with pytest.raises(ValueError, match=why):
             RandomForest.from_json(doc, n_features=4)
@@ -454,8 +459,8 @@ def leaf_forest(classes, *leaf_counts):
     model document."""
     n = len(leaf_counts)
     return RandomForest.from_json({
-        "format_version": 3, "classes": classes, "n_trees": n, "feature": [-1] * n,
-        "threshold": [0.0] * n, "left": [-1] * n,
+        "format_version": 4, "classes": classes, "n_trees": n, "feature": [-1] * n,
+        "threshold": [0.0] * n,
         "counts": [c for counts in leaf_counts for c in counts]}, n_features=4)
 
 
@@ -637,6 +642,31 @@ class TestGeneratedInputs:
         X, y, _ = training
         assert train_forest(X, y, n_estimators, seed).trees == \
             naive_forest_trees(X, y, n_estimators, seed)
+
+
+class TestModelFormat:
+    """Model format 4 on generated forests: a document read back from its
+    JSON text is the same forest, and one leaf made a split or split made a
+    leaf, or n_trees one more or one less, is rejected."""
+
+    @given(training_sets(), st.integers(1, 3), st.integers(0, 2**64 - 1), st.data())
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    def test_round_trip_and_layout_defects(self, training, n_estimators, seed, data):
+        X, y, _ = training
+        forest = train_forest(X, y, n_estimators, seed)
+        doc = forest.to_json()
+        back = RandomForest.from_json(json.loads(json.dumps(doc)), X.shape[1])
+        for key in ("feature", "threshold", "counts", "left"):
+            np.testing.assert_array_equal(getattr(back, key), getattr(forest, key))
+        for got, want in zip(back.predict(X), forest.predict(X)):
+            np.testing.assert_array_equal(got, want)
+        i = data.draw(st.integers(0, len(doc["feature"]) - 1))
+        flip = -1 if doc["feature"][i] >= 0 else data.draw(st.integers(0, X.shape[1] - 1))
+        feature = [*doc["feature"][:i], flip, *doc["feature"][i + 1:]]
+        for bad in ({**doc, "feature": feature}, {**doc, "n_trees": n_estimators - 1},
+                    {**doc, "n_trees": n_estimators + 1}):
+            with pytest.raises(ValueError):
+                RandomForest.from_json(bad, X.shape[1])
 
 
 def leaves(node):

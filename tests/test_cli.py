@@ -344,11 +344,11 @@ class TestExitCodes:
         # a model as format 1 wrote it, with the forest's settings beside its trees
         pytest.param(1, lambda doc: {**older_format(doc, 1),
                                      "config": {"n_estimators": 100, "seed": 0}},
-                     "format_version must be 3, got 1",
+                     "format_version must be 4, got 1",
                      id="1-<lambda>-format 1 rejected"),
         # a model as format 2 wrote it, with its trees as nested dicts
         pytest.param(2, lambda doc: older_format(doc, 2),
-                     "format_version must be 3, got 2", id="format 2 rejected"),
+                     "format_version must be 4, got 2", id="format 2 rejected"),
         (2, lambda doc: json.dumps(doc)[:-40], "line 1 column"),  # truncated
         (2, lambda doc: "[" * 100_000, "recursion depth"),
         pytest.param(2, lambda doc: with_split_feature(doc, 99),
@@ -494,26 +494,14 @@ def trained_fixture(tmp_path_factory):
 # values that no node array holds: null, bool, string and nested lists
 NOT_AN_ENTRY = [None, True, "0", [0], []]
 # per node array, more values that no valid model holds there: floats,
-# negatives and out-of-range indices
+# negatives, out-of-range indices, and a split made a leaf or a leaf a split
 MODEL_DEFECTS = {
-    "feature": [1.5, -2, 27, "leaf"],
+    "feature": [1.5, -2, 27, "leaf", "split"],
     "threshold": [math.nan, math.inf, -math.inf, 10**400],
-    "left": [1.5, -2, "itself", "earlier", "past the end", "right past the end",
-             "repeated"],
     "counts": [1.5, -1, 2**31],
 }
-# the named defects, put at split node i: -1 makes it a leaf with children,
-# and the others point its left child at itself, at an earlier node, past
-# the last node, at the last node (so its right child is past it), or at
-# the left child of another split
-AT_A_SPLIT = {
-    "leaf": lambda doc, i: -1,
-    "itself": lambda doc, i: i,
-    "earlier": lambda doc, i: i - 1,
-    "past the end": lambda doc, i: len(doc["left"]),
-    "right past the end": lambda doc, i: len(doc["left"]) - 1,
-    "repeated": lambda doc, i: next(c for c in doc["left"] if c not in (-1, doc["left"][i])),
-}
+# the named feature defects: the new value, and whether it goes at a split
+FLIPS = {"leaf": (-1, True), "split": (0, False)}
 
 
 def damaged_model(doc, key, defect, position):
@@ -522,10 +510,10 @@ def damaged_model(doc, key, defect, position):
     entries = doc[key]
     if defect == "cut":
         del entries[position % len(entries):]
-    elif isinstance(defect, str) and defect in AT_A_SPLIT:
-        splits = [i for i, f in enumerate(doc["feature"]) if f >= 0]
-        i = splits[position % len(splits)]
-        entries[i] = AT_A_SPLIT[defect](doc, i)
+    elif isinstance(defect, str) and defect in FLIPS:
+        value, at_split = FLIPS[defect]
+        nodes = [i for i, f in enumerate(entries) if (f >= 0) == at_split]
+        entries[nodes[position % len(nodes)]] = value
     else:
         entries[position % len(entries)] = defect
     return doc
@@ -698,6 +686,21 @@ class TestValidateStandalone:
     def test_missing_contingency(self, tmp_path, capsys):
         rc = main(["--out", str(tmp_path / "out"), "validate"])
         assert rc == EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize("flag, path", [
+        ("--contingency", "reference_capa_counts.csv"), ("--pairwise", "reference_pairwise.json")])
+    def test_lone_standalone_flag_is_a_config_error(self, tmp_path, capsys, flag, path):
+        # one standalone file beside a run's own artifacts would mix two
+        # runs: the published table's chi2 with the run's joins, say
+        cfg, out = fixture_config(tmp_path)
+        assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        rc = main(["--config", str(cfg), "validate", flag, str(bundled_data_path(path))])
+        assert rc == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "--contingency and --pairwise together" in err and "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestReportGaps:
@@ -1130,16 +1133,17 @@ class TestPipeline:
         # arithmetic, so these digests hold on any platform; a change that
         # grows other trees on purpose updates them and says why; the digests
         # changed with model format 3 (node arrays, not nested trees), whose
-        # trees are those of format 2
+        # trees are those of format 2, and with model format 4 (no stored
+        # left children), whose trees are those of format 3
         cfg, out = fixture_config(tmp_path)
         assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in ("model_stage1.json", "model_stage2.json")}
         assert digests == {
             "model_stage1.json":
-                "799d64ce0da0826808232e6b0c7688bbb43ecc5467ec36f41be3064b0e347f68",
+                "a27efa6a6d3baf9200c07c7360c0e526c362d291c34ec988b623ce857aa08806",
             "model_stage2.json":
-                "60ae83a30d87d7ff2bea2cc8a5e880b18ebd41e36739052dc8202fd55529801b",
+                "5fb739dd91e327f0109c849f024ea812f8b2b73b5a92c38989a76b6dcc78f757",
         }
 
     def test_pipeline_imports_no_random_or_masked_arrays(self, tmp_path):

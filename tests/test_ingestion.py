@@ -63,6 +63,15 @@ class TestMetricsCsv:
                                              "lines_changed$"):
             load_metrics_csv(p)
 
+    def test_repeated_column(self, tmp_path):
+        # the second lines_added column would be read as nothing
+        p = tmp_path / "m.csv"
+        p.write_text("repo_id,timestamp,lines_added,lines_deleted,lines_changed,lines_added\n"
+                     "org/a,2020-01-01T00:00:00Z,1,2,3,4\n")
+        with pytest.raises(ValueError, match="^the header: repeated column\\(s\\): "
+                                             "lines_added$"):
+            load_metrics_csv(p)
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("")
