@@ -54,9 +54,10 @@ def load_metrics_csv(path):
     UTC, a value that does not parse as a finite number, a row that is not
     one step after its repo's previous row, or a row that csv cannot split
     (a cell past csv.field_size_limit()) raises ValueError, naming the
-    1-based data row, or the header.  The step, one for the whole file, is
-    the least positive time between two consecutive rows of a repo, so a
-    repeated instant or a gap is off it.
+    1-based data row, or the header; a series with values too large to
+    z-normalize (see MetricSeries) raises one naming the metric and repo.
+    The step, one for the whole file, is the least positive time between
+    two consecutive rows of a repo, so a repeated instant or a gap is off it.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader, header, row_no = csv.reader(fh), None, 0  # row_no: the last row read
@@ -106,9 +107,12 @@ def load_metrics_csv(path):
     for repo, rows in grids.items():
         ts = np.array([r[0] for r in rows])
         for mi, metric in enumerate(METRIC_COLUMNS):
-            series.append(MetricSeries(
-                repo_id=repo, metric_name=metric, timestamps=ts,
-                values=np.array([r[1][mi] for r in rows])))
+            try:
+                series.append(MetricSeries(
+                    repo_id=repo, metric_name=metric, timestamps=ts,
+                    values=np.array([r[1][mi] for r in rows])))
+            except ValueError as exc:
+                raise ValueError(f"{metric} of {repo}: {exc}") from None
     return series
 
 

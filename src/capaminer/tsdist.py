@@ -8,18 +8,22 @@ A distance to a constant window is undefined.  Such windows come out of
 znormalized_windows marked invalid, and every array of distances holds NaN
 at them.  NaN fails every comparison, so a threshold test skips them.
 
-Precision policy: two kernels compute this distance.  The dot-product form
-sqrt(2(m - qz.wz)), a matrix product of one series' windows against
-another's, only ranks windows in the consensus search
-(mining._nearest_distance).  Near 0 it loses precision (about 2e-7 on
-affine copies), and its last bits depend on which rows a product holds.
-Every reported distance, consensus radii included, comes from the direct
+Precision policy: two kernels compute this distance.  The consensus
+search (mining._max_dots) ranks and prunes windows by the dot-product
+form sqrt(2(m - qz.wz)), from float32 matrix products of one series' windows
+against another's.  float32_dot_bound bounds the rounding of such a product
+in any summation order, so sqrt(2(m - (dot +- bound))) brackets the direct
+norm whatever the BLAS, its thread count or the rows a product held, and
+the search measures every window the brackets cannot rule out.  Every
+reported distance, consensus radii included, comes from the direct
 ||qz - wz|| of direct_distances, the one direct-norm kernel, so an affine
 copy comes out within 1e-9 of 0.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +39,9 @@ class MetricSeries:
     """One univariate metric series of a repository.
 
     timestamps are POSIX seconds (UTC), non-decreasing, one per data point.
+    values are finite, and small enough that n squared deviations of up to
+    twice the largest magnitude add up within the float range, so that
+    every window z-normalizes without overflow.
     """
 
     repo_id: str
@@ -51,6 +58,10 @@ class MetricSeries:
             raise ValueError("timestamps must be non-decreasing")
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite")
+        big, limit = np.abs(vals).max(), 0.25 * math.sqrt(sys.float_info.max / len(vals))
+        if big > limit:
+            raise ValueError(f"values must not exceed {limit:.3g} in magnitude, for their "
+                             f"squared deviations to stay finite, got {big:.3g}")
         ts.setflags(write=False)
         vals.setflags(write=False)
         object.__setattr__(self, "timestamps", ts)
@@ -107,6 +118,29 @@ def znormalized_windows(t, m: int):
     z = d / safe[:, None]
     z[~valid] = 0.0
     return z, valid
+
+
+def float32_dot_bound(m: int) -> float:
+    """Bound on |fl32(qz.wz) - qz.wz| for two length-m z-windows of
+    znormalized_windows, widened so that, as computed in float64,
+    sqrt(2 max(m - (dot + bound), 0)) <= ||qz - wz|| of direct_distances
+    <= sqrt(2 max(m - (dot - bound), 0)).
+
+    Summed in float32 in any order, a dot product is within gamma_m times
+    the sum of |products| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, section 3.1), gamma_m = m u / (1 - m u) with
+    u = 2**-24, and casting both operands to float32 adds (1 + u)**2 - 1.
+    The sum of |products| is at most ||qz|| ||wz|| = m (1 + eps), where eps,
+    gamma_{m+8} at the float64 unit 2**-53, bounds the rounding in z that
+    keeps ||z||**2 from being exactly m.  The last term, 16 m eps, is the
+    allowance for the float64 rounding of the direct norm and of the two
+    square roots, about four times what they need, and absorbs float32
+    underflow too.
+    """
+    u, u64 = 2.0**-24, 2.0**-53
+    gamma = m * u / (1 - m * u)
+    eps = (m + 8) * u64 / (1 - (m + 8) * u64)
+    return m * (1 + eps) * ((1 + u) ** 2 * (1 + gamma) - 1) + 16 * m * eps
 
 
 def direct_distances(qz, windows) -> np.ndarray:

@@ -257,6 +257,18 @@ def naive_classify_two_stage(stage1, stage2, X):
                                               naive_predict(stage2, X))]
 
 
+def random_and_tiled_windows(rng, m, n):
+    """Valid length-m z-windows of a random series of n points and of one
+    tiled from a random base of at most m points, whose windows repeat bit
+    for bit."""
+    from capaminer.tsdist import znormalized_windows
+
+    base = rng.normal(size=int(rng.integers(2, m + 1)))
+    for t in (rng.normal(0, 3, n), np.resize(base, n)):
+        z, valid = znormalized_windows(t, m)
+        yield z[valid]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -884,6 +884,21 @@ def malformed_line_at_length_9(tmp_path, out, monkeypatch):
                              "not an RFC 3339 date: 'yesterday'\n")
 
 
+def lines_added_times_1e160(tmp_path, out, monkeypatch):
+    # each finite, but the squared deviations of org/repo0's lines_added
+    # overflow, which z-normalized every window to zeros, a perfect match
+    metrics = tmp_path / "metrics.csv"
+    lines = (FIXTURES / "metrics.csv").read_text().splitlines()
+    for i, line in enumerate(lines[1:], start=1):
+        repo, stamp, added, rest = line.split(",", 3)
+        lines[i] = f"{repo},{stamp},{float(added) * 1e160!r},{rest}"
+    metrics.write_text("".join(line + "\n" for line in lines))
+    return ("mine", {"metrics_path": str(metrics)}, EXIT_DATA_ERROR,
+            f"error: invalid metrics {metrics}: lines_added of org/repo0: values must "
+            "not exceed 3.06e+152 in magnitude, for their squared deviations to stay "
+            "finite, got 3.63e+161\n")
+
+
 def no_keyword_match(tmp_path, out, monkeypatch):
     prs = fixture_prs(tmp_path / "prs.jsonl", no_keyword)
     return ("pipeline", {"prs_path": str(prs)}, EXIT_DATA_ERROR,
@@ -989,7 +1004,8 @@ def unencodable_last_artifact(tmp_path, out, monkeypatch):
 
 class TestAtomicWrites:
     @pytest.mark.parametrize("case", [
-        malformed_line_at_length_9, no_keyword_match, class_with_one_labeled_pr,
+        malformed_line_at_length_9, lines_added_times_1e160, no_keyword_match,
+        class_with_one_labeled_pr,
         creation_date_in_year_33658, undecodable_pr_line, undecodable_metrics_row,
         truncated_model, unencodable_last_artifact,
         # each loader defect names the file, then its row or line
@@ -1160,6 +1176,25 @@ class TestPipeline:
                                capture_output=True, text=True, check=True)
         assert child.stdout.strip() == "[]"
         assert (out / "model_stage2.json").exists()
+
+    def test_mine_is_alike_at_one_and_two_blas_threads(self, tmp_path):
+        # lengths 6 to 12 over the fixture's 8 repositories, so that the
+        # consensus search splits its products and seeds each length with
+        # the last one's winner, which CI's one fixture length does not
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        script = "import sys; from capaminer.cli import main; sys.exit(main(sys.argv[1:]))"
+        outs = []
+        for threads in ("1", "2"):
+            cfg, out = fixture_config(tmp_path / threads, min_len=6, max_len=12)
+            subprocess.run([sys.executable, "-c", script, "--config", str(cfg), "mine"],
+                           env={**env, "OPENBLAS_NUM_THREADS": threads},
+                           capture_output=True, check=True)
+            outs.append({name: (out / name).read_bytes()
+                         for name in ("patterns.json", "occurrences.jsonl")})
+        assert outs[0] == outs[1]
+        patterns = json.loads(outs[0]["patterns.json"])["patterns"]
+        assert len({p["length"] for p in patterns}) >= 3
 
     def test_inputs_are_read_as_utf8_whatever_the_locale(self, tmp_path):
         # under the C locale, with UTF-8 mode and locale coercion off,

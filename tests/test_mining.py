@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from capaminer.mining import (
     patterns_to_json,
 )
 from capaminer.timeutil import from_rfc3339, to_rfc3339
-from capaminer.tsdist import MetricSeries, distance_profile
+from capaminer.tsdist import MetricSeries, direct_distances, distance_profile, float32_dot_bound
 
 from conftest import (
     naive_consensus,
@@ -30,7 +34,10 @@ from conftest import (
     naive_greedy_matches,
     naive_self_consensus,
     naive_self_consensus_radii,
+    random_and_tiled_windows,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_series(rng, repo, n, metric="lines_changed"):
@@ -214,19 +221,94 @@ class TestConsensusCandidate:
         series = planted_shape_series(rng, [4, 10, 17, 21, 8], n=30)
         m = 6
         rows = []
-        nearest = mining._nearest_distance
+        nearest = mining._max_dots
 
-        def counted(q, offsets, other, m, excl):
+        def counted(q, offsets, other, other_offsets, excl):
             rows.append(len(q))
-            return nearest(q, offsets, other, m, excl)
+            return nearest(q, offsets, other, other_offsets, excl)
 
-        monkeypatch.setattr(mining, "_nearest_distance", counted)
+        monkeypatch.setattr(mining, "_max_dots", counted)
         cand = consensus_candidate(series, m)
         exhaustive = sum((len(s) - m + 1) * (len(series) - 1) for s in series)
         assert sum(rows) < exhaustive / 2
         radius, si, off = naive_consensus(series, m)
         assert (cand.source_repo, cand.source_offset) == (series[si].repo_id, off)
         assert cand.radius == pytest.approx(radius, abs=1e-9)
+
+    def test_radius_bounds_bracket_the_direct_norm(self, rng):
+        # _radius of _max_dots, the float32 ranking, with -+ float32_dot_bound
+        # brackets the nearest direct distance, 0 for the tiled windows' copies
+        for m in range(2, 65):
+            windows = list(random_and_tiled_windows(rng, m, m + 40))
+            for q, other in [(a, b) for a in windows for b in windows]:
+                top = mining._max_dots(q.astype(np.float32), np.arange(len(q)),
+                                       other.astype(np.float32), np.arange(len(other)), 0)
+                nearest = [np.min(direct_distances(row, (other, np.ones(len(other), bool))))
+                           for row in q]
+                delta = float32_dot_bound(m)
+                assert np.all(mining._radius(top, m, delta) <= nearest)
+                assert np.all(nearest <= mining._radius(top, m, -delta))
+
+    def test_ties_resolve_alike_at_one_and_two_blas_threads(self):
+        # identical planted windows have equal radii, 0, in every series and
+        # twice in each: the lowest (series, offset) wins, and the series are
+        # long enough that every product runs in several blocks
+        script = """if True:
+            import json
+            import numpy as np
+            from capaminer.mining import MiningConfig, consensus_candidate, mine_patterns
+            from capaminer.tsdist import MetricSeries
+
+            rng = np.random.default_rng(5)
+            base = rng.normal(10, 3, 15)
+            series = []
+            for i in range(6):
+                vals = rng.normal(10, 3, 500)
+                for at in (40 + 7 * i, 300 - 11 * i):
+                    vals[at : at + 15] = base
+                series.append(MetricSeries(f"r{i}", "m", np.arange(500.0), vals))
+            cands = [consensus_candidate(s, m) for m in (8, 11) for s in (series, series[2:3])]
+            pats = mine_patterns(series, MiningConfig(8, 12, 0.5))
+            print(json.dumps([[c.source_repo, c.source_offset, c.radius.hex()] for c in cands]
+                             + [[p.pattern_id, p.source_repo, p.source_offset, p.radius.hex(),
+                                 len(p.occurrences)] for p in pats]))
+        """
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+            child = subprocess.run([sys.executable, "-c", script], env=env,
+                                   capture_output=True, text=True, check=True)
+            outs.append(json.loads(child.stdout))
+        assert outs[0] == outs[1]
+        zero = (0.0).hex()
+        assert outs[0][:4] == [["r0", 40, zero], ["r2", 54, zero]] * 2
+        assert outs[0][4:] == [[m - 8, "r0", 40, zero, 12] for m in range(8, 13)]
+
+    @given(st.data())
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    def test_seed_never_wins(self, data):
+        # any window as the seed: the same winner, bit for bit, as with none
+        series, m = data.draw(series_sets())
+        si = data.draw(st.integers(0, len(series) - 1))
+        seed = (si, data.draw(st.integers(0, len(series[si]) - m)))
+        try:
+            plain = consensus_candidate(series, m)
+        except NoValidWindow:
+            with pytest.raises(NoValidWindow):
+                consensus_candidate(series, m, None, seed)
+            return
+        seeded = consensus_candidate(series, m, None, seed)
+        assert (seeded.pattern_id, seeded.source_repo, seeded.source_offset,
+                seeded.radius.hex()) == \
+            (plain.pattern_id, plain.source_repo, plain.source_offset, plain.radius.hex())
+
+    def test_seed_outside_the_windows_rejected(self, rng):
+        series = [make_series(rng, "r0", 20), make_series(rng, "r1", 12)]
+        for seed in ((1, 8), (1, -1), (2, 0), (-1, 0)):
+            with pytest.raises(ValueError, match="is not a length-5 window of the series"):
+                consensus_candidate(series, 5, None, seed)
 
     def test_planted_shape_wins(self, rng):
         offsets = [4, 10, 17]
@@ -391,9 +473,9 @@ class TestMinePatterns:
                    for i, n in enumerate((9, 12, 11, 12))]
         lengths = []
 
-        def recorded(series, m):
+        def recorded(series, m, *args):
             lengths.append(m)
-            return consensus_candidate(series, m)
+            return consensus_candidate(series, m, *args)
 
         monkeypatch.setattr(mining, "consensus_candidate", recorded)
         longest = mine_patterns(dataset, MiningConfig(8, 12, 3.0))

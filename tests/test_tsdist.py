@@ -1,5 +1,6 @@
 import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from capaminer.tsdist import (
     EPS_VAR,
     MetricSeries,
     distance_profile,
+    float32_dot_bound,
     znorm_distance,
     znormalize,
     znormalized_windows,
 )
 
-from conftest import naive_distance_profile, naive_znormalize
+from conftest import naive_distance_profile, naive_znormalize, random_and_tiled_windows
 
 
 class TestZnormalize:
@@ -160,6 +162,28 @@ class TestDistanceProfile:
         assert len(dp) == 3
 
 
+class TestFloat32DotBound:
+    def test_bounds_the_float32_dot_error(self, rng):
+        # against the exact dot of the float64 z-windows, in rationals
+        for m in range(2, 65):
+            for z in random_and_tiled_windows(rng, m, m + 12):
+                z = z[:8]
+                z32 = z.astype(np.float32)
+                dots = z32 @ z32.T
+                rows = [[Fraction(float(v)) for v in row] for row in z]
+                bound = Fraction(float32_dot_bound(m))
+                for i, a in enumerate(rows):
+                    for j, b in enumerate(rows):
+                        exact = sum(x * y for x, y in zip(a, b))
+                        assert abs(Fraction(float(dots[i, j])) - exact) <= bound, (m, i, j)
+
+    def test_is_about_m_times_m_plus_2_units(self):
+        # m (2u + gamma_m) at u = 2**-24, with the float64 allowance far below
+        for m in (2, 8, 64, 1024):
+            u = 2.0**-24
+            assert m * (m + 2) * u <= float32_dot_bound(m) <= 1.001 * m * (m + 2) * u
+
+
 class TestMetricSeries:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -172,6 +196,14 @@ class TestMetricSeries:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             MetricSeries("r", "lines_added", [0, 1], [1.0, float("nan")])
+
+    def test_rejects_values_whose_squared_deviations_overflow(self):
+        # 4 points: the limit is sqrt(max / 4) / 4, about 1.68e153
+        MetricSeries("r", "lines_added", np.arange(4), [1.6e153, -1.6e153, 0.0, 1.0])
+        with pytest.raises(ValueError, match="^values must not exceed 1.68e[+]153 in "
+                           "magnitude, for their squared deviations to stay finite, "
+                           "got 1.7e[+]153$"):
+            MetricSeries("r", "lines_added", np.arange(4), [1.7e153, -1.7e153, 0.0, 1.0])
 
 
 @st.composite
