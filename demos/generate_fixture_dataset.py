@@ -8,8 +8,8 @@ class-dependent numeric offsets so the classifier has signal to learn, and
 their texts hit the default keyword map.
 
 Run from the repository root:  python demos/generate_fixture_dataset.py
-Every file's text is built before the first one is written, so a failure
-leaves fixtures/ as it was.
+Every file's text is built, by fixture_texts, before the first one is
+written, so a failure leaves fixtures/ as it was.
 """
 
 import json
@@ -136,7 +136,8 @@ def make_prs(rng):
     return prs
 
 
-def main():
+def fixture_texts():
+    """The text of each file under fixtures/, by file name."""
     rng = np.random.default_rng(GEN_SEED)
     rows = make_metrics(rng)
     prs = make_prs(rng)
@@ -156,17 +157,21 @@ def main():
         "coverage_value": 0.5,
         "n_estimators": 50,
     }
-    texts = {
+    return {
         "metrics.csv": "repo_id,timestamp,lines_added,lines_deleted,lines_changed\n"
         + "".join(f"{repo},{rfc3339(ts)},{a},{d},{c}\n" for repo, ts, a, d, c in rows),
         "prs.jsonl": "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in prs),
         "keywords.json": json.dumps(keywords, indent=2) + "\n",
         "config.json": json.dumps(config, indent=2) + "\n",
     }
+
+
+def main():
+    texts = fixture_texts()
     FIXTURES.mkdir(exist_ok=True)
     for name, text in texts.items():
         (FIXTURES / name).write_text(text)
-    print(f"wrote {len(rows)} metric rows, {len(prs)} PRs under {FIXTURES}")
+    print(f"wrote {', '.join(texts)} under {FIXTURES}")
 
 
 if __name__ == "__main__":

@@ -173,16 +173,19 @@ def pull_requests(numbered, noun="line"):
 
 def load_prs_jsonl(path):
     """The PullRequests of a JSON-lines file, one object per non-blank
-    line.  A line that is not JSON raises the ValueError "malformed JSON at
-    line <n>", n from 1, and the first line that pull_requests rejects
-    raises its ValueError "line <n>: ..."."""
+    line.  A line that json.loads cannot read raises the ValueError
+    "malformed JSON at line <n>", n from 1, and the first line that
+    pull_requests rejects raises its ValueError "line <n>: ..."."""
     def objects(fh):
         for line_no, line in enumerate(fh, start=1):
             if line.strip():
                 try:
-                    yield line_no, json.loads(line)
-                except (json.JSONDecodeError, RecursionError):  # nested too deep
+                    obj = json.loads(line)
+                except (ValueError, RecursionError):
+                    # not JSON, nested too deep, or an integer of more
+                    # digits than int converts (4300 by default)
                     raise ValueError(f"malformed JSON at line {line_no}") from None
+                yield line_no, obj
 
     with open(path, encoding="utf-8-sig") as fh:
         return pull_requests(objects(fh))

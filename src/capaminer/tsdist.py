@@ -58,10 +58,7 @@ class MetricSeries:
             raise ValueError("timestamps must be non-decreasing")
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite")
-        big, limit = np.abs(vals).max(), 0.25 * math.sqrt(sys.float_info.max / len(vals))
-        if big > limit:
-            raise ValueError(f"values must not exceed {limit:.3g} in magnitude, for their "
-                             f"squared deviations to stay finite, got {big:.3g}")
+        _check_magnitude(vals)
         ts.setflags(write=False)
         vals.setflags(write=False)
         object.__setattr__(self, "timestamps", ts)
@@ -69,6 +66,17 @@ class MetricSeries:
 
     def __len__(self):
         return len(self.values)
+
+
+def _check_magnitude(values) -> None:
+    """ValueError unless every |value| is at most 0.25 sqrt(float max / n),
+    n = len(values) >= 1: then n squared deviations of up to twice the
+    largest magnitude add up within the float range, so every window of
+    values z-normalizes without overflow."""
+    big, limit = np.abs(values).max(), 0.25 * math.sqrt(sys.float_info.max / len(values))
+    if big > limit:
+        raise ValueError(f"values must not exceed {limit:.3g} in magnitude, for their "
+                         f"squared deviations to stay finite, got {big:.3g}")
 
 
 def znormalize(x) -> np.ndarray:
@@ -104,11 +112,13 @@ def znormalized_windows(t, m: int):
     non-constant ones.  Each window is centred twice and its population std
     taken from the centred values, over a strided window view: O(n*m) but
     numerically identical to normalizing each window directly, which the
-    cumsum trick is not for near-constant windows.
+    cumsum trick is not for near-constant windows.  A t with a value too
+    large for that (_check_magnitude) raises ValueError.
     """
     t = np.asarray(t, dtype=float)
     if not 1 <= m <= len(t):
         raise ValueError("window length out of range")
+    _check_magnitude(t)
     w = np.lib.stride_tricks.sliding_window_view(t, m)
     d = w - w.mean(axis=1)[:, None]
     d -= d.mean(axis=1)[:, None]

@@ -34,7 +34,7 @@ from capaminer.ingestion import load_metrics_csv
 from capaminer.timeutil import from_rfc3339
 from capaminer.tsdist import znorm_distance
 
-from conftest import naive_classify_two_stage, naive_predict
+from conftest import naive_classify_two_stage, naive_predict, run_capaminer
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -159,7 +159,8 @@ class TestConfig:
         cfg, out = fixture_config(tmp_path, **{key: value})
         out.mkdir()
         assert main(["--config", str(cfg), "pipeline"]) == EXIT_CONFIG_ERROR
-        assert capsys.readouterr().err.startswith(f"error: {key} must be ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be ") and "Traceback" not in err
         assert list(out.iterdir()) == []
 
     def test_unknown_metric_names_the_known_ones(self, tmp_path):
@@ -248,6 +249,8 @@ class TestExitCodes:
         ("number_of_comments", "Infinity", "must be a finite number"),
         ("number_of_comments", "-1", "must be non-negative"),
         ("creation_date", '"not a date"', "is not an RFC 3339 date"),
+        # which 3.11's fromisoformat read as 2019-12-30
+        ("creation_date", '"2020-W01-1"', "is not an RFC 3339 date: '2020-W01-1'"),
         ("creation_date", "1e12", "must be a time in years 0001 to 9999 UTC"),
         ("creation_date", "-62135596801", "must be a time in years 0001 to 9999 UTC"),
     ])
@@ -258,10 +261,12 @@ class TestExitCodes:
         lines[0] = json.dumps(first).replace('"SENTINEL"', value)
         prs = tmp_path / "prs.jsonl"
         prs.write_text("\n".join(lines) + "\n")
-        cfg, _ = fixture_config(tmp_path, prs_path=str(prs))
+        cfg, out = fixture_config(tmp_path, prs_path=str(prs))
+        out.mkdir()
         assert main(["--config", str(cfg), "pipeline"]) == EXIT_DATA_ERROR
-        assert capsys.readouterr().err.startswith(
-            f"error: invalid pull requests {prs}: line 1: {field} {why}")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid pull requests {prs}: line 1: {field} {why}")
+        assert "Traceback" not in err and list(out.iterdir()) == []
 
     @pytest.mark.parametrize("edit, why", [
         (lambda cells: cells[:3], "row 6 has 3 cells, the header 5"),
@@ -550,6 +555,9 @@ class TestModelFileContract:
             path.write_text(text)
 
 
+PAIRWISE_FIELDS = {"pattern", "capa_i", "capa_j", "mean_i", "mean_j", "t", "dof", "p"}
+
+
 class TestValidateStandalone:
     def test_reference_table_and_pairwise(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -566,8 +574,8 @@ class TestValidateStandalone:
         assert chi2["dof"] == 54
         assert 0.005 <= chi2["p_value"] <= 0.012
         mapping = json.loads((out / "mapping.json").read_text())
-        got = {(t["pattern"], t["capa"]) for t in mapping["tuples"]}
-        assert got == {(5, 0), (11, 1), (12, 0), (13, 0), (14, 1)}
+        got = [(t["pattern"], t["capa"]) for t in mapping["tuples"]]
+        assert got == [(5, 0), (11, 1), (12, 0), (13, 0), (14, 1)]
 
     def run_validate(self, tmp_path, contingency=None, pairwise=None):
         out = tmp_path / "out"
@@ -588,7 +596,8 @@ class TestValidateStandalone:
         assert rc == EXIT_OK
         tests = json.loads((out / "pairwise.json").read_text())["tests"]
         assert len(tests) == 14
-        assert all(t["t"] is None and t["dof"] is None for t in tests)
+        assert all(set(t) == PAIRWISE_FIELDS and t["t"] is None and t["dof"] is None
+                   for t in tests)
 
     def test_pairwise_row_keeps_only_its_fields(self, tmp_path):
         doc = json.loads(bundled_data_path("reference_pairwise.json").read_text())
@@ -596,8 +605,7 @@ class TestValidateStandalone:
         rc, out, _, _ = self.run_validate(tmp_path, pairwise=doc)
         assert rc == EXIT_OK
         tests = json.loads((out / "pairwise.json").read_text())["tests"]
-        assert set(tests[3]) == {"pattern", "capa_i", "capa_j", "mean_i",
-                                 "mean_j", "t", "dof", "p"}
+        assert set(tests[3]) == PAIRWISE_FIELDS
 
     # rows[1] is pattern 9's: from p-negative on, each row would bend the
     # mapping or make mapping.json or pairwise.json unreadable
@@ -647,7 +655,8 @@ class TestValidateStandalone:
         rc, out, _, rows = self.run_validate(tmp_path, pairwise=doc)
         assert rc == EXIT_DATA_ERROR
         err = capsys.readouterr().err
-        assert str(rows) in err and why in err and "Traceback" not in err
+        assert err.startswith(f"error: invalid pairwise rows {rows}: ")
+        assert why in err and "Traceback" not in err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("edit, why", [
@@ -796,7 +805,7 @@ class TestReportInputs:
         (out / "report_stage1.json").unlink()
         assert main(["--config", str(cfg), "report"]) == EXIT_OK
         text = (out / "report.md").read_text()
-        assert "## Classification report, stage 2" in text
+        assert "## Classification report, stage 2" in text.splitlines()
         assert "## Classification report, stage 1" not in text
         assert text.endswith("## Missing artifacts\n\n- report_stage1.json\n")
 
@@ -1164,32 +1173,25 @@ class TestPipeline:
 
     def test_pipeline_imports_no_random_or_masked_arrays(self, tmp_path):
         # numpy.random pulls in hashlib and OpenSSL, a plain np.unique pulls
-        # in numpy.ma: several MiB of resident memory that a run never uses
+        # in numpy.ma: several MiB of resident memory that a run never uses;
+        # -X importtime logs each module the command imports on stderr
         cfg, out = fixture_config(tmp_path)
-        script = ("import sys; from capaminer.cli import main; "
-                  "code = main(['--config', sys.argv[1], 'pipeline']); "
-                  "print(sorted({'numpy.random', 'numpy.ma', 'hashlib'} & set(sys.modules)));"
-                  "sys.exit(code)")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-        child = subprocess.run([sys.executable, "-c", script, str(cfg)], env=env,
-                               capture_output=True, text=True, check=True)
-        assert child.stdout.strip() == "[]"
+        child = run_capaminer("--config", cfg, "pipeline",
+                              env={"PYTHONPROFILEIMPORTTIME": "1"})
+        imported = {line.rsplit("|", 1)[-1].strip() for line in child.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "numpy" in imported
+        assert not {"numpy.random", "numpy.ma", "hashlib"} & imported
         assert (out / "model_stage2.json").exists()
 
     def test_mine_is_alike_at_one_and_two_blas_threads(self, tmp_path):
         # lengths 6 to 12 over the fixture's 8 repositories, so that the
         # consensus search splits its products and seeds each length with
-        # the last one's winner, which CI's one fixture length does not
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-        script = "import sys; from capaminer.cli import main; sys.exit(main(sys.argv[1:]))"
+        # the last one's winner, which the fixture's one length does not
         outs = []
         for threads in ("1", "2"):
             cfg, out = fixture_config(tmp_path / threads, min_len=6, max_len=12)
-            subprocess.run([sys.executable, "-c", script, "--config", str(cfg), "mine"],
-                           env={**env, "OPENBLAS_NUM_THREADS": threads},
-                           capture_output=True, check=True)
+            run_capaminer("--config", cfg, "mine", env={"OPENBLAS_NUM_THREADS": threads})
             outs.append({name: (out / name).read_bytes()
                          for name in ("patterns.json", "occurrences.jsonl")})
         assert outs[0] == outs[1]
@@ -1206,19 +1208,13 @@ class TestPipeline:
         prs = tmp_path / "prs.jsonl"
         prs.write_text("".join(json.dumps(obj, ensure_ascii=False) + "\n"
                                for obj in objs), encoding="utf-8")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-        script = "import sys; from capaminer.cli import main; sys.exit(main(sys.argv[1:]))"
+        warn = {"PYTHONWARNDEFAULTENCODING": "1", "PYTHONWARNINGS": "error::EncodingWarning"}
         outs = []
         for name, locale in (("utf8", {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"}),
                              ("ascii", {"LC_ALL": "C", "PYTHONUTF8": "0",
                                         "PYTHONCOERCECLOCALE": "0"})):
             cfg, out = fixture_config(tmp_path / name, prs_path=str(prs))
-            child = subprocess.run(
-                [sys.executable, "-X", "warn_default_encoding", "-W",
-                 "error::EncodingWarning", "-c", script, "--config", str(cfg), "pipeline"],
-                env={**env, **locale}, capture_output=True, text=True, encoding="utf-8")
-            assert child.returncode == EXIT_OK, child.stderr
+            run_capaminer("--config", cfg, "pipeline", env={**warn, **locale})
             outs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert sorted(outs[0]) == sorted(ARTIFACTS)
         assert outs[0] == outs[1]

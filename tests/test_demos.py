@@ -21,6 +21,13 @@ def test_demo_runs(name, capsys):
     assert capsys.readouterr().out
 
 
+def test_fixture_matches_its_generator():
+    texts = runpy.run_path(str(DEMOS / "generate_fixture_dataset.py"))["fixture_texts"]()
+    assert sorted(texts) == sorted(path.name for path in (ROOT / "fixtures").iterdir())
+    for name, text in texts.items():
+        assert (ROOT / "fixtures" / name).read_bytes() == text.encode(), name
+
+
 def test_mining_demo_numbers_patterns_as_mine_does(tmp_path, capsys):
     runpy.run_path(str(DEMOS / "mine_fixture_patterns.py"), run_name="__main__")
     printed = re.findall(r"pattern (\d+) from (\S+) offset (\d+),",

@@ -259,6 +259,16 @@ class TestPrsJsonl:
         with pytest.raises(ValueError, match="^malformed JSON at line 2$"):
             load_prs_jsonl(p)
 
+    def test_integer_past_the_digit_limit_names_line(self, tmp_path):
+        # int() refuses more than 4300 digits, by a ValueError that is not
+        # a JSONDecodeError
+        good = '{"repo_id": "org/a", "pr_id": "%d", "creation_date": "2020-01-01T00:00:00Z"}\n'
+        p = tmp_path / "prs.jsonl"
+        p.write_text("".join(good % i for i in range(5))
+                     + '{"repo_id": "org/a", "number_of_comments": ' + "9" * 5000 + "}\n")
+        with pytest.raises(ValueError, match="^malformed JSON at line 6$"):
+            load_prs_jsonl(p)
+
     @pytest.mark.parametrize("field, value", [
         # booleans take only true/false
         ("locked_state", "false"), ("merged_state", "no"),

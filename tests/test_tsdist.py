@@ -127,6 +127,24 @@ class TestZnormalizedWindows:
                 np.testing.assert_allclose(z[i], (w - w.mean()) / w.std(),
                                            rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("call, args, limit", [
+        (znormalize, ([1e200, -1e200, 3.0],), "1.94e[+]153"),
+        (znorm_distance, ([1.0, 2.0, 0.5], [1e200, -1e200, 3.0]), "1.94e[+]153"),
+        (distance_profile, ([1.0, 2.0, 0.5], [1e200, -1e200, 3.0, 4.0]), "1.68e[+]153"),
+        (znormalized_windows, ([1.7e153, -1.7e153, 0.0, 1.0], 2), "1.68e[+]153"),
+    ], ids=["znormalize", "znorm_distance", "distance_profile", "znormalized_windows"])
+    def test_rejects_values_whose_squared_deviations_overflow(self, call, args, limit):
+        # MetricSeries' rule: past it, the squared deviations overflowed
+        # and the windows came out as zeros, a false perfect match
+        with pytest.raises(ValueError, match=f"^values must not exceed {limit} in magnitude"):
+            call(*args)
+
+    def test_values_within_the_limit_normalize_without_overflow(self):
+        # 1.6e153 is within MetricSeries' limit for 4 points, about 1.68e153
+        with np.errstate(all="raise"):
+            z, valid = znormalized_windows([1.6e153, -1.6e153, 0.0, 1.0], 4)
+        assert valid.all() and np.isfinite(z).all()
+
 
 class TestDistanceProfile:
     def test_alternating(self):
