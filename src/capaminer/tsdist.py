@@ -7,6 +7,8 @@ transforms of either input and bounded by 2*sqrt(m).
 A distance to a constant window is undefined.  Such windows come out of
 znormalized_windows marked invalid, and every array of distances holds NaN
 at them.  NaN fails every comparison, so a threshold test skips them.
+Input values must be finite and small enough for a window's squared
+deviations to stay within the float range; others raise ValueError.
 
 Precision policy: two kernels compute this distance.  The consensus
 search (mining._max_dots) ranks and prunes windows by the dot-product
@@ -56,9 +58,7 @@ class MetricSeries:
             raise ValueError("timestamps and values must have equal length >= 1")
         if np.any(np.diff(ts) < 0):
             raise ValueError("timestamps must be non-decreasing")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values must be finite")
-        _check_magnitude(vals)
+        _check_values(vals, len(vals))
         ts.setflags(write=False)
         vals.setflags(write=False)
         object.__setattr__(self, "timestamps", ts)
@@ -68,12 +68,14 @@ class MetricSeries:
         return len(self.values)
 
 
-def _check_magnitude(values) -> None:
-    """ValueError unless every |value| is at most 0.25 sqrt(float max / n),
-    n = len(values) >= 1: then n squared deviations of up to twice the
-    largest magnitude add up within the float range, so every window of
-    values z-normalizes without overflow."""
-    big, limit = np.abs(values).max(), 0.25 * math.sqrt(sys.float_info.max / len(values))
+def _check_values(values, m: int) -> None:
+    """ValueError unless every value is finite and at most
+    0.25 sqrt(float max / m) in magnitude, m >= 1: then m squared deviations
+    of up to twice the largest magnitude add up within the float range, so
+    every window of at most m values z-normalizes without overflow."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+    big, limit = np.abs(values).max(), 0.25 * math.sqrt(sys.float_info.max / m)
     if big > limit:
         raise ValueError(f"values must not exceed {limit:.3g} in magnitude, for their "
                          f"squared deviations to stay finite, got {big:.3g}")
@@ -112,13 +114,14 @@ def znormalized_windows(t, m: int):
     non-constant ones.  Each window is centred twice and its population std
     taken from the centred values, over a strided window view: O(n*m) but
     numerically identical to normalizing each window directly, which the
-    cumsum trick is not for near-constant windows.  A t with a value too
-    large for that (_check_magnitude) raises ValueError.
+    cumsum trick is not for near-constant windows.  A t with a value that is
+    not finite, or too large for length-m windows (_check_values), raises
+    ValueError.
     """
     t = np.asarray(t, dtype=float)
     if not 1 <= m <= len(t):
         raise ValueError("window length out of range")
-    _check_magnitude(t)
+    _check_values(t, m)
     w = np.lib.stride_tricks.sliding_window_view(t, m)
     d = w - w.mean(axis=1)[:, None]
     d -= d.mean(axis=1)[:, None]

@@ -1,6 +1,5 @@
 import math
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,18 +11,15 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_capaminer(*args, code=0, env=None):
-    """Run the capaminer command on args from the repository root, in a
-    fresh process: the console script when shutil.which finds one, else
-    `python -m capaminer.cli`, with this checkout's src/ first on
+    """Run `python -m capaminer.cli` on args from the repository root, in a
+    fresh process of this interpreter, with this checkout's src/ first on
     PYTHONPATH and env over os.environ.  Checks that it exits with code and
     prints no traceback, and returns the CompletedProcess, its output as
     text."""
-    script = shutil.which("capaminer")
-    command = [script] if script else [sys.executable, "-m", "capaminer.cli"]
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    child = subprocess.run([*command, *map(str, args)], cwd=ROOT, capture_output=True,
-                           env={**os.environ, "PYTHONPATH": path, **(env or {})},
-                           text=True, encoding="utf-8")
+    child = subprocess.run([sys.executable, "-m", "capaminer.cli", *map(str, args)],
+                           cwd=ROOT, capture_output=True, text=True, encoding="utf-8",
+                           env={**os.environ, "PYTHONPATH": path, **(env or {})})
     assert child.returncode == code, child.stderr
     assert "Traceback" not in child.stderr, child.stderr
     return child

@@ -56,6 +56,10 @@ def fixture_config(tmp_path, **extra):
     return path, out
 
 
+def reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 def fixture_label(obj):
     """The CapaLabel that the fixture keyword map gives the PR obj,
     StageOneLabel.NON_CAPA, or None when no phrase matches."""
@@ -1126,6 +1130,11 @@ class TestPipeline:
             for name in ARTIFACTS:
                 assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), \
                     (label, name)
+                # every artifact is strict JSON (RFC 8259): no NaN or Infinity token
+                text = (out_a / name).read_text()
+                docs = {".json": [text], ".jsonl": text.splitlines()}.get(Path(name).suffix, [])
+                for doc in docs:
+                    json.loads(doc, parse_constant=reject_constant)
         # out_a holds the one-repository run, the last input
         patterns = json.loads((out_a / "patterns.json").read_text())["patterns"]
         assert [(p["source"]["repo"], p["source"]["offset"]) for p in patterns] == \

@@ -130,20 +130,31 @@ class TestZnormalizedWindows:
     @pytest.mark.parametrize("call, args, limit", [
         (znormalize, ([1e200, -1e200, 3.0],), "1.94e[+]153"),
         (znorm_distance, ([1.0, 2.0, 0.5], [1e200, -1e200, 3.0]), "1.94e[+]153"),
-        (distance_profile, ([1.0, 2.0, 0.5], [1e200, -1e200, 3.0, 4.0]), "1.68e[+]153"),
-        (znormalized_windows, ([1.7e153, -1.7e153, 0.0, 1.0], 2), "1.68e[+]153"),
+        (distance_profile, ([1.0, 2.0, 0.5], [1e200, -1e200, 3.0, 4.0]), "1.94e[+]153"),
+        (znormalized_windows, ([2.4e153, -2.4e153, 0.0, 1.0], 2), "2.37e[+]153"),
     ], ids=["znormalize", "znorm_distance", "distance_profile", "znormalized_windows"])
     def test_rejects_values_whose_squared_deviations_overflow(self, call, args, limit):
-        # MetricSeries' rule: past it, the squared deviations overflowed
-        # and the windows came out as zeros, a false perfect match
+        # MetricSeries' rule at the window length: past it, the squared
+        # deviations overflowed and the windows came out as zeros, a false
+        # perfect match
         with pytest.raises(ValueError, match=f"^values must not exceed {limit} in magnitude"):
             call(*args)
 
-    def test_values_within_the_limit_normalize_without_overflow(self):
-        # 1.6e153 is within MetricSeries' limit for 4 points, about 1.68e153
+    @pytest.mark.parametrize("values, m", [
+        ([1.6e153, -1.6e153, 0.0, 1.0], 4),  # limit about 1.68e153
+        ([2.3e153, -2.3e153, 0.0, 1.0], 2),  # limit about 2.37e153, whatever len(t)
+    ])
+    def test_values_within_the_limit_normalize_without_overflow(self, values, m):
         with np.errstate(all="raise"):
-            z, valid = znormalized_windows([1.6e153, -1.6e153, 0.0, 1.0], 4)
+            z, valid = znormalized_windows(values, m)
         assert valid.all() and np.isfinite(z).all()
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_values_that_are_not_finite(self, bad):
+        for call in (lambda: znormalize([1.0, bad, 3.0]),
+                     lambda: distance_profile([1.0, 2.0], [1.0, 2.0, bad, 4.0])):
+            with pytest.raises(ValueError, match="^values must be finite$"):
+                call()
 
 
 class TestDistanceProfile:
