@@ -16,7 +16,6 @@ from .errors import INDEX, NUMBER, UNIT_INTERVAL, need_rows, or_null
 from .stats import two_sample_t_test
 from .timeutil import from_rfc3339
 
-DEFAULT_WINDOW_SECONDS = 30 * 86400  # "plus one month", fixed at 30 days
 N_CAPAS = 7  # association-side action ids 0..6
 
 
@@ -57,7 +56,7 @@ def capa_id_from_class(class_id: int) -> int:
     return int(class_id) - 1
 
 
-def temporal_join(occurrences, capa_prs, window_seconds: float = DEFAULT_WINDOW_SECONDS):
+def temporal_join(occurrences, capa_prs, window_seconds: float):
     """(occurrence row, action id) of each pull request attributed to an
     occurrence.
 
@@ -102,7 +101,7 @@ def build_contingency(joins) -> ContingencyTable:
     return ContingencyTable(rows, cols, counts)
 
 
-def filter_relevant(table: ContingencyTable, min_count: int = 5) -> dict:
+def filter_relevant(table: ContingencyTable, min_count: int) -> dict:
     """Per pattern type, the set of actions seen at least min_count times."""
     out = {}
     for i, pt in enumerate(table.row_labels):

@@ -1,4 +1,4 @@
-"""Pull-request encoding, keyword labeling, random forest, two-stage
+"""The pull-request schema, keyword labeling, random forest, two-stage
 classification, and classification report math.
 
 The forest is built from scratch: axis-aligned binary trees with Gini
@@ -32,7 +32,7 @@ import numpy as np
 from . import timeutil
 from .errors import NUMBER, PROBABILITY, SEED, DegenerateData, at_least, need, only
 
-MODEL_FORMAT_VERSION = 4
+MODEL_FORMAT_VERSION = 5
 
 # The 27 pull-request metrics, in fixed table order.
 FEATURE_ORDER = [
@@ -74,7 +74,9 @@ BOOLEAN_FIELDS = {
 }
 COUNT_FIELDS = set(FEATURE_ORDER) - TIMESTAMP_FIELDS - BOOLEAN_FIELDS
 
-MISSING = -1.0  # sentinel for absent optional fields
+# the value of an absent field: below every count, boolean and time after
+# 1970-01-01, though -1 s is itself 1969-12-31T23:59:59Z
+MISSING = -1.0
 
 
 class CapaLabel(IntEnum):
@@ -93,9 +95,10 @@ class StageOneLabel(IntEnum):
 
 
 def _coerce(name, raw) -> float:
-    """One present PR field as a float, checked by its kind: a boolean a
-    real bool, a timestamp RFC 3339 text (timeutil.from_rfc3339) or a number
-    (errors.NUMBER) in years 0001 to 9999 UTC, a count a number >= 0."""
+    """One present PR field as its feature value, checked by its kind: a
+    boolean a real bool, as 0 or 1; a timestamp RFC 3339 text
+    (timeutil.from_rfc3339) or a number (errors.NUMBER) in years 0001 to
+    9999 UTC, as POSIX seconds; a count a number >= 0."""
     if name in BOOLEAN_FIELDS:
         if not isinstance(raw, bool):
             raise ValueError(f"{name} must be true or false, got {raw!r}")
@@ -112,23 +115,6 @@ def _coerce(name, raw) -> float:
     if name in TIMESTAMP_FIELDS and not timeutil.WRITABLE[0](raw):
         raise ValueError(f"{name} must be {timeutil.WRITABLE[1]}, got {raw!r}")
     return float(raw)
-
-
-_TIMESTAMP_COLUMNS = np.array([name in TIMESTAMP_FIELDS for name in FEATURE_ORDER])
-
-
-def encode(values, reference_instant=None) -> np.ndarray:
-    """The feature rows of a rows x 27 matrix of checked PR fields in
-    FEATURE_ORDER, NaN where absent: counts as-is, booleans as 0/1,
-    timestamps as seconds relative to reference_instant (by default the
-    earliest creation_date), absences as the -1 sentinel."""
-    if reference_instant is None:
-        reference_instant = values[:, FEATURE_ORDER.index("creation_date")].min()
-    offset = np.where(_TIMESTAMP_COLUMNS, float(reference_instant), 0.0)
-    out = np.where(np.isnan(values), MISSING, values - offset)
-    if not np.all(np.isfinite(out)):
-        raise ValueError("non-finite feature value")
-    return out
 
 
 def label_by_keywords(pr_text: str, keyword_map, non_capa_keywords):

@@ -47,7 +47,6 @@ class PipelineConfig:
     # classifier
     n_estimators: int = 100
     train_ratio: float = 0.8
-    reference_instant: float | None = None  # None: min creation date
 
     def __post_init__(self):
         need(vars(self), VALUE_CHECKS)
@@ -79,7 +78,6 @@ VALUE_CHECKS = {
     "coverage_value": MINING_CONFIG_FIELDS["min_repo_fraction"],
     "n_estimators": at_least(1),
     "train_ratio": PROBABILITY,
-    "reference_instant": or_null(NUMBER),
 }
 
 
@@ -327,11 +325,6 @@ class Run:
         return _read(path, "keyword map", _text(
             lambda text: classifier.load_keyword_map(json.loads(text))), ConfigError)
 
-    @cached_property
-    def X(self):
-        """The feature rows of prs, all relative to one reference instant."""
-        return classifier.encode(self.prs.values, self.cfg.reference_instant)
-
     def __getattr__(self, attr):
         """attr, which the run does not hold, read from its artifact."""
         if attr not in _READ_BACK:
@@ -391,20 +384,16 @@ def cmd_label(run: Run):
 def cmd_train(run: Run):
     cfg, prs = run.cfg, run.prs
     golden = {(g["repo_id"], g["pr_id"]): g for g in run.golden}
-    X1, y1, X2, y2 = [], [], [], []
-    for repo_id, pr_id, x in zip(prs.repo_ids, prs.pr_ids, run.X):
-        g = golden.get((repo_id, pr_id))
-        if g is None:
-            continue
-        stage1 = classifier.StageOneLabel[g["stage1"].upper()]
-        X1.append(x)
-        y1.append(int(stage1))
-        if stage1 is classifier.StageOneLabel.CAPA:
-            X2.append(x)
-            y2.append(int(g["stage2"]))
+    # {row of prs: golden row} of the labeled pull requests, in file order,
+    # then each stage's {row: label}
+    labeled = {i: golden[key] for i, key in enumerate(zip(prs.repo_ids, prs.pr_ids))
+               if key in golden}
+    stage1 = {i: int(classifier.StageOneLabel[g["stage1"].upper()])
+              for i, g in labeled.items()}
+    stage2 = {i: g["stage2"] for i, g in labeled.items() if g["stage1"] == "capa"}
     # split_train_test needs two rows of each class, and a forest two classes
-    for stage, y in enumerate([y1, y2], start=1):
-        classes, sizes = np.unique(y, return_counts=True)
+    for stage, labels in enumerate([stage1, stage2], start=1):
+        classes, sizes = np.unique(list(labels.values()), return_counts=True)
         if len(classes) < 2:
             raise DegenerateData(f"stage {stage}: training needs labeled pull requests "
                                  f"of 2 classes or more, got {len(classes)}")
@@ -413,22 +402,24 @@ def cmd_train(run: Run):
                                  "1 labeled pull request, and training needs 2 of "
                                  "each class")
 
-    def fit(X, labels):
+    def fit(labels):
         """A stage's forest, and its class report on the held-out rows."""
-        X, y = np.array(X), np.array(labels)
+        X, y = prs.values[list(labels)], np.array(list(labels.values()))
         tr, te = classifier.split_train_test(X, y, cfg.train_ratio, cfg.seed)
         forest = classifier.train_forest(X[tr], y[tr], cfg.n_estimators, cfg.seed)
         pred, _ = forest.predict(X[te])
-        return forest, classifier.compute_report(y[te], pred, sorted(set(labels)))
+        return forest, classifier.compute_report(y[te], pred,
+                                                 sorted(set(labels.values())))
 
-    run.model_stage1, run.report_stage1 = fit(X1, y1)
-    run.model_stage2, run.report_stage2 = fit(X2, y2)
-    log.info("trained stage-1 on %d rows, stage-2 on %d rows", len(X1), len(X2))
+    run.model_stage1, run.report_stage1 = fit(stage1)
+    run.model_stage2, run.report_stage2 = fit(stage2)
+    log.info("trained stage-1 on %d rows, stage-2 on %d rows", len(stage1), len(stage2))
 
 
 def cmd_classify(run: Run):
     prs = run.prs
-    results = classifier.classify_two_stage(run.model_stage1, run.model_stage2, run.X)
+    results = classifier.classify_two_stage(run.model_stage1, run.model_stage2,
+                                            prs.values)
     created = prs.values[:, classifier.FEATURE_ORDER.index("creation_date")]
     run.classified = [{
         "pr_id": pr_id,
@@ -534,7 +525,7 @@ def cmd_pipeline(cfg: PipelineConfig, out: Path):
     run = Run(cfg, out)
     for name in STAGES:  # by name at call time, so that a tracer's wrappers run
         globals()[f"cmd_{name}"](run)
-    del run.prs, run.X  # no artifact renders from them: free them for _write
+    del run.prs  # no artifact renders from it: free it for _write
     _write(run)
 
 

@@ -118,8 +118,9 @@ def load_metrics_csv(path):
 
 @dataclass
 class PullRequests:
-    """Pull requests as columns: lists of repo ids, PR ids and texts, and a
-    rows x 27 matrix of values in classifier.FEATURE_ORDER, NaN where absent."""
+    """Pull requests as columns: lists of repo ids, PR ids and texts, and
+    their feature matrix, rows x 27 values in classifier.FEATURE_ORDER
+    (classifier._coerce), classifier.MISSING where absent."""
 
     repo_ids: list
     pr_ids: list
@@ -159,7 +160,7 @@ def pull_requests(numbered, noun="line"):
             if obj.get("creation_date") is None:
                 raise ValueError("creation_date missing")
             need({"repo_id": repo_id, "text": text}, {"repo_id": TEXT, "text": TEXT})
-            rows.append([math.nan if (v := obj.get(name)) is None
+            rows.append([classifier.MISSING if (v := obj.get(name)) is None
                          else classifier._coerce(name, v) for name in names])
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None

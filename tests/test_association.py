@@ -23,6 +23,7 @@ from capaminer.timeutil import to_rfc3339
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "capaminer" / "data"
 DAY = 86400.0
+WINDOW = 30 * DAY  # the default window_days
 
 
 def occ(pattern_id, repo, start_day, end_day):
@@ -42,32 +43,32 @@ class TestTemporalJoin:
             ("r", (17 + 30) * DAY + 1, 2),  # one second past
             ("r", 10 * DAY - 1, 3),         # one second early
         ]
-        joins = temporal_join(occs, prs)
+        joins = temporal_join(occs, prs, WINDOW)
         assert joins == [(occs[0], 0), (occs[0], 1)]
 
     def test_attribution_prefers_nearest_preceding_start(self):
         occs = [occ(0, "r", 10, 17), occ(1, "r", 20, 27)]
-        joins = temporal_join(occs, [("r", 21 * DAY, 0)])
+        joins = temporal_join(occs, [("r", 21 * DAY, 0)], WINDOW)
         assert joins == [(occs[1], 0)]
 
     def test_attribution_tie_takes_lowest_pattern_id(self):
         occs = [occ(3, "r", 10, 17), occ(1, "r", 10, 14)]
-        joins = temporal_join(occs, [("r", 12 * DAY, 0)])
+        joins = temporal_join(occs, [("r", 12 * DAY, 0)], WINDOW)
         assert joins == [(occs[1], 0)]
 
     def test_repo_must_match(self):
         occs = [occ(0, "r1", 10, 17)]
-        assert temporal_join(occs, [("r2", 12 * DAY, 0)]) == []
+        assert temporal_join(occs, [("r2", 12 * DAY, 0)], WINDOW) == []
 
     def test_each_pr_joined_at_most_once(self):
         occs = [occ(0, "r", 5, 9), occ(1, "r", 6, 10), occ(2, "r", 7, 11)]
-        joins = temporal_join(occs, [("r", 8 * DAY, 4), ("r", 9 * DAY, 5)])
+        joins = temporal_join(occs, [("r", 8 * DAY, 4), ("r", 9 * DAY, 5)], WINDOW)
         # both start before the PRs; the latest start, pattern 2's, wins
         assert joins == [(occs[2], 4), (occs[2], 5)]
 
     def test_capa_range_checked(self):
         with pytest.raises(ValueError):
-            temporal_join([occ(0, "r", 0, 5)], [("r", DAY, 7)])
+            temporal_join([occ(0, "r", 0, 5)], [("r", DAY, 7)], WINDOW)
 
     def test_class_to_action_id(self):
         assert capa_id_from_class(1) == 0

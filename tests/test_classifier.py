@@ -21,7 +21,6 @@ from capaminer.classifier import (
     TIMESTAMP_FIELDS,
     classify_two_stage,
     compute_report,
-    encode,
     label_by_keywords,
     load_keyword_map,
     report_row_from_counts,
@@ -47,7 +46,7 @@ from conftest import (naive_best_split, naive_classify_two_stage,
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def reference_encoding(obj, reference_instant):
+def reference_features(obj):
     """The 27 features of one raw JSON pull request, field by field."""
     out = []
     for name in FEATURE_ORDER:
@@ -57,8 +56,7 @@ def reference_encoding(obj, reference_instant):
         elif name in BOOLEAN_FIELDS:
             out.append(1.0 if v else 0.0)
         elif name in TIMESTAMP_FIELDS:
-            v = from_rfc3339(v) if isinstance(v, str) else v
-            out.append(float(v) - float(reference_instant))
+            out.append(from_rfc3339(v) if isinstance(v, str) else float(v))
         else:
             out.append(float(v))
     return np.array(out)
@@ -73,19 +71,31 @@ class TestFeatureEncoding:
         assert len(TIMESTAMP_FIELDS) == 7
         assert len(BOOLEAN_FIELDS) == 5
 
-    def test_encoding_rules(self):
+    def test_feature_rules(self):
         prs = one_pr(creation_date=1000.0, number_of_comments=4, merged_state=True,
-                     locked_state=False, closure_date=5000.0)
-        x = encode(prs.values, reference_instant=1000.0)[0]
+                     locked_state=False, closure_date="1970-01-01T01:23:20Z")
+        x = prs.values[0]
         assert len(x) == 27
         assert x[FEATURE_ORDER.index("number_of_comments")] == 4.0
         assert x[FEATURE_ORDER.index("merged_state")] == 1.0
         assert x[FEATURE_ORDER.index("locked_state")] == 0.0
-        assert x[FEATURE_ORDER.index("creation_date")] == 0.0
-        assert x[FEATURE_ORDER.index("closure_date")] == 4000.0
-        # everything absent encodes to the sentinel
+        # timestamps as they stand, POSIX seconds
+        assert x[FEATURE_ORDER.index("creation_date")] == 1000.0
+        assert x[FEATURE_ORDER.index("closure_date")] == 5000.0
+        # everything absent is the sentinel
         assert x[FEATURE_ORDER.index("milestone_status")] == MISSING
         assert x[FEATURE_ORDER.index("number_of_additions")] == MISSING
+        assert x[FEATURE_ORDER.index("merged_date")] == MISSING
+
+    def test_absent_sorts_below_every_present_value_after_1970(self):
+        # a count of 0, false, and the first second after the epoch; -1 s
+        # itself, 1969-12-31T23:59:59Z, reads as absent
+        prs = one_pr(creation_date=1.0, number_of_commits=0, locked_state=False,
+                     merged_date="1969-12-31T23:59:59Z")
+        x = dict(zip(FEATURE_ORDER, prs.values[0].tolist()))
+        assert MISSING < min(x["creation_date"], x["number_of_commits"],
+                             x["locked_state"])
+        assert x["merged_date"] == x["closure_date"] == MISSING
 
     def test_missing_creation_date(self):
         with pytest.raises(ValueError, match="^line 1: creation_date missing$"):
@@ -129,16 +139,10 @@ class TestFeatureEncoding:
                     f"{name} must be a time in years 0001 to 9999 UTC, got {value!r}")):
                 record(value)
 
-    def test_fixture_encoding_matches_per_field_reference(self):
+    def test_fixture_features_match_per_field_reference(self):
         lines = (FIXTURES / "prs.jsonl").read_text().splitlines()
-        objs = [json.loads(line) for line in lines]
-        prs = load_prs_jsonl(FIXTURES / "prs.jsonl")
-        earliest = min(from_rfc3339(o["creation_date"]) for o in objs)
-        # the reference instant defaults to the earliest creation date
-        assert encode(prs.values).tobytes() == encode(prs.values, earliest).tobytes()
-        for ref in (earliest, 0.0, 1234.5):
-            want = np.array([reference_encoding(obj, ref) for obj in objs])
-            assert encode(prs.values, ref).tobytes() == want.tobytes()
+        want = np.array([reference_features(json.loads(line)) for line in lines])
+        assert load_prs_jsonl(FIXTURES / "prs.jsonl").values.tobytes() == want.tobytes()
 
     def test_unknown_field_left_out(self, caplog):
         with caplog.at_level("INFO", logger="capaminer.ingestion"):
@@ -155,7 +159,7 @@ def one_pr(**obj):
 def present(prs):
     """{field: value} of the first pull request's present fields."""
     return {name: v for name, v in zip(FEATURE_ORDER, prs.values[0].tolist())
-            if not math.isnan(v)}
+            if v != MISSING}
 
 
 # the bundled (keyword map, non-CAPA phrases)
@@ -345,7 +349,7 @@ class TestRandomForest:
         assert forest.predict(probe)[0].tolist() == back.predict(probe)[0].tolist()
 
     def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError, match="^format_version must be 4, got 99$"):
+        with pytest.raises(ValueError, match="^format_version must be 5, got 99$"):
             RandomForest.from_json({"format_version": 99}, n_features=4)
 
     def test_format_1_rejected(self, rng):
@@ -354,7 +358,7 @@ class TestRandomForest:
         forest = train_forest(X, y, 3, 0)
         doc = {"format_version": 1, "classes": forest.classes, "trees": forest.trees,
                "config": {"n_estimators": 3, "seed": 0}}
-        with pytest.raises(ValueError, match="^format_version must be 4, got 1$"):
+        with pytest.raises(ValueError, match="^format_version must be 5, got 1$"):
             RandomForest.from_json(doc, n_features=4)
 
     def test_format_2_rejected(self, rng):
@@ -362,7 +366,7 @@ class TestRandomForest:
         X, y = separable_data(rng, n_classes=2, n_per_class=15, n_features=4)
         forest = train_forest(X, y, 3, 0)
         doc = {"format_version": 2, "classes": forest.classes, "trees": forest.trees}
-        with pytest.raises(ValueError, match="^format_version must be 4, got 2$"):
+        with pytest.raises(ValueError, match="^format_version must be 5, got 2$"):
             RandomForest.from_json(doc, n_features=4)
 
     def test_format_3_rejected(self, rng):
@@ -371,7 +375,16 @@ class TestRandomForest:
         X, y = separable_data(rng, n_classes=2, n_per_class=15, n_features=4)
         forest = train_forest(X, y, 3, 0)
         doc = {**forest.to_json(), "format_version": 3, "left": forest.left.tolist()}
-        with pytest.raises(ValueError, match="^format_version must be 4, got 3$"):
+        with pytest.raises(ValueError, match="^format_version must be 5, got 3$"):
+            RandomForest.from_json(doc, n_features=4)
+
+    def test_format_4_rejected(self, rng):
+        # format 4 held the same arrays, but its timestamp thresholds were
+        # measured from the earliest creation date of the training file,
+        # and format 5's are POSIX seconds: the trees differ, so retrain
+        X, y = separable_data(rng, n_classes=2, n_per_class=15, n_features=4)
+        doc = {**train_forest(X, y, 3, 0).to_json(), "format_version": 4}
+        with pytest.raises(ValueError, match="^format_version must be 5, got 4$"):
             RandomForest.from_json(doc, n_features=4)
 
     # explicit ids keep the test names stable when a message is reworded; the
@@ -459,7 +472,7 @@ def leaf_forest(classes, *leaf_counts):
     model document."""
     n = len(leaf_counts)
     return RandomForest.from_json({
-        "format_version": 4, "classes": classes, "n_trees": n, "feature": [-1] * n,
+        "format_version": 5, "classes": classes, "n_trees": n, "feature": [-1] * n,
         "threshold": [0.0] * n,
         "counts": [c for counts in leaf_counts for c in counts]}, n_features=4)
 

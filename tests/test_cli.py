@@ -116,6 +116,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(p)
 
+    def test_reference_instant_is_an_unknown_key(self, tmp_path, capsys):
+        # timestamps are features as they stand: there is no origin to set
+        cfg, out = fixture_config(tmp_path, reference_instant=None)
+        out.mkdir()
+        assert main(["--config", str(cfg), "pipeline"]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == \
+            "error: unknown config keys: ['reference_instant']\n"
+        assert list(out.iterdir()) == []
+
     def test_invalid_alpha_rejected(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"alpha": 2.0}))
@@ -147,17 +156,14 @@ class TestConfig:
         ("seed", 1.5),
         ("min_count", "3"),
         ("min_count", 0),
-        ("reference_instant", "x"),
         ("metrics", ["lines_added", "lines_added"]),
         ("seed", -1),
         ("seed", True),
         ("match_threshold", float("nan")),
-        ("reference_instant", float("nan")),
         ("out_dir", 5),
         # an int too large for a float, which math.isfinite cannot take
         *(pytest.param(key, 10**400, id=f"{key}-huge") for key in (
-            "alpha", "window_days", "match_threshold", "coverage_value",
-            "reference_instant")),
+            "alpha", "window_days", "match_threshold", "coverage_value")),
     ])
     def test_bad_value_exits_before_any_write(self, tmp_path, capsys, key, value):
         cfg, out = fixture_config(tmp_path, **{key: value})
@@ -353,11 +359,15 @@ class TestExitCodes:
         # a model as format 1 wrote it, with the forest's settings beside its trees
         pytest.param(1, lambda doc: {**older_format(doc, 1),
                                      "config": {"n_estimators": 100, "seed": 0}},
-                     "format_version must be 4, got 1",
+                     "format_version must be 5, got 1",
                      id="1-<lambda>-format 1 rejected"),
         # a model as format 2 wrote it, with its trees as nested dicts
         pytest.param(2, lambda doc: older_format(doc, 2),
-                     "format_version must be 4, got 2", id="format 2 rejected"),
+                     "format_version must be 5, got 2", id="format 2 rejected"),
+        # a model as format 4 wrote it, its timestamp thresholds measured
+        # from the training file's earliest creation date
+        pytest.param(2, lambda doc: {**doc, "format_version": 4},
+                     "format_version must be 5, got 4", id="format 4 rejected"),
         (2, lambda doc: json.dumps(doc)[:-40], "line 1 column"),  # truncated
         (2, lambda doc: "[" * 100_000, "recursion depth"),
         pytest.param(2, lambda doc: with_split_feature(doc, 99),
@@ -1140,18 +1150,46 @@ class TestPipeline:
         assert [(p["source"]["repo"], p["source"]["offset"]) for p in patterns] == \
             [("org/repo3", 36), ("org/repo3", 79), ("org/repo3", 24)]
 
-    def test_pipeline_parses_encodes_and_joins_once(self, tmp_path, monkeypatch):
-        n_prs = len((FIXTURES / "prs.jsonl").read_text().splitlines())
+    def test_lone_classify_of_another_file_keeps_each_class(self, tmp_path):
+        # keyword labels that follow closure_date, in blocks of 10 days, and
+        # equal counts everywhere else: the forests split on time alone, so
+        # a class would move with any origin taken from the file read, such
+        # as its earliest creation date
+        day, start = 86400, from_rfc3339("2020-01-01T00:00:00Z")
+        texts = ["fix lint", "bump deps", "add coverage", "bump deps"]
+        objs = [{"repo_id": "org/repo0", "pr_id": str(i), "text": texts[i // 10 % 4],
+                 "creation_date": start + i * day, "closure_date": start + (i + 3) * day,
+                 "number_of_commits": 2, "number_of_comments": 1} for i in range(80)]
+        early = {"repo_id": "org/repo0", "pr_id": "early", "text": "bump deps",
+                 "creation_date": start - 5 * 365 * day}
+        kw = tmp_path / "keywords.json"
+        kw.write_text(json.dumps({"capa": {"add_linter": ["lint"], "coverage": ["coverage"]},
+                                  "non_capa": ["bump"]}))
+
+        def classify(command, objs):
+            prs = tmp_path / f"{command}.jsonl"
+            prs.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+            cfg, out = fixture_config(tmp_path, prs_path=str(prs), keywords_path=str(kw))
+            assert main(["--config", str(cfg), command]) == EXIT_OK
+            rows = [json.loads(line) for line in
+                    (out / "classified.jsonl").read_text().splitlines()[1:]]
+            return {row["pr_id"]: row["capa_class"] for row in rows}
+
+        trained = classify("pipeline", objs)
+        assert sorted(set(trained.values()), key=str) == [1, 2, None]
+        # the same models on the PRs with one created five years earlier
+        got = classify("classify", [early, *objs])
+        del got["early"]
+        assert got == trained
+
+    def test_pipeline_parses_and_joins_once(self, tmp_path, monkeypatch):
         loads = count_calls(monkeypatch, ingestion, "load_prs_jsonl")
         joins = count_calls(monkeypatch, association, "temporal_join")
-        encodes = count_calls(monkeypatch, classifier, "encode")
         model_reads = count_calls(monkeypatch, classifier.RandomForest, "from_json")
         artifact_reads = count_calls(monkeypatch, Run, "load")
         cfg, _ = fixture_config(tmp_path)
         assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
         assert len(loads) == len(joins) == 1
-        # one encoding of the whole table, not one per pull request
-        assert len(encodes) == 1 and encodes[0][0].shape == (n_prs, 27)
         assert model_reads == [] and artifact_reads == []
         # a single stage still reads its inputs from the files
         assert main(["--config", str(cfg), "classify"]) == EXIT_OK
@@ -1167,17 +1205,21 @@ class TestPipeline:
         # arithmetic, so these digests hold on any platform; a change that
         # grows other trees on purpose updates them and says why; the digests
         # changed with model format 3 (node arrays, not nested trees), whose
-        # trees are those of format 2, and with model format 4 (no stored
-        # left children), whose trees are those of format 3
+        # trees are those of format 2, with model format 4 (no stored left
+        # children), whose trees are those of format 3, and with model format
+        # 5, whose timestamp features are POSIX seconds rather than seconds
+        # after the earliest creation date: its thresholds move, and the 5
+        # milestone creation dates before that date no longer sort beside the
+        # -1 of an absent one, so some trees split otherwise
         cfg, out = fixture_config(tmp_path)
         assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in ("model_stage1.json", "model_stage2.json")}
         assert digests == {
             "model_stage1.json":
-                "a27efa6a6d3baf9200c07c7360c0e526c362d291c34ec988b623ce857aa08806",
+                "ecd01f63254648f3518837e777f85a5493c84025532aadaae64a73f54936ab07",
             "model_stage2.json":
-                "5fb739dd91e327f0109c849f024ea812f8b2b73b5a92c38989a76b6dcc78f757",
+                "7fbd0085b7f7fb43519ba42d8c8517bb33b0b61b85620a8111d95a59ec7f9ddc",
         }
 
     def test_pipeline_imports_no_random_or_masked_arrays(self, tmp_path):
@@ -1253,7 +1295,7 @@ class TestPipeline:
             assert main(["--config", str(cfg), stage]) == EXIT_OK
         run = Run(load_config(cfg), out)
         stage1, stage2 = run.model_stage1, run.model_stage2
-        X = classifier.encode(ingestion.load_prs_jsonl(FIXTURES / "prs.jsonl").values)
+        X = ingestion.load_prs_jsonl(FIXTURES / "prs.jsonl").values
         for forest in (stage1, stage2):
             labels, fractions = forest.predict(X)
             for label, frac, want in zip(labels.tolist(), fractions.tolist(),

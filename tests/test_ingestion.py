@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from capaminer.classifier import FEATURE_ORDER, encode
+from capaminer.classifier import FEATURE_ORDER
 from capaminer import ingestion
 from capaminer.errors import (
     AuthError,
@@ -688,7 +688,7 @@ class TestLiveAdapter:
         assert [url for url, _ in session.requests[1:]] == [
             "https://api.github.com/repos/org/a/pulls/3",
             "https://api.github.com/repos/org/a/pulls/8"]
-        x = encode(prs.values, 0.0)[0]
+        x = prs.values[0]
         by = dict(zip(FEATURE_ORDER, x.tolist()))
         assert (by["number_of_additions"], by["number_of_deletions"],
                 by["number_of_commits"], by["number_of_files"],
