@@ -1,5 +1,5 @@
-"""The pull-request schema, keyword labeling, random forest, two-stage
-classification, and classification report math.
+"""Keyword labeling, random forest, two-stage classification, and
+classification report math.
 
 The forest is built from scratch: axis-aligned binary trees with Gini
 splits, bootstrap sampling, and a random feature subset per node.  All
@@ -29,54 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import timeutil
-from .errors import NUMBER, PROBABILITY, SEED, DegenerateData, at_least, need, only
+from .errors import PROBABILITY, SEED, DegenerateData, at_least, need, only
 
 MODEL_FORMAT_VERSION = 5
-
-# The 27 pull-request metrics, in fixed table order.
-FEATURE_ORDER = [
-    "number_of_comments",
-    "number_of_commits",
-    "number_of_files",
-    "number_of_issue_comments",
-    "number_of_issue_events",
-    "number_of_labels",
-    "number_of_review_comments",
-    "number_of_review_requests",
-    "number_of_reviewers",
-    "number_of_additions",
-    "closure_date",
-    "creation_date",
-    "number_of_deletions",
-    "locked_state",
-    "merged_state",
-    "merged_date",
-    "milestone_status",
-    "milestone_closure_date",
-    "number_of_milestone_closed_issues",
-    "milestone_creation_date",
-    "milestone_due_on_date",
-    "milestone_state",
-    "pull_request_number",
-    "pull_request_state",
-    "update_date",
-    "number_of_participants",
-    "number_of_file_changes",
-]
-TIMESTAMP_FIELDS = {
-    "closure_date", "creation_date", "merged_date", "milestone_closure_date",
-    "milestone_creation_date", "milestone_due_on_date", "update_date",
-}
-BOOLEAN_FIELDS = {
-    "locked_state", "merged_state", "milestone_status", "milestone_state",
-    "pull_request_state",
-}
-COUNT_FIELDS = set(FEATURE_ORDER) - TIMESTAMP_FIELDS - BOOLEAN_FIELDS
-
-# the value of an absent field: below every count, boolean and time after
-# 1970-01-01, though -1 s is itself 1969-12-31T23:59:59Z
-MISSING = -1.0
 
 
 class CapaLabel(IntEnum):
@@ -92,29 +47,6 @@ class CapaLabel(IntEnum):
 class StageOneLabel(IntEnum):
     CAPA = 1
     NON_CAPA = 2
-
-
-def _coerce(name, raw) -> float:
-    """One present PR field as its feature value, checked by its kind: a
-    boolean a real bool, as 0 or 1; a timestamp RFC 3339 text
-    (timeutil.from_rfc3339) or a number (errors.NUMBER) in years 0001 to
-    9999 UTC, as POSIX seconds; a count a number >= 0."""
-    if name in BOOLEAN_FIELDS:
-        if not isinstance(raw, bool):
-            raise ValueError(f"{name} must be true or false, got {raw!r}")
-        return float(raw)
-    if name in TIMESTAMP_FIELDS and isinstance(raw, str):
-        try:
-            return timeutil.from_rfc3339(raw)
-        except ValueError as exc:
-            raise ValueError(f"{name} {exc}") from None
-    if not NUMBER[0](raw):
-        raise ValueError(f"{name} must be {NUMBER[1]}, got {raw!r}")
-    if name in COUNT_FIELDS and raw < 0:
-        raise ValueError(f"{name} must be non-negative, got {raw}")
-    if name in TIMESTAMP_FIELDS and not timeutil.WRITABLE[0](raw):
-        raise ValueError(f"{name} must be {timeutil.WRITABLE[1]}, got {raw!r}")
-    return float(raw)
 
 
 def label_by_keywords(pr_text: str, keyword_map, non_capa_keywords):
@@ -203,20 +135,24 @@ def _feature_subsets(seed, depth, trees, positions, n_feat, k):
 def split_train_test(rows, labels, ratio: float, seed: int):
     """Stratified split into (train_idx, test_idx), deterministic per seed.
 
-    Per class, round(ratio * n) rows go to train (never all or none when
-    the class has >= 2 rows)."""
+    Per class, round(ratio * n) rows go to train, never all or none.  Fewer
+    than 2 classes, or a class of 1 row, is DegenerateData."""
     need({"ratio": ratio, "seed": seed}, {"ratio": PROBABILITY, "seed": SEED})
     labels = np.asarray(labels)
     if len(rows) != len(labels):
         raise ValueError("rows and labels length mismatch")
     classes, codes = np.unique(labels, return_inverse=True)
+    if len(classes) < 2:
+        raise DegenerateData("training needs labeled pull requests of 2 classes "
+                             f"or more, got {len(classes)}")
     # all rows in random order
     order = np.argsort(_draws(seed, _SPLIT, 0, 0, np.arange(len(labels))), kind="stable")
     train, test = [], []
     for c, cls in enumerate(classes.tolist()):
         perm = order[codes[order] == c]  # the class's rows in random order
         if len(perm) < 2:
-            raise ValueError(f"class {cls!r} has fewer than 2 rows")
+            raise DegenerateData(f"class {cls} has 1 labeled pull request, and "
+                                 "training needs 2 of each class")
         n_train = int(round(ratio * len(perm)))
         n_train = min(max(n_train, 1), len(perm) - 1)
         train.extend(perm[:n_train].tolist())

@@ -174,7 +174,7 @@ def _read_jsonl(text, parse_row):
 
 def _forest(doc, labels):
     """The forest of a model document, whose classes must be labels values."""
-    forest = classifier.RandomForest.from_json(doc, len(classifier.FEATURE_ORDER))
+    forest = classifier.RandomForest.from_json(doc, len(ingestion.FEATURE_ORDER))
     if not set(forest.classes) <= set(labels):
         raise ValueError(f"classes {forest.classes} are not all "
                          f"{labels.__name__} values")
@@ -391,28 +391,17 @@ def cmd_train(run: Run):
     stage1 = {i: int(classifier.StageOneLabel[g["stage1"].upper()])
               for i, g in labeled.items()}
     stage2 = {i: g["stage2"] for i, g in labeled.items() if g["stage1"] == "capa"}
-    # split_train_test needs two rows of each class, and a forest two classes
     for stage, labels in enumerate([stage1, stage2], start=1):
-        classes, sizes = np.unique(list(labels.values()), return_counts=True)
-        if len(classes) < 2:
-            raise DegenerateData(f"stage {stage}: training needs labeled pull requests "
-                                 f"of 2 classes or more, got {len(classes)}")
-        if sizes.min() < 2:
-            raise DegenerateData(f"stage {stage}: class {classes[sizes.argmin()]} has "
-                                 "1 labeled pull request, and training needs 2 of "
-                                 "each class")
-
-    def fit(labels):
-        """A stage's forest, and its class report on the held-out rows."""
         X, y = prs.values[list(labels)], np.array(list(labels.values()))
-        tr, te = classifier.split_train_test(X, y, cfg.train_ratio, cfg.seed)
+        try:
+            tr, te = classifier.split_train_test(X, y, cfg.train_ratio, cfg.seed)
+        except DegenerateData as exc:
+            raise DegenerateData(f"stage {stage}: {exc}") from None
         forest = classifier.train_forest(X[tr], y[tr], cfg.n_estimators, cfg.seed)
         pred, _ = forest.predict(X[te])
-        return forest, classifier.compute_report(y[te], pred,
-                                                 sorted(set(labels.values())))
-
-    run.model_stage1, run.report_stage1 = fit(stage1)
-    run.model_stage2, run.report_stage2 = fit(stage2)
+        setattr(run, f"model_stage{stage}", forest)
+        setattr(run, f"report_stage{stage}", classifier.compute_report(
+            y[te], pred, sorted(set(labels.values()))))
     log.info("trained stage-1 on %d rows, stage-2 on %d rows", len(stage1), len(stage2))
 
 
@@ -420,7 +409,7 @@ def cmd_classify(run: Run):
     prs = run.prs
     results = classifier.classify_two_stage(run.model_stage1, run.model_stage2,
                                             prs.values)
-    created = prs.values[:, classifier.FEATURE_ORDER.index("creation_date")]
+    created = prs.values[:, ingestion.FEATURE_ORDER.index("creation_date")]
     run.classified = [{
         "pr_id": pr_id,
         "repo_id": repo_id,

@@ -90,7 +90,7 @@ class EmptyDataset(CapaMinerError):
 
 
 class DegenerateData(CapaMinerError):
-    """Training data contains a single class."""
+    """Training data has fewer than 2 classes, or a class too small to split."""
 
 
 class EmptyTable(CapaMinerError):

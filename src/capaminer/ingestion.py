@@ -1,5 +1,5 @@
-"""Data collection: fixture loaders, the radar work queue, and an optional
-live GitHub-style source adapter.
+"""Data collection: the metrics and pull-request schemas, fixture loaders,
+the radar work queue, and an optional live GitHub-style source adapter.
 
 The radar watches a source adapter for newly visible repositories, queues
 them, and lets a bounded worker pool collect their metric series and pull
@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import classifier, timeutil
+from . import timeutil
 from .errors import (
+    NUMBER,
     TEXT,
     AuthError,
     IncompleteRecord,
@@ -36,6 +37,50 @@ log = logging.getLogger(__name__)
 
 METRIC_COLUMNS = ["lines_added", "lines_deleted", "lines_changed"]
 CSV_HEADER = ["repo_id", "timestamp"] + METRIC_COLUMNS
+
+# The 27 pull-request metrics, in fixed table order.
+FEATURE_ORDER = [
+    "number_of_comments",
+    "number_of_commits",
+    "number_of_files",
+    "number_of_issue_comments",
+    "number_of_issue_events",
+    "number_of_labels",
+    "number_of_review_comments",
+    "number_of_review_requests",
+    "number_of_reviewers",
+    "number_of_additions",
+    "closure_date",
+    "creation_date",
+    "number_of_deletions",
+    "locked_state",
+    "merged_state",
+    "merged_date",
+    "milestone_status",
+    "milestone_closure_date",
+    "number_of_milestone_closed_issues",
+    "milestone_creation_date",
+    "milestone_due_on_date",
+    "milestone_state",
+    "pull_request_number",
+    "pull_request_state",
+    "update_date",
+    "number_of_participants",
+    "number_of_file_changes",
+]
+TIMESTAMP_FIELDS = {
+    "closure_date", "creation_date", "merged_date", "milestone_closure_date",
+    "milestone_creation_date", "milestone_due_on_date", "update_date",
+}
+BOOLEAN_FIELDS = {
+    "locked_state", "merged_state", "milestone_status", "milestone_state",
+    "pull_request_state",
+}
+COUNT_FIELDS = set(FEATURE_ORDER) - TIMESTAMP_FIELDS - BOOLEAN_FIELDS
+
+# the value of an absent field: below every count, boolean and time after
+# 1970-01-01, though -1 s is itself 1969-12-31T23:59:59Z
+MISSING = -1.0
 
 PR_KNOWN_EXTRA = {"repo_id", "pr_id", "text", "title", "body"}
 PR_ID = (lambda v: type(v) in (str, int), "a string or an integer")
@@ -116,11 +161,34 @@ def load_metrics_csv(path):
     return series
 
 
+def _coerce(name, raw) -> float:
+    """One present PR field as its feature value, checked by its kind: a
+    boolean a real bool, as 0 or 1; a timestamp RFC 3339 text
+    (timeutil.from_rfc3339) or a number (errors.NUMBER) in years 0001 to
+    9999 UTC, as POSIX seconds; a count a number >= 0."""
+    if name in BOOLEAN_FIELDS:
+        if not isinstance(raw, bool):
+            raise ValueError(f"{name} must be true or false, got {raw!r}")
+        return float(raw)
+    if name in TIMESTAMP_FIELDS and isinstance(raw, str):
+        try:
+            return timeutil.from_rfc3339(raw)
+        except ValueError as exc:
+            raise ValueError(f"{name} {exc}") from None
+    if not NUMBER[0](raw):
+        raise ValueError(f"{name} must be {NUMBER[1]}, got {raw!r}")
+    if name in COUNT_FIELDS and raw < 0:
+        raise ValueError(f"{name} must be non-negative, got {raw}")
+    if name in TIMESTAMP_FIELDS and not timeutil.WRITABLE[0](raw):
+        raise ValueError(f"{name} must be {timeutil.WRITABLE[1]}, got {raw!r}")
+    return float(raw)
+
+
 @dataclass
 class PullRequests:
     """Pull requests as columns: lists of repo ids, PR ids and texts, and
-    their feature matrix, rows x 27 values in classifier.FEATURE_ORDER
-    (classifier._coerce), classifier.MISSING where absent."""
+    their feature matrix, rows x 27 values in FEATURE_ORDER (_coerce),
+    MISSING where absent."""
 
     repo_ids: list
     pr_ids: list
@@ -134,12 +202,11 @@ class PullRequests:
 def pull_requests(numbered, noun="line"):
     """The PullRequests of (n, object) pairs, each object checked as it
     comes, so the first defect in the input is the one reported: a metric
-    of the wrong kind (classifier._coerce), no creation_date, or a (repo_id,
-    pr_id) seen before raises the ValueError "<noun> <n>: ...".  pr_id
-    defaults to pull_request_number, then n, and text to title and body
-    joined; unknown fields are ignored with a logged notice."""
-    names = classifier.FEATURE_ORDER
-    known = set(names) | PR_KNOWN_EXTRA
+    of the wrong kind (_coerce), no creation_date, or a (repo_id, pr_id)
+    seen before raises the ValueError "<noun> <n>: ...".  pr_id defaults to
+    pull_request_number, then n, and text to title and body joined; unknown
+    fields are ignored with a logged notice."""
+    known = set(FEATURE_ORDER) | PR_KNOWN_EXTRA
     first, texts, rows = {}, [], []  # first: {(repo_id, pr_id): n}, in order
     for n, obj in numbered:
         where = f"{noun} {n}"
@@ -160,8 +227,8 @@ def pull_requests(numbered, noun="line"):
             if obj.get("creation_date") is None:
                 raise ValueError("creation_date missing")
             need({"repo_id": repo_id, "text": text}, {"repo_id": TEXT, "text": TEXT})
-            rows.append([classifier.MISSING if (v := obj.get(name)) is None
-                         else classifier._coerce(name, v) for name in names])
+            rows.append([MISSING if (v := obj.get(name)) is None
+                         else _coerce(name, v) for name in FEATURE_ORDER])
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
         if (earlier := first.setdefault((repo_id, pr_id), n)) != n:
@@ -169,7 +236,7 @@ def pull_requests(numbered, noun="line"):
                              f"repeats {noun} {earlier}")
         texts.append(text)
     return PullRequests([r for r, _ in first], [p for _, p in first], texts,
-                        np.array(rows, dtype=float).reshape(len(rows), len(names)))
+                        np.array(rows, dtype=float).reshape(len(rows), len(FEATURE_ORDER)))
 
 
 def load_prs_jsonl(path):
@@ -195,7 +262,6 @@ def load_prs_jsonl(path):
 @dataclass(frozen=True)
 class RepoRef:
     repo_id: str
-    source: str = "fixture"
 
     def __post_init__(self):
         if not self.repo_id:
@@ -225,7 +291,7 @@ class SourceAdapter:
     def list_new_repos(self):
         new = self._repos[self._announced:]
         self._announced = len(self._repos)
-        return [RepoRef(r, self.name) for r in new]
+        return [RepoRef(r) for r in new]
 
     def fetch_commit_metrics(self, repo_id):
         raise NotImplementedError

@@ -186,14 +186,13 @@ class TTestResult:
     p_value: float
     mean_a: float
     mean_b: float
-    degenerate: bool = False
 
 
 def two_sample_t_test(a, b) -> TTestResult:
     """Welch's unequal-variance two-sample t-test.
 
     Constant samples are degenerate: equal means give t=0, p=1; unequal
-    means give p=0 with the degenerate flag set.
+    means give t=±inf, p=0.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -205,9 +204,9 @@ def two_sample_t_test(a, b) -> TTestResult:
     vb = float(b.var(ddof=1))
     if va == 0.0 and vb == 0.0:
         if ma == mb:
-            return TTestResult(0.0, float(na + nb - 2), 1.0, ma, mb, True)
+            return TTestResult(0.0, float(na + nb - 2), 1.0, ma, mb)
         t = math.inf if ma > mb else -math.inf
-        return TTestResult(t, float(na + nb - 2), 0.0, ma, mb, True)
+        return TTestResult(t, float(na + nb - 2), 0.0, ma, mb)
     se2 = va / na + vb / nb
     dof = se2 ** 2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
     t = (ma - mb) / math.sqrt(se2)

@@ -12,13 +12,9 @@ from scipy import stats
 from capaminer import classifier
 from capaminer.errors import DegenerateData
 from capaminer.classifier import (
-    BOOLEAN_FIELDS,
-    FEATURE_ORDER,
-    MISSING,
     CapaLabel,
     RandomForest,
     StageOneLabel,
-    TIMESTAMP_FIELDS,
     classify_two_stage,
     compute_report,
     label_by_keywords,
@@ -37,130 +33,9 @@ from capaminer.classifier import (
     _levels,
     _mix,
 )
-from capaminer.ingestion import load_prs_jsonl, pull_requests
-from capaminer.timeutil import from_rfc3339, to_rfc3339
 
 from conftest import (naive_best_split, naive_classify_two_stage,
                       naive_forest_trees, naive_predict)
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
-
-def reference_features(obj):
-    """The 27 features of one raw JSON pull request, field by field."""
-    out = []
-    for name in FEATURE_ORDER:
-        v = obj.get(name)
-        if v is None:
-            out.append(MISSING)
-        elif name in BOOLEAN_FIELDS:
-            out.append(1.0 if v else 0.0)
-        elif name in TIMESTAMP_FIELDS:
-            out.append(from_rfc3339(v) if isinstance(v, str) else float(v))
-        else:
-            out.append(float(v))
-    return np.array(out)
-
-
-class TestFeatureEncoding:
-    def test_27_features_in_table_order(self):
-        assert len(FEATURE_ORDER) == 27
-        assert FEATURE_ORDER[0] == "number_of_comments"
-        assert FEATURE_ORDER[11] == "creation_date"
-        assert FEATURE_ORDER[-1] == "number_of_file_changes"
-        assert len(TIMESTAMP_FIELDS) == 7
-        assert len(BOOLEAN_FIELDS) == 5
-
-    def test_feature_rules(self):
-        prs = one_pr(creation_date=1000.0, number_of_comments=4, merged_state=True,
-                     locked_state=False, closure_date="1970-01-01T01:23:20Z")
-        x = prs.values[0]
-        assert len(x) == 27
-        assert x[FEATURE_ORDER.index("number_of_comments")] == 4.0
-        assert x[FEATURE_ORDER.index("merged_state")] == 1.0
-        assert x[FEATURE_ORDER.index("locked_state")] == 0.0
-        # timestamps as they stand, POSIX seconds
-        assert x[FEATURE_ORDER.index("creation_date")] == 1000.0
-        assert x[FEATURE_ORDER.index("closure_date")] == 5000.0
-        # everything absent is the sentinel
-        assert x[FEATURE_ORDER.index("milestone_status")] == MISSING
-        assert x[FEATURE_ORDER.index("number_of_additions")] == MISSING
-        assert x[FEATURE_ORDER.index("merged_date")] == MISSING
-
-    def test_absent_sorts_below_every_present_value_after_1970(self):
-        # a count of 0, false, and the first second after the epoch; -1 s
-        # itself, 1969-12-31T23:59:59Z, reads as absent
-        prs = one_pr(creation_date=1.0, number_of_commits=0, locked_state=False,
-                     merged_date="1969-12-31T23:59:59Z")
-        x = dict(zip(FEATURE_ORDER, prs.values[0].tolist()))
-        assert MISSING < min(x["creation_date"], x["number_of_commits"],
-                             x["locked_state"])
-        assert x["merged_date"] == x["closure_date"] == MISSING
-
-    def test_missing_creation_date(self):
-        with pytest.raises(ValueError, match="^line 1: creation_date missing$"):
-            one_pr(creation_date=None)
-
-    @pytest.mark.parametrize("name, value", [
-        ("repo_id", 5), ("repo_id", None), ("text", 5), ("text", ["fix ci"])])
-    def test_text_and_repo_id_must_be_strings(self, name, value):
-        with pytest.raises(ValueError, match=f"^line 1: {name} must be a string"):
-            one_pr(**{"creation_date": 0.0, "text": "", name: value})
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError,
-                           match="^line 1: number_of_commits must be non-negative"):
-            one_pr(creation_date=0.0, number_of_commits=-2)
-
-    def test_numpy_counts_accepted_nan_rejected(self):
-        prs = one_pr(creation_date=np.float64(2.0), number_of_commits=np.int64(3))
-        assert prs.values.dtype == np.float64
-        assert present(prs) == {"number_of_commits": 3.0, "creation_date": 2.0}
-        for bad in (float("nan"), 10**400):
-            with pytest.raises(ValueError, match="number_of_commits must be a finite"):
-                one_pr(creation_date=0.0, number_of_commits=bad)
-
-    @pytest.mark.parametrize("name", sorted(TIMESTAMP_FIELDS))
-    def test_timestamps_lie_in_years_1_to_9999(self, name):
-        # the range that RFC 3339 text, four digits of year, can write
-        def record(value):
-            return one_pr(**{"creation_date": 0.0, name: value})
-
-        for value, text in [(-62135596800, "0001-01-01T00:00:00Z"),
-                            (-6e10, "0068-09-03T13:20:00Z"),
-                            (253402300799.5, "9999-12-31T23:59:59.500000Z"),
-                            (math.nextafter(253402300800, 0),
-                             "9999-12-31T23:59:59.999969Z")]:
-            got = present(record(value))[name]
-            assert to_rfc3339(got) == text and from_rfc3339(text) == got
-        for value in [math.nextafter(-62135596800, -math.inf), 253402300800, 1e12,
-                      "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"]:
-            with pytest.raises(ValueError, match=re.escape(
-                    f"{name} must be a time in years 0001 to 9999 UTC, got {value!r}")):
-                record(value)
-
-    def test_fixture_features_match_per_field_reference(self):
-        lines = (FIXTURES / "prs.jsonl").read_text().splitlines()
-        want = np.array([reference_features(json.loads(line)) for line in lines])
-        assert load_prs_jsonl(FIXTURES / "prs.jsonl").values.tobytes() == want.tobytes()
-
-    def test_unknown_field_left_out(self, caplog):
-        with caplog.at_level("INFO", logger="capaminer.ingestion"):
-            prs = one_pr(creation_date=0.0, number_of_bananas=1)
-        assert "number_of_bananas" in caplog.text
-        assert present(prs) == {"creation_date": 0.0}
-
-
-def one_pr(**obj):
-    """The table of one pull request of org/r, given as its JSON object."""
-    return pull_requests([(1, {"repo_id": "org/r", **obj})])
-
-
-def present(prs):
-    """{field: value} of the first pull request's present fields."""
-    return {name: v for name, v in zip(FEATURE_ORDER, prs.values[0].tolist())
-            if v != MISSING}
-
 
 # the bundled (keyword map, non-CAPA phrases)
 BUNDLED_KEYWORDS = load_keyword_map({})
@@ -254,8 +129,14 @@ class TestSplit:
         assert a != c
 
     def test_tiny_class_rejected(self, rng):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateData, match="^class 2 has 1 labeled pull request, "
+                                                 "and training needs 2 of each class$"):
             split_train_test(rng.normal(size=(3, 2)), [1, 1, 2], 0.8, seed=0)
+
+    def test_one_class_rejected(self, rng):
+        with pytest.raises(DegenerateData, match="^training needs labeled pull requests "
+                                                 "of 2 classes or more, got 1$"):
+            split_train_test(rng.normal(size=(3, 2)), [1, 1, 1], 0.8, seed=0)
 
     def test_bad_ratio(self, rng):
         with pytest.raises(ValueError):

@@ -1082,7 +1082,7 @@ def with_split_feature(doc, feature):
 def older_format(doc, version):
     """The model document doc as format 1 or 2 held its forest: nested
     trees."""
-    forest = classifier.RandomForest.from_json(doc, len(classifier.FEATURE_ORDER))
+    forest = classifier.RandomForest.from_json(doc, len(ingestion.FEATURE_ORDER))
     return {"meta": doc["meta"], "format_version": version, "classes": doc["classes"],
             "trees": forest.trees}
 
