@@ -50,15 +50,16 @@ class StageOneLabel(IntEnum):
 
 
 def label_by_keywords(pr_text: str, keyword_map, non_capa_keywords):
-    """Case-insensitive phrase containment, with a map of load_keyword_map.
-    The first matching label in ascending label order wins; returns None
-    when nothing matches."""
+    """The label of pr_text by the lower-case phrases of load_keyword_map, one
+    value as classify_two_stage gives it: the first CapaLabel, in ascending
+    order, with a phrase in the lower-cased text, else StageOneLabel.NON_CAPA
+    when a non-CAPA phrase is in it, else None."""
     text = pr_text.lower()
-    for label in sorted(keyword_map):
-        if any(phrase.lower() in text for phrase in keyword_map[label]):
-            return (StageOneLabel.CAPA, CapaLabel(label))
-    if any(phrase.lower() in text for phrase in non_capa_keywords):
-        return (StageOneLabel.NON_CAPA, None)
+    for label, phrases in keyword_map.items():
+        if any(phrase in text for phrase in phrases):
+            return label
+    if any(phrase in text for phrase in non_capa_keywords):
+        return StageOneLabel.NON_CAPA
     return None
 
 
@@ -77,13 +78,15 @@ _BUNDLED_KEYWORD_MAP = json.loads(
 
 
 def load_keyword_map(doc: dict):
-    """Parse {"capa": {label_name: [phrases]}, "non_capa": [phrases]}; a
-    part left out is the bundled map's, and a document of any other shape
-    raises ValueError, as does a key other than those two."""
+    """({CapaLabel: phrases} in ascending order, non-CAPA phrases), every
+    phrase lower-cased, of {"capa": {label_name: [phrases]}, "non_capa":
+    [phrases]}; a part left out is the bundled map's, and a document of any
+    other shape raises ValueError, as does a key other than those two."""
     doc = only(need(doc, {}), _KEYWORD_MAP_PARTS, "keyword map")
     doc = need({**_BUNDLED_KEYWORD_MAP, **doc}, _KEYWORD_MAP_PARTS)
     capa = need(doc["capa"], dict.fromkeys(doc["capa"], _PHRASES))
-    return {_LABELS[name.lower()]: phrases for name, phrases in capa.items()}, doc["non_capa"]
+    capa = {_LABELS[name.lower()]: [p.lower() for p in ps] for name, ps in capa.items()}
+    return dict(sorted(capa.items())), [p.lower() for p in doc["non_capa"]]
 
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)

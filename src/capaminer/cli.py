@@ -39,7 +39,7 @@ class PipelineConfig:
     window_days: float = 30.0
     min_count: int = 5
     # mining
-    metrics: tuple = ("lines_added", "lines_deleted", "lines_changed")
+    metrics: tuple = tuple(ingestion.METRIC_COLUMNS)
     min_len: int = 8
     max_len: int = 8
     match_threshold: float | None = None  # None: default_match_threshold(min_len)
@@ -129,14 +129,14 @@ def _jsonl(run, rows):
 # {key: (test, requirement)} of the artifact fields that later stages read
 _DATE = (lambda v: timeutil.from_rfc3339(v) is not None, "an RFC 3339 date")
 _CAPA = (lambda v: type(v) is int and v in range(1, 8), "a CAPA class in 1..7")
-GOLDEN_FIELDS = {"repo_id": TEXT, "pr_id": TEXT,
-                 "stage1": (lambda v: v in ("capa", "non_capa"), "capa or non_capa")}
 OCCURRENCE_FIELDS = {"pattern_id": INDEX, "repo": TEXT, "start_index": INDEX,
                      "end_index": INDEX, "start_time": _DATE, "end_time": _DATE,
                      "distance": NUMBER}
 CLASSIFIED_FIELDS = {
     "pr_id": TEXT, "repo_id": TEXT, "creation_date": _DATE,
     "capa_class": or_null(_CAPA)}
+# a golden row is a classified row without its creation date
+GOLDEN_FIELDS = {key: CLASSIFIED_FIELDS[key] for key in ("pr_id", "repo_id", "capa_class")}
 CLASS_REPORT_ROW_FIELDS = {
     "label": INTEGER,
     **{count: INDEX for count in ("tp", "tn", "fp", "fn")},
@@ -144,11 +144,6 @@ CLASS_REPORT_ROW_FIELDS = {
 CHI2_FIELDS = {"statistic": NUMBER, "dof": INDEX, "p_value": NUMBER,
                "low_expected_cells": INDEX}
 MAPPING_TUPLE_FIELDS = {"pattern": INDEX, "capa": association.ACTION}
-
-
-def _golden_row(g):
-    need(g, GOLDEN_FIELDS)
-    return need(g, {"stage2": _CAPA}) if g["stage1"] == "capa" else g
 
 
 def _chi2(text):
@@ -200,7 +195,7 @@ ARTIFACTS = {
     "occurrences.jsonl": ("occurrences", "mine", "occurrences", _jsonl, lambda text:
                           _read_jsonl(text, lambda o: need(o, OCCURRENCE_FIELDS))),
     "golden.jsonl": ("golden standard", "label", "golden", _jsonl,
-                     lambda text: _read_jsonl(text, _golden_row)),
+                     lambda text: _read_jsonl(text, lambda g: need(g, GOLDEN_FIELDS))),
     "model_stage1.json": ("model", "train", "model_stage1", _model, lambda text:
                           _forest(json.loads(text), classifier.StageOneLabel)),
     "model_stage2.json": ("model", "train", "model_stage2", _model, lambda text:
@@ -318,7 +313,7 @@ class Run:
 
     @cached_property
     def keywords(self):
-        """(keyword map, non-CAPA phrases) of keywords_path, or the bundled ones."""
+        """load_keyword_map of keywords_path, or of the bundled map."""
         path = self.cfg.keywords_path
         if not path:
             return classifier.load_keyword_map({})
@@ -362,35 +357,33 @@ def cmd_mine(run: Run):
              len(run.occurrences))
 
 
+def _capa_class(label):
+    """The capa_class of a label of classify_two_stage: None for non-CAPA."""
+    return None if label is classifier.StageOneLabel.NON_CAPA else int(label)
+
+
 def cmd_label(run: Run):
     prs = run.prs
-    kmap, non_capa = run.keywords
     golden = []
     for repo_id, pr_id, text in zip(prs.repo_ids, prs.pr_ids, prs.texts):
-        labels = classifier.label_by_keywords(text, kmap, non_capa)
-        if labels is None:
-            continue
-        stage1, stage2 = labels
-        golden.append({
-            "pr_id": pr_id,
-            "repo_id": repo_id,
-            "stage1": stage1.name.lower(),
-            "stage2": int(stage2) if stage2 is not None else None,
-        })
+        label = classifier.label_by_keywords(text, *run.keywords)
+        if label is not None:
+            golden.append({"pr_id": pr_id, "repo_id": repo_id,
+                           "capa_class": _capa_class(label)})
     run.golden = golden
     log.info("labeled %d of %d pull requests", len(golden), len(prs))
 
 
 def cmd_train(run: Run):
     cfg, prs = run.cfg, run.prs
-    golden = {(g["repo_id"], g["pr_id"]): g for g in run.golden}
-    # {row of prs: golden row} of the labeled pull requests, in file order,
+    golden = {(g["repo_id"], g["pr_id"]): g["capa_class"] for g in run.golden}
+    # {row of prs: capa_class} of the labeled pull requests, in file order,
     # then each stage's {row: label}
     labeled = {i: golden[key] for i, key in enumerate(zip(prs.repo_ids, prs.pr_ids))
                if key in golden}
-    stage1 = {i: int(classifier.StageOneLabel[g["stage1"].upper()])
-              for i, g in labeled.items()}
-    stage2 = {i: g["stage2"] for i, g in labeled.items() if g["stage1"] == "capa"}
+    capa, non_capa = classifier.StageOneLabel.CAPA, classifier.StageOneLabel.NON_CAPA
+    stage1 = {i: int(non_capa if c is None else capa) for i, c in labeled.items()}
+    stage2 = {i: c for i, c in labeled.items() if c is not None}
     for stage, labels in enumerate([stage1, stage2], start=1):
         X, y = prs.values[list(labels)], np.array(list(labels.values()))
         try:
@@ -414,8 +407,7 @@ def cmd_classify(run: Run):
         "pr_id": pr_id,
         "repo_id": repo_id,
         "creation_date": timeutil.to_rfc3339(t),
-        "capa_class": (None if result is classifier.StageOneLabel.NON_CAPA
-                       else int(result)),
+        "capa_class": _capa_class(result),
     } for pr_id, repo_id, t, result in zip(prs.pr_ids, prs.repo_ids,
                                            created.tolist(), results)]
     log.info("classified %d pull requests", len(prs))

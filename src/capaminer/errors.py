@@ -2,11 +2,12 @@
 the fields of a document read from outside: the config, the keyword map, a
 model, an artifact, a published pairwise table or a pull-request record.  A
 spec {key: (test, requirement)} fails at its first missing or failing key
-with the ValueError "<key> must be <requirement>, got <value>", which
-need_rows prefixes with "<list>[n]: ".  A defect in the content of an input
-file, found here or by a loader, is only ever a ValueError; cli._read, the
-one step through which a command reads a file, turns it into the command's
-error, naming the file.  NUMBER is the one rule of a finite number."""
+with the ValueError "<key> must be <requirement>, got <value>" (the value's
+repr, or "nothing" when the key is missing), which need_rows prefixes with
+"<list>[n]: ".  A defect in the content of an input file, found here or by
+a loader, is only ever a ValueError; cli._read, the one step through which a
+command reads a file, turns it into the command's error, naming the file.
+NUMBER is the one rule of a finite number."""
 
 import sys
 
@@ -49,7 +50,8 @@ def need(doc, checks):
         except (AttributeError, TypeError, ValueError):
             ok = False
         if not ok:
-            raise ValueError(f"{key} must be {want}, got {doc.get(key)!r}")
+            got = repr(doc[key]) if key in doc else "nothing"
+            raise ValueError(f"{key} must be {want}, got {got}")
     return doc
 
 

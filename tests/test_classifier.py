@@ -42,22 +42,24 @@ BUNDLED_KEYWORDS = load_keyword_map({})
 
 
 class TestKeywordLabeling:
+    # `is`, as StageOneLabel.CAPA == CapaLabel.ADD_LINTER == 1
     def test_capa_examples(self):
-        assert label_by_keywords("Add eslint config", *BUNDLED_KEYWORDS) == (
-            StageOneLabel.CAPA, CapaLabel.ADD_LINTER)
-        assert label_by_keywords("raise branch COVERAGE", *BUNDLED_KEYWORDS) == (
-            StageOneLabel.CAPA, CapaLabel.COVERAGE)
-        assert label_by_keywords("drop dead code paths", *BUNDLED_KEYWORDS) == (
-            StageOneLabel.CAPA, CapaLabel.UNUSED)
+        assert label_by_keywords("Add eslint config", *BUNDLED_KEYWORDS) is CapaLabel.ADD_LINTER
+        assert label_by_keywords("raise branch COVERAGE", *BUNDLED_KEYWORDS) is CapaLabel.COVERAGE
+        assert label_by_keywords("drop dead code paths", *BUNDLED_KEYWORDS) is CapaLabel.UNUSED
 
     def test_first_match_in_ascending_label_order(self):
         # hits both linter (1) and refactor (5): label 1 wins
         got = label_by_keywords("refactor the pylint setup", *BUNDLED_KEYWORDS)
-        assert got == (StageOneLabel.CAPA, CapaLabel.ADD_LINTER)
+        assert got is CapaLabel.ADD_LINTER
 
     def test_non_capa(self):
-        assert label_by_keywords("hotfix for crash", *BUNDLED_KEYWORDS) == (
-            StageOneLabel.NON_CAPA, None)
+        assert label_by_keywords("hotfix for crash", *BUNDLED_KEYWORDS) is StageOneLabel.NON_CAPA
+
+    def test_upper_case_phrases_match_any_case(self):
+        keywords = load_keyword_map({"capa": {"add_linter": ["ESLint"]}, "non_capa": ["WIP"]})
+        assert label_by_keywords("add eslint rules", *keywords) is CapaLabel.ADD_LINTER
+        assert label_by_keywords("WIP: draft", *keywords) is StageOneLabel.NON_CAPA
 
     def test_unmatched_is_none(self):
         assert label_by_keywords("weekly sync notes", *BUNDLED_KEYWORDS) is None

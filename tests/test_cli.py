@@ -63,8 +63,7 @@ def reject_constant(token):
 def fixture_label(obj):
     """The CapaLabel that the fixture keyword map gives the PR obj,
     StageOneLabel.NON_CAPA, or None when no phrase matches."""
-    labels = classifier.label_by_keywords(obj["text"], *FIXTURE_KEYWORDS)
-    return labels and (labels[1] or labels[0])
+    return classifier.label_by_keywords(obj["text"], *FIXTURE_KEYWORDS)
 
 
 def fixture_prs(path, edit):
@@ -390,11 +389,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("name, stage, line, edit, why", [
         ("occurrences.jsonl", "associate", 1, lambda ln: without(ln, "start_time"),
-         "start_time must be an RFC 3339 date, got None"),
+         "start_time must be an RFC 3339 date, got nothing"),
         ("occurrences.jsonl", "associate", 1, lambda ln: with_fields(ln, pattern_id="0"),
          "pattern_id must be an integer >= 0, got '0'"),
         ("occurrences.jsonl", "associate", 1, lambda ln: without(ln, "distance"),
-         "distance must be a finite number, got None"),
+         "distance must be a finite number, got nothing"),
         ("occurrences.jsonl", "associate", 1,
          lambda ln: with_fields(ln, distance=10**400), "distance must be a finite number"),
         ("classified.jsonl", "associate", 2, lambda ln: with_fields(ln, capa_class=9),
@@ -405,11 +404,12 @@ class TestExitCodes:
         ("classified.jsonl", "associate", 1,
          lambda ln: with_fields(ln, creation_date="0001-01-01T00:00:00+01:00"),
          "creation_date must be an RFC 3339 date, got '0001-01-01T00:00:00+01:00'"),
-        ("golden.jsonl", "train", 1, lambda ln: with_fields(ln, stage1="CAPA"),
-         "stage1 must be capa or non_capa, got 'CAPA'"),
-        ("golden.jsonl", "train", 1,
-         lambda ln: with_fields(ln, stage1="capa", stage2=None),
-         "stage2 must be a CAPA class in 1..7, got None"),
+        ("golden.jsonl", "train", 1, lambda ln: with_fields(ln, capa_class=0),
+         "capa_class must be null or a CAPA class in 1..7, got 0"),
+        # a line of the format before capa_class
+        ("golden.jsonl", "train", 1, lambda ln: json.dumps(
+            {"pr_id": "101", "repo_id": "org/repo0", "stage1": "capa", "stage2": 7}),
+         "capa_class must be null or a CAPA class in 1..7, got nothing"),
         ("golden.jsonl", "train", 1, lambda ln: "{oops", "Expecting property name"),
         ("golden.jsonl", "train", 1, lambda ln: "5", "not a JSON object"),
         # the first pattern row
@@ -625,7 +625,7 @@ class TestValidateStandalone:
     # mapping or make mapping.json or pairwise.json unreadable
     @pytest.mark.parametrize("edit, why", [
         (lambda rows: rows[3].pop("pattern"),
-         "tests[3]: pattern must be an integer >= 0, got None"),
+         "tests[3]: pattern must be an integer >= 0, got nothing"),
         (lambda rows: rows[3].update(p="x"), "tests[3]: p must be a number in [0, 1], got 'x'"),
         (lambda rows: rows[3].update(capa_i=1.0),
          "capa_i must be an action id in 0..6, got 1.0"),
@@ -764,12 +764,12 @@ class TestReportInputs:
         ("chi2.json", set_field("statistic", "x"),
          "statistic must be a finite number, got 'x'"),
         ("chi2.json", drop_field("low_expected_cells"),
-         "low_expected_cells must be an integer >= 0, got None"),
+         "low_expected_cells must be an integer >= 0, got nothing"),
         ("chi2.json", set_field("dof", "12"), "dof must be an integer >= 0, got '12'"),
         ("chi2.json", set_field("p_value", False), "p_value must be a finite number"),
         ("chi2.json", lambda doc: [doc], "not a JSON object"),
-        ("chi2.json", set_field("statistic", None), "note must be a string, got None"),
-        ("mapping.json", drop_field("tuples"), "tuples must be a list, got None"),
+        ("chi2.json", set_field("statistic", None), "note must be a string, got nothing"),
+        ("mapping.json", drop_field("tuples"), "tuples must be a list, got nothing"),
         ("mapping.json", set_field("alpha", "0.15"), "alpha must be a finite number"),
         ("mapping.json", set_field("tuples", [{"pattern": 0, "capa": "1"}]),
          "tuples[0]: capa must be an action id in 0..6, got '1'"),
