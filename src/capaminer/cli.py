@@ -9,7 +9,10 @@ import argparse
 import json
 import logging
 import os
+import pickle
 import sys
+import traceback
+import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -121,8 +124,12 @@ def _json(run, doc: dict, compact=False):
                       **layout) + "\n"
 
 
+# json.dumps builds an encoder per call; a JSONL artifact renders each row with this one
+_ENCODE_ROW = json.JSONEncoder(sort_keys=True).encode
+
+
 def _jsonl(run, rows):
-    return "".join(json.dumps(row, sort_keys=True) + "\n"
+    return "".join(_ENCODE_ROW(row) + "\n"
                    for row in [{"meta": {"seed": run.cfg.seed}}, *rows])
 
 
@@ -502,10 +509,91 @@ STAGES = {"mine": cmd_mine, "label": cmd_label, "train": cmd_train,
           "validate": cmd_validate, "report": cmd_report}
 
 
-def cmd_pipeline(cfg: PipelineConfig, out: Path):
-    run = Run(cfg, out)
-    for name in STAGES:  # by name at call time, so that a tracer's wrappers run
+def _stages(run: Run, *names):
+    for name in names:  # by name at call time, so that a tracer's wrappers run
         globals()[f"cmd_{name}"](run)
+
+
+class _ChildTraceback(Exception):
+    """The traceback text of an error raised in the mine lane's process."""
+
+
+def _mine_beside(run: Run, *lane):
+    """(patterns, occurrences) of the mine stage of run, with the stages
+    named by lane run meanwhile.  Where this process may use 2 CPUs or more,
+    mine runs in a forked child, which sends its values, or the error it
+    raised, back over a pipe as a pickle; elsewhere mine runs first, then
+    the lane.  Either way a mine error wins over the lane's, as in stage
+    order, and no child outlives the call."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None or len(affinity(0)) < 2:
+        _stages(run, "mine", *lane)
+        return run.patterns, run.occurrences
+    read_end, write_end = os.pipe()
+    with warnings.catch_warnings():
+        # from Python 3.12 on, os.fork warns in a process with more than one
+        # thread, as numpy's OpenBLAS pool makes this one; this child is safe:
+        # it runs only this package's numpy code, and OpenBLAS and logging
+        # re-initialise their threads and locks after a fork
+        warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
+                                r"use of fork\(\)", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        os.close(read_end)
+        _mine_child(run, write_end)
+    os.close(write_end)
+    with open(read_end, "rb") as pipe:
+        try:
+            try:
+                _stages(run, *lane)
+            except Exception as exc:
+                failed = exc
+            else:
+                failed = None
+            reply = pipe.read()
+        except BaseException:
+            import signal  # only on this path: the module is not loaded otherwise
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code < 0:
+        raise CapaMinerError(f"the mine stage was killed by signal {-code}")
+    if code > 0:
+        raise CapaMinerError(f"the mine stage exited with code {code} and no result")
+    values, error, trace = pickle.loads(reply)
+    if error is not None:
+        raise error from _ChildTraceback(trace)
+    if failed is not None:
+        raise failed
+    return values
+
+
+def _mine_child(run: Run, write_end):
+    """The forked child's whole life: the mine stage, its reply written to
+    write_end, then os._exit, so that nothing of the parent's stack runs
+    here: not the output lock's release, not _write, not an atexit handler."""
+    code = 1
+    try:
+        try:
+            _stages(run, "mine")
+            reply = ((run.patterns, run.occurrences), None, None)
+        except BaseException as exc:  # the parent raises it
+            reply = (None, exc, traceback.format_exc())
+        with open(write_end, "wb") as pipe:
+            pipe.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def cmd_pipeline(cfg: PipelineConfig, out: Path):
+    """Every stage in order, but mine beside label, train and classify (see
+    _mine_beside): the miner reads only the metrics and those three only the
+    pull requests, so the two lanes first meet at associate."""
+    run = Run(cfg, out)
+    run.patterns, run.occurrences = _mine_beside(run, "label", "train", "classify")
+    _stages(run, "associate", "validate", "report")
     del run.prs  # no artifact renders from it: free it for _write
     _write(run)
 

@@ -290,6 +290,16 @@ def random_and_tiled_windows(rng, m, n):
         yield z[valid]
 
 
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fails a test that leaves a child process, running or unreaped: the
+    mine lane of every pipeline that a test runs in this process, and any
+    process that a test starts, must be reaped before it ends."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -6,15 +6,17 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capaminer import association, classifier, ingestion
+from capaminer import association, classifier, cli, ingestion, mining
 from capaminer.cli import (
     ARTIFACTS,
     EXIT_CONFIG_ERROR,
@@ -400,6 +402,10 @@ class TestExitCodes:
          "capa_class must be null or a CAPA class in 1..7, got 9"),
         ("classified.jsonl", "associate", 1, lambda ln: with_fields(ln, creation_date=5),
          "creation_date must be an RFC 3339 date, got 5"),
+        # unhashable, so the parse's cache raises a TypeError before the parse
+        ("classified.jsonl", "associate", 1,
+         lambda ln: with_fields(ln, creation_date=["2020-01-01T00:00:00Z"]),
+         "creation_date must be an RFC 3339 date, got ['2020-01-01T00:00:00Z']"),
         # 0000-12-31T23:00:00 UTC, which no RFC 3339 time can write back
         ("classified.jsonl", "associate", 1,
          lambda ln: with_fields(ln, creation_date="0001-01-01T00:00:00+01:00"),
@@ -1418,3 +1424,105 @@ class TestPipeline:
                 occ["start_index"] : occ["end_index"] + 1]
             assert znorm_distance(p["values"], window) == pytest.approx(
                 occ["distance"], abs=1e-9)
+
+
+def cpus(monkeypatch, n):
+    """Make the command see n usable CPUs: 2 or more fork the mine lane."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class TestPipelineLanes:
+    def test_forked_and_one_cpu_runs_write_the_same_bytes(self, tmp_path, monkeypatch):
+        forks = count_calls(monkeypatch, os, "fork")
+        outs = []
+        for n in (2, 1):
+            cpus(monkeypatch, n)
+            cfg, out = fixture_config(tmp_path / str(n))
+            assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
+            outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+            assert len(forks) == 1  # the forked run's, and no other
+        assert sorted(outs[0]) == sorted(ARTIFACTS)
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("n", [2, 1])
+    def test_both_lanes_failing_report_the_metrics_error(self, tmp_path, capsys,
+                                                         monkeypatch, n):
+        cpus(monkeypatch, n)
+        cfg, out = fixture_config(tmp_path)
+        assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        paths = {}
+        for name, edit in (("metrics.csv", short_row), ("prs.jsonl", not_json)):
+            lines = (FIXTURES / name).read_text().splitlines()
+            paths[name] = tmp_path / name
+            paths[name].write_text("".join(line + "\n" for line in edit(lines)))
+        cfg, _ = fixture_config(tmp_path, metrics_path=str(paths["metrics.csv"]),
+                                prs_path=str(paths["prs.jsonl"]))
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "pipeline"]) == EXIT_DATA_ERROR
+        assert capsys.readouterr().err == (f"error: invalid metrics {paths['metrics.csv']}: "
+                                           "row 6 has 3 cells, the header 5\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_a_killed_mine_lane_is_a_data_error(self, tmp_path, capsys, monkeypatch):
+        cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def killed(*args):
+            assert os.getpid() != parent, "mine ran in the test's process"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(mining, "mine_patterns", killed)
+        cfg, out = fixture_config(tmp_path)
+        assert main(["--config", str(cfg), "pipeline"]) == EXIT_DATA_ERROR
+        assert capsys.readouterr().err == \
+            f"error: the mine stage was killed by signal {int(signal.SIGKILL)}\n"
+        assert list(out.iterdir()) == []
+
+    def test_an_unexpected_mine_error_keeps_its_traceback(self, tmp_path, monkeypatch):
+        cpus(monkeypatch, 2)
+
+        def broken(*args):
+            raise ZeroDivisionError("in the child")
+
+        monkeypatch.setattr(mining, "mine_patterns", broken)
+        cfg, out = fixture_config(tmp_path)
+        with pytest.raises(ZeroDivisionError, match="in the child") as raised:
+            main(["--config", str(cfg), "pipeline"])
+        cause = str(raised.value.__cause__)
+        assert cause.startswith("Traceback") and ", in broken\n" in cause
+        assert list(out.iterdir()) == []
+
+    def test_an_interrupt_in_label_leaves_no_child(self, tmp_path, monkeypatch):
+        cpus(monkeypatch, 2)
+
+        def interrupted(run):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_label", interrupted)
+        cfg, out = fixture_config(tmp_path)
+        with pytest.raises(KeyboardInterrupt):
+            main(["--config", str(cfg), "pipeline"])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert list(out.iterdir()) == []  # nor the lock
+
+    def test_the_fork_warning_of_python_3_12_is_ignored(self, tmp_path, monkeypatch):
+        # from 3.12 on, os.fork warns in the parent of a multi-threaded process
+        cpus(monkeypatch, 2)
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use "
+                              "of fork() may lead to deadlocks in the child.",
+                              DeprecationWarning, stacklevel=2)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        cfg, out = fixture_config(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
