@@ -11,6 +11,7 @@ import logging
 import os
 import pickle
 import sys
+import threading
 import traceback
 import warnings
 from dataclasses import asdict, dataclass
@@ -520,21 +521,25 @@ class _ChildTraceback(Exception):
 
 def _mine_beside(run: Run, *lane):
     """(patterns, occurrences) of the mine stage of run, with the stages
-    named by lane run meanwhile.  Where this process may use 2 CPUs or more,
-    mine runs in a forked child, which sends its values, or the error it
-    raised, back over a pipe as a pickle; elsewhere mine runs first, then
-    the lane.  Either way a mine error wins over the lane's, as in stage
-    order, and no child outlives the call."""
+    named by lane run meanwhile.  Where this process may use 2 CPUs or more
+    and runs no Python thread but this one, mine runs in a forked child,
+    which sends its values, or the error it raised, back over a pipe as a
+    pickle; elsewhere mine runs first, then the lane.  Either way a mine
+    error wins over the lane's, as in stage order, and no child outlives the
+    call while this process's Python code runs."""
     affinity = getattr(os, "sched_getaffinity", None)
-    if affinity is None or len(affinity(0)) < 2:
+    if affinity is None or len(affinity(0)) < 2 or threading.active_count() > 1:
+        # another Python thread may hold a lock at the fork that the child
+        # would wait on for ever, and this process on the child's pipe
         _stages(run, "mine", *lane)
         return run.patterns, run.occurrences
     read_end, write_end = os.pipe()
     with warnings.catch_warnings():
         # from Python 3.12 on, os.fork warns in a process with more than one
-        # thread, as numpy's OpenBLAS pool makes this one; this child is safe:
-        # it runs only this package's numpy code, and OpenBLAS and logging
-        # re-initialise their threads and locks after a fork
+        # thread; with no other Python thread, the others are native, as
+        # numpy's OpenBLAS pool; this child is safe: it runs only this
+        # package's numpy code, and OpenBLAS and logging re-initialise their
+        # threads and locks after a fork
         warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
                                 r"use of fork\(\)", DeprecationWarning)
         pid = os.fork()

@@ -115,7 +115,7 @@ def load_metrics_csv(path):
             if repeated := [c for c in CSV_HEADER if header.count(c) > 1]:
                 raise ValueError(f"the header: repeated column(s): {', '.join(repeated)}")
             col = {name: header.index(name) for name in CSV_HEADER}
-            per_repo = {}
+            per_repo, seconds = {}, {}  # seconds: of each stamp text, parsed once
             for row_no, row in enumerate(reader, start=1):
                 if not row:
                     continue
@@ -123,10 +123,11 @@ def load_metrics_csv(path):
                     raise ValueError(f"row {row_no} has {len(row)} cells, "
                                      f"the header {len(header)}")
                 repo, stamp = row[col["repo_id"]], row[col["timestamp"]]
-                try:
-                    ts = timeutil.from_rfc3339(stamp)
-                except ValueError as exc:
-                    raise ValueError(f"timestamp at row {row_no} {exc}") from None
+                if (ts := seconds.get(stamp)) is None:  # the rows of one instant share its text
+                    try:
+                        ts = seconds[stamp] = timeutil.from_rfc3339(stamp)
+                    except ValueError as exc:
+                        raise ValueError(f"timestamp at row {row_no} {exc}") from None
                 vals = []
                 for metric in METRIC_COLUMNS:
                     try:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import re
 from datetime import datetime, timezone
 
@@ -19,13 +18,9 @@ def to_rfc3339(posix_seconds: float) -> str:
     return dt.isoformat().removesuffix("+00:00") + "Z"
 
 
-# a pure function of its text, and a file repeats its stamps: the metric rows of
-# one day across repositories, the dates that pull requests share
-@functools.lru_cache(maxsize=1 << 16)
 def from_rfc3339(text: str) -> float:
     """The POSIX seconds of a text time, by this one rule; text off the grammar, the calendar
-    or the clock, or a time outside WRITABLE, is a ValueError, prefixed by the caller's place.
-    An unhashable value is a TypeError."""
+    or the clock, or a time outside WRITABLE, is a ValueError, prefixed by the caller's place."""
     m = _DATE_TIME.fullmatch(text.strip())
     try:  # the match as one text, fraction cut to 6 digits, that every Python reads alike
         dt = datetime.fromisoformat(f"{m[1]}T{m[2]}.{m[3] or '':0<6}{m[4] or '+00:00'}")

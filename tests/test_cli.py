@@ -9,6 +9,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -402,7 +403,7 @@ class TestExitCodes:
          "capa_class must be null or a CAPA class in 1..7, got 9"),
         ("classified.jsonl", "associate", 1, lambda ln: with_fields(ln, creation_date=5),
          "creation_date must be an RFC 3339 date, got 5"),
-        # unhashable, so the parse's cache raises a TypeError before the parse
+        # not text: the parse raises an AttributeError, which the check reads as a no
         ("classified.jsonl", "associate", 1,
          lambda ln: with_fields(ln, creation_date=["2020-01-01T00:00:00Z"]),
          "creation_date must be an RFC 3339 date, got ['2020-01-01T00:00:00Z']"),
@@ -1443,6 +1444,22 @@ class TestPipelineLanes:
             assert len(forks) == 1  # the forked run's, and no other
         assert sorted(outs[0]) == sorted(ARTIFACTS)
         assert outs[0] == outs[1]
+
+    def test_another_python_thread_keeps_the_lanes_in_process(self, tmp_path, monkeypatch):
+        # the thread might hold a lock at the fork that the child waits on
+        cpus(monkeypatch, 2)
+        forks = count_calls(monkeypatch, os, "fork")
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            cfg, out = fixture_config(tmp_path)
+            assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
+        finally:
+            release.set()
+            thread.join()
+        assert forks == []
+        assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
 
     @pytest.mark.parametrize("n", [2, 1])
     def test_both_lanes_failing_report_the_metrics_error(self, tmp_path, capsys,
