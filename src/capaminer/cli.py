@@ -383,6 +383,11 @@ def cmd_label(run: Run):
 
 
 def cmd_train(run: Run):
+    """The stage-1 forest, CAPA or not, and the stage-2 forest, which CAPA,
+    each trained on its share of the labeled pull requests and scored on the
+    rest.  The two stages share no state, so stage 1 trains beside stage 2
+    (see _beside), in a forked lane when a CPU is idle; either way an error
+    of stage 1 is the one reported, as in stage order."""
     cfg, prs = run.cfg, run.prs
     golden = {(g["repo_id"], g["pr_id"]): g["capa_class"] for g in run.golden}
     # {row of prs: capa_class} of the labeled pull requests, in file order,
@@ -392,7 +397,9 @@ def cmd_train(run: Run):
     capa, non_capa = classifier.StageOneLabel.CAPA, classifier.StageOneLabel.NON_CAPA
     stage1 = {i: int(non_capa if c is None else capa) for i, c in labeled.items()}
     stage2 = {i: c for i, c in labeled.items() if c is not None}
-    for stage, labels in enumerate([stage1, stage2], start=1):
+
+    def train(stage, labels):
+        """(forest, class report) of stage, trained on labels {row: label}."""
         X, y = prs.values[list(labels)], np.array(list(labels.values()))
         try:
             tr, te = classifier.split_train_test(X, y, cfg.train_ratio, cfg.seed)
@@ -400,9 +407,11 @@ def cmd_train(run: Run):
             raise DegenerateData(f"stage {stage}: {exc}") from None
         forest = classifier.train_forest(X[tr], y[tr], cfg.n_estimators, cfg.seed)
         pred, _ = forest.predict(X[te])
-        setattr(run, f"model_stage{stage}", forest)
-        setattr(run, f"report_stage{stage}", classifier.compute_report(
-            y[te], pred, sorted(set(labels.values()))))
+        return forest, classifier.compute_report(y[te], pred, sorted(set(labels.values())))
+
+    ((run.model_stage1, run.report_stage1),
+     (run.model_stage2, run.report_stage2)) = _beside(
+        "stage 1 of the train stage", lambda: train(1, stage1), lambda: train(2, stage2))
     log.info("trained stage-1 on %d rows, stage-2 on %d rows", len(stage1), len(stage2))
 
 
@@ -516,41 +525,64 @@ def _stages(run: Run, *names):
 
 
 class _ChildTraceback(Exception):
-    """The traceback text of an error raised in the mine lane's process."""
+    """The traceback text of an error raised in a forked lane's process."""
 
 
-def _mine_beside(run: Run, *lane):
-    """(patterns, occurrences) of the mine stage of run, with the stages
-    named by lane run meanwhile.  Where this process may use 2 CPUs or more
-    and runs no Python thread but this one, mine runs in a forked child,
-    which sends its values, or the error it raised, back over a pipe as a
-    pickle; elsewhere mine runs first, then the lane.  Either way a mine
-    error wins over the lane's, as in stage order, and no child outlives the
-    call while this process's Python code runs."""
+# the reply pipes of this process's forked lanes, while they run
+_LANES = []
+
+
+def _cpu_idle():
+    """Whether a forked lane would have a CPU to itself: the CPUs this
+    process may use outnumber it plus its forked lanes still computing, and
+    no Python thread runs but this one.  A lane whose reply pipe is readable
+    has finished computing.  Another Python thread may hold a lock at the
+    fork that the child would wait on for ever, and this process on the
+    child's pipe."""
     affinity = getattr(os, "sched_getaffinity", None)
-    if affinity is None or len(affinity(0)) < 2 or threading.active_count() > 1:
-        # another Python thread may hold a lock at the fork that the child
-        # would wait on for ever, and this process on the child's pipe
-        _stages(run, "mine", *lane)
-        return run.patterns, run.occurrences
+    if affinity is None or threading.active_count() > 1:
+        return False
+    computing = 0
+    if _LANES:
+        import select  # only here: the module is not loaded otherwise
+        computing = len(_LANES) - len(select.select(_LANES, [], [], 0)[0])
+    return len(affinity(0)) > 1 + computing
+
+
+def _beside(name, child, lane):
+    """(child(), lane()), with child run in a forked process beside lane
+    where _cpu_idle, and otherwise first, then lane, in this process.  The
+    forked child sends its value, or the error it raised, back over a pipe
+    as a pickle.  Either way an error of child wins over lane's, as in stage
+    order, and no child outlives the call while this process's Python code
+    runs; a child killed by a signal is a CapaMinerError that begins with
+    name, the stage child computes."""
+    if not _cpu_idle():
+        return child(), lane()
     read_end, write_end = os.pipe()
-    with warnings.catch_warnings():
-        # from Python 3.12 on, os.fork warns in a process with more than one
-        # thread; with no other Python thread, the others are native, as
-        # numpy's OpenBLAS pool; this child is safe: it runs only this
-        # package's numpy code, and OpenBLAS and logging re-initialise their
-        # threads and locks after a fork
-        warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
-                                r"use of fork\(\)", DeprecationWarning)
-        pid = os.fork()
+    try:
+        with warnings.catch_warnings():
+            # from Python 3.12 on, os.fork warns in a process with more than
+            # one thread; with no other Python thread, the others are
+            # native, as numpy's OpenBLAS pool; the child is safe: it runs
+            # only this package's numpy code, and OpenBLAS and logging
+            # re-initialise their threads and locks after a fork
+            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
+                                    r"use of fork\(\)", DeprecationWarning)
+            pid = os.fork()
+    except OSError:  # at the process limit, or out of memory: no second lane
+        os.close(read_end)
+        os.close(write_end)
+        return child(), lane()
     if pid == 0:
         os.close(read_end)
-        _mine_child(run, write_end)
+        _lane_child(child, write_end)
     os.close(write_end)
     with open(read_end, "rb") as pipe:
+        _LANES.append(pipe)
         try:
             try:
-                _stages(run, *lane)
+                value = lane()
             except Exception as exc:
                 failed = exc
             else:
@@ -561,28 +593,28 @@ def _mine_beside(run: Run, *lane):
             os.kill(pid, signal.SIGKILL)
             raise
         finally:
+            _LANES.remove(pipe)
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if code < 0:
-        raise CapaMinerError(f"the mine stage was killed by signal {-code}")
+        raise CapaMinerError(f"{name} was killed by signal {-code}")
     if code > 0:
-        raise CapaMinerError(f"the mine stage exited with code {code} and no result")
-    values, error, trace = pickle.loads(reply)
+        raise CapaMinerError(f"{name} exited with code {code} and no result")
+    child_value, error, trace = pickle.loads(reply)
     if error is not None:
         raise error from _ChildTraceback(trace)
     if failed is not None:
         raise failed
-    return values
+    return child_value, value
 
 
-def _mine_child(run: Run, write_end):
-    """The forked child's whole life: the mine stage, its reply written to
+def _lane_child(child, write_end):
+    """The forked child's whole life: child(), its reply written to
     write_end, then os._exit, so that nothing of the parent's stack runs
     here: not the output lock's release, not _write, not an atexit handler."""
     code = 1
     try:
         try:
-            _stages(run, "mine")
-            reply = ((run.patterns, run.occurrences), None, None)
+            reply = (child(), None, None)
         except BaseException as exc:  # the parent raises it
             reply = (None, exc, traceback.format_exc())
         with open(write_end, "wb") as pipe:
@@ -594,10 +626,18 @@ def _mine_child(run: Run, write_end):
 
 def cmd_pipeline(cfg: PipelineConfig, out: Path):
     """Every stage in order, but mine beside label, train and classify (see
-    _mine_beside): the miner reads only the metrics and those three only the
-    pull requests, so the two lanes first meet at associate."""
+    _beside): the miner reads only the metrics and those three only the
+    pull requests, so the two lanes first meet at associate.  Beside a
+    forked mine, train forks its stage 1 only once mine has finished, as
+    only then is a CPU idle (see _cpu_idle)."""
     run = Run(cfg, out)
-    run.patterns, run.occurrences = _mine_beside(run, "label", "train", "classify")
+
+    def mine():
+        _stages(run, "mine")
+        return run.patterns, run.occurrences
+
+    (run.patterns, run.occurrences), _ = _beside(
+        "the mine stage", mine, lambda: _stages(run, "label", "train", "classify"))
     _stages(run, "associate", "validate", "report")
     del run.prs  # no artifact renders from it: free it for _write
     _write(run)

@@ -1,11 +1,13 @@
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import io
 import json
 import math
 import os
 import re
+import select
 import signal
 import subprocess
 import sys
@@ -1428,22 +1430,90 @@ class TestPipeline:
 
 
 def cpus(monkeypatch, n):
-    """Make the command see n usable CPUs: 2 or more fork the mine lane."""
+    """Make the command see n usable CPUs: with 2 or more it forks lanes."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def lanes_finished(monkeypatch, finished):
+    """Make the idle-CPU test see every forked lane as finished computing,
+    or every one as still computing."""
+    monkeypatch.setattr(select, "select", lambda r, w, x, timeout:
+                        (list(r) if finished else [], [], []))
+
+
+def per_process(monkeypatch, function, here, there):
+    """Replace function, in its module, by a wrapper that calls here(*args)
+    in this process and there(*args) in a forked child."""
+    parent = os.getpid()
+    monkeypatch.setattr(sys.modules[function.__module__], function.__name__,
+                        lambda *args: (here if os.getpid() == parent else there)(*args))
 
 
 class TestPipelineLanes:
     def test_forked_and_one_cpu_runs_write_the_same_bytes(self, tmp_path, monkeypatch):
+        # train forks its stage 1 only once mine has finished: each answer
+        # of the idle-CPU test is forced
         forks = count_calls(monkeypatch, os, "fork")
         outs = []
-        for n in (2, 1):
+        for n, mine_done, n_forks in ((1, False, 0), (2, False, 1), (2, True, 2)):
             cpus(monkeypatch, n)
-            cfg, out = fixture_config(tmp_path / str(n))
+            lanes_finished(monkeypatch, mine_done)
+            forks.clear()
+            cfg, out = fixture_config(tmp_path / f"{n}-{mine_done}")
             assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
             outs.append({p.name: p.read_bytes() for p in out.iterdir()})
-            assert len(forks) == 1  # the forked run's, and no other
+            assert len(forks) == n_forks
         assert sorted(outs[0]) == sorted(ARTIFACTS)
-        assert outs[0] == outs[1]
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_a_lane_forks_only_beside_an_idle_cpu(self, monkeypatch):
+        cpus(monkeypatch, 2)
+        read_end, write_end = os.pipe()
+        monkeypatch.setattr(cli, "_LANES", [read_end])
+        parent = os.getpid()
+
+        def pids():
+            """The pids that the child and the lane of a fork helper run in."""
+            return cli._beside("the test lane", os.getpid, os.getpid)
+
+        try:
+            assert pids() == (parent, parent)  # the registered lane computes
+            os.write(write_end, b"x")  # its reply: it has finished
+            child, lane = pids()
+            assert child != parent == lane
+            release = threading.Event()
+            thread = threading.Thread(target=release.wait)
+            thread.start()
+            try:
+                assert pids() == (parent, parent)
+            finally:
+                release.set()
+                thread.join(timeout=10)
+            assert not thread.is_alive()
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists /proc/self/fd")
+    def test_a_failed_fork_runs_the_lanes_in_process(self, tmp_path, monkeypatch):
+        cpus(monkeypatch, 1)
+        cfg, out = fixture_config(tmp_path / "1")
+        assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
+        one_cpu = {p.name: p.read_bytes() for p in out.iterdir()}
+        attempts = []
+
+        def failing_fork():
+            attempts.append(None)
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", failing_fork)
+        cfg, out = fixture_config(tmp_path / "2")
+        fds = sorted(os.listdir("/proc/self/fd"))
+        assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
+        assert sorted(os.listdir("/proc/self/fd")) == fds  # no pipe end left open
+        assert len(attempts) == 2  # mine's, then train's stage 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == one_cpu
 
     def test_another_python_thread_keeps_the_lanes_in_process(self, tmp_path, monkeypatch):
         # the thread might hold a lock at the fork that the child waits on
@@ -1543,3 +1613,85 @@ class TestPipelineLanes:
             warnings.simplefilter("error")
             assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
         assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
+
+
+TRAIN_ARTIFACTS = [f"{kind}_stage{stage}.json"
+                   for kind in ("model", "report") for stage in (1, 2)]
+
+
+class TestTrainLanes:
+    def test_forked_and_one_cpu_trains_write_the_same_bytes(self, tmp_path, monkeypatch):
+        cfg, out = fixture_config(tmp_path)
+        assert main(["--config", str(cfg), "label"]) == EXIT_OK
+        forks = count_calls(monkeypatch, os, "fork")
+        outs = []
+        for n in (2, 1):
+            cpus(monkeypatch, n)
+            assert main(["--config", str(cfg), "train"]) == EXIT_OK
+            outs.append({name: (out / name).read_bytes() for name in TRAIN_ARTIFACTS})
+            assert len(forks) == 1  # stage 1's at 2 CPUs, and no other
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("n", [2, 1])
+    def test_both_stages_degenerate_report_stage_1(self, tmp_path, capsys, monkeypatch, n):
+        cfg, out = fixture_config(tmp_path)
+        assert main(["--config", str(cfg), "label"]) == EXIT_OK
+        # every labeled pull request CAPA of class 1: one class in each stage
+        golden = out / "golden.jsonl"
+        golden.write_text("".join(
+            line.replace('"capa_class": null', '"capa_class": 1')
+            for line in re.sub(r'"capa_class": \d', '"capa_class": 1',
+                               golden.read_text()).splitlines(keepends=True)))
+        cpus(monkeypatch, n)
+        forks = count_calls(monkeypatch, os, "fork")
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "train"]) == EXIT_DATA_ERROR
+        assert capsys.readouterr().err == ("error: stage 1: training needs labeled pull "
+                                           "requests of 2 classes or more, got 1\n")
+        assert len(forks) == (n > 1)
+        assert not any((out / name).exists() for name in TRAIN_ARTIFACTS)
+
+    def test_a_killed_stage_1_lane_is_a_data_error(self, tmp_path, capsys, monkeypatch):
+        cpus(monkeypatch, 2)
+        lanes_finished(monkeypatch, True)
+        per_process(monkeypatch, classifier.train_forest, classifier.train_forest,
+                    lambda *args: os.kill(os.getpid(), signal.SIGKILL))
+        cfg, out = fixture_config(tmp_path)
+        assert main(["--config", str(cfg), "pipeline"]) == EXIT_DATA_ERROR
+        assert capsys.readouterr().err == ("error: stage 1 of the train stage was killed "
+                                           f"by signal {int(signal.SIGKILL)}\n")
+        assert list(out.iterdir()) == []
+
+    def test_an_unexpected_stage_1_error_keeps_its_traceback(self, tmp_path, monkeypatch):
+        cfg, out = fixture_config(tmp_path)
+        assert main(["--config", str(cfg), "label"]) == EXIT_OK
+
+        def broken(*args):
+            raise ZeroDivisionError("in the child")
+
+        cpus(monkeypatch, 2)
+        per_process(monkeypatch, classifier.train_forest, classifier.train_forest, broken)
+        with pytest.raises(ZeroDivisionError, match="in the child") as raised:
+            main(["--config", str(cfg), "train"])
+        cause = str(raised.value.__cause__)
+        assert cause.startswith("Traceback") and ", in broken\n" in cause
+        assert sorted(p.name for p in out.iterdir()) == ["golden.jsonl"]
+
+    def test_an_interrupt_in_stage_2_leaves_no_child(self, tmp_path, monkeypatch):
+        cpus(monkeypatch, 2)
+        lanes_finished(monkeypatch, True)
+        forks = count_calls(monkeypatch, os, "fork")
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        # stage 1 trains in the forked lane, stage 2 here
+        per_process(monkeypatch, classifier.train_forest, interrupted,
+                    classifier.train_forest)
+        cfg, out = fixture_config(tmp_path)
+        with pytest.raises(KeyboardInterrupt):
+            main(["--config", str(cfg), "pipeline"])
+        assert len(forks) == 2  # mine's and stage 1's
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert list(out.iterdir()) == []  # nor the lock
