@@ -545,7 +545,10 @@ def _cpu_idle():
     computing = 0
     if _LANES:
         import select  # only here: the module is not loaded otherwise
-        computing = len(_LANES) - len(select.select(_LANES, [], [], 0)[0])
+        ready = select.poll()  # poll, as select.select fails on a descriptor past 1023
+        for pipe in _LANES:
+            ready.register(pipe, select.POLLIN)
+        computing = len(_LANES) - len(ready.poll(0))
     return len(affinity(0)) > 1 + computing
 
 

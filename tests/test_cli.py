@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import errno
+import fcntl
 import hashlib
 import io
 import json
@@ -1437,8 +1438,18 @@ def cpus(monkeypatch, n):
 def lanes_finished(monkeypatch, finished):
     """Make the idle-CPU test see every forked lane as finished computing,
     or every one as still computing."""
-    monkeypatch.setattr(select, "select", lambda r, w, x, timeout:
-                        (list(r) if finished else [], [], []))
+    class Poll:
+        def __init__(self):
+            self.ready = []
+
+        def register(self, fd, events):
+            if finished:
+                self.ready.append((fd, events))
+
+        def poll(self, timeout):
+            return self.ready
+
+    monkeypatch.setattr(select, "poll", Poll)
 
 
 def per_process(monkeypatch, function, here, there):
@@ -1490,6 +1501,27 @@ class TestPipelineLanes:
                 release.set()
                 thread.join(timeout=10)
             assert not thread.is_alive()
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+
+    def test_the_idle_cpu_test_reads_a_reply_pipe_past_fd_setsize(self, monkeypatch):
+        # a process with more than 1024 files open: select.select would
+        # raise ValueError on the pipe
+        cpus(monkeypatch, 2)
+        read_end, write_end = os.pipe()
+        try:
+            try:
+                high = fcntl.fcntl(read_end, fcntl.F_DUPFD, 1024)
+            except OSError:
+                pytest.skip("this process may open no descriptor past 1023")
+            try:
+                monkeypatch.setattr(cli, "_LANES", [high])
+                assert not cli._cpu_idle()
+                os.write(write_end, b"x")
+                assert cli._cpu_idle()
+            finally:
+                os.close(high)
         finally:
             os.close(read_end)
             os.close(write_end)
