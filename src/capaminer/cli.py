@@ -6,6 +6,7 @@ fixed names of ARTIFACTS under the output directory.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import logging
 import os
@@ -250,42 +251,31 @@ def _write(run, stage=None):
 
 
 class OutputLock:
-    """Rejects concurrent runs against the same output directory.  The lock
-    file holds the owner's pid, so a lock left by a crashed run is reported
-    as stale."""
+    """Rejects concurrent runs against the same output directory: an
+    exclusive flock on its .lock file, which the kernel drops when the
+    holder and its forked lanes exit, however they exit, so no lock
+    outlives its run and a .lock file left behind blocks nothing."""
 
     def __init__(self, out_dir: Path):
         self.path = out_dir / ".lock"
 
     def __enter__(self):
+        self.fd = os.open(self.path, os.O_CREAT | os.O_WRONLY)
         try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            try:
-                pid = self.path.read_text(encoding="utf-8").strip()
-            except OSError:  # released meanwhile
-                pid = ""
-            if pid.isdigit() and not _pid_running(int(pid)):
-                raise ConfigError(f"stale lock of pid {pid}, which is not "
-                                  f"running: remove {self.path}") from None
+            fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            # a holder unlinks .lock before it unlocks: the file locked here
+            # may no longer be the one at the path
+            if not os.path.samestat(os.fstat(self.fd), os.stat(self.path)):
+                raise BlockingIOError
+        except OSError:
+            os.close(self.fd)
             raise ConfigError(
                 f"output dir is locked by another run: {self.path}") from None
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
         return self
 
     def __exit__(self, *exc):
         self.path.unlink(missing_ok=True)
-
-
-def _pid_running(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)  # signal 0 only checks that the pid exists
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # exists, owned by another user
-        pass
-    return True
+        os.close(self.fd)
 
 
 def bundled_data_path(name: str) -> Path:

@@ -10,16 +10,21 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def child_env(env=None):
+    """os.environ with this checkout's src/ first on PYTHONPATH, and env over it."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **(env or {})}
+
+
 def run_capaminer(*args, code=0, env=None):
     """Run `python -m capaminer.cli` on args from the repository root, in a
     fresh process of this interpreter, with this checkout's src/ first on
     PYTHONPATH and env over os.environ.  Checks that it exits with code and
     prints no traceback, and returns the CompletedProcess, its output as
     text."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     child = subprocess.run([sys.executable, "-m", "capaminer.cli", *map(str, args)],
                            cwd=ROOT, capture_output=True, text=True, encoding="utf-8",
-                           env={**os.environ, "PYTHONPATH": path, **(env or {})})
+                           env=child_env(env))
     assert child.returncode == code, child.stderr
     assert "Traceback" not in child.stderr, child.stderr
     return child

@@ -35,12 +35,12 @@ from capaminer.cli import (
     load_config,
     main,
 )
-from capaminer.errors import ConfigError
+from capaminer.errors import CapaMinerError, ConfigError
 from capaminer.ingestion import load_metrics_csv
 from capaminer.timeutil import from_rfc3339
 from capaminer.tsdist import znorm_distance
 
-from conftest import naive_classify_two_stage, naive_predict, run_capaminer
+from conftest import child_env, naive_classify_two_stage, naive_predict, run_capaminer
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -107,6 +107,18 @@ class TestConfig:
         assert cfg.alpha == 0.15
         assert cfg.window_days == 30.0
         assert cfg.min_count == 5
+
+    def test_label_defaults_to_the_bundled_keyword_map(self, tmp_path):
+        copy = tmp_path / "keywords.json"
+        copy.write_bytes(bundled_data_path("default_keywords.json").read_bytes())
+        runs = [fixture_config(tmp_path / name, keywords_path=path)
+                for name, path in (("default", ""), ("copy", str(copy)))]
+        for cfg, _ in runs:
+            assert main(["--config", str(cfg), "label"]) == EXIT_OK
+        (_, default), (_, copied) = runs
+        golden = (default / "golden.jsonl").read_bytes()
+        assert golden == (copied / "golden.jsonl").read_bytes()
+        assert golden.count(b"\n") > 1  # some pull request labeled
 
     def test_overrides_win(self, tmp_path):
         p = tmp_path / "c.json"
@@ -229,6 +241,19 @@ class TestConfig:
             assert main(["--config", str(cfg), "mine"]) == EXIT_OK
             patterns.append((out / "patterns.json").read_bytes())
         assert patterns[0] == patterns[1]
+
+
+def hold_lock(out, then):
+    """A fresh process that takes OutputLock(out), prints "locked", then
+    runs the statement then; its stdin and stdout are pipes."""
+    script = ("import os, signal, sys\n"
+              "from pathlib import Path\n"
+              "from capaminer.cli import OutputLock\n"
+              f"with OutputLock(Path({str(out)!r})):\n"
+              "    print('locked', flush=True)\n"
+              f"    {then}\n")
+    return subprocess.Popen([sys.executable, "-c", script], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, text=True, env=child_env())
 
 
 class TestExitCodes:
@@ -465,6 +490,16 @@ class TestExitCodes:
         assert main(["--config", str(cfg), "label"]) == EXIT_DATA_ERROR
         assert f"line {n}: not a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage, what", [("mine", "metrics"),
+                                             ("label", "pull requests")])
+    def test_no_input_path_is_a_config_error(self, tmp_path, capsys, stage, what):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "kept.txt").write_text("kept\n")
+        assert main(["--out", str(out), stage]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"error: no {what} path configured\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {"kept.txt": b"kept\n"}
+
     def test_no_subcommand(self, capsys):
         assert main([]) == EXIT_CONFIG_ERROR
 
@@ -474,34 +509,64 @@ class TestExitCodes:
     def test_locked_output_dir_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()
-        (out / ".lock").touch()
-        rc = main(["--out", str(out), "report"])
-        assert rc == EXIT_CONFIG_ERROR
-        assert "lock" in capsys.readouterr().err
+        locked = f"error: output dir is locked by another run: {out / '.lock'}\n"
+        with OutputLock(out):
+            assert main(["--out", str(out), "report"]) == EXIT_CONFIG_ERROR
+            assert capsys.readouterr().err == locked
+            assert (out / ".lock").exists()  # the holder's, kept
+        holder = hold_lock(out, "sys.stdin.read()")
+        try:
+            assert holder.stdout.readline() == "locked\n"
+            assert main(["--out", str(out), "report"]) == EXIT_CONFIG_ERROR
+            assert capsys.readouterr().err == locked
+        finally:
+            holder.communicate()  # closes its stdin: it leaves the lock and exits
+        assert holder.returncode == 0
+        assert not (out / "report.md").exists()
 
-    def test_lock_records_pid(self, tmp_path):
+    def test_lock_is_removed_after_the_context(self, tmp_path):
         with OutputLock(tmp_path) as lock:
-            assert lock.path.read_text() == str(os.getpid())
+            assert lock.path.exists()
         assert not lock.path.exists()
 
-    def test_live_lock_is_not_stale(self, tmp_path, capsys):
+    @pytest.mark.parametrize("left_by", [
+        "os.kill(os.getpid(), signal.SIGTERM)", "os.kill(os.getpid(), signal.SIGKILL)",
+        None], ids=["SIGTERM", "SIGKILL", "pid-of-a-running-process"])
+    def test_a_lock_file_left_behind_blocks_nothing(self, tmp_path, left_by):
+        # a holder killed before Python can unlink its .lock, or a .lock
+        # holding the pid of a running process
         out = tmp_path / "out"
         out.mkdir()
-        (out / ".lock").write_text(str(os.getpid()))
-        assert main(["--out", str(out), "report"]) == EXIT_CONFIG_ERROR
-        assert "locked by another run" in capsys.readouterr().err
+        if left_by is None:
+            (out / ".lock").write_text(str(os.getpid()))
+        else:
+            holder = hold_lock(out, left_by)
+            holder.communicate()
+            assert holder.returncode < 0
+        assert (out / ".lock").exists()
+        assert main(["--out", str(out), "report"]) == EXIT_OK
+        assert (out / "report.md").exists() and not (out / ".lock").exists()
 
-    def test_stale_lock_names_pid_and_path(self, tmp_path, capsys):
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()  # reaped, so its pid no longer runs
+    def test_a_lock_on_a_file_unlinked_meanwhile_is_refused(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # a holder unlinks .lock, then unlocks it: a run that opened it
+        # before then locks a file that the path no longer names, while a
+        # third run may lock the path's new file
         out = tmp_path / "out"
         out.mkdir()
-        (out / ".lock").write_text(str(child.pid))
+        flock = fcntl.flock
+
+        def holder_leaves(fd, operation):
+            (out / ".lock").unlink()
+            (out / ".lock").touch()
+            flock(fd, operation)
+
+        monkeypatch.setattr(fcntl, "flock", holder_leaves)
+        ran = count_calls(monkeypatch, cli, "cmd_report")
         assert main(["--out", str(out), "report"]) == EXIT_CONFIG_ERROR
-        err = capsys.readouterr().err
-        assert f"stale lock of pid {child.pid}" in err
-        assert str(out / ".lock") in err
-        assert (out / ".lock").exists()  # left for the user to remove
+        assert capsys.readouterr().err == \
+            f"error: output dir is locked by another run: {out / '.lock'}\n"
+        assert ran == [] and not (out / "report.md").exists()
 
     def test_lock_released_after_run(self, tmp_path):
         out = tmp_path / "out"
@@ -1525,6 +1590,17 @@ class TestPipelineLanes:
         finally:
             os.close(read_end)
             os.close(write_end)
+
+    def test_a_lane_that_sends_no_result_is_a_data_error(self, monkeypatch):
+        # the child's value, a lambda, cannot be pickled: it exits 1 with
+        # nothing written to its pipe
+        cpus(monkeypatch, 2)
+        monkeypatch.setattr(cli, "_LANES", [])
+        with pytest.raises(CapaMinerError,
+                           match="^the test lane exited with code 1 and no result$"):
+            cli._beside("the test lane", lambda: (lambda: None), lambda: None)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists /proc/self/fd")
     def test_a_failed_fork_runs_the_lanes_in_process(self, tmp_path, monkeypatch):

@@ -62,6 +62,22 @@ class TestMetricsCsv:
         np.testing.assert_array_equal(a.values, [3.0, 5.0])  # sorted by time
         assert by[("org/b", "lines_changed")].values.tolist() == [7.0]
 
+    def test_blank_line_is_skipped_but_counted(self, tmp_path):
+        plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+        plain.write_text(GOOD_CSV)
+        lines = GOOD_CSV.splitlines(keepends=True)
+        blank.write_text("".join([*lines[:2], "\n", *lines[2:]]))
+
+        def table(series):
+            return [(s.repo_id, s.metric_name, s.timestamps.tolist(), s.values.tolist())
+                    for s in series]
+
+        assert table(load_metrics_csv(blank)) == table(load_metrics_csv(plain))
+        with open(blank, "a") as fh:
+            fh.write("org/a,2020-01-03T00:00:00Z,1.0\n")
+        with pytest.raises(ValueError, match="^row 5 has 3 cells, the header 5$"):
+            load_metrics_csv(blank)
+
     def test_missing_column(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("repo_id,timestamp,lines_added\norg/a,2020-01-01T00:00:00Z,1\n")
