@@ -8,6 +8,7 @@ requests.  Claims are atomic, so each repository is processed at most once.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
 import json
@@ -103,7 +104,10 @@ def load_metrics_csv(path):
     z-normalize (see MetricSeries) raises one naming the metric and repo.
     The step, one for the whole file, is the least positive time between
     two consecutive rows of a repo, so a repeated instant or a gap is off it.
+    Timestamps (_column) and values (float()) are checked a column at a
+    time, and the first defect in row order is the one reported.
     """
+    rows, late = [], None  # rows: the cells of each non-blank row, then its number
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader, header, row_no = csv.reader(fh), None, 0  # row_no: the last row read
         try:
@@ -114,81 +118,111 @@ def load_metrics_csv(path):
                 raise ValueError(f"missing column(s): {', '.join(missing)}")
             if repeated := [c for c in CSV_HEADER if header.count(c) > 1]:
                 raise ValueError(f"the header: repeated column(s): {', '.join(repeated)}")
-            col = {name: header.index(name) for name in CSV_HEADER}
-            per_repo, seconds = {}, {}  # seconds: of each stamp text, parsed once
             for row_no, row in enumerate(reader, start=1):
                 if not row:
                     continue
                 if len(row) != len(header):
                     raise ValueError(f"row {row_no} has {len(row)} cells, "
                                      f"the header {len(header)}")
-                repo, stamp = row[col["repo_id"]], row[col["timestamp"]]
-                if (ts := seconds.get(stamp)) is None:  # the rows of one instant share its text
-                    try:
-                        ts = seconds[stamp] = timeutil.from_rfc3339(stamp)
-                    except ValueError as exc:
-                        raise ValueError(f"timestamp at row {row_no} {exc}") from None
-                vals = []
-                for metric in METRIC_COLUMNS:
-                    try:
-                        v = float(row[col[metric]])
-                    except ValueError:
-                        v = math.nan
-                    if not math.isfinite(v):
-                        raise ValueError(f"non-finite value at row {row_no}")
-                    vals.append(v)
-                per_repo.setdefault(repo, []).append((ts, vals, row_no))
+                rows.append([*row, row_no])
         except csv.Error as exc:  # a cell past csv.field_size_limit(), say
             where = "the header" if header is None else f"row {row_no + 1}"
-            raise ValueError(f"{where}: {exc}") from None
-    grids = {repo: sorted(per_repo[repo], key=lambda r: r[0]) for repo in sorted(per_repo)}
-    steps = [(repo, a, b) for repo, rows in grids.items() for a, b in zip(rows, rows[1:])]
-    step = min((b[0] - a[0] for _, a, b in steps if b[0] > a[0]), default=None)
-    want = f"the file's step of {step:.15g} s" if step else "a step above 0 s"
-    for repo, a, b in steps:
-        if b[0] - a[0] != step:
-            raise ValueError(f"row {b[2]} of {repo} is {b[0] - a[0]:.15g} s "
-                             f"after row {a[2]}, not {want}")
-    series = []
-    for repo, rows in grids.items():
-        ts = np.array([r[0] for r in rows])
-        for mi, metric in enumerate(METRIC_COLUMNS):
+            late = ValueError(f"{where}: {exc}")
+        except ValueError as exc:  # reported unless a row before it has a defect
+            late = exc
+    cols = (dict(zip([*header, None], zip(*rows))) if rows  # None: the row numbers
+            else dict.fromkeys([*CSV_HEADER, None], ()))
+    ts, vals, seconds = np.empty(len(rows)), [], {}
+    bad_ts = _column("timestamp", cols["timestamp"], seconds, ts)
+    for metric in METRIC_COLUMNS:
+        try:
+            vals.append(np.array(list(map(float, cols[metric])), dtype=float))
+        except ValueError:  # a cell that is not a number: the cells one at a time
+            vals.append(np.full(len(rows), math.nan))
+            for i, cell in enumerate(cols[metric]):
+                with contextlib.suppress(ValueError):
+                    vals[-1][i] = float(cell)
+    faults = [(i, 0, f"timestamp at row {cols[None][i]} "
+                     f"{_fault('timestamp', cols['timestamp'][i], seconds)}") for i in bad_ts[:1]]
+    faults += [(i, 1, f"non-finite value at row {cols[None][i]}")
+               for v in vals for i in np.flatnonzero(~np.isfinite(v))[:1].tolist()]
+    if faults:
+        raise ValueError(min(faults)[2])
+    if late:
+        raise late
+    names = sorted(set(cols["repo_id"]))
+    repo = np.array(list(map({name: k for k, name in enumerate(names)}.get, cols["repo_id"])))
+    order = np.lexsort((ts, repo))  # stable: a repo's rows of one instant keep file order
+    ts, repo, numbers = ts[order], repo[order], np.array(cols[None], dtype=int)[order]
+    gaps, same, vals = np.diff(ts), repo[1:] == repo[:-1], np.array(vals)[:, order]
+    steps = gaps[same & (gaps > 0)]
+    step = steps.min() if steps.size else math.nan
+    want = f"the file's step of {step:.15g} s" if steps.size else "a step above 0 s"
+    for i in np.flatnonzero(same & (gaps != step))[:1].tolist():
+        raise ValueError(f"row {numbers[i + 1]} of {names[repo[i]]} is {gaps[i]:.15g} s "
+                         f"after row {numbers[i]}, not {want}")
+    series, bounds = [], np.flatnonzero(np.r_[True, ~same, True]).tolist()
+    for name, lo, hi in zip(names, bounds, bounds[1:]):
+        for metric, v in zip(METRIC_COLUMNS, vals):
             try:
-                series.append(MetricSeries(
-                    repo_id=repo, metric_name=metric, timestamps=ts,
-                    values=np.array([r[1][mi] for r in rows])))
+                series.append(MetricSeries(name, metric, ts[lo:hi], v[lo:hi]))
             except ValueError as exc:
-                raise ValueError(f"{metric} of {repo}: {exc}") from None
+                raise ValueError(f"{metric} of {name}: {exc}") from None
     return series
 
 
-def _coerce(name, raw) -> float:
-    """One present PR field as its feature value, checked by its kind: a
-    boolean a real bool, as 0 or 1; a timestamp RFC 3339 text
-    (timeutil.from_rfc3339) or a number (errors.NUMBER) in years 0001 to
-    9999 UTC, as POSIX seconds; a count a number >= 0."""
+def _fault(name, raw, stamps):
+    """What is wrong with a present value of a field, by the field's kind,
+    or None: a boolean must be a real bool, a count a number (errors.NUMBER)
+    >= 0, and any other a time, as RFC 3339 text (parsed once into stamps,
+    as its seconds or its defect) or a number in years 0001 to 9999 UTC."""
     if name in BOOLEAN_FIELDS:
-        if not isinstance(raw, bool):
-            raise ValueError(f"{name} must be true or false, got {raw!r}")
-        return float(raw)
-    if name in TIMESTAMP_FIELDS and isinstance(raw, str):
-        try:
-            return timeutil.from_rfc3339(raw)
-        except ValueError as exc:
-            raise ValueError(f"{name} {exc}") from None
+        return None if isinstance(raw, bool) else f"must be true or false, got {raw!r}"
+    if name not in COUNT_FIELDS and isinstance(raw, str):
+        if raw not in stamps:
+            try:
+                stamps[raw] = timeutil.from_rfc3339(raw)
+            except ValueError as exc:
+                stamps[raw] = str(exc)
+        return stamps[raw] if isinstance(stamps[raw], str) else None
     if not NUMBER[0](raw):
-        raise ValueError(f"{name} must be {NUMBER[1]}, got {raw!r}")
-    if name in COUNT_FIELDS and raw < 0:
-        raise ValueError(f"{name} must be non-negative, got {raw}")
-    if name in TIMESTAMP_FIELDS and not timeutil.WRITABLE[0](raw):
-        raise ValueError(f"{name} must be {timeutil.WRITABLE[1]}, got {raw!r}")
-    return float(raw)
+        return f"must be {NUMBER[1]}, got {raw!r}"
+    if name in COUNT_FIELDS:
+        return f"must be non-negative, got {raw}" if raw < 0 else None
+    return None if timeutil.WRITABLE[0](raw) else f"must be {timeutil.WRITABLE[1]}, got {raw!r}"
+
+
+def _column(name, col, stamps, out):
+    """The rows of a column of one field's raw values whose value has a
+    _fault; if none has, the column goes into out as floats, MISSING where
+    null.  numpy reads a column of the types JSON gives whole and clears its
+    values by the field's kind; only those it leaves are judged one by one."""
+    boolean, count = name in BOOLEAN_FIELDS, name in COUNT_FIELDS
+    plain = {bool} if boolean else {int, float} if count else {int, float, str}
+    x, clear = None, np.zeros(len(col), dtype=bool)
+    if (kinds := set(map(type, col))) <= plain | {type(None)}:
+        for text in set(col).difference(stamps) if str in kinds else ():
+            _fault(name, text, stamps)  # parses each new text once
+        # an int past the float range, or a text that failed, raises
+        with contextlib.suppress(OverflowError, ValueError):
+            x = np.array(list(map(stamps.get, col, col)) if str in kinds else col, dtype=float)
+            null = np.isnan(x)  # null reads as NaN, so a NaN value clears nothing
+            if float not in kinds or np.count_nonzero(null) == col.count(None):
+                clear = null | (boolean or ((0 <= x) & (x < np.finfo(float).max) if count
+                                            else timeutil.WRITABLE[0](x)))
+    bad = [i for i in np.flatnonzero(~clear).tolist()
+           if col[i] is not None and _fault(name, col[i], stamps)]
+    if not bad:
+        if x is None:  # a value of another type, a numpy scalar, say
+            x = np.array([stamps.get(v, v) for v in col], dtype=float)
+        out[:] = np.where(np.isnan(x), MISSING, x)
+    return bad
 
 
 @dataclass
 class PullRequests:
     """Pull requests as columns: lists of repo ids, PR ids and texts, and
-    their feature matrix, rows x 27 values in FEATURE_ORDER (_coerce),
+    their feature matrix, rows x 27 values in FEATURE_ORDER (_column),
     MISSING where absent."""
 
     repo_ids: list
@@ -201,50 +235,62 @@ class PullRequests:
 
 
 def pull_requests(numbered, noun="line"):
-    """The PullRequests of (n, object) pairs, each object checked as it
-    comes, so the first defect in the input is the one reported: a metric
-    of the wrong kind (_coerce), no creation_date, or a (repo_id, pr_id)
-    seen before raises the ValueError "<noun> <n>: ...".  pr_id defaults to
-    pull_request_number, then n, and text to title and body joined; unknown
-    fields are ignored with a logged notice."""
+    """The PullRequests of (n, object) pairs, read up to the first that is
+    not an object, has an id or text of the wrong type, no creation_date, or
+    a (repo_id, pr_id) seen before, or that the pairs raise, then checked a
+    column at a time (_column); the first defect by pair, then by check, is
+    the ValueError "<noun> <n>: ...".  pr_id defaults to pull_request_number,
+    then n, and text to title and body joined; unknown fields are ignored
+    with a logged notice."""
     known = set(FEATURE_ORDER) | PR_KNOWN_EXTRA
-    first, texts, rows = {}, [], []  # first: {(repo_id, pr_id): n}, in order
-    for n, obj in numbered:
-        where = f"{noun} {n}"
-        if not isinstance(obj, dict):
-            raise ValueError(f"{where}: not a JSON object")
-        unknown = set(obj) - known
-        if unknown:
-            log.info("%s: ignoring unknown fields %s", where, sorted(unknown))
-        # the first id present, a null one being absent
-        id_key = next((k for k in ("pr_id", "pull_request_number")
-                       if obj.get(k) is not None), None)
-        text, repo_id = obj.get("text"), obj.get("repo_id", "")
-        try:
-            pr_id = str(need(obj, {id_key: PR_ID})[id_key] if id_key else n)
-            if text in (None, ""):  # any other non-string is rejected below
-                parts = {k: obj[k] for k in ("title", "body") if obj.get(k) is not None}
-                text = " ".join(need(parts, dict.fromkeys(parts, TEXT)).values()).strip()
-            if obj.get("creation_date") is None:
-                raise ValueError("creation_date missing")
-            need({"repo_id": repo_id, "text": text}, {"repo_id": TEXT, "text": TEXT})
-            rows.append([MISSING if (v := obj.get(name)) is None
-                         else _coerce(name, v) for name in FEATURE_ORDER])
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-        if (earlier := first.setdefault((repo_id, pr_id), n)) != n:
-            raise ValueError(f"{where}: pull request {pr_id!r} of {repo_id!r} "
-                             f"repeats {noun} {earlier}")
-        texts.append(text)
-    return PullRequests([r for r, _ in first], [p for _, p in first], texts,
-                        np.array(rows, dtype=float).reshape(len(rows), len(FEATURE_ORDER)))
+    first, texts, rows, late = {}, [], [], None  # first: {(repo_id, pr_id): n}, in order
+    try:
+        for n, obj in numbered:
+            where = f"{noun} {n}"
+            if not isinstance(obj, dict):
+                raise ValueError(f"{where}: not a JSON object")
+            if not known.issuperset(obj):
+                log.info("%s: ignoring unknown fields %s", where, sorted(set(obj) - known))
+            # the first id present, a null one being absent
+            id_key = "pr_id" if obj.get("pr_id") is not None else (
+                "pull_request_number" if obj.get("pull_request_number") is not None else None)
+            text, repo_id = obj.get("text"), obj.get("repo_id", "")
+            try:
+                pr_id = str(need(obj, {id_key: PR_ID})[id_key] if id_key else n)
+                if text in (None, ""):  # any other non-string is rejected below
+                    parts = {k: obj[k] for k in ("title", "body") if obj.get(k) is not None}
+                    text = " ".join(need(parts, dict.fromkeys(parts, TEXT)).values()).strip()
+                if obj.get("creation_date") is None:
+                    raise ValueError("creation_date missing")
+                if type(repo_id) is not str or type(text) is not str:  # else need passes
+                    need({"repo_id": repo_id, "text": text}, {"repo_id": TEXT, "text": TEXT})
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            rows.append([*map(obj.get, FEATURE_ORDER), n])  # its metrics, then n
+            if (earlier := first.setdefault((repo_id, pr_id), n)) != n:
+                raise ValueError(f"{where}: pull request {pr_id!r} of {repo_id!r} "
+                                 f"repeats {noun} {earlier}")
+            texts.append(text)
+    except Exception as exc:  # reported unless a metric of a pair before it fails
+        late = exc
+    values, stamps = np.empty((len(rows), len(FEATURE_ORDER))), {}
+    faults = [(bad[0], j) for j, (name, col) in enumerate(zip(FEATURE_ORDER, zip(*rows)))
+              if (bad := _column(name, col, stamps, values[:, j]))]
+    if faults:
+        i, j = min(faults)
+        name = FEATURE_ORDER[j]
+        raise ValueError(f"{noun} {rows[i][-1]}: {name} {_fault(name, rows[i][j], stamps)}")
+    if late:
+        raise late
+    return PullRequests([r for r, _ in first], [p for _, p in first], texts, values)
 
 
 def load_prs_jsonl(path):
     """The PullRequests of a JSON-lines file, one object per non-blank
-    line.  A line that json.loads cannot read raises the ValueError
-    "malformed JSON at line <n>", n from 1, and the first line that
-    pull_requests rejects raises its ValueError "line <n>: ..."."""
+    line, each parsed as the file yields it.  A line that json.loads cannot
+    read raises the ValueError "malformed JSON at line <n>", n from 1, and
+    the first line that pull_requests rejects raises its ValueError "line
+    <n>: ..."."""
     def objects(fh):
         for line_no, line in enumerate(fh, start=1):
             if line.strip():

@@ -5,8 +5,8 @@ from __future__ import annotations
 import re
 from datetime import datetime, timezone
 
-# the (test, requirement) atom of the POSIX seconds that RFC 3339 writes
-WRITABLE = (lambda t: -62135596800 <= t < 253402300800, "a time in years 0001 to 9999 UTC")
+# the (test, requirement) atom of the POSIX seconds that RFC 3339 writes, of a number or an array
+WRITABLE = (lambda t: (-62135596800 <= t) & (t < 253402300800), "a time in years 0001 to 9999 UTC")
 _DATE_TIME = re.compile(r"(\d{4}-\d\d-\d\d)[Tt ](\d\d:\d\d:\d\d)(?:\.(\d{1,6})\d*)?"
                         r"(?:[Zz]|([+-]\d\d:[0-5]\d))", re.ASCII)
 

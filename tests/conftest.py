@@ -295,6 +295,149 @@ def random_and_tiled_windows(rng, m, n):
         yield z[valid]
 
 
+def oracle_coerce(name, raw):
+    """One present PR field as its feature value, checked by its kind, one
+    field at a time, as the loaders did before their column passes."""
+    from capaminer import timeutil
+    from capaminer.errors import NUMBER
+    from capaminer.ingestion import BOOLEAN_FIELDS, COUNT_FIELDS, TIMESTAMP_FIELDS
+
+    if name in BOOLEAN_FIELDS:
+        if not isinstance(raw, bool):
+            raise ValueError(f"{name} must be true or false, got {raw!r}")
+        return float(raw)
+    if name in TIMESTAMP_FIELDS and isinstance(raw, str):
+        try:
+            return timeutil.from_rfc3339(raw)
+        except ValueError as exc:
+            raise ValueError(f"{name} {exc}") from None
+    if not NUMBER[0](raw):
+        raise ValueError(f"{name} must be {NUMBER[1]}, got {raw!r}")
+    if name in COUNT_FIELDS and raw < 0:
+        raise ValueError(f"{name} must be non-negative, got {raw}")
+    if name in TIMESTAMP_FIELDS and not timeutil.WRITABLE[0](raw):
+        raise ValueError(f"{name} must be {timeutil.WRITABLE[1]}, got {raw!r}")
+    return float(raw)
+
+
+def oracle_pull_requests(numbered, noun="line"):
+    """ingestion.pull_requests as a loop that checks each object as it
+    comes, field by field with oracle_coerce, and stops at the first
+    defect: the reference for the builder's column passes."""
+    from capaminer.errors import TEXT, need
+    from capaminer.ingestion import FEATURE_ORDER, MISSING, PR_ID, PullRequests
+
+    first, texts, rows = {}, [], []
+    for n, obj in numbered:
+        where = f"{noun} {n}"
+        if not isinstance(obj, dict):
+            raise ValueError(f"{where}: not a JSON object")
+        id_key = next((k for k in ("pr_id", "pull_request_number")
+                       if obj.get(k) is not None), None)
+        text, repo_id = obj.get("text"), obj.get("repo_id", "")
+        try:
+            pr_id = str(need(obj, {id_key: PR_ID})[id_key] if id_key else n)
+            if text in (None, ""):
+                parts = {k: obj[k] for k in ("title", "body") if obj.get(k) is not None}
+                text = " ".join(need(parts, dict.fromkeys(parts, TEXT)).values()).strip()
+            if obj.get("creation_date") is None:
+                raise ValueError("creation_date missing")
+            need({"repo_id": repo_id, "text": text}, {"repo_id": TEXT, "text": TEXT})
+            rows.append([MISSING if (v := obj.get(name)) is None
+                         else oracle_coerce(name, v) for name in FEATURE_ORDER])
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if (earlier := first.setdefault((repo_id, pr_id), n)) != n:
+            raise ValueError(f"{where}: pull request {pr_id!r} of {repo_id!r} "
+                             f"repeats {noun} {earlier}")
+        texts.append(text)
+    return PullRequests([r for r, _ in first], [p for _, p in first], texts,
+                        np.array(rows, dtype=float).reshape(len(rows), len(FEATURE_ORDER)))
+
+
+def oracle_load_prs_jsonl(path):
+    """ingestion.load_prs_jsonl over oracle_pull_requests."""
+    import json
+
+    def objects(fh):
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    obj = json.loads(line)
+                except (ValueError, RecursionError):
+                    raise ValueError(f"malformed JSON at line {line_no}") from None
+                yield line_no, obj
+
+    with open(path, encoding="utf-8-sig") as fh:
+        return oracle_pull_requests(objects(fh))
+
+
+def oracle_load_metrics_csv(path):
+    """ingestion.load_metrics_csv as a loop that checks each row as it
+    comes, each value by float() and math.isfinite, and stops at the first
+    defect: the reference for the loader's column passes."""
+    import csv
+
+    from capaminer import timeutil
+    from capaminer.ingestion import CSV_HEADER, METRIC_COLUMNS
+    from capaminer.tsdist import MetricSeries
+
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader, header, row_no = csv.reader(fh), None, 0
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError("empty file, no header")
+            if missing := [c for c in CSV_HEADER if c not in header]:
+                raise ValueError(f"missing column(s): {', '.join(missing)}")
+            if repeated := [c for c in CSV_HEADER if header.count(c) > 1]:
+                raise ValueError(f"the header: repeated column(s): {', '.join(repeated)}")
+            col = {name: header.index(name) for name in CSV_HEADER}
+            per_repo = {}
+            for row_no, row in enumerate(reader, start=1):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(f"row {row_no} has {len(row)} cells, "
+                                     f"the header {len(header)}")
+                try:
+                    ts = timeutil.from_rfc3339(row[col["timestamp"]])
+                except ValueError as exc:
+                    raise ValueError(f"timestamp at row {row_no} {exc}") from None
+                vals = []
+                for metric in METRIC_COLUMNS:
+                    try:
+                        v = float(row[col[metric]])
+                    except ValueError:
+                        v = math.nan
+                    if not math.isfinite(v):
+                        raise ValueError(f"non-finite value at row {row_no}")
+                    vals.append(v)
+                per_repo.setdefault(row[col["repo_id"]], []).append((ts, vals, row_no))
+        except csv.Error as exc:
+            where = "the header" if header is None else f"row {row_no + 1}"
+            raise ValueError(f"{where}: {exc}") from None
+    grids = {repo: sorted(per_repo[repo], key=lambda r: r[0]) for repo in sorted(per_repo)}
+    steps = [(repo, a, b) for repo, rows in grids.items() for a, b in zip(rows, rows[1:])]
+    step = min((b[0] - a[0] for _, a, b in steps if b[0] > a[0]), default=None)
+    want = f"the file's step of {step:.15g} s" if step else "a step above 0 s"
+    for repo, a, b in steps:
+        if b[0] - a[0] != step:
+            raise ValueError(f"row {b[2]} of {repo} is {b[0] - a[0]:.15g} s "
+                             f"after row {a[2]}, not {want}")
+    series = []
+    for repo, rows in grids.items():
+        ts = np.array([r[0] for r in rows])
+        for mi, metric in enumerate(METRIC_COLUMNS):
+            try:
+                series.append(MetricSeries(
+                    repo_id=repo, metric_name=metric, timestamps=ts,
+                    values=np.array([r[1][mi] for r in rows])))
+            except ValueError as exc:
+                raise ValueError(f"{metric} of {repo}: {exc}") from None
+    return series
+
+
 @pytest.fixture(autouse=True)
 def no_child_left():
     """Fails a test that leaves a child process, running or unreaped: the

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -9,6 +10,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capaminer import ingestion
 from capaminer.errors import (
@@ -20,7 +23,9 @@ from capaminer.errors import (
 )
 from capaminer.ingestion import (
     BOOLEAN_FIELDS,
+    CSV_HEADER,
     FEATURE_ORDER,
+    METRIC_COLUMNS,
     MISSING,
     TIMESTAMP_FIELDS,
     FixtureAdapter,
@@ -36,6 +41,7 @@ from capaminer.ingestion import (
 )
 from capaminer.timeutil import from_rfc3339, to_rfc3339
 from capaminer.tsdist import MetricSeries
+from conftest import oracle_load_metrics_csv, oracle_load_prs_jsonl, oracle_pull_requests
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURE_PRS = FIXTURES / "prs.jsonl"
@@ -266,6 +272,19 @@ class TestPrsJsonl:
         assert len(prs) == 1
         assert "line 1: ignoring unknown fields ['mystery_field']" in caplog.text
 
+    def test_line_separators_inside_a_string_are_text(self, tmp_path):
+        # U+2028 and U+0085 end a line for str.splitlines(), not for a file's
+        # lines or for JSON, which holds them raw inside a string
+        text = "fix\u2028the\x85build"
+        p = tmp_path / "prs.jsonl"
+        p.write_bytes("".join(json.dumps({
+            "repo_id": "org/a", "pr_id": str(n), "text": text,
+            "creation_date": "2020-01-01T00:00:00Z"}, ensure_ascii=False) + "\r\n"
+            for n in (1, 2)).encode("utf-8"))
+        prs = load_prs_jsonl(p)
+        assert prs.pr_ids == ["1", "2"]
+        assert prs.texts == [text, text]
+
     def test_bad_json_names_line(self, tmp_path):
         p = tmp_path / "prs.jsonl"
         p.write_text('{"repo_id": "org/a", "creation_date": '
@@ -444,7 +463,11 @@ class TestFeatureEncoding:
         prs = one_pr(creation_date=np.float64(2.0), number_of_commits=np.int64(3))
         assert prs.values.dtype == np.float64
         assert present(prs) == {"number_of_commits": 3.0, "creation_date": 2.0}
-        for bad in (float("nan"), 10**400):
+        # the largest float is a count; an int past it is not, though float()
+        # rounds the first of them down to it
+        top = sys.float_info.max
+        assert present(one_pr(creation_date=0.0, number_of_commits=top))["number_of_commits"] == top
+        for bad in (float("nan"), 10**400, int(top) + 1):
             with pytest.raises(ValueError, match="number_of_commits must be a finite"):
                 one_pr(creation_date=0.0, number_of_commits=bad)
 
@@ -477,6 +500,135 @@ class TestFeatureEncoding:
             prs = one_pr(creation_date=0.0, number_of_bananas=1)
         assert "number_of_bananas" in caplog.text
         assert present(prs) == {"creation_date": 0.0}
+
+
+STAMPS = ["2020-01-01T00:00:00Z", "2021-06-30T12:00:00.5+02:00", "1969-12-31T23:59:59Z",
+          "0001-01-01T00:00:00Z", "9999-12-31T23:59:59.5Z"]
+# a value of another JSON type, or of one no JSON gives, for any field
+OTHER_VALUES = st.one_of(
+    st.none(), st.booleans(), st.sampled_from(STAMPS), st.text(max_size=8),
+    st.integers(-10**6, -1), st.floats(max_value=-1e-300), st.just(-0.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400, 2**53 + 1,
+                     sys.float_info.max, int(sys.float_info.max) + 1,
+                     253402300800, -62135596801, [1], {"a": 1}]),
+    st.builds(np.int64, st.integers(-5, 5)), st.builds(np.float64, st.floats()),
+    st.builds(np.bool_, st.booleans()))
+
+
+def field_values(name):
+    """Values of a PR field that pass its kind's rule, null included."""
+    if name in BOOLEAN_FIELDS:
+        return st.none() | st.booleans()
+    if name in TIMESTAMP_FIELDS:
+        return (st.sampled_from(STAMPS) | st.integers(-62135596800, 253402300799)
+                | st.floats(-6e10, 2.5e11) | st.none())
+    return st.integers(0, 10**18) | st.floats(0, 1e300) | st.none()
+
+
+@st.composite
+def pr_objects(draw, numpy=True):
+    """A few pull-request objects of one or two repositories, ids drawn from
+    a small pool so that some repeat, then at most two values replaced by
+    OTHER_VALUES (numpy scalars left out when numpy is false), or an object
+    by a list."""
+    objs = []
+    for _ in range(draw(st.integers(1, 5))):
+        obj = {"repo_id": draw(st.sampled_from(["org/a", "org/b"])),
+               "pr_id": draw(st.sampled_from(["1", "2", "3", "4", "5", "6", 7, 8, 9])),
+               "text": draw(st.sampled_from(["fix build", "", "add docs"])),
+               "creation_date": draw(st.sampled_from(STAMPS) | st.integers(0, 2**31))}
+        for name in draw(st.lists(st.sampled_from(FEATURE_ORDER), max_size=8)):
+            obj[name] = draw(field_values(name))
+        objs.append(obj)
+    others = OTHER_VALUES if numpy else OTHER_VALUES.filter(
+        lambda v: not isinstance(v, np.generic))
+    keys = st.sampled_from(FEATURE_ORDER + ["repo_id", "pr_id", "pull_request_number",
+                                            "text", "title", "body"])
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(objs) - 1))
+        if draw(st.integers(0, 19)) == 0:
+            objs[i] = [objs[i]]
+        elif isinstance(objs[i], dict):
+            objs[i][draw(keys)] = draw(others)
+    return objs
+
+
+def outcome(load, *args):
+    """What load(*args) gives, as comparable values: the ValueError's text,
+    or the loaded data with every array as its bytes."""
+    try:
+        got = load(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    if isinstance(got, list):  # metric series
+        return [(s.repo_id, s.metric_name, s.timestamps.tobytes(), s.values.tobytes())
+                for s in got]
+    return got.repo_ids, got.pr_ids, got.texts, got.values.shape, got.values.tobytes()
+
+
+@st.composite
+def metrics_csv_lines(draw):
+    """The lines of a metrics CSV of one or two repositories, each a run of
+    days, in a drawn order, then at most three defects: a timestamp or a
+    value replaced by other text, a cell dropped, a row repeated or a blank
+    line added."""
+    header = list(CSV_HEADER)
+    if draw(st.booleans()):
+        header.insert(draw(st.integers(0, len(header))), "extra")
+    rows = []
+    for repo in draw(st.sampled_from([["org/a"], ["org/a", "org/b"]])):
+        start = draw(st.integers(1, 4))
+        for day in range(start, start + draw(st.integers(1, 5))):
+            cells = {"repo_id": repo, "timestamp": f"2020-01-0{day}T00:00:00Z", "extra": "x",
+                     **{m: str(draw(st.integers(0, 99))) for m in METRIC_COLUMNS}}
+            rows.append([cells[name] for name in header])
+    rows = draw(st.permutations(rows))
+    texts = st.sampled_from(["nan", "inf", "-inf", "abc", "", " 7 ", "1e999", "1e300",
+                             "1_000", "0x10", "-0", "2.5e1", "2020-01-09T00:00:00Z",
+                             "2020-01-03T00:00:00+01:00", "0000-01-01T00:00:00Z",
+                             "9999-12-31T23:59:60Z"])
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from([row for row in rows if row]))
+        defect = draw(st.sampled_from(["replace", "replace", "drop", "repeat", "blank"]))
+        if defect == "replace":
+            column = header.index(draw(st.sampled_from(["timestamp"] + METRIC_COLUMNS)))
+            row[min(column, len(row) - 1)] = draw(texts)
+        elif defect == "drop":
+            row.pop()
+        elif defect == "repeat":
+            rows.append(list(row))
+        else:
+            rows.insert(draw(st.integers(0, len(rows))), [])
+    return [",".join(header)] + [",".join(row) for row in rows]
+
+
+class TestColumnPassesMatchTheOracle:
+    """The column passes against the loops they replace (conftest's
+    oracle_*): the same table, bit for bit, or the same first error."""
+
+    @given(pr_objects())
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    def test_pull_requests(self, objs):
+        assert (outcome(pull_requests, enumerate(objs, start=1))
+                == outcome(oracle_pull_requests, enumerate(objs, start=1)))
+
+    @given(pr_objects(numpy=False), st.integers(0, 6), st.sampled_from(["{oops", "[1, 2]"]))
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    def test_prs_jsonl(self, objs, at, bad_line):
+        lines = [json.dumps(obj) for obj in objs]
+        lines.insert(min(at, len(lines)), bad_line)
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "prs.jsonl"
+            p.write_text("\n".join(lines) + "\n")
+            assert outcome(load_prs_jsonl, p) == outcome(oracle_load_prs_jsonl, p)
+
+    @given(metrics_csv_lines())
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    def test_metrics_csv(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "metrics.csv"
+            p.write_text("\n".join(lines) + "\n")
+            assert outcome(load_metrics_csv, p) == outcome(oracle_load_metrics_csv, p)
 
 
 def one_pr(**obj):

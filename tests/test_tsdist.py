@@ -88,7 +88,7 @@ class TestZnormDistance:
                     min_size=4, max_size=30),
            st.integers(-3, 3).map(lambda e: 2.0**e),
            st.integers(-50 * 2**10, 50 * 2**10).map(lambda k: k / 2**10))
-    @settings(max_examples=200, deadline=None)
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
     def test_affine_invariance(self, vals, a, b):
         q = np.asarray(vals)
         if q.std() < 1e-6:
@@ -105,7 +105,7 @@ class TestZnormDistance:
                                                      rel=0, abs=1e-15)
 
     @given(st.integers(0, 2**32 - 1), st.integers(3, 40))
-    @settings(max_examples=200, deadline=None)
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
     def test_symmetry_and_range(self, seed, m):
         r = np.random.default_rng(seed)
         q = r.normal(size=m)
